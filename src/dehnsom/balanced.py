@@ -12,6 +12,7 @@ from .complexes import (
     label_sort_key,
     parse_facets,
     serialize_facets,
+    subset_transform,
     _parse_label,
 )
 from .errors import ColorInS, NotBalanced, NotPure, ParseError
@@ -108,16 +109,8 @@ def flag_f_vector(bal: BalancedComplex) -> FlagVector:
 def flag_h_vector(bal: BalancedComplex) -> FlagVector:
     """h_T = Σ_{S ⊆ T} (−1)^{|T|−|S|} f_S (Möbius inversion of the flag f)."""
     f = flag_f_vector(bal)
-    values = {}
-    for t in range(1 << bal.d):
-        total, sub = 0, t
-        while True:
-            total += sign((t ^ sub).bit_count()) * f.by_mask(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & t
-        values[t] = total
-    return FlagVector(bal.d, values)
+    h = subset_transform([f.by_mask(m) for m in range(1 << bal.d)], bal.d, signed=True)
+    return FlagVector(bal.d, dict(enumerate(h)))
 
 
 def rank_selected(bal: BalancedComplex, S: Iterable[int]) -> SimplicialComplex:
@@ -142,18 +135,14 @@ def verify_flag_ds(bal: BalancedComplex, name: str = "") -> VerificationReport:
         m = bal.color_of_face(f)
         err_by_mask[m] = err_by_mask.get(m, 0) + e
     full = (1 << d) - 1
+    err_below = subset_transform([err_by_mask.get(m, 0) for m in range(1 << d)], d,
+                                 signed=False)
     rows = []
     for mask in range(1 << d):
-        rhs_sum, sub = 0, mask
-        while True:
-            rhs_sum += err_by_mask.get(sub, 0)
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
         rows.append(Row(
             index=f"S={_mask_label(mask)}",
             lhs=h.by_mask(mask) - h.by_mask(full ^ mask),
-            rhs=sign(d - mask.bit_count()) * rhs_sum,
+            rhs=sign(d - mask.bit_count()) * err_below[mask],
         ))
     # refinement: row sums over |S| = i must reproduce the pure identity at index i
     for i in range(d + 1):
@@ -174,26 +163,39 @@ def short_flag_sum(bal: BalancedComplex, S: Iterable[int], i: int) -> int:
     S = frozenset(S)
     if i in S:
         raise ColorInS(f"color {i} lies in S")
-    total = 0
-    smask = _color_mask(S)
+    if not S <= set(range(1, bal.d + 1)):
+        raise NotBalanced(f"S must be a subset of the colors 1..{bal.d}")
+    # flag f-vector of the disjoint union of the links of the color-i vertices
+    counts = [0] * (1 << bal.d)
     for v in bal.complex.vertices:
         if bal.kappa[v] != i:
             continue
-        counts: dict[int, int] = {}
         for h_face in bal.complex.faces:
             if v in h_face:
-                m = bal.color_of_face(h_face - {v})
-                counts[m] = counts.get(m, 0) + 1
-        sub = smask
-        while True:
-            total += sign((smask ^ sub).bit_count()) * counts.get(sub, 0)
-            if sub == 0:
-                break
-            sub = (sub - 1) & smask
-    return total
+                counts[bal.color_of_face(h_face - {v})] += 1
+    return subset_transform(counts, bal.d, signed=True)[_color_mask(S)]
 
 
 # --- balanced text format ---------------------------------------------------
+
+def parse_colors(text: str) -> dict:
+    """A color map: whitespace-separated 'label=color' pairs, with an optional
+    'colors:' prefix on a line; '#' comments are ignored."""
+    kappa = {}
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("colors:"):
+            line = line[len("colors:"):]
+        for pair in line.split():
+            label, eq, color = pair.partition("=")
+            if not eq:
+                raise ParseError(f"bad color assignment {pair!r}")
+            try:
+                kappa[_parse_label(label)] = int(color)
+            except ValueError:
+                raise ParseError(f"bad color in {pair!r}") from None
+    return kappa
+
 
 def parse_balanced(text: str) -> BalancedComplex:
     """Facet-list format preceded by a 'colors:' header mapping labels to colors."""
@@ -206,12 +208,7 @@ def parse_balanced(text: str) -> BalancedComplex:
         if stripped.startswith("colors:"):
             if kappa is not None:
                 raise ParseError("duplicate colors: header")
-            kappa = {}
-            for pair in stripped[len("colors:"):].split():
-                if "=" not in pair:
-                    raise ParseError(f"bad color assignment {pair!r}")
-                label, color = pair.split("=", 1)
-                kappa[_parse_label(label)] = int(color)
+            kappa = parse_colors(stripped)
         else:
             facet_lines.append(stripped)
     if kappa is None:

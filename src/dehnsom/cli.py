@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -19,63 +18,41 @@ from . import posets as ps
 from . import toric as tc
 from .errors import DehnsomError, ParseError
 from .generators import GeneratorSpec, generate, parse_spec
-from .reports import VerificationReport, report_from_dict
-from .suite import iter_suite
-
-VERIFY_IDENTITIES = ("ds", "flag-ds", "simplicial-ds", "flag-poset", "stanley",
-                     "swartz", "1sing", "generalized", "main", "euler-rel",
-                     "lower-eulerian", "dual", "all")
-
-
-def _threads() -> int | None:
-    raw = os.environ.get("DEHNSOM_THREADS")
-    if raw is None:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ParseError(f"DEHNSOM_THREADS must be an integer, got {raw!r}") from None
-    if n < 0:
-        raise ParseError("DEHNSOM_THREADS must be >= 0")
-    return n if n > 1 else None  # 0 and 1 force the sequential path
+from .reports import report_from_dict
+from .suite import IDENTITIES, run_catalog, verify, verify_all
 
 
 def _load_target(args):
-    """Resolve --gen SPEC or a file path into a complex/balanced/poset object."""
+    """Resolve --gen SPEC or a file path into a complex/balanced/poset object.
+
+    A plain complex given with --colors becomes a balanced complex.
+    """
     if args.gen:
         spec = parse_spec(args.gen)
         if args.seed is not None:
             spec = GeneratorSpec(spec.name, spec.params, seed=args.seed)
-        obj = generate(spec)
-        return obj, args.gen
-    if not args.target:
+        obj, name = generate(spec), args.gen
+    elif not args.target:
         raise ParseError("provide a file path or --gen SPEC")
-    text = Path(args.target).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return ps.parse_poset_json(text), args.target
-    if "colors:" in text:
-        return bl.parse_balanced(text), args.target
-    return cx.parse_facets(text), args.target
+    else:
+        text = Path(args.target).read_text()
+        if text.lstrip().startswith("{"):
+            obj = ps.parse_poset_json(text)
+        elif any(line.lstrip().startswith("colors:") for line in text.splitlines()):
+            obj = bl.parse_balanced(text)
+        else:
+            obj = cx.parse_facets(text)
+        name = args.target
+    if args.colors and isinstance(obj, cx.SimplicialComplex):
+        obj = bl.validate_coloring(obj, bl.parse_colors(Path(args.colors).read_text()))
+    return obj, name
 
 
-def _load_colors(path: str) -> dict:
-    kappa = {}
-    for token in Path(path).read_text().replace("colors:", " ").split():
-        if "=" not in token:
-            raise ParseError(f"bad color assignment {token!r}")
-        label, color = token.split("=", 1)
-        kappa[cx._parse_label(label)] = int(color)
-    return kappa
-
-
-def _as_balanced(obj, colors_file=None):
+def _as_balanced(obj):
     if isinstance(obj, bl.BalancedComplex):
         return obj
     if isinstance(obj, ps.GradedPoset):
         return ps.order_complex(obj)
-    if colors_file:
-        return bl.validate_coloring(obj, _load_colors(colors_file))
     raise ParseError("a balanced complex is required: give a poset, a balanced "
                      "file, or --colors")
 
@@ -115,7 +92,7 @@ def cmd_compute(args) -> int:
         chi = cx.reduced_euler_characteristic(_need_complex(obj))
         _emit(args, {"euler": chi}, f"chi_tilde = {chi}")
     elif what == "flag":
-        bal = _as_balanced(obj, args.colors)
+        bal = _as_balanced(obj)
         ff, fh = bl.flag_f_vector(bal), bl.flag_h_vector(bal)
         payload = {"d": bal.d,
                    "flag_f": {bl._mask_label(m): v for m, v in ff.items()},
@@ -162,67 +139,15 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _verify_one(identity: str, obj, name: str, args) -> list[VerificationReport]:
-    if identity == "ds":
-        return [cx.verify_pure_ds(_need_complex(obj), name)]
-    if identity == "flag-ds":
-        return [bl.verify_flag_ds(_as_balanced(obj, args.colors), name)]
-    if identity == "simplicial-ds":
-        return [ps.verify_simplicial_ds(_need_poset(obj), name)]
-    if identity == "flag-poset":
-        return [ps.verify_flag_poset(_need_poset(obj), name)]
-    if identity == "stanley":
-        return [tc.verify_stanley(_need_poset(obj), name)]
-    if identity == "swartz":
-        return [tc.verify_swartz(_need_poset(obj), name)]
-    if identity == "1sing":
-        return [tc.verify_1sing(_need_poset(obj), name)]
-    if identity == "generalized":
-        return [tc.verify_generalized(_need_poset(obj), name)]
-    if identity == "main":
-        return [tc.verify_main(_need_poset(obj), name)]
-    if identity == "euler-rel":
-        return [tc.verify_euler_relation(_need_poset(obj), name=name)]
-    if identity == "lower-eulerian":
-        return [tc.verify_lower_eulerian(_need_poset(obj), name)]
-    if identity == "dual":
-        return [tc.dual_defect_report(_need_poset(obj), name)]
-    if identity == "all":
-        if isinstance(obj, ps.GradedPoset):
-            cls = ps.classify_poset(obj)
-            out = [ps.verify_flag_poset(obj, name), tc.verify_generalized(obj, name),
-                   tc.verify_euler_relation(obj, name=name), tc.dual_defect_report(obj, name)]
-            if obj.rho >= 1:
-                out.append(bl.verify_flag_ds(ps.order_complex(obj), f"O({name})"))
-            if cls.simplicial:
-                out.append(ps.verify_simplicial_ds(obj, name))
-            if cls.eulerian:
-                out.append(tc.verify_stanley(obj, name))
-            if cls.min_j_sing <= 0:
-                out.append(tc.verify_swartz(obj, name))
-            if cls.min_j_sing <= 1:
-                out.append(tc.verify_1sing(obj, name))
-            if obj.rho - 1 > 2 * cls.min_j_sing:
-                out.append(tc.verify_main(obj, name))
-            if cls.lower_eulerian:
-                out.append(tc.verify_lower_eulerian(obj, name))
-            return out
-        if isinstance(obj, bl.BalancedComplex):
-            return [cx.verify_pure_ds(obj.complex, name), bl.verify_flag_ds(obj, name)]
-        return [cx.verify_pure_ds(_need_complex(obj), name)]
-    raise ParseError(f"unknown identity {identity!r}")
-
-
 def cmd_verify(args) -> int:
-    cx.set_default_threads(_threads())
     if args.identity == "all" and not (args.gen or args.target):
-        reports = []
-        for desc, thunk in iter_suite():
-            result = thunk()
-            reports.extend(result if isinstance(result, list) else [result])
+        reports = run_catalog()
     else:
         obj, name = _load_target(args)
-        reports = _verify_one(args.identity, obj, name, args)
+        if args.identity == "all":
+            reports = verify_all(obj, name)
+        else:
+            reports = [verify(args.identity, obj, name)]
     all_pass = all(r.passed for r in reports)
     if args.json:
         print(json.dumps([r.to_dict() for r in reports]))
@@ -264,7 +189,7 @@ def cmd_report(args) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="dehnsom",
         description="Exact Dehn-Sommerville computations and verifications "
@@ -291,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("verify", help="verify a named identity (or 'all')")
-    p.add_argument("identity", choices=VERIFY_IDENTITIES)
+    p.add_argument("identity", choices=[*IDENTITIES, "all"])
     add_common(p)
     p.add_argument("-o", "--out", help="also save the JSON report here")
     p.set_defaults(fn=cmd_verify)
@@ -308,11 +233,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_report)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, verbs = build_parser()
+    if argv and argv[0] in verbs:
+        # a verb's options may come before, between or after its positionals
+        args = verbs[argv[0]].parse_intermixed_args(argv[1:])
+    else:
+        args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except DehnsomError as exc:

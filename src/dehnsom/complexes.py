@@ -8,9 +8,8 @@ all faces stays cheap. The empty face is always a member, so f_{-1} = 1.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import EmptyInput, FaceNotInComplex, InternalError, NotPure, ParseError
 from .polynomial import ExactPolynomial, binom, sign
@@ -163,15 +162,34 @@ def f_vector(cx: SimplicialComplex) -> FVector:
     return FVector(tuple(counts))
 
 
-def h_vector(cx: SimplicialComplex) -> HVector:
-    """Expand sum f_{i-1} (x-1)^{d-i} exactly; impure input is allowed but flagged."""
-    f = f_vector(cx).entries
-    d = cx.dim + 1
+def h_from_f(f: Sequence[int], d: int) -> tuple[int, ...]:
+    """(h_0, ..., h_d) from f = (f_{-1}, ..., f_{d-1}) by expanding
+    sum h_i x^{d-i} = sum f_{i-1} (x-1)^{d-i} exactly."""
     poly = ExactPolynomial.zero()
     for i in range(d + 1):
         poly = poly + ExactPolynomial.x_minus_one_power(d - i).scale(f[i])
     coeffs = poly.int_coeffs() + (0,) * (d + 1 - len(poly.int_coeffs()))
-    return HVector(tuple(coeffs[d - i] for i in range(d + 1)), impure=not cx.pure)
+    return tuple(coeffs[d - i] for i in range(d + 1))
+
+
+def h_vector(cx: SimplicialComplex) -> HVector:
+    """The f→h transform of the face counts; impure input is allowed but flagged."""
+    return HVector(h_from_f(f_vector(cx).entries, cx.dim + 1), impure=not cx.pure)
+
+
+def subset_transform(values: Sequence[int], d: int, signed: bool) -> list[int]:
+    """Yates's transform of a table indexed by the subsets of [d] (as bitmasks).
+
+    out[T] = Σ_{S ⊆ T} values[S], or Σ_{S ⊆ T} (−1)^{|T∖S|} values[S] (Möbius
+    inversion) when ``signed``; one pass per bit, O(d·2^d) in all.
+    """
+    out = list(values)
+    for i in range(d):
+        bit = 1 << i
+        for m in range(1 << d):
+            if m & bit:
+                out[m] = out[m] - out[m ^ bit] if signed else out[m] + out[m ^ bit]
+    return out
 
 
 def reduced_euler_characteristic(cx: SimplicialComplex) -> int:
@@ -208,53 +226,29 @@ def face_error(cx: SimplicialComplex, face: Iterable) -> int:
     return reduced_euler_characteristic(link(cx, f)) - sign(d - 1 - len(f))
 
 
-_default_threads: int | None = None
-
-
-def set_default_threads(n: int | None) -> None:
-    """Worker cap for the face-error sweep; None, 0 and 1 mean sequential."""
-    global _default_threads
-    _default_threads = n if n and n > 1 else None
-
-
-def link_euler_table(cx: SimplicialComplex, threads: int | None = None) -> dict[int, int]:
+def link_euler_table(cx: SimplicialComplex) -> dict[int, int]:
     """χ̃(lk F) for every face at once, keyed by face bitmask.
 
     Enumerates pairs (F, G) with F ∪ G a face and F ∩ G = ∅ through their
     union H, so the cost is sum over faces of 2^{|H|}.
     """
-    if threads is None:
-        threads = _default_threads
-
-    def accumulate(masks):
-        acc = dict.fromkeys(cx._masks, 0)
-        for h in masks:
-            sub = h
-            while True:
-                acc[sub] += 1 if ((h ^ sub).bit_count() & 1) else -1
-                if sub == 0:
-                    break
-                sub = (sub - 1) & h
-        return acc
-
-    if threads and threads > 1:
-        chunks = [cx._masks[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(accumulate, chunks))
-        total = dict.fromkeys(cx._masks, 0)
-        for part in partials:
-            for m, v in part.items():
-                total[m] += v
-        return total
-    return accumulate(cx._masks)
+    acc = dict.fromkeys(cx._masks, 0)
+    for h in cx._masks:
+        sub = h
+        while True:
+            acc[sub] += 1 if ((h ^ sub).bit_count() & 1) else -1
+            if sub == 0:
+                break
+            sub = (sub - 1) & h
+    return acc
 
 
-def face_error_table(cx: SimplicialComplex, threads: int | None = None) -> dict[Face, int]:
+def face_error_table(cx: SimplicialComplex) -> dict[Face, int]:
     """ε(F) for every face of a pure complex, via one sweep over all faces."""
     if not cx.pure:
         raise NotPure("face errors are defined for pure complexes")
     d = cx.dim + 1
-    chi = link_euler_table(cx, threads=threads)
+    chi = link_euler_table(cx)
     return {cx.face_of(m): v - sign(d - 1 - m.bit_count()) for m, v in chi.items()}
 
 

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .complexes import SimplicialComplex, label_sort_key
+from .complexes import HVector, SimplicialComplex, h_from_f, label_sort_key, subset_transform
 from .errors import (
     CycleDetected,
     InternalError,
@@ -39,7 +39,7 @@ class GradedPoset:
     """Finite graded poset with 0̂ and 1̂, built from its cover relation."""
 
     __slots__ = ("labels", "rank_of", "bottom_i", "top_i", "_index", "_up", "_down",
-                 "_covers_up", "_covers_dn", "_mu", "_bad", "_toric")
+                 "_covers_up", "_covers_dn", "_mu", "_bad", "_toric", "_cls")
 
     def __init__(self, labels, ranks, covers_up):
         # internal constructor; use build_poset() for validated construction
@@ -72,6 +72,7 @@ class GradedPoset:
         self._mu = {}
         self._bad = None
         self._toric = None
+        self._cls = None
 
     # --- basic queries ------------------------------------------------------
 
@@ -383,13 +384,13 @@ def order_complex(P: GradedPoset):
 
 # --- flag alpha/beta and the flag poset identity ---------------------------------
 
-def _alpha_table(P: GradedPoset) -> dict[int, int]:
-    """α(S) for every S ⊆ [d] as a bitmask table (bit r-1 = rank r present)."""
+def _alpha_table(P: GradedPoset) -> list[int]:
+    """α(S) for every S ⊆ [d] as a bitmask-indexed list (bit r-1 = rank r present)."""
     d = P.rho - 1
     by_rank = [[] for _ in range(d + 2)]
     for i in proper_part(P):
         by_rank[P.rank_of[i]].append(i)
-    table = {}
+    table = []
     for mask in range(1 << d):
         ranks = [r + 1 for r in _bits(mask)]
         dp = {P.bottom_i: 1}
@@ -400,7 +401,7 @@ def _alpha_table(P: GradedPoset) -> dict[int, int]:
                 if total:
                     nxt[j] = total
             dp = nxt
-        table[mask] = sum(v for i, v in dp.items() if P.leq_i(i, P.top_i))
+        table.append(sum(v for i, v in dp.items() if P.leq_i(i, P.top_i)))
     return table
 
 
@@ -411,17 +412,9 @@ def flag_alpha_beta(P: GradedPoset, S: Iterable[int]) -> tuple[int, int]:
     S = frozenset(S)
     if not S <= set(range(1, d + 1)):
         raise NotComparable(f"S must be a subset of [{d}]")
-    table = _alpha_table(P)
+    alpha = _alpha_table(P)
     mask = sum(1 << (r - 1) for r in S)
-    alpha = table[mask]
-    beta = 0
-    sub = mask
-    while True:
-        beta += sign((mask ^ sub).bit_count()) * table[sub]
-        if sub == 0:
-            break
-        sub = (sub - 1) & mask
-    return alpha, beta
+    return alpha[mask], subset_transform(alpha, d, signed=True)[mask]
 
 
 def rank_selected_subposet(P: GradedPoset, S: Iterable[int]) -> GradedPoset:
@@ -467,32 +460,18 @@ def _chain_error_buckets(P: GradedPoset) -> dict[int, int]:
 def verify_flag_poset(P: GradedPoset, name: str = "") -> VerificationReport:
     """β(S) − β(S^c) against (−1)^{d−|S|} Σ_{C ∈ 𝒞(P_S)} ε_P(C) for every S ⊆ [d]."""
     d = P.rho - 1
-    table = _alpha_table(P)
     full = (1 << d) - 1
-
-    def beta(mask):
-        total, sub = 0, mask
-        while True:
-            total += sign((mask ^ sub).bit_count()) * table[sub]
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
-        return total
-
+    beta = subset_transform(_alpha_table(P), d, signed=True)
     buckets = _chain_error_buckets(P)
+    eps_below = subset_transform([buckets.get(m, 0) for m in range(1 << d)], d,
+                                 signed=False)
     rows = []
     for mask in range(1 << d):
-        rhs_sum, sub = 0, mask
-        while True:
-            rhs_sum += buckets.get(sub, 0)
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
         s_label = "{" + ",".join(str(r + 1) for r in _bits(mask)) + "}"
         rows.append(Row(
             index=f"S={s_label}",
-            lhs=beta(mask) - beta(full ^ mask),
-            rhs=sign(d - mask.bit_count()) * rhs_sum,
+            lhs=beta[mask] - beta[full ^ mask],
+            rhs=sign(d - mask.bit_count()) * eps_below[mask],
         ))
     return VerificationReport("flag-poset", {"object": name or repr(P), "d": d},
                               tuple(rows))
@@ -587,18 +566,24 @@ def min_j_sing_order_complex(P: GradedPoset) -> int:
 def classify_poset(P: GradedPoset, cross_check: bool = False) -> PosetClassification:
     """Eulerian/semi-Eulerian/lower-Eulerian/simplicial flags plus min_j_sing.
 
-    min_j_sing uses the flat interval criterion; cross_check additionally runs
-    the recursive definition and the order-complex criterion and insists all
-    three agree.
+    min_j_sing uses the flat interval criterion; the result is cached on P.
+    cross_check additionally runs the recursive definition and the
+    order-complex criterion on every call and insists all three agree.
     """
-    bad = P.bad_intervals()
-    minj = min_j_sing_flat(P)
+    if P._cls is None:
+        P._cls = _classify(P)
     if cross_check:
+        flat = min_j_sing_flat(P)
         rec = min_j_sing_recursive(P)
-        oc = min_j_sing_order_complex(P) if P.rho >= 1 else minj
-        if not (minj == rec == oc):
+        oc = min_j_sing_order_complex(P) if P.rho >= 1 else flat
+        if not (flat == rec == oc):
             raise InternalError(
-                f"j-Sing criteria disagree: flat={minj} recursive={rec} order-complex={oc}")
+                f"j-Sing criteria disagree: flat={flat} recursive={rec} order-complex={oc}")
+    return P._cls
+
+
+def _classify(P: GradedPoset) -> PosetClassification:
+    bad = P.bad_intervals()
     boolean_ok = [True] * (P.rho + 1)
     for t in range(P.n):
         if t != P.top_i and not _is_boolean_interval(P, P.bottom_i, t):
@@ -613,7 +598,7 @@ def classify_poset(P: GradedPoset, cross_check: bool = False) -> PosetClassifica
         semi_eulerian=all((s, t) == (P.bottom_i, P.top_i) for s, t, _ in bad),
         lower_eulerian=all(t == P.top_i for _, t, _ in bad),
         simplicial=all(boolean_ok[: P.rho]),
-        min_j_sing=minj,
+        min_j_sing=min_j_sing_flat(P),
         max_lower_simplicial_k=max_k,
     )
 
@@ -643,17 +628,8 @@ def simplicial_poset_f(P: GradedPoset) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def simplicial_poset_h(P: GradedPoset):
-    from .complexes import HVector
-    f = simplicial_poset_f(P)
-    d = P.rho - 1
-    from .polynomial import ExactPolynomial
-    poly = ExactPolynomial.zero()
-    for i in range(d + 1):
-        poly = poly + ExactPolynomial.x_minus_one_power(d - i).scale(f[i])
-    coeffs = poly.int_coeffs()
-    coeffs = coeffs + (0,) * (d + 1 - len(coeffs))
-    return HVector(tuple(coeffs[d - i] for i in range(d + 1)))
+def simplicial_poset_h(P: GradedPoset) -> HVector:
+    return HVector(h_from_f(simplicial_poset_f(P), P.rho - 1))
 
 
 def verify_simplicial_ds(P: GradedPoset, name: str = "") -> VerificationReport:
@@ -680,10 +656,18 @@ def parse_poset_json(text: str) -> GradedPoset:
     try:
         data = json.loads(text)
         elements = data["elements"]
-        covers = [tuple(c) for c in data["covers"]]
+        covers = data["covers"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ParseError(f"bad poset JSON: {exc}") from exc
-    return build_poset(elements, covers)
+    if not (isinstance(elements, list) and isinstance(covers, list)):
+        raise ParseError("bad poset JSON: elements and covers must be lists")
+    for c in covers:
+        if not (isinstance(c, list) and len(c) == 2):
+            raise ParseError(f"bad poset JSON: cover {c!r} is not a pair")
+    for label in elements + [x for c in covers for x in c]:
+        if isinstance(label, (list, dict)):
+            raise ParseError(f"bad poset JSON: {label!r} is not a scalar label")
+    return build_poset(elements, [tuple(c) for c in covers])
 
 
 def serialize_poset_json(P: GradedPoset) -> str:

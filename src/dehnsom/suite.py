@@ -1,19 +1,109 @@
-"""The built-in verification catalog behind `dehnsom verify all`.
+"""The identity table behind `dehnsom verify`, and the built-in catalog.
 
-Every entry re-derives its hypotheses (Eulerian, semi-Eulerian, 1-Sing, ...)
-from the object itself; nothing is hard-coded beyond the generator spec.
+Each identity is listed once, with the inputs it takes, the least poset rank
+it is defined for and the hypothesis under which `verify all` runs it. The
+hypotheses are re-derived from each object's classification; nothing is
+hard-coded beyond the generator specs of the catalog.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from dataclasses import dataclass
+from typing import Callable
 
 from . import balanced as bl
 from . import complexes as cx
 from . import posets as ps
 from . import toric as tc
+from .errors import ParseError, RangeViolation
 from .generators import generate_from_string
 from .reports import VerificationReport
+
+
+@dataclass(frozen=True)
+class Identity:
+    kinds: tuple[str, ...]
+    """Input kinds the identity takes: "complex", "balanced" or "poset"."""
+    min_rho: int
+    """Least rank of a poset input; below it the identity is undefined."""
+    applies: Callable[[ps.PosetClassification, int], bool] | None
+    """Hypothesis on (classification, rank) for `verify all` on a poset; None if none."""
+    run: Callable[[object, str], VerificationReport]
+    """(object, name) -> report; looks its function up in the module at call time."""
+
+
+def _flag_ds(obj, name: str) -> VerificationReport:
+    if isinstance(obj, ps.GradedPoset):
+        obj, name = ps.order_complex(obj), f"O({name})"
+    return bl.verify_flag_ds(obj, name)
+
+
+POSET = ("poset",)
+
+# `verify all` runs the applicable entries in this order
+IDENTITIES: dict[str, Identity] = {
+    "ds": Identity(("complex", "balanced"), 0, None,
+                   lambda X, name: cx.verify_pure_ds(getattr(X, "complex", X), name)),
+    "flag-poset": Identity(POSET, 1, None, lambda P, name: ps.verify_flag_poset(P, name)),
+    "generalized": Identity(POSET, 1, None,
+                            lambda P, name: tc.verify_generalized(P, name)),
+    "euler-rel": Identity(POSET, 0, None,
+                          lambda P, name: tc.verify_euler_relation(P, name=name)),
+    "dual": Identity(POSET, 0, None, lambda P, name: tc.dual_defect_report(P, name)),
+    "flag-ds": Identity(("balanced", "poset"), 1, None, _flag_ds),
+    "simplicial-ds": Identity(POSET, 0, lambda c, rho: c.simplicial,
+                              lambda P, name: ps.verify_simplicial_ds(P, name)),
+    "stanley": Identity(POSET, 1, lambda c, rho: c.eulerian,
+                        lambda P, name: tc.verify_stanley(P, name)),
+    "swartz": Identity(POSET, 0, lambda c, rho: c.min_j_sing <= 0,
+                       lambda P, name: tc.verify_swartz(P, name)),
+    "1sing": Identity(POSET, 2, lambda c, rho: c.min_j_sing <= 1,
+                      lambda P, name: tc.verify_1sing(P, name)),
+    "main": Identity(POSET, 0, lambda c, rho: rho - 1 > 2 * c.min_j_sing,
+                     lambda P, name: tc.verify_main(P, name)),
+    "lower-eulerian": Identity(POSET, 0, lambda c, rho: c.lower_eulerian,
+                               lambda P, name: tc.verify_lower_eulerian(P, name)),
+}
+
+
+def _kind(obj) -> str:
+    if isinstance(obj, ps.GradedPoset):
+        return "poset"
+    if isinstance(obj, bl.BalancedComplex):
+        return "balanced"
+    return "complex"
+
+
+def verify(identity: str, obj, name: str) -> VerificationReport:
+    """Run one identity; an input it does not take or a rank below its
+    minimum is a validation error, as is a failed hypothesis inside it."""
+    entry = IDENTITIES[identity]
+    kind = _kind(obj)
+    if kind not in entry.kinds:
+        hint = " (give --colors)" if kind == "complex" and "balanced" in entry.kinds else ""
+        raise ParseError(f"{identity} needs a {' or '.join(entry.kinds)} input, "
+                         f"got a {kind}{hint}")
+    if kind == "poset" and obj.rho < entry.min_rho:
+        raise RangeViolation(f"{identity} needs rank >= {entry.min_rho}, got rank {obj.rho}")
+    return entry.run(obj, name)
+
+
+def verify_all(obj, name: str, identities=IDENTITIES) -> list[VerificationReport]:
+    """Every identity of ``identities`` whose input kind, minimum rank and
+    hypothesis the object meets, in table order."""
+    kind = _kind(obj)
+    reports = []
+    for identity, entry in IDENTITIES.items():
+        if identity not in identities or kind not in entry.kinds:
+            continue
+        if kind == "poset":
+            if obj.rho < entry.min_rho:
+                continue
+            if entry.applies and not entry.applies(ps.classify_poset(obj), obj.rho):
+                continue
+        reports.append(entry.run(obj, name))
+    return reports
+
 
 COMPLEX_DS_SPECS = [
     "simplex_boundary(3)",
@@ -65,56 +155,27 @@ DUALIZED_SPECS = [
     "polygon_lattice(5)",
 ]
 
+TORIC = tuple(n for n in IDENTITIES if n not in ("flag-poset", "flag-ds"))
 
-def iter_suite() -> Iterator[tuple[str, Callable[[], VerificationReport]]]:
-    """Yield (description, thunk) pairs; thunks build the object and verify it."""
-    for spec in COMPLEX_DS_SPECS:
-        yield f"ds {spec}", (lambda s=spec: cx.verify_pure_ds(generate_from_string(s), s))
-
-    for spec in ORDER_COMPLEX_SPECS:
-        yield (f"flag-ds O({spec})",
-               lambda s=spec: bl.verify_flag_ds(ps.order_complex(generate_from_string(s)),
-                                                f"O({s})"))
-        yield (f"flag-poset {spec}",
-               lambda s=spec: ps.verify_flag_poset(generate_from_string(s), s))
-
-    for spec in POSET_SPECS:
-        def reports_for(s=spec):
-            P = generate_from_string(s)
-            cls = ps.classify_poset(P)
-            out = [tc.verify_generalized(P, s), tc.verify_euler_relation(P, name=s),
-                   tc.dual_defect_report(P, s)]
-            if cls.simplicial:
-                out.append(ps.verify_simplicial_ds(P, s))
-            if cls.eulerian:
-                out.append(tc.verify_stanley(P, s))
-            if cls.min_j_sing <= 0:
-                out.append(tc.verify_swartz(P, s))
-            if cls.min_j_sing <= 1:
-                out.append(tc.verify_1sing(P, s))
-            if P.rho - 1 > 2 * cls.min_j_sing:
-                out.append(tc.verify_main(P, s))
-            if cls.lower_eulerian:
-                out.append(tc.verify_lower_eulerian(P, s))
-            return out
-
-        yield f"toric suite {spec}", reports_for
-
-    for spec in DUALIZED_SPECS:
-        def dual_reports(s=spec):
-            P = ps.dual(generate_from_string(s))
-            out = [tc.verify_generalized(P, f"dual({s})")]
-            if P.rho - 1 > 2 * ps.classify_poset(P).min_j_sing:
-                out.append(tc.verify_main(P, f"dual({s})"))
-            return out
-
-        yield f"toric suite dual({spec})", dual_reports
+# (spec, identities); "dual(X)" names the dual of the poset X
+CATALOG = (
+    [(spec, ("ds",)) for spec in COMPLEX_DS_SPECS]
+    + [(spec, (identity,)) for spec in ORDER_COMPLEX_SPECS
+       for identity in ("flag-ds", "flag-poset")]
+    + [(spec, TORIC) for spec in POSET_SPECS]
+    + [(f"dual({spec})", ("generalized", "main")) for spec in DUALIZED_SPECS]
+)
 
 
-def run_suite() -> Iterator[VerificationReport]:
-    for _, thunk in iter_suite():
-        result = thunk()
-        if isinstance(result, list):
-            yield from result
-        else:
-            yield result
+def _build(spec: str):
+    if spec.startswith("dual("):
+        return ps.dual(generate_from_string(spec[len("dual("):-1]))
+    return generate_from_string(spec)
+
+
+def run_catalog() -> list[VerificationReport]:
+    """The reports of `dehnsom verify all` without an input: the whole catalog."""
+    reports = []
+    for spec, identities in CATALOG:
+        reports += verify_all(_build(spec), spec, identities)
+    return reports

@@ -128,8 +128,7 @@ def defect_sequence(P: GradedPoset, j: int | None = None) -> DefectSequence:
         if entries[k] != -entries[d - k]:
             raise InternalError("defect sequence is not antisymmetric")
     if j is None:
-        from .posets import min_j_sing_flat
-        j = min_j_sing_flat(P)
+        j = classify_poset(P).min_j_sing
     return DefectSequence(j, entries)
 
 

@@ -176,3 +176,18 @@ def naive_toric(elements, covers):
 
     top = max(elements, key=lambda a: ranks[a])
     return p_trim(h_of(top)), p_trim(g_of(top))
+
+
+def submask_sum(table, mask, signed):
+    """Σ_{S ⊆ mask} table[S], each term times (−1)^{|mask∖S|} when signed.
+
+    The direct submask loop the flag tables used before the subset transform:
+    O(3^d) over a whole table.
+    """
+    total, sub = 0, mask
+    while True:
+        sgn = -1 if signed and (mask ^ sub).bit_count() % 2 else 1
+        total += sgn * table[sub]
+        if sub == 0:
+            return total
+        sub = (sub - 1) & mask

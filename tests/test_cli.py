@@ -2,6 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
+
+from dehnsom.cli import main
+from dehnsom.suite import IDENTITIES
 
 CLI = [sys.executable, "-m", "dehnsom.cli"]
 
@@ -69,6 +75,8 @@ def test_generate_poset_round_trip(tmp_path):
     assert r.returncode == 0
     r = run("verify", "all", str(path))
     assert r.returncode == 0
+    r = run("verify", "all", "--json", str(path))
+    assert r.returncode == 0 and all(rep["pass"] for rep in json.loads(r.stdout))
 
 
 def test_balanced_file_input(tmp_path):
@@ -111,14 +119,20 @@ def test_error_exit_codes(tmp_path):
     r = run("compute", "f", str(bad))
     assert r.returncode == 2
 
+    # a comment mentioning colors: does not make a facet file balanced
+    commented = tmp_path / "commented.facets"
+    commented.write_text("# colors: none here\n0 1\n1 2\n2 0\n")
+    r = run("compute", "f", str(commented), "--json")
+    assert r.returncode == 0 and json.loads(r.stdout)["f"] == [1, 3, 3]
 
-def test_threads_env_var():
-    r = run("verify", "ds", "--gen", "torus_7", env={"DEHNSOM_THREADS": "3"})
-    assert r.returncode == 0
-    r = run("verify", "ds", "--gen", "torus_7", env={"DEHNSOM_THREADS": "0"})
-    assert r.returncode == 0
-    r = run("verify", "ds", "--gen", "torus_7", env={"DEHNSOM_THREADS": "nope"})
-    assert r.returncode == 2
+    for poset in ({"elements": [[1], [2]], "covers": [[[1], [2]]]},
+                  {"elements": ["a", "b"], "covers": [["a", "b", "a"]]},
+                  {"elements": ["a", "b"], "covers": ["ab"]}):
+        path = tmp_path / "bad_poset.json"
+        path.write_text(json.dumps(poset))
+        r = run("classify", str(path))
+        assert r.returncode == 2
+        assert json.loads(r.stderr)["error"] == "ParseError"
 
 
 def test_seed_option():
@@ -136,3 +150,28 @@ def test_colors_option(tmp_path):
     assert r.returncode == 0
     r = run("verify", "flag-ds", str(facets))
     assert r.returncode == 2
+
+
+def test_verify_all_catalog_matches_golden(capsys):
+    golden = Path(__file__).resolve().parent.parent / "bench" / "reference" / "catalog.json"
+    assert main(["verify", "all", "--json"]) == 0
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("identity", [*IDENTITIES, "all"])
+@pytest.mark.parametrize("spec", ["chain(0)", "chain(1)"])
+def test_degenerate_ranks(spec, identity, capsys):
+    code = main(["verify", identity, "--gen", spec, "--json"])
+    out, err = capsys.readouterr()
+    entry = IDENTITIES.get(identity)
+    rho = int(spec[len("chain("):-1])
+    if identity == "all":
+        assert code == 0
+        names = [rep["identity"] for rep in json.loads(out)]
+        assert names and all(IDENTITIES[n].min_rho <= rho for n in names)
+    elif "poset" not in entry.kinds:
+        assert code == 2 and json.loads(err)["error"] == "ParseError"
+    elif rho < entry.min_rho:
+        assert code == 2 and json.loads(err)["error"] == "RangeViolation"
+    else:
+        assert code == 0, err

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +18,7 @@ from dehnsom.complexes import (
     serialize_facets,
     short_h_vector,
     singularity_profile,
+    subset_transform,
     verify_pure_ds,
 )
 from dehnsom.errors import EmptyInput, FaceNotInComplex, InternalError, NotPure
@@ -30,7 +33,13 @@ from dehnsom.generators import (
 )
 from dehnsom.polynomial import binom, sign
 
-from oracles import closure_of_facets, euler_from_faces, h_closed_form, link_faces
+from oracles import (
+    closure_of_facets,
+    euler_from_faces,
+    h_closed_form,
+    link_faces,
+    submask_sum,
+)
 
 
 def test_build_complex_two_edges():
@@ -280,13 +289,18 @@ def test_serialize_is_canonical():
     assert a == b
 
 
-def test_threaded_sweep_matches_sequential(torus):
-    from dehnsom.complexes import link_euler_table
-    assert link_euler_table(torus, threads=3) == link_euler_table(torus)
-
-
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_simplex_boundary_all_ones(d):
     cx = simplex_boundary(d)
     assert h_vector(cx).entries == (1,) * (d + 1)
     assert all(e == 0 for e in face_error_table(cx).values())
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("d", range(7))
+def test_subset_transform_matches_submask_loop(d, signed):
+    rng = random.Random(1000 * d + signed)
+    for _ in range(5):
+        table = [rng.randint(-50, 50) for _ in range(1 << d)]
+        expected = [submask_sum(table, m, signed) for m in range(1 << d)]
+        assert subset_transform(table, d, signed) == expected

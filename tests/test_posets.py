@@ -11,6 +11,7 @@ from dehnsom.complexes import (
 )
 from dehnsom.errors import (
     CycleDetected,
+    InternalError,
     NotAChain,
     NotComparable,
     NotGraded,
@@ -50,7 +51,7 @@ from dehnsom.posets import (
 )
 from dehnsom.polynomial import sign
 
-from oracles import naive_mobius
+from oracles import naive_mobius, submask_sum
 
 
 def test_build_chain_and_diamond():
@@ -216,6 +217,16 @@ def test_alpha_beta_match_order_complex_flags(maker):
             assert beta == fh[S]
 
 
+@pytest.mark.parametrize("fixture", ["torus_poset", "rp2_poset", "susp_poset", "doubled_edge"])
+def test_flag_alpha_beta_matches_submask_loop(fixture, request):
+    p = request.getfixturevalue(fixture)
+    d = p.rho - 1
+    subsets = [[r + 1 for r in range(d) if m >> r & 1] for m in range(1 << d)]
+    pairs = [flag_alpha_beta(p, S) for S in subsets]
+    alpha = [a for a, _ in pairs]
+    assert [b for _, b in pairs] == [submask_sum(alpha, m, True) for m in range(1 << d)]
+
+
 def test_beta_symmetric_on_eulerian():
     b4 = boolean_lattice(4)
     import itertools
@@ -352,6 +363,33 @@ def test_interval_errors_records(torus_poset, susp_poset):
     assert [(e.s, e.t, e.e) for e in errs] == [("()", "TOP", -2)]
     assert {susp_poset.rank(e.t) - susp_poset.rank(e.s)
             for e in interval_errors(susp_poset)} == {4, 5}
+
+
+def test_classification_cached_cross_check_rerun(monkeypatch):
+    import dehnsom.posets as ps
+    P = face_poset(cycle(6), True)
+    first = classify_poset(P)
+    assert classify_poset(P) is first
+
+    calls = []
+
+    def counting(criterion):
+        real = getattr(ps, criterion)
+
+        def wrapper(Q):
+            calls.append(criterion)
+            return real(Q)
+        return wrapper
+
+    criteria = ["min_j_sing_flat", "min_j_sing_order_complex", "min_j_sing_recursive"]
+    for criterion in criteria:
+        monkeypatch.setattr(ps, criterion, counting(criterion))
+    for _ in range(2):
+        assert classify_poset(P, cross_check=True) is first
+    assert sorted(calls) == sorted(criteria * 2)
+    monkeypatch.setattr(ps, "min_j_sing_recursive", lambda Q: 5)
+    with pytest.raises(InternalError):
+        classify_poset(P, cross_check=True)
 
 
 def test_classification_flag_implications(torus_poset, susp_poset, doubled_edge):
