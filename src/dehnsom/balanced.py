@@ -8,7 +8,8 @@ from typing import Iterable, Mapping
 
 from .complexes import (
     SimplicialComplex,
-    face_error_table,
+    _bits,
+    face_errors_by_mask,
     label_sort_key,
     parse_facets,
     serialize_facets,
@@ -38,6 +39,8 @@ class BalancedComplex:
     complex: SimplicialComplex
     kappa: Mapping
     color_relabeling: Mapping | None = None
+    face_colors: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    """The color set of every face as a bitmask, aligned with ``complex._masks``."""
 
     def __post_init__(self):
         cx = self.complex
@@ -51,12 +54,18 @@ class BalancedComplex:
                      if not isinstance(self.kappa[v], int) or not 1 <= self.kappa[v] <= d]
         if bad_range:
             raise NotBalanced(f"colors outside 1..{d} at {bad_range}")
-        for f in cx.faces:
-            if len(f) < 2:
-                continue
-            cols = [self.kappa[v] for v in f]
-            if len(set(cols)) != len(cols):
+        color_bit = [1 << (self.kappa[v] - 1) for v in cx.vertices]
+        colors = []
+        for m in cx._masks:
+            c = 0
+            for i in _bits(m):
+                c |= color_bit[i]
+            # a face repeats a color iff it has fewer colors than vertices
+            if c.bit_count() != m.bit_count():
+                f = cx.face_of(m)
                 raise NotBalanced(f"face {set(f)} repeats a color", witness=f)
+            colors.append(c)
+        object.__setattr__(self, "face_colors", tuple(colors))
 
     @property
     def d(self) -> int:
@@ -100,9 +109,8 @@ class FlagVector:
 def flag_f_vector(bal: BalancedComplex) -> FlagVector:
     """f_S = number of faces whose color set is exactly S."""
     counts: dict[int, int] = {}
-    for f in bal.complex.faces:
-        m = bal.color_of_face(f)
-        counts[m] = counts.get(m, 0) + 1
+    for c in bal.face_colors:
+        counts[c] = counts.get(c, 0) + 1
     return FlagVector(bal.d, counts)
 
 
@@ -129,14 +137,14 @@ def verify_flag_ds(bal: BalancedComplex, name: str = "") -> VerificationReport:
     """
     d = bal.d
     h = flag_h_vector(bal)
-    errors = face_error_table(bal.complex)
-    err_by_mask: dict[int, int] = {}
-    for f, e in errors.items():
-        m = bal.color_of_face(f)
-        err_by_mask[m] = err_by_mask.get(m, 0) + e
+    err_by_mask = [0] * (1 << d)
+    err_by_size = [0] * (d + 1)
+    eps = face_errors_by_mask(bal.complex)
+    for m, c in zip(bal.complex._masks, bal.face_colors):
+        err_by_mask[c] += eps[m]
+        err_by_size[m.bit_count()] += eps[m]
     full = (1 << d) - 1
-    err_below = subset_transform([err_by_mask.get(m, 0) for m in range(1 << d)], d,
-                                 signed=False)
+    err_below = subset_transform(err_by_mask, d, signed=False)
     rows = []
     for mask in range(1 << d):
         rows.append(Row(
@@ -148,7 +156,7 @@ def verify_flag_ds(bal: BalancedComplex, name: str = "") -> VerificationReport:
     for i in range(d + 1):
         lhs = sum(h.by_mask(m) - h.by_mask(full ^ m)
                   for m in range(1 << d) if m.bit_count() == i)
-        rhs = sign(i - 1) * sum(binom(d - len(f), i) * e for f, e in errors.items())
+        rhs = sign(i - 1) * sum(binom(d - k, i) * e for k, e in enumerate(err_by_size))
         rows.append(Row(index=f"refine |S|={i}", lhs=lhs, rhs=rhs))
     return VerificationReport("flag-ds", {"object": name or repr(bal.complex), "d": d},
                               tuple(rows))

@@ -1,8 +1,11 @@
 """Simplicial complexes and their exact invariants.
 
-Faces are stored as frozensets of opaque vertex labels; internally every face
-is interned to an integer bitmask so that the full error-function sweep over
-all faces stays cheap. The empty face is always a member, so f_{-1} = 1.
+Vertices are interned in label order and every face is an integer bitmask
+over them (bit i is ``vertices[i]``). The masks are the working form: closure,
+purity, facets, the link-error sweep and the flag tables all run on them.
+Frozensets of opaque vertex labels are the boundary form, kept for the public
+``faces`` set, ``facets()`` and error records. The empty face is always a
+member, so f_{-1} = 1.
 """
 
 from __future__ import annotations
@@ -29,6 +32,14 @@ def face_sort_key(face: Iterable) -> tuple:
     return (len(tuple(face)), tuple(sorted((label_sort_key(v) for v in face))))
 
 
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class SimplicialComplex:
     """An inclusion-closed family of vertex subsets.
 
@@ -36,7 +47,7 @@ class SimplicialComplex:
     from a face must give a face. Instances are immutable and safe to share.
     """
 
-    __slots__ = ("faces", "vertices", "dim", "pure", "_bit", "_masks", "_mask_set")
+    __slots__ = ("faces", "vertices", "dim", "pure", "_bit", "_masks", "_facet_masks")
 
     def __init__(self, faces: Iterable[Iterable]):
         fam = frozenset(Face(f) for f in faces)
@@ -44,28 +55,29 @@ class SimplicialComplex:
             raise EmptyInput("a complex has at least the empty face")
         if Face() not in fam:
             raise InternalError("the empty face is missing")
-        for f in fam:
-            for v in f:
-                if f - {v} not in fam:
-                    raise InternalError(f"family not closed under inclusion at {set(f)}")
-        object.__setattr__(self, "faces", fam)
-        dim = max(len(f) for f in fam) - 1
-        verts_set = {v for f in fam for v in f}
-        # downward closure makes "no one-vertex extension" equivalent to maximality
-        pure = all(
-            len(f) == dim + 1
-            for f in fam
-            if not any(f | {v} in fam for v in verts_set - f)
-        )
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "pure", pure)
-        verts = sorted(verts_set, key=label_sort_key)
-        object.__setattr__(self, "vertices", tuple(verts))
+        verts = tuple(sorted({v for f in fam for v in f}, key=label_sort_key))
         bit = {v: 1 << i for i, v in enumerate(verts)}
+        masks = tuple(sorted(sum(map(bit.__getitem__, f)) for f in fam))
+        mask_set = frozenset(masks)
+        # every one-bit-removed submask must be a face; the submasks so reached
+        # are exactly the non-maximal faces, so the rest are the facets
+        covered = set()
+        for m in masks:
+            for i in _bits(m):
+                sub = m ^ (1 << i)
+                if sub not in mask_set:
+                    face = {verts[j] for j in _bits(m)}
+                    raise InternalError(f"family not closed under inclusion at {face}")
+                covered.add(sub)
+        facet_masks = tuple(m for m in masks if m not in covered)
+        dim = max(m.bit_count() for m in facet_masks) - 1
+        object.__setattr__(self, "faces", fam)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "pure", all(m.bit_count() == dim + 1 for m in facet_masks))
+        object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "_bit", bit)
-        masks = sorted(sum(bit[v] for v in f) for f in fam)
-        object.__setattr__(self, "_masks", tuple(masks))
-        object.__setattr__(self, "_mask_set", frozenset(masks))
+        object.__setattr__(self, "_masks", masks)
+        object.__setattr__(self, "_facet_masks", facet_masks)
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
@@ -89,14 +101,11 @@ class SimplicialComplex:
             raise FaceNotInComplex(f"unknown vertex in {set(face)}") from exc
 
     def face_of(self, mask: int) -> Face:
-        return Face(v for v in self.vertices if self._bit[v] & mask)
+        verts = self.vertices
+        return Face(verts[i] for i in _bits(mask))
 
     def facets(self) -> list[Face]:
-        verts = set(self.vertices)
-        return sorted(
-            (f for f in self.faces if not any(f | {v} in self.faces for v in verts - f)),
-            key=face_sort_key,
-        )
+        return sorted(map(self.face_of, self._facet_masks), key=face_sort_key)
 
 
 @dataclass(frozen=True)
@@ -243,33 +252,43 @@ def link_euler_table(cx: SimplicialComplex) -> dict[int, int]:
     return acc
 
 
-def face_error_table(cx: SimplicialComplex) -> dict[Face, int]:
-    """ε(F) for every face of a pure complex, via one sweep over all faces."""
+def face_errors_by_mask(cx: SimplicialComplex) -> dict[int, int]:
+    """ε(F) for every face of a pure complex, keyed by face bitmask, via one
+    sweep over all faces."""
     if not cx.pure:
         raise NotPure("face errors are defined for pure complexes")
     d = cx.dim + 1
     chi = link_euler_table(cx)
-    return {cx.face_of(m): v - sign(d - 1 - m.bit_count()) for m, v in chi.items()}
+    return {m: v - sign(d - 1 - m.bit_count()) for m, v in chi.items()}
+
+
+def face_error_table(cx: SimplicialComplex) -> dict[Face, int]:
+    """ε(F) for every face of a pure complex, keyed by face."""
+    return {cx.face_of(m): e for m, e in face_errors_by_mask(cx).items()}
 
 
 def short_h_vector(cx: SimplicialComplex) -> tuple[int, ...]:
-    """h*_i = sum over vertices of h_i(lk v), for i = 0..d-1."""
+    """h*_i = sum over vertices of h_i(lk v), for i = 0..d-1.
+
+    Every vertex link of a pure complex has dimension d−2, and h is linear in
+    f, so the sum is the h-vector of the summed link f-vectors. A face with k
+    vertices gives lk v a face with k−1 vertices for each of its k vertices.
+    """
     if not cx.pure:
         raise NotPure("short h-numbers need a pure complex")
     d = cx.dim + 1
     if d < 1:
         raise EmptyInput("short h-vector needs d >= 1")
-    out = [0] * d
-    for v in cx.vertices:
-        hv = h_vector(link(cx, [v])).entries
-        for i in range(d):
-            out[i] += hv[i] if i < len(hv) else 0
-    return tuple(out)
+    link_f = [0] * d
+    for m in cx._masks:
+        k = m.bit_count()
+        if k:
+            link_f[k - 1] += k
+    return h_from_f(link_f, d - 1)
 
 
 def singularity_profile(cx: SimplicialComplex) -> SingularityProfile:
-    errors = face_error_table(cx)
-    bad = sorted(((f, e) for f, e in errors.items() if e != 0),
+    bad = sorted(((cx.face_of(m), e) for m, e in face_errors_by_mask(cx).items() if e),
                  key=lambda fe: face_sort_key(fe[0]))
     min_j = max((len(f) - 1 for f, _ in bad), default=-2) + 1
     return SingularityProfile(
@@ -290,10 +309,12 @@ def verify_pure_ds(cx: SimplicialComplex, name: str = "") -> VerificationReport:
         raise NotPure("the identity assumes a pure complex")
     d = cx.dim + 1
     h = h_vector(cx).entries
-    errors = face_error_table(cx)
+    eps = [0] * (d + 1)  # Σ ε(F) over the faces F of each size
+    for m, e in face_errors_by_mask(cx).items():
+        eps[m.bit_count()] += e
     rows = []
     for j in range(d + 1):
-        rhs = sign(j) * sum(binom(d - len(f), j) * e for f, e in errors.items())
+        rhs = sign(j) * sum(binom(d - k, j) * e for k, e in enumerate(eps))
         rows.append(Row(index=f"j={j}", lhs=h[d - j] - h[j], rhs=rhs))
     return VerificationReport(
         identity="ds",

@@ -254,9 +254,14 @@ def generate(spec: GeneratorSpec):
     return fn(*args)
 
 
+# deepest nesting of generator calls and lists parse_spec accepts; the parser
+# recurses once per level, so deeper input would overflow the interpreter stack
+MAX_SPEC_DEPTH = 100
+
+
 def parse_spec(text: str) -> GeneratorSpec:
     """Tiny prefix grammar: name, name(arg, ...); args are ints, floats, true/false,
-    [int,...] lists, or nested generator specs."""
+    [int,...] lists, or nested generator specs, at most MAX_SPEC_DEPTH levels deep."""
     pos = 0
 
     def skip_ws():
@@ -273,8 +278,11 @@ def parse_spec(text: str) -> GeneratorSpec:
             raise ParseError(f"expected a name at position {start} in {text!r}")
         return text[start:pos]
 
-    def parse_value():
+    def parse_value(depth: int):
         nonlocal pos
+        if depth > MAX_SPEC_DEPTH:
+            raise ParseError(f"spec nested deeper than {MAX_SPEC_DEPTH} levels "
+                             f"at position {pos}")
         skip_ws()
         if pos < len(text) and text[pos] == "[":
             pos += 1
@@ -284,7 +292,7 @@ def parse_spec(text: str) -> GeneratorSpec:
                 if pos < len(text) and text[pos] == "]":
                     pos += 1
                     return tuple(items)
-                items.append(parse_value())
+                items.append(parse_value(depth + 1))
                 skip_ws()
                 if pos < len(text) and text[pos] == ",":
                     pos += 1
@@ -295,7 +303,7 @@ def parse_spec(text: str) -> GeneratorSpec:
                     raise ParseError("unterminated list")
         if pos < len(text) and (text[pos].isalpha() or text[pos] == "_"):
             start = pos
-            node = parse_node()
+            node = parse_node(depth)
             if node.name in ("true", "false"):
                 if node.params:
                     raise ParseError(f"bad boolean at {start} in {text!r}")
@@ -314,7 +322,7 @@ def parse_spec(text: str) -> GeneratorSpec:
         except ValueError:
             raise ParseError(f"bad argument {token!r} in {text!r}") from None
 
-    def parse_node() -> GeneratorSpec:
+    def parse_node(depth: int) -> GeneratorSpec:
         nonlocal pos
         skip_ws()
         name = parse_name()
@@ -327,7 +335,7 @@ def parse_spec(text: str) -> GeneratorSpec:
                 if pos < len(text) and text[pos] == ")":
                     pos += 1
                     break
-                params.append(parse_value())
+                params.append(parse_value(depth + 1))
                 skip_ws()
                 if pos < len(text) and text[pos] == ",":
                     pos += 1
@@ -338,7 +346,7 @@ def parse_spec(text: str) -> GeneratorSpec:
                     raise ParseError(f"expected ',' or ')' at {pos} in {text!r}")
         return GeneratorSpec(name, tuple(params))
 
-    node = parse_node()
+    node = parse_node(0)
     skip_ws()
     if pos != len(text):
         raise ParseError(f"trailing input {text[pos:]!r}")

@@ -12,7 +12,15 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .complexes import HVector, SimplicialComplex, h_from_f, label_sort_key, subset_transform
+from .complexes import (
+    HVector,
+    SimplicialComplex,
+    _bits,
+    face_errors_by_mask,
+    h_from_f,
+    label_sort_key,
+    subset_transform,
+)
 from .errors import (
     CycleDetected,
     InternalError,
@@ -28,51 +36,57 @@ from .polynomial import binom, sign
 from .reports import Row, VerificationReport
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class GradedPoset:
-    """Finite graded poset with 0̂ and 1̂, built from its cover relation."""
+    """Finite graded poset with 0̂ and 1̂, built from its cover relation.
+
+    Instances are immutable; the memoized Möbius values, bad intervals, toric
+    table and classification are caches filled on first use.
+    """
 
     __slots__ = ("labels", "rank_of", "bottom_i", "top_i", "_index", "_up", "_down",
                  "_covers_up", "_covers_dn", "_mu", "_bad", "_toric", "_cls")
 
     def __init__(self, labels, ranks, covers_up):
         # internal constructor; use build_poset() for validated construction
-        self.labels = tuple(labels)
-        self.rank_of = tuple(ranks)
-        n = len(self.labels)
-        self._index = {v: i for i, v in enumerate(self.labels)}
-        self._covers_up = tuple(tuple(sorted(c)) for c in covers_up)
+        labels = tuple(labels)
+        n = len(labels)
+        covers_up = tuple(tuple(sorted(c)) for c in covers_up)
         dn = [[] for _ in range(n)]
-        for i, ups in enumerate(self._covers_up):
+        for i, ups in enumerate(covers_up):
             for j in ups:
                 dn[j].append(i)
-        self._covers_dn = tuple(tuple(sorted(c)) for c in dn)
+        covers_dn = tuple(tuple(sorted(c)) for c in dn)
         up = [0] * n
         for i in range(n - 1, -1, -1):
             m = 1 << i
-            for j in self._covers_up[i]:
+            for j in covers_up[i]:
                 m |= up[j]
             up[i] = m
         down = [0] * n
         for i in range(n):
             m = 1 << i
-            for j in self._covers_dn[i]:
+            for j in covers_dn[i]:
                 m |= down[j]
             down[i] = m
-        self._up = tuple(up)
-        self._down = tuple(down)
-        self.bottom_i = 0
-        self.top_i = n - 1
-        self._mu = {}
-        self._bad = None
-        self._toric = None
-        self._cls = None
+        for name, value in (
+            ("labels", labels),
+            ("rank_of", tuple(ranks)),
+            ("_index", {v: i for i, v in enumerate(labels)}),
+            ("_covers_up", covers_up),
+            ("_covers_dn", covers_dn),
+            ("_up", tuple(up)),
+            ("_down", tuple(down)),
+            ("bottom_i", 0),
+            ("top_i", n - 1),
+            ("_mu", {}),
+            ("_bad", None),
+            ("_toric", None),
+            ("_cls", None),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GradedPoset is immutable")
 
     # --- basic queries ------------------------------------------------------
 
@@ -187,7 +201,7 @@ class GradedPoset:
                     e = self.interval_error_i(s, t)
                     if e:
                         bad.append((s, t, e))
-            self._bad = bad
+            object.__setattr__(self, "_bad", bad)
         return self._bad
 
 
@@ -349,25 +363,30 @@ def proper_part(P: GradedPoset) -> list[int]:
     return [i for i in range(P.n) if i not in (P.bottom_i, P.top_i)]
 
 
+def _proper_mask(P: GradedPoset) -> int:
+    """P∖{0̂,1̂} as a bitmask over element indices."""
+    return ((1 << P.n) - 1) & ~(1 << P.bottom_i) & ~(1 << P.top_i)
+
+
 def iter_chains(P: GradedPoset, allowed_ranks=None, max_size=None):
     """All chains in P∖{0̂,1̂} (index tuples, increasing rank), incl. the empty chain."""
     if P.rho < 1:
         raise InternalError("proper part needs rho >= 1")
-    members = [i for i in proper_part(P)
-               if allowed_ranks is None or P.rank_of[i] in allowed_ranks]
+    members = _proper_mask(P)
+    if allowed_ranks is not None:
+        members = sum(1 << i for i in _bits(members) if P.rank_of[i] in allowed_ranks)
     yield ()
     if max_size is not None and max_size < 1:
         return
-    stack = [(i,) for i in reversed(members)]
+    stack = [(i,) for i in reversed(list(_bits(members)))]
     while stack:
         chain = stack.pop()
         yield chain
         if max_size is not None and len(chain) >= max_size:
             continue
         last = chain[-1]
-        for j in members:
-            if j > last and P.leq_i(last, j):
-                stack.append(chain + (j,))
+        # everything above last except last itself has a larger index
+        stack.extend(chain + (j,) for j in _bits(P._up[last] & members & ~(1 << last)))
 
 
 def order_complex(P: GradedPoset):
@@ -441,18 +460,17 @@ def _chain_error_buckets(P: GradedPoset) -> dict[int, int]:
     mu_top = P.mobius_to_top()
     buckets = {}
     sign_d = sign(P.rho)
-    members = proper_part(P)
+    members = _proper_mask(P)
 
     def visit(last_i, prod, size, rmask):
         eps = sign(size) * (prod * mu_top[last_i] - sign_d)
         buckets[rmask] = buckets.get(rmask, 0) + eps
-        for j in members:
-            if j > last_i and P.leq_i(last_i, j):
-                visit(j, prod * P.mobius_i(last_i, j), size + 1,
-                      rmask | (1 << (P.rank_of[j] - 1)))
+        for j in _bits(P._up[last_i] & members & ~(1 << last_i)):
+            visit(j, prod * P.mobius_i(last_i, j), size + 1,
+                  rmask | (1 << (P.rank_of[j] - 1)))
 
     buckets[0] = mu_top[P.bottom_i] - sign_d
-    for i in members:
+    for i in _bits(members):
         visit(i, P.mobius_i(P.bottom_i, i), 1, 1 << (P.rank_of[i] - 1))
     return buckets
 
@@ -556,11 +574,8 @@ def min_j_sing_recursive(P: GradedPoset) -> int:
 
 def min_j_sing_order_complex(P: GradedPoset) -> int:
     """Prop-6.3 criterion: smallest j making O(P) a j-singular complex."""
-    from .complexes import face_error_table
-
-    bal = order_complex(P)
-    errors = face_error_table(bal.complex)
-    return max((len(f) - 1 for f, e in errors.items() if e != 0), default=-2) + 1
+    errors = face_errors_by_mask(order_complex(P).complex)
+    return max((m.bit_count() - 1 for m, e in errors.items() if e != 0), default=-2) + 1
 
 
 def classify_poset(P: GradedPoset, cross_check: bool = False) -> PosetClassification:
@@ -571,7 +586,7 @@ def classify_poset(P: GradedPoset, cross_check: bool = False) -> PosetClassifica
     order-complex criterion on every call and insists all three agree.
     """
     if P._cls is None:
-        P._cls = _classify(P)
+        object.__setattr__(P, "_cls", _classify(P))
     if cross_check:
         flat = min_j_sing_flat(P)
         rec = min_j_sing_recursive(P)

@@ -70,7 +70,7 @@ class ToricTable:
 
 def toric_table(P: GradedPoset) -> ToricTable:
     if P._toric is None:
-        P._toric = ToricTable(P)
+        object.__setattr__(P, "_toric", ToricTable(P))
     return P._toric
 
 

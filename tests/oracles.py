@@ -191,3 +191,90 @@ def submask_sum(table, mask, signed):
         if sub == 0:
             return total
         sub = (sub - 1) & mask
+
+
+# --- frozenset and member-scan kernels, replaced in the package by bitmask walks ---
+
+def frozenset_complex(faces):
+    """(dim, pure, facets) of a face family by the frozenset checks the complex
+    constructor made before it worked on bitmasks: O(|F|·n) set unions.
+
+    Raises ValueError when removing a vertex from some face leaves the family.
+    """
+    fam = frozenset(frozenset(f) for f in faces)
+    for f in fam:
+        for v in f:
+            if f - {v} not in fam:
+                raise ValueError(f"family not closed under inclusion at {set(f)}")
+    dim = max(len(f) for f in fam) - 1
+    verts = {v for f in fam for v in f}
+    facets = {f for f in fam if not any(f | {v} in fam for v in verts - f)}
+    return dim, all(len(f) == dim + 1 for f in facets), facets
+
+
+def face_masks(faces, vertices):
+    """The faces as sorted bitmasks, bit i standing for vertices[i]."""
+    bit = {v: 1 << i for i, v in enumerate(vertices)}
+    return tuple(sorted(sum(bit[v] for v in f) for f in faces))
+
+
+def short_h_by_links(cx):
+    """Σ_v h(lk v), building every vertex link as a complex of its own."""
+    from dehnsom.complexes import h_vector, link
+
+    d = cx.dim + 1
+    out = [0] * d
+    for v in cx.vertices:
+        hv = h_vector(link(cx, [v])).entries
+        for i in range(d):
+            out[i] += hv[i] if i < len(hv) else 0
+    return tuple(out)
+
+
+def _proper(P):
+    return [i for i in range(P.n) if i not in (P.bottom_i, P.top_i)]
+
+
+def member_scan_chains(P, allowed_ranks=None, max_size=None):
+    """Chains of P∖{0̂,1̂} as index tuples, extending each chain by testing
+    every proper element with leq_i; the empty chain comes first."""
+    members = [i for i in _proper(P)
+               if allowed_ranks is None or P.rank_of[i] in allowed_ranks]
+    yield ()
+    if max_size is not None and max_size < 1:
+        return
+    stack = [(i,) for i in reversed(members)]
+    while stack:
+        chain = stack.pop()
+        yield chain
+        if max_size is not None and len(chain) >= max_size:
+            continue
+        last = chain[-1]
+        for j in members:
+            if j > last and P.leq_i(last, j):
+                stack.append(chain + (j,))
+
+
+def member_scan_error_buckets(P):
+    """Σ ε(C) over the chains C of P∖{0̂,1̂}, bucketed by rank-set bitmask,
+    by recursion over chains extended through leq_i member scans."""
+    def sgn(k):
+        return -1 if k % 2 else 1
+
+    mu_top = P.mobius_to_top()
+    buckets = {}
+    sign_d = sgn(P.rho)
+    members = _proper(P)
+
+    def visit(last_i, prod, size, rmask):
+        eps = sgn(size) * (prod * mu_top[last_i] - sign_d)
+        buckets[rmask] = buckets.get(rmask, 0) + eps
+        for j in members:
+            if j > last_i and P.leq_i(last_i, j):
+                visit(j, prod * P.mobius_i(last_i, j), size + 1,
+                      rmask | (1 << (P.rank_of[j] - 1)))
+
+    buckets[0] = mu_top[P.bottom_i] - sign_d
+    for i in members:
+        visit(i, P.mobius_i(P.bottom_i, i), 1, 1 << (P.rank_of[i] - 1))
+    return buckets

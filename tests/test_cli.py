@@ -134,6 +134,11 @@ def test_error_exit_codes(tmp_path):
         assert r.returncode == 2
         assert json.loads(r.stderr)["error"] == "ParseError"
 
+    # nesting deep enough to overflow a recursive parser
+    r = run("verify", "all", "--gen", "suspension(" * 1500 + "torus_7" + ")" * 1500)
+    assert r.returncode == 2
+    assert json.loads(r.stderr)["error"] == "ParseError"
+
 
 def test_seed_option():
     a = run("generate", "random_pure_complex(3,8,0.4)", "--seed", "5")
@@ -155,6 +160,13 @@ def test_colors_option(tmp_path):
 def test_verify_all_catalog_matches_golden(capsys):
     golden = Path(__file__).resolve().parent.parent / "bench" / "reference" / "catalog.json"
     assert main(["verify", "all", "--json"]) == 0
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+def test_verify_all_order_complex_matches_golden(capsys):
+    golden = (Path(__file__).resolve().parent.parent / "bench" / "reference"
+              / "order-complex-smoke.json")
+    assert main(["verify", "all", "--json", "--gen", "face_poset(torus_7,true)"]) == 0
     assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 

@@ -8,10 +8,12 @@ from dehnsom.complexes import (
     build_complex,
     f_vector,
     face_error,
+    face_sort_key,
     face_error_table,
     h_vector,
     join,
     join_with_mapping,
+    label_sort_key,
     link,
     parse_facets,
     reduced_euler_characteristic,
@@ -32,12 +34,16 @@ from dehnsom.generators import (
     torus_7,
 )
 from dehnsom.polynomial import binom, sign
+from dehnsom.suite import COMPLEX_DS_SPECS
 
 from oracles import (
     closure_of_facets,
     euler_from_faces,
+    face_masks,
+    frozenset_complex,
     h_closed_form,
     link_faces,
+    short_h_by_links,
     submask_sum,
 )
 
@@ -99,6 +105,8 @@ def test_h_vector_against_closed_form(maker):
 
 def test_h_vector_impure_flagged():
     cx = build_complex([(1, 2, 3), (4, 5)])
+    assert not cx.pure
+    assert cx.facets() == [frozenset({4, 5}), frozenset({1, 2, 3})]
     h = h_vector(cx)
     assert h.impure
     assert h.entries == h_closed_form(f_vector(cx).entries, cx.dim + 1)
@@ -304,3 +312,35 @@ def test_subset_transform_matches_submask_loop(d, signed):
         table = [rng.randint(-50, 50) for _ in range(1 << d)]
         expected = [submask_sum(table, m, signed) for m in range(1 << d)]
         assert subset_transform(table, d, signed) == expected
+
+
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_mask_construction_matches_frozenset_oracle(seed):
+    # the union of two closed families is closed; with two facet sizes it is
+    # often impure
+    n = 6 + seed % 4
+    a = random_pure_complex(2 + seed % 3, n, 0.3, seed)
+    b = random_pure_complex(1 + seed % 4, n, 0.2, seed + 1)
+    fam = a.faces | b.faces
+    cx = SimplicialComplex(fam)
+    dim, pure, facets = frozenset_complex(fam)
+    assert (cx.dim, cx.pure) == (dim, pure)
+    assert cx.facets() == sorted(facets, key=face_sort_key)
+    assert cx.vertices == tuple(sorted({v for f in fam for v in f}, key=label_sort_key))
+    assert cx._masks == face_masks(fam, cx.vertices)
+    assert all(cx.face_of(cx.mask_of(f)) == f for f in fam)
+    # dropping a face some other face covers leaves a family that is not closed
+    covered = sorted(fam - facets, key=face_sort_key)[1:]  # not the empty face
+    dropped = covered[seed % len(covered)]
+    with pytest.raises(ValueError):
+        frozenset_complex(fam - {dropped})
+    with pytest.raises(InternalError, match="not closed under inclusion"):
+        SimplicialComplex(fam - {dropped})
+
+
+@pytest.mark.parametrize("spec", COMPLEX_DS_SPECS)
+def test_short_h_matches_link_oracle(spec):
+    from dehnsom.generators import generate_from_string
+    cx = generate_from_string(spec)
+    assert short_h_vector(cx) == short_h_by_links(cx)

@@ -8,6 +8,7 @@ from dehnsom.complexes import (
 )
 from dehnsom.errors import BadParams, ParseError, UnknownGenerator
 from dehnsom.generators import (
+    MAX_SPEC_DEPTH,
     GeneratorSpec,
     Lcg,
     boolean_lattice,
@@ -126,6 +127,12 @@ def test_parse_spec_grammar():
         parse_spec("cycle(")
     with pytest.raises(ParseError):
         parse_spec("cycle(3) trailing")
+    deep = MAX_SPEC_DEPTH
+    assert parse_spec("cone(" * deep + "torus_7" + ")" * deep).name == "cone"
+    with pytest.raises(ParseError):
+        parse_spec("cone(" * (deep + 1) + "torus_7" + ")" * (deep + 1))
+    with pytest.raises(ParseError):
+        parse_spec("random_graded_poset(" + "[" * (deep + 1) + "]" * (deep + 1) + ")")
     with pytest.raises(UnknownGenerator):
         generate_from_string("dodecahedron(12)")
     with pytest.raises(BadParams):

@@ -29,6 +29,7 @@ from dehnsom.generators import (
     simplex_boundary,
 )
 from dehnsom.posets import (
+    _chain_error_buckets,
     build_poset,
     chain_error,
     chain_mobius_product,
@@ -51,7 +52,12 @@ from dehnsom.posets import (
 )
 from dehnsom.polynomial import sign
 
-from oracles import naive_mobius, submask_sum
+from oracles import (
+    member_scan_chains,
+    member_scan_error_buckets,
+    naive_mobius,
+    submask_sum,
+)
 
 
 def test_build_chain_and_diamond():
@@ -402,3 +408,29 @@ def test_classification_flag_implications(torus_poset, susp_poset, doubled_edge)
             assert c.min_j_sing <= 0
         if c.simplicial:
             assert c.lower_eulerian  # Boolean lower intervals are Eulerian
+
+
+@settings(deadline=None, max_examples=20)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_chain_walks_match_member_scan(seed):
+    ranks = ((2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3, 2))[seed % 4]
+    P = random_graded_poset(ranks, 0.5, seed)
+    d = P.rho - 1
+    assert list(iter_chains(P)) == list(member_scan_chains(P))
+    for size in range(d + 1):
+        assert (list(iter_chains(P, max_size=size))
+                == list(member_scan_chains(P, max_size=size)))
+    allowed = {r for r in range(1, d + 1) if seed >> r & 1}
+    assert (list(iter_chains(P, allowed_ranks=allowed))
+            == list(member_scan_chains(P, allowed_ranks=allowed)))
+    assert _chain_error_buckets(P) == member_scan_error_buckets(P)
+
+
+def test_graded_poset_is_immutable():
+    P = chain(3)
+    with pytest.raises(AttributeError):
+        P.labels = ("x",)
+    with pytest.raises(AttributeError):
+        P._cls = None
+    assert P.labels == ("c0", "c1", "c2", "c3")
+    assert classify_poset(P) is classify_poset(P)  # the cache still fills
