@@ -173,14 +173,13 @@ def short_flag_sum(bal: BalancedComplex, S: Iterable[int], i: int) -> int:
         raise ColorInS(f"color {i} lies in S")
     if not S <= set(range(1, bal.d + 1)):
         raise NotBalanced(f"S must be a subset of the colors 1..{bal.d}")
-    # flag f-vector of the disjoint union of the links of the color-i vertices
+    # flag f-vector of the disjoint union of the links of the color-i vertices:
+    # a face with colors c ∋ i gives the face of colors c − {i} in one link
     counts = [0] * (1 << bal.d)
-    for v in bal.complex.vertices:
-        if bal.kappa[v] != i:
-            continue
-        for h_face in bal.complex.faces:
-            if v in h_face:
-                counts[bal.color_of_face(h_face - {v})] += 1
+    bit = 1 << (i - 1) if 1 <= i <= bal.d else 0
+    for c in bal.face_colors:
+        if c & bit:
+            counts[c ^ bit] += 1
     return subset_transform(counts, bal.d, signed=True)[_color_mask(S)]
 
 

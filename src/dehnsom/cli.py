@@ -178,15 +178,15 @@ def cmd_generate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    data = json.loads(Path(args.target).read_text())
-    items = data if isinstance(data, list) else [data]
-    ok = True
-    for item in items:
-        rep = report_from_dict(item)
-        ok = ok and rep.passed
+    try:
+        data = json.loads(Path(args.target).read_text())
+    except (ValueError, RecursionError) as exc:  # bad JSON or bad UTF-8; too deep
+        raise ParseError(f"not a JSON report: {exc}") from None
+    reports = [report_from_dict(item) for item in (data if isinstance(data, list) else [data])]
+    for rep in reports:
         print(rep.format_table())
         print()
-    return 0 if ok else 1
+    return 0 if all(rep.passed for rep in reports) else 1
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:

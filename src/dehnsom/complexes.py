@@ -177,8 +177,7 @@ def h_from_f(f: Sequence[int], d: int) -> tuple[int, ...]:
     poly = ExactPolynomial.zero()
     for i in range(d + 1):
         poly = poly + ExactPolynomial.x_minus_one_power(d - i).scale(f[i])
-    coeffs = poly.int_coeffs() + (0,) * (d + 1 - len(poly.int_coeffs()))
-    return tuple(coeffs[d - i] for i in range(d + 1))
+    return tuple(poly.coeff(d - i) for i in range(d + 1))
 
 
 def h_vector(cx: SimplicialComplex) -> HVector:

@@ -1,20 +1,20 @@
-"""Dense exact-rational polynomials in one variable.
+"""Dense exact integer polynomials in one variable.
 
 All identity verifications in this package reduce to equality of such
-polynomials; coefficients are ``fractions.Fraction`` so nothing is ever
-rounded. Trailing zero coefficients are trimmed, the zero polynomial has an
-empty coefficient tuple and degree -1.
+polynomials. Every one they build has integer coefficients (face counts, their
+f→h transform, the toric ĥ and ĝ of Stanley 1987), so coefficients are Python
+ints and nothing is rounded or divided; a non-integer coefficient is a bug and
+raises InternalError. Trailing zero coefficients are trimmed, the zero
+polynomial has an empty coefficient tuple and degree -1.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterable, Union
+import operator
+from typing import Iterable
 
 from .errors import InternalError
-
-Scalar = Union[int, Fraction]
 
 
 def binom(n: int, k: int) -> int:
@@ -32,12 +32,15 @@ def sign(n: int) -> int:
 
 
 class ExactPolynomial:
-    """Immutable polynomial with exact rational coefficients, lowest degree first."""
+    """Immutable polynomial with integer coefficients, lowest degree first."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable[int] = ()):
+        try:
+            cs = list(map(operator.index, coeffs))
+        except TypeError as exc:
+            raise InternalError(f"polynomial coefficients must be integers: {exc}") from None
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -68,24 +71,16 @@ class ExactPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def coeff(self, k: int) -> Fraction:
+    def coeff(self, k: int) -> int:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return Fraction(0)
+        return 0
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
-    def int_coeffs(self) -> tuple[int, ...]:
-        if not self.is_integral():
-            raise InternalError(f"non-integer coefficients where integers were proven: {self}")
-        return tuple(int(c) for c in self.coeffs)
-
-    def __call__(self, value: Scalar) -> Fraction:
-        acc = Fraction(0)
+    def __call__(self, value: int) -> int:
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * value + c
         return acc
@@ -107,26 +102,22 @@ class ExactPolynomial:
     def __neg__(self) -> "ExactPolynomial":
         return ExactPolynomial([-c for c in self.coeffs])
 
-    def __mul__(self, other) -> "ExactPolynomial":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
+    def __mul__(self, other: "ExactPolynomial") -> "ExactPolynomial":
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return ExactPolynomial(out)
 
-    __rmul__ = __mul__
-
-    def scale(self, c: Scalar) -> "ExactPolynomial":
+    def scale(self, c: int) -> "ExactPolynomial":
         return ExactPolynomial([a * c for a in self.coeffs])
 
     def reversed_at(self, n: int) -> "ExactPolynomial":
         """x^n * p(1/x); requires n >= deg p so the result is a polynomial."""
         if n < self.degree:
             raise InternalError(f"reversal degree {n} below polynomial degree {self.degree}")
-        out = [Fraction(0)] * (n + 1)
+        out = [0] * (n + 1)
         for k, c in enumerate(self.coeffs):
             out[n - k] = c
         return ExactPolynomial(out)
@@ -156,8 +147,6 @@ class ExactPolynomial:
                 parts.append(mono if c == 1 else f"{c}*{mono}")
         return " + ".join(parts).replace("+ -", "- ")
 
-    def serialize(self) -> list:
-        """Coefficient array, lowest degree first; Fractions become 'p/q' strings."""
-        return [int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-                for c in self.coeffs]
-
+    def serialize(self) -> list[int]:
+        """Coefficient array, lowest degree first."""
+        return list(self.coeffs)

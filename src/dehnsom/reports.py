@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
+from .errors import ParseError
+
 SCHEMA_VERSION = 1
 
 
@@ -93,17 +95,30 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def report_from_dict(data: dict) -> VerificationReport:
-    def _value(v):
-        if isinstance(v, str) and "/" in v:
-            num, den = v.split("/", 1)
-            return Fraction(int(num), int(den))
+def _value(v):
+    """A saved lhs or rhs: an integer or a 'p/q' string."""
+    if isinstance(v, str):
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            pass
+    elif isinstance(v, int):
         return v
+    raise ParseError(f"report value {v!r} is neither an integer nor 'p/q'")
 
-    rows = tuple(
-        Row(index=r["index"], lhs=_value(r["lhs"]), rhs=_value(r["rhs"]),
-            asserted=r.get("asserted", True), note=r.get("note", ""))
-        for r in data.get("rows", [])
-    )
-    return VerificationReport(identity=data["identity"],
-                              parameters=data.get("parameters", {}), rows=rows)
+
+def report_from_dict(data) -> VerificationReport:
+    """The report that ``to_dict`` saved; malformed input raises ParseError."""
+    if not (isinstance(data, dict) and isinstance(data.get("identity"), str)
+            and isinstance(data.get("parameters", {}), dict)
+            and isinstance(data.get("rows", []), list)):
+        raise ParseError("a report is an object with a string 'identity', "
+                         "an object 'parameters' and a list 'rows'")
+    rows = []
+    for r in data.get("rows", []):
+        if not (isinstance(r, dict) and isinstance(r.get("index"), str)
+                and "lhs" in r and "rhs" in r):
+            raise ParseError(f"a report row needs a string 'index', 'lhs' and 'rhs': {r!r}")
+        rows.append(Row(r["index"], _value(r["lhs"]), _value(r["rhs"]),
+                        r.get("asserted", True), r.get("note", "")))
+    return VerificationReport(data["identity"], data.get("parameters", {}), tuple(rows))

@@ -10,7 +10,6 @@ degree-⌊d/2⌋ truncation of (1−x)·ĥ(P,x).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -101,29 +100,26 @@ class CCoefficient:
     T: GradedPoset
     u: int
     v: int
-    value: object
+    value: int
 
 
 def toric_pair(P: GradedPoset) -> ToricPair:
     table = toric_table(P)
     h = table.h[P.top_i]
     g = table.g[P.top_i]
-    if not (h.is_integral() and g.is_integral()):
-        raise InternalError("toric recursion produced non-integer coefficients")
     if P.rho == 0:  # the trivial poset: hhat = ghat = 1
         return ToricPair(h, g, {})
     d = P.rho - 1
     if h.coeff(d) != 1:
         raise InternalError("toric h must have leading coefficient ĥ_0 = 1")
-    indexed = {k: int(h.coeff(d - k)) for k in range(d + 1)}
+    indexed = {k: h.coeff(d - k) for k in range(d + 1)}
     return ToricPair(h, g, indexed)
 
 
 def defect_sequence(P: GradedPoset, j: int | None = None) -> DefectSequence:
     pair = toric_pair(P)
     d = pair.d
-    entries = tuple(int(pair.h_poly.coeff(k) - pair.h_poly.coeff(d - k))
-                    for k in range(d + 1))
+    entries = tuple(pair.h_poly.coeff(k) - pair.h_poly.coeff(d - k) for k in range(d + 1))
     for k in range(d + 1):
         if entries[k] != -entries[d - k]:
             raise InternalError("defect sequence is not antisymmetric")
@@ -132,29 +128,22 @@ def defect_sequence(P: GradedPoset, j: int | None = None) -> DefectSequence:
     return DefectSequence(j, entries)
 
 
-def _g_coeffs(g: ExactPolynomial) -> list[int]:
-    return [int(c) for c in g.coeffs] or [0]
+def _c_weight_from_g(g: ExactPolynomial, rho: int, u: int, v: int) -> int:
+    return sum(sign(l) * c * binom(u - rho, v - l)
+               for l, c in enumerate(g.coeffs))
 
 
-def coeff_C(T: GradedPoset, u: int, v: int):
+def coeff_C(T: GradedPoset, u: int, v: int) -> int:
     """C(T,u,v): the ĝ-weighted alternating binomial sum attached to a lower
     interval; C(𝟙,u,v) is the plain binomial."""
     rho = T.rho
     if u < rho:
         raise BadArguments(f"u={u} below the interval rank {rho}")
-    g = toric_table(T).g[T.top_i]
-    value = sum(sign(l) * c * binom(u - rho, v - l)
-                for l, c in enumerate(_g_coeffs(g)))
-    return value
+    return _c_weight_from_g(toric_table(T).g[T.top_i], rho, u, v)
 
 
 def c_coefficient(T: GradedPoset, u: int, v: int) -> CCoefficient:
     return CCoefficient(T, u, v, coeff_C(T, u, v))
-
-
-def _c_weight_from_g(g: ExactPolynomial, rho: int, u: int, v: int) -> int:
-    return sum(sign(l) * int(c) * binom(u - rho, v - l)
-               for l, c in enumerate(g.coeffs))
 
 
 def _e_to_top(P: GradedPoset) -> list[int]:
@@ -171,18 +160,24 @@ def star_sum(defects: Sequence, r: int) -> ExactPolynomial:
     """Σ*_{k=⌊(r+1)/2⌋+1}^{r+1} [A_{k−1} − A_k] x^k, with A_{r+1} = 0.
 
     For odd r there is an extra half-weighted summand at k = ⌊(r+1)/2⌋; the
-    half term is keyed on the parity of the interval's own r.
+    half term is keyed on the parity of the interval's own r. It is an
+    integer: A is antisymmetric (A_{r−k} = −A_k), and r − k = k − 1 here, so
+    (A_{k−1} − A_k)/2 = A_{k−1}. An odd difference means the defects were not
+    antisymmetric and raises InternalError.
     """
     def a(k):
         return defects[k] if k <= r else 0
 
-    coeffs = [Fraction(0)] * (r + 2)
+    coeffs = [0] * (r + 2)
     lo = (r + 1) // 2 + 1
     for k in range(lo, r + 2):
-        coeffs[k] = Fraction(a(k - 1) - a(k))
+        coeffs[k] = a(k - 1) - a(k)
     if r % 2 == 1:
         k = (r + 1) // 2
-        coeffs[k] = Fraction(a(k - 1) - a(k), 2)
+        half, odd = divmod(a(k - 1) - a(k), 2)
+        if odd:
+            raise InternalError(f"odd middle defect difference at k={k}, r={r}")
+        coeffs[k] = half
     return ExactPolynomial(coeffs)
 
 
@@ -398,7 +393,7 @@ def lower_eulerian_defect(P: GradedPoset, k: int):
         rq = P.rank_of[q]
         if rq > j or e_top[q] == 0:
             continue
-        inner = sum(sign(d - k - l + 1) * int(c) * binom(d - rq, k - rq + l)
+        inner = sum(sign(d - k - l + 1) * c * binom(d - rq, k - rq + l)
                     for l, c in enumerate(table.g[q].coeffs))
         total += e_top[q] * inner
     return total

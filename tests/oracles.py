@@ -193,6 +193,20 @@ def submask_sum(table, mask, signed):
         sub = (sub - 1) & mask
 
 
+def short_flag_sum_by_vertices(bal, S, i):
+    """Σ over the color-i vertices v of h_S(lk v), by the scan of every face for
+    every color-i vertex that short_flag_sum made before it read the face color
+    masks: O(n_i·|F|) frozenset tests."""
+    counts = [0] * (1 << bal.d)
+    for v in bal.complex.vertices:
+        if bal.kappa[v] != i:
+            continue
+        for face in bal.complex.faces:
+            if v in face:
+                counts[sum(1 << (bal.kappa[u] - 1) for u in face - {v})] += 1
+    return submask_sum(counts, sum(1 << (c - 1) for c in S), signed=True)
+
+
 # --- frozenset and member-scan kernels, replaced in the package by bitmask walks ---
 
 def frozenset_complex(faces):

@@ -20,9 +20,17 @@ from dehnsom.complexes import (
     h_vector,
 )
 from dehnsom.errors import ColorInS, NotBalanced, NotPure
-from dehnsom.generators import boolean_lattice, cross_polytope, cycle, face_poset
+from dehnsom.generators import (
+    boolean_lattice,
+    cross_polytope,
+    cycle,
+    face_poset,
+    random_graded_poset,
+)
 from dehnsom.polynomial import binom, sign
 from dehnsom.posets import order_complex
+
+from oracles import short_flag_sum_by_vertices
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +180,17 @@ def test_trivial_short_flag_unwinding(sd_torus):
     ff = flag_f_vector(sd_torus)
     for i in (1, 2, 3):
         assert short_flag_sum(sd_torus, [], i) == ff[[i]]
+
+
+def test_short_flag_sum_matches_vertex_scan(sd_torus):
+    seeded = [order_complex(random_graded_poset(ranks, 0.5, seed))
+              for seed, ranks in enumerate([(2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3, 2)])]
+    for bal in [sd_torus] + seeded:
+        for i in range(1, bal.d + 1):
+            rest = [c for c in range(1, bal.d + 1) if c != i]
+            for r in range(len(rest) + 1):
+                for S in itertools.combinations(rest, r):
+                    assert short_flag_sum(bal, S, i) == short_flag_sum_by_vertices(bal, S, i)
 
 
 def test_parse_serialize_balanced_round_trip(c4):

@@ -105,6 +105,27 @@ def test_report_rendering(tmp_path):
     assert r.returncode == 1 and "FAIL" in r.stdout
 
 
+def _row_report(lhs):
+    return json.dumps({"identity": "demo", "rows": [{"index": "k=0", "lhs": lhs, "rhs": 0}]})
+
+
+@pytest.mark.parametrize("text", [
+    "not json",
+    '[{"rows": []}]',
+    _row_report("1/0"),
+    _row_report("abc"),
+    "[1,2]",
+    "[" * 100_000,
+], ids=["not-json", "no-identity", "zero-denominator", "not-a-number", "not-an-object",
+        "too-deep"])
+def test_report_malformed_input_is_parse_error(tmp_path, text, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    assert main(["report", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "ParseError"
+
+
 def test_error_exit_codes(tmp_path):
     r = run("verify", "ds", "--gen", "unknown_thing(3)")
     assert r.returncode == 2

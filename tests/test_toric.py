@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from dehnsom.complexes import h_vector
 from dehnsom.errors import (
     BadArguments,
+    InternalError,
     NotLowerEulerian,
     NotOneSing,
     ParityNotApplicable,
@@ -20,9 +21,11 @@ from dehnsom.generators import (
     random_graded_poset,
     simplex_boundary,
     cross_polytope,
+    generate_from_string,
 )
 from dehnsom.polynomial import ExactPolynomial, binom, sign
 from dehnsom.posets import classify_poset, dual, min_j_sing_flat
+from dehnsom.suite import POSET_SPECS
 from dehnsom.toric import (
     coeff_C,
     defect_sequence,
@@ -41,6 +44,13 @@ from dehnsom.toric import (
 )
 
 from oracles import naive_toric, p_trim
+
+
+def _assert_toric_matches_naive(p):
+    pair = toric_pair(p)
+    naive_h, naive_g = naive_toric(list(p.labels), p.covers())
+    assert list(pair.h_poly.coeffs) == naive_h
+    assert list(pair.g_poly.coeffs) == naive_g
 
 
 def test_trivial_poset():
@@ -64,11 +74,22 @@ def test_b2_hand_unrolled_and_naive():
     lambda: chain(4),
 ])
 def test_toric_against_naive_recursion(maker):
-    p = maker()
-    pair = toric_pair(p)
-    naive_h, naive_g = naive_toric(list(p.labels), p.covers())
-    assert list(pair.h_poly.coeffs) == naive_h
-    assert list(pair.g_poly.coeffs) == naive_g
+    _assert_toric_matches_naive(maker())
+
+
+@pytest.mark.parametrize("spec", POSET_SPECS)
+def test_toric_coefficients_are_ints(spec):
+    P = generate_from_string(spec)
+    for Q in (P, dual(P)):
+        table = toric_table(Q)
+        assert all(type(c) is int for poly in table.h + table.g for c in poly.coeffs)
+
+
+@settings(deadline=None, max_examples=20)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_toric_against_naive_recursion_on_random_posets(seed):
+    ranks = ((2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3))[seed % 4]
+    _assert_toric_matches_naive(random_graded_poset(ranks, 0.5, seed))
 
 
 def test_polygon_lattice_matches_cycle_h():
@@ -165,6 +186,12 @@ def test_star_sum_half_term_structure():
     assert t.coeff(1) == 0
     assert t.coeff(2) == 0 - (-2)
     assert t.coeff(3) == -2
+
+
+def test_star_sum_odd_middle_difference_is_internal_error():
+    # r = 3: the half term is (A_1 − A_2)/2, an integer only if A is antisymmetric
+    with pytest.raises(InternalError):
+        star_sum([0, 1, 0, 0], 3)
 
 
 def test_coeff_C_trivial_is_binomial():
