@@ -183,9 +183,12 @@ def cmd_report(args) -> int:
     except (ValueError, RecursionError) as exc:  # bad JSON or bad UTF-8; too deep
         raise ParseError(f"not a JSON report: {exc}") from None
     reports = [report_from_dict(item) for item in (data if isinstance(data, list) else [data])]
-    for rep in reports:
-        print(rep.format_table())
-        print()
+    if args.json:
+        print(json.dumps([rep.to_dict() for rep in reports]))
+    else:
+        for rep in reports:
+            print(rep.format_table())
+            print()
     return 0 if all(rep.passed for rep in reports) else 1
 
 

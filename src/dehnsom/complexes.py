@@ -237,17 +237,23 @@ def face_error(cx: SimplicialComplex, face: Iterable) -> int:
 def link_euler_table(cx: SimplicialComplex) -> dict[int, int]:
     """χ̃(lk F) for every face at once, keyed by face bitmask.
 
-    Enumerates pairs (F, G) with F ∪ G a face and F ∩ G = ∅ through their
-    union H, so the cost is sum over faces of 2^{|H|}.
+    χ̃(lk F) = Σ_{H ⊇ F, H a face} (−1)^{|H∖F|−1}: the signed superset
+    (Yates) transform of the constant −1, one vertex at a time. It runs on
+    the faces alone, since a set that is not a face has no face above it, so
+    the cost is Σ |H| over the faces.
     """
-    acc = dict.fromkeys(cx._masks, 0)
+    acc = dict.fromkeys(cx._masks, -1)
+    with_bit = {}  # vertex bit -> the faces containing it
     for h in cx._masks:
-        sub = h
-        while True:
-            acc[sub] += 1 if ((h ^ sub).bit_count() & 1) else -1
-            if sub == 0:
-                break
-            sub = (sub - 1) & h
+        m = h
+        while m:
+            low = m & -m
+            with_bit.setdefault(low, []).append(h)
+            m ^= low
+    # one pass per vertex; the passes commute, so their order is free
+    for bit, faces in with_bit.items():
+        for h in faces:
+            acc[h ^ bit] -= acc[h]
     return acc
 
 

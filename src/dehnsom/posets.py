@@ -404,23 +404,26 @@ def order_complex(P: GradedPoset):
 # --- flag alpha/beta and the flag poset identity ---------------------------------
 
 def _alpha_table(P: GradedPoset) -> list[int]:
-    """α(S) for every S ⊆ [d] as a bitmask-indexed list (bit r-1 = rank r present)."""
-    d = P.rho - 1
-    by_rank = [[] for _ in range(d + 2)]
-    for i in proper_part(P):
-        by_rank[P.rank_of[i]].append(i)
-    table = []
-    for mask in range(1 << d):
-        ranks = [r + 1 for r in _bits(mask)]
-        dp = {P.bottom_i: 1}
-        for r in ranks:
-            nxt = {}
-            for j in by_rank[r]:
-                total = sum(v for i, v in dp.items() if P.leq_i(i, j))
-                if total:
-                    nxt[j] = total
-            dp = nxt
-        table.append(sum(v for i, v in dp.items() if P.leq_i(i, P.top_i)))
+    """α(S) for every S ⊆ [d] as a bitmask-indexed list (bit r-1 = rank r present).
+
+    α(S) counts the chains of P∖{0̂,1̂} whose rank set is S. One pass in rank
+    order: each proper element j keeps {rank mask: chains ending at j}, built
+    from the tables of the proper elements below it, so the cost is the sum
+    of the lower table's size over the comparable proper pairs. No μ is read.
+    """
+    table = [0] * (1 << (P.rho - 1))
+    table[0] = 1  # the empty chain
+    proper = _proper_mask(P)
+    ends = {}
+    for j in _bits(proper):
+        bit = 1 << (P.rank_of[j] - 1)
+        counts = {bit: 1}
+        for i in _bits(P._down[j] & proper & ~(1 << j)):
+            for rm, c in ends[i].items():
+                counts[rm | bit] = counts.get(rm | bit, 0) + c
+        ends[j] = counts
+        for rm, c in counts.items():
+            table[rm] += c
     return table
 
 
@@ -456,22 +459,34 @@ def rank_selected_subposet(P: GradedPoset, S: Iterable[int]) -> GradedPoset:
 
 
 def _chain_error_buckets(P: GradedPoset) -> dict[int, int]:
-    """Σ ε(C) over chains, bucketed by the chain's rank set (as a bitmask)."""
+    """Σ ε(C) over chains, bucketed by the chain's rank set (as a bitmask).
+
+    One pass in rank order: each proper element j keeps {rank mask: [Σ of
+    μ(0̂,c_1)μ(c_1,c_2)···μ(c_k,j), number of chains]} over the chains
+    c_1 < ... < c_k = j, built from the tables of the proper elements below
+    it with μ(i, j) read once per comparable pair. The cost is the sum of the
+    lower table's size over the comparable proper pairs. The chain counts are
+    this table's own; α is not read.
+    """
     mu_top = P.mobius_to_top()
-    buckets = {}
     sign_d = sign(P.rho)
-    members = _proper_mask(P)
-
-    def visit(last_i, prod, size, rmask):
-        eps = sign(size) * (prod * mu_top[last_i] - sign_d)
-        buckets[rmask] = buckets.get(rmask, 0) + eps
-        for j in _bits(P._up[last_i] & members & ~(1 << last_i)):
-            visit(j, prod * P.mobius_i(last_i, j), size + 1,
-                  rmask | (1 << (P.rank_of[j] - 1)))
-
-    buckets[0] = mu_top[P.bottom_i] - sign_d
-    for i in _bits(members):
-        visit(i, P.mobius_i(P.bottom_i, i), 1, 1 << (P.rank_of[i] - 1))
+    bottom = P.bottom_i
+    proper = _proper_mask(P)
+    buckets = {0: mu_top[bottom] - sign_d}
+    ends = {}
+    for j in _bits(proper):
+        bit = 1 << (P.rank_of[j] - 1)
+        sums = {bit: [P.mobius_i(bottom, j), 1]}
+        for i in _bits(P._down[j] & proper & ~(1 << j)):
+            mu_ij = P.mobius_i(i, j)
+            for rm, (s, c) in ends[i].items():
+                entry = sums.setdefault(rm | bit, [0, 0])
+                entry[0] += s * mu_ij
+                entry[1] += c
+        ends[j] = sums
+        for rm, (s, c) in sums.items():
+            eps = sign(rm.bit_count()) * (s * mu_top[j] - sign_d * c)
+            buckets[rm] = buckets.get(rm, 0) + eps
     return buckets
 
 

@@ -117,9 +117,12 @@ def toric_pair(P: GradedPoset) -> ToricPair:
 
 
 def defect_sequence(P: GradedPoset, j: int | None = None) -> DefectSequence:
-    pair = toric_pair(P)
-    d = pair.d
-    entries = tuple(pair.h_poly.coeff(k) - pair.h_poly.coeff(d - k) for k in range(d + 1))
+    """The defect of the top element's lower interval, P itself."""
+    if P.rho == 0:  # the trivial poset: ĥ = 1 has degree 0, and A_0 = 0
+        entries = (0,)
+    else:
+        entries = tuple(toric_table(P).defect(P.top_i))
+    d = len(entries) - 1
     for k in range(d + 1):
         if entries[k] != -entries[d - k]:
             raise InternalError("defect sequence is not antisymmetric")

@@ -292,3 +292,42 @@ def member_scan_error_buckets(P):
     for i in members:
         visit(i, P.mobius_i(P.bottom_i, i), 1, 1 << (P.rank_of[i] - 1))
     return buckets
+
+
+# --- enumerating kernels, replaced in the package by linear-work transforms ---
+
+def subset_walk_link_euler(cx):
+    """χ̃(lk F) for every face, keyed by face bitmask, by walking every subset
+    F of every face H and adding (−1)^{|H∖F|−1}: Σ 2^{|H|} steps."""
+    acc = dict.fromkeys(cx._masks, 0)
+    for h in cx._masks:
+        sub = h
+        while True:
+            acc[sub] += 1 if ((h ^ sub).bit_count() & 1) else -1
+            if sub == 0:
+                break
+            sub = (sub - 1) & h
+    return acc
+
+
+def rank_set_pass_alpha(P):
+    """α(S) for every rank set S ⊆ [d], bitmask-indexed, by one chain-counting
+    pass per S over the ranks in S, testing every pair with leq_i: 2^d passes."""
+    d = P.rho - 1
+    by_rank = [[] for _ in range(d + 2)]
+    for i in _proper(P):
+        by_rank[P.rank_of[i]].append(i)
+    table = []
+    for mask in range(1 << d):
+        dp = {P.bottom_i: 1}
+        for r in range(1, d + 1):
+            if not mask >> (r - 1) & 1:
+                continue
+            nxt = {}
+            for j in by_rank[r]:
+                total = sum(v for i, v in dp.items() if P.leq_i(i, j))
+                if total:
+                    nxt[j] = total
+            dp = nxt
+        table.append(sum(v for i, v in dp.items() if P.leq_i(i, P.top_i)))
+    return table

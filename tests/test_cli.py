@@ -105,6 +105,14 @@ def test_report_rendering(tmp_path):
     assert r.returncode == 1 and "FAIL" in r.stdout
 
 
+def test_report_json_round_trip(tmp_path):
+    out = tmp_path / "report.json"
+    run("verify", "swartz", "--gen", "face_poset(torus_7,true)", "-o", str(out))
+    r = run("report", str(out), "--json")
+    assert r.returncode == 0
+    assert json.loads(r.stdout) == json.loads(out.read_text())
+
+
 def _row_report(lhs):
     return json.dumps({"identity": "demo", "rows": [{"index": "k=0", "lhs": lhs, "rhs": 0}]})
 

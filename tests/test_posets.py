@@ -29,6 +29,7 @@ from dehnsom.generators import (
     simplex_boundary,
 )
 from dehnsom.posets import (
+    _alpha_table,
     _chain_error_buckets,
     build_poset,
     chain_error,
@@ -56,6 +57,7 @@ from oracles import (
     member_scan_chains,
     member_scan_error_buckets,
     naive_mobius,
+    rank_set_pass_alpha,
     submask_sum,
 )
 
@@ -424,6 +426,33 @@ def test_chain_walks_match_member_scan(seed):
     assert (list(iter_chains(P, allowed_ranks=allowed))
             == list(member_scan_chains(P, allowed_ranks=allowed)))
     assert _chain_error_buckets(P) == member_scan_error_buckets(P)
+    B = boolean_lattice(4 + seed % 3)
+    assert _chain_error_buckets(B) == member_scan_error_buckets(B)
+
+
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_alpha_table_matches_rank_set_passes(seed):
+    ranks = ((2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3, 2), (2, 3, 3, 2, 2))[seed % 5]
+    P = random_graded_poset(ranks, 0.5, seed)
+    assert _alpha_table(P) == rank_set_pass_alpha(P)
+
+
+@pytest.mark.parametrize("alpha_first", [False, True])
+def test_alpha_reads_no_mobius_and_errors_keep_own_counts(alpha_first):
+    for seed in range(8):
+        ranks = ((2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3, 2))[seed % 4]
+        P = random_graded_poset(ranks, 0.5, seed)
+        if alpha_first:
+            _alpha_table(P)
+            assert P._mu == {}  # α comes from chain counts alone
+        expected = member_scan_error_buckets(random_graded_poset(ranks, 0.5, seed))
+        assert _chain_error_buckets(P) == expected
+    B = boolean_lattice(5)
+    if alpha_first:
+        _alpha_table(B)
+        assert B._mu == {}
+    assert _chain_error_buckets(B) == member_scan_error_buckets(boolean_lattice(5))
 
 
 def test_graded_poset_is_immutable():
