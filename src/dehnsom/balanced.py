@@ -8,7 +8,6 @@ from typing import Iterable, Mapping
 
 from .complexes import (
     SimplicialComplex,
-    _bits,
     face_errors_by_mask,
     label_sort_key,
     parse_facets,
@@ -55,17 +54,19 @@ class BalancedComplex:
         if bad_range:
             raise NotBalanced(f"colors outside 1..{d} at {bad_range}")
         color_bit = [1 << (self.kappa[v] - 1) for v in cx.vertices]
-        colors = []
+        # _masks is sorted, so m minus its lowest vertex already has its colors
+        color_of = {0: 0}
         for m in cx._masks:
-            c = 0
-            for i in _bits(m):
-                c |= color_bit[i]
-            # a face repeats a color iff it has fewer colors than vertices
-            if c.bit_count() != m.bit_count():
+            low = m & -m
+            if not low:
+                continue
+            rest = color_of[m ^ low]
+            bit = color_bit[low.bit_length() - 1]
+            if rest & bit:
                 f = cx.face_of(m)
                 raise NotBalanced(f"face {set(f)} repeats a color", witness=f)
-            colors.append(c)
-        object.__setattr__(self, "face_colors", tuple(colors))
+            color_of[m] = rest | bit
+        object.__setattr__(self, "face_colors", tuple(color_of[m] for m in cx._masks))
 
     @property
     def d(self) -> int:

@@ -101,18 +101,17 @@ def circle_join(n: int, x: SimplicialComplex) -> SimplicialComplex:
 # --- deterministic posets ----------------------------------------------------
 
 def boolean_lattice(n: int) -> GradedPoset:
+    """The subsets of {1, ..., n}, each labeled by its members in increasing
+    order: run together up to n = 9, comma-separated from n = 10 on, where
+    run-together labels are ambiguous ("12" would be both {12} and {1, 2})."""
     if not 0 <= n <= 12:
         raise BadParams("boolean_lattice supports 0 <= n <= 12")
-    elements = ["".join(map(str, s))
-                for k in range(n + 1) for s in itertools.combinations(range(1, n + 1), k)]
-    covers = []
-    for s in elements:
-        for extra in range(1, n + 1):
-            ch = str(extra)
-            if ch not in s:
-                bigger = "".join(sorted(s + ch))
-                covers.append((s, bigger))
-    return build_poset(elements, covers)
+    sep = "" if n <= 9 else ","
+    label = {sum(1 << i for i in s): sep.join(str(i + 1) for i in s)
+             for k in range(n + 1) for s in itertools.combinations(range(n), k)}
+    covers = [(name, label[m | 1 << i]) for m, name in label.items()
+              for i in range(n) if not m >> i & 1]
+    return build_poset(list(label.values()), covers)
 
 
 def chain(n: int) -> GradedPoset:

@@ -1,9 +1,10 @@
 """Graded posets with unique bottom and top.
 
 Elements are interned to dense indices sorted by (rank, label); the order
-relation is kept as per-element up/down bitmasks, so interval sweeps and the
-memoized Möbius recursion stay cheap at desk scale. All reported values use
-the original labels.
+relation is kept as per-element up/down bitmasks, so interval sweeps stay
+cheap at desk scale. Möbius values are kept as rows: the row of s holds
+μ(s, u) for every u ≥ s and is built in one push pass in rank order. All
+reported values use the original labels.
 """
 
 from __future__ import annotations
@@ -39,12 +40,15 @@ from .reports import Row, VerificationReport
 class GradedPoset:
     """Finite graded poset with 0̂ and 1̂, built from its cover relation.
 
-    Instances are immutable; the memoized Möbius values, bad intervals, toric
-    table and classification are caches filled on first use.
+    Instances are immutable; the Möbius rows (``_mu``, keyed by the row's
+    element), the μ(·, 1̂) column, the strict up-sets as lists, the bad
+    intervals, the toric table and the classification are caches filled on
+    first use.
     """
 
     __slots__ = ("labels", "rank_of", "bottom_i", "top_i", "_index", "_up", "_down",
-                 "_covers_up", "_covers_dn", "_mu", "_bad", "_toric", "_cls")
+                 "_covers_up", "_covers_dn", "_above", "_mu", "_mu_top", "_bad",
+                 "_toric", "_cls")
 
     def __init__(self, labels, ranks, covers_up):
         # internal constructor; use build_poset() for validated construction
@@ -78,7 +82,9 @@ class GradedPoset:
             ("_down", tuple(down)),
             ("bottom_i", 0),
             ("top_i", n - 1),
+            ("_above", None),
             ("_mu", {}),
+            ("_mu_top", None),
             ("_bad", None),
             ("_toric", None),
             ("_cls", None),
@@ -135,41 +141,57 @@ class GradedPoset:
 
     # --- Möbius function ------------------------------------------------------
 
+    def _strict_up_lists(self) -> tuple[list[int], ...]:
+        """The strict up-set of every element as an index list, built once."""
+        if self._above is None:
+            up = self._up
+            object.__setattr__(self, "_above",
+                               tuple(list(_bits(up[w] & ~(1 << w))) for w in range(self.n)))
+        return self._above
+
+    def _mobius_row(self, s: int) -> dict[int, int]:
+        """{u: μ(s, u)} for every u ≥ s in index order, built on first use.
+
+        One push pass in index (= rank) order: when w is reached, every
+        element of [s, w) has already pushed into it, so μ(s, w) is final and
+        is subtracted from each u above w. The work is Σ_u |[s, u)|.
+        """
+        row = self._mu.get(s)
+        if row is None:
+            above = self._strict_up_lists()
+            ups = [s, *above[s]]
+            acc = [0] * self.n
+            acc[s] = 1
+            for w in ups:
+                val = acc[w]
+                if val:
+                    for u in above[w]:
+                        acc[u] -= val
+            row = self._mu[s] = {u: acc[u] for u in ups}
+        return row
+
     def mobius_i(self, s: int, t: int) -> int:
-        """μ(s, t) by downward recursion over the interval, memoized per pair."""
-        if not self.leq_i(s, t):
+        """μ(s, t), read from the Möbius row of s."""
+        val = self._mobius_row(s).get(t)
+        if val is None:
             raise NotComparable(f"{self.labels[s]!r} is not below {self.labels[t]!r}")
-        mu = self._mu
-        got = mu.get((s, t))
-        if got is not None:
-            return got
-        interval = self._up[s] & self._down[t]
-        # canonical index order is rank order, so dependencies come first
-        for u in _bits(interval):
-            if (s, u) not in mu:
-                if u == s:
-                    mu[(s, u)] = 1
-                else:
-                    mu[(s, u)] = -sum(mu[(s, w)]
-                                      for w in _bits(self._up[s] & self._down[u] & ~(1 << u)))
-        return mu[(s, t)]
+        return val
 
     def mobius(self, s, t) -> int:
         return self.mobius_i(self.index(s), self.index(t))
 
-    def mobius_to_top(self) -> list[int]:
-        """μ(q, 1̂) for every q, via the dual recursion μ(q,1̂) = −Σ_{q<u≤1̂} μ(u,1̂)."""
-        mu = self._mu
-        top = self.top_i
-        out = [0] * self.n
-        for q in range(self.n - 1, -1, -1):
-            if q == top:
-                val = 1
-            else:
-                val = -sum(out[u] for u in _bits(self._up[q] & ~(1 << q)))
-            out[q] = val
-            mu.setdefault((q, top), val)
-        return out
+    def mobius_to_top(self) -> tuple[int, ...]:
+        """μ(q, 1̂) for every q, via the dual recursion μ(q,1̂) = −Σ_{q<u≤1̂} μ(u,1̂).
+
+        Computed once per poset, independently of the Möbius rows.
+        """
+        if self._mu_top is None:
+            above = self._strict_up_lists()
+            out = [0] * self.n
+            for q in range(self.n - 1, -1, -1):
+                out[q] = -sum([out[u] for u in above[q]]) if above[q] else 1
+            object.__setattr__(self, "_mu_top", tuple(out))
+        return self._mu_top
 
     def interval_i(self, s: int, t: int) -> "GradedPoset":
         """The closed interval [s, t] materialized as a poset of its own."""
@@ -196,9 +218,10 @@ class GradedPoset:
         """All (s, t, e) index pairs with e(s,t) = μ(s,t) − (−1)^{length} nonzero."""
         if self._bad is None:
             bad = []
+            rank = self.rank_of
             for s in range(self.n):
-                for t in _bits(self._up[s]):
-                    e = self.interval_error_i(s, t)
+                for t, mu in self._mobius_row(s).items():
+                    e = mu - sign(rank[t] - rank[s])
                     if e:
                         bad.append((s, t, e))
             object.__setattr__(self, "_bad", bad)
@@ -314,6 +337,12 @@ class PosetClassification:
 
 def mobius(P: GradedPoset, s, t) -> int:
     return P.mobius(s, t)
+
+
+def mobius_row(P: GradedPoset, s: int) -> dict[int, int]:
+    """{u: μ(s, u)} for every u ≥ s, in index order; mobius_i builds it on first use."""
+    P.mobius_i(s, P.top_i)
+    return P._mu[s]
 
 
 def interval_error(P: GradedPoset, s, t) -> int:
@@ -463,30 +492,30 @@ def _chain_error_buckets(P: GradedPoset) -> dict[int, int]:
 
     One pass in rank order: each proper element j keeps {rank mask: [Σ of
     μ(0̂,c_1)μ(c_1,c_2)···μ(c_k,j), number of chains]} over the chains
-    c_1 < ... < c_k = j, built from the tables of the proper elements below
-    it with μ(i, j) read once per comparable pair. The cost is the sum of the
-    lower table's size over the comparable proper pairs. The chain counts are
-    this table's own; α is not read.
+    c_1 < ... < c_k = j. When i is reached its table is final; it is pushed
+    to every proper j above i with μ(i, j) read from the Möbius row of i.
+    The cost is the sum of the lower table's size over the comparable proper
+    pairs. The chain counts are this table's own; α is not read.
     """
     mu_top = P.mobius_to_top()
     sign_d = sign(P.rho)
-    bottom = P.bottom_i
-    proper = _proper_mask(P)
+    bottom, top = P.bottom_i, P.top_i
     buckets = {0: mu_top[bottom] - sign_d}
-    ends = {}
-    for j in _bits(proper):
-        bit = 1 << (P.rank_of[j] - 1)
-        sums = {bit: [P.mobius_i(bottom, j), 1]}
-        for i in _bits(P._down[j] & proper & ~(1 << j)):
-            mu_ij = P.mobius_i(i, j)
-            for rm, (s, c) in ends[i].items():
-                entry = sums.setdefault(rm | bit, [0, 0])
+    ends = {j: {1 << (P.rank_of[j] - 1): [mu, 1]}
+            for j, mu in mobius_row(P, bottom).items() if j not in (bottom, top)}
+    for i, sums in ends.items():  # index order is rank order
+        for rm, (s, c) in sums.items():
+            eps = sign(rm.bit_count()) * (s * mu_top[i] - sign_d * c)
+            buckets[rm] = buckets.get(rm, 0) + eps
+        for j, mu_ij in mobius_row(P, i).items():
+            if j == i or j == top:
+                continue
+            bit = 1 << (P.rank_of[j] - 1)
+            target = ends[j]
+            for rm, (s, c) in sums.items():
+                entry = target.setdefault(rm | bit, [0, 0])
                 entry[0] += s * mu_ij
                 entry[1] += c
-        ends[j] = sums
-        for rm, (s, c) in sums.items():
-            eps = sign(rm.bit_count()) * (s * mu_top[j] - sign_d * c)
-            buckets[rm] = buckets.get(rm, 0) + eps
     return buckets
 
 
@@ -663,7 +692,7 @@ def simplicial_poset_h(P: GradedPoset) -> HVector:
 
 
 def verify_simplicial_ds(P: GradedPoset, name: str = "") -> VerificationReport:
-    """Cor-3.4 residuals: h_{d−j) − h_j against the upper-interval Möbius errors."""
+    """Cor-3.4 residuals: h_{d−j} − h_j against the upper-interval Möbius errors."""
     h = simplicial_poset_h(P).entries
     d = P.rho - 1
     mu_top = P.mobius_to_top()

@@ -27,38 +27,50 @@ from .posets import (
     classify_poset,
     dual,
     iter_chains,
+    mobius_row,
 )
 from .reports import Row, VerificationReport
 
 
 class ToricTable:
-    """ĥ and ĝ of every lower interval [0̂, t], memoized for a whole poset.
+    """ĥ and ĝ of every lower interval [0̂, t], for a whole poset.
 
     Lower intervals of lower intervals are again lower intervals, so one table
-    per poset feeds the recursion for every element; isomorphic intervals are
-    not detected (correctness over speed at desk scale).
+    per poset feeds the recursion ĥ(q) = Σ_{u<q} ĝ(u)·(x−1)^{ρ(q)−1−ρ(u)} for
+    every element; isomorphic intervals are not detected. The ĝ(u) below q
+    are first summed coefficient-wise by rank, into G_0, ..., G_{ρ(q)−1};
+    then ĥ(q) = (···(G_0·(x−1) + G_1)·(x−1) + ···)·(x−1) + G_{ρ(q)−1} is
+    evaluated by Horner steps on int lists, each step a multiplication by
+    (x−1) and one addition. ĝ(q) is the degree-⌊(ρ(q)−1)/2⌋ truncation of
+    (1−x)·ĥ(q). No Möbius value is read.
     """
 
     def __init__(self, P: GradedPoset):
         self.P = P
-        n = P.n
-        one = ExactPolynomial.one()
-        pow_cache = [ExactPolynomial.x_minus_one_power(e) for e in range(P.rho + 1)]
-        h: list[ExactPolynomial] = [None] * n
-        g: list[ExactPolynomial] = [None] * n
-        for q in range(n):  # index order is rank order
-            rq = P.rank_of[q]
+        rank = P.rank_of
+        h: list[list[int]] = [None] * P.n
+        g: list[list[int]] = [None] * P.n
+        for q in range(P.n):  # index order is rank order
+            rq = rank[q]
             if rq == 0:
-                h[q] = one
-                g[q] = one
+                h[q] = g[q] = [1]
                 continue
-            acc = ExactPolynomial.zero()
+            # ĝ of an element of rank r ≥ 1 has ⌊(r+1)/2⌋ coefficients; ĝ(0̂) = 1
+            by_rank = [[0] * max(1, (r + 1) // 2) for r in range(rq)]
             for u in _bits(P._down[q] & ~(1 << q)):
-                acc = acc + g[u] * pow_cache[rq - 1 - P.rank_of[u]]
-            h[q] = acc
-            g[q] = ((one - ExactPolynomial((0, 1))) * acc).truncate((rq - 1) // 2)
-        self.h = h
-        self.g = g
+                acc = by_rank[rank[u]]
+                for k, c in enumerate(g[u]):
+                    acc[k] += c
+            hq = by_rank[0]
+            for grouped in by_rank[1:]:
+                # hq·(x−1) + G_r
+                hq = [b - a for a, b in zip(hq + [0], [0] + hq)]
+                for k, c in enumerate(grouped):
+                    hq[k] += c
+            h[q] = hq
+            g[q] = [b - a for a, b in zip([0] + hq, hq[:(rq - 1) // 2 + 1])]
+        self.h = [ExactPolynomial(c) for c in h]
+        self.g = [ExactPolynomial(c) for c in g]
 
     def defect(self, q: int) -> list:
         """A_k(Q) = ĥ_{r−k}(Q) − ĥ_k(Q) for the lower interval at element q."""
@@ -155,8 +167,8 @@ def _e_to_top(P: GradedPoset) -> list[int]:
 
 
 def _e_from_bottom(P: GradedPoset) -> list[int]:
-    P.mobius_i(P.bottom_i, P.top_i)  # fills the whole (0̂, ·) row
-    return [P.mobius_i(P.bottom_i, t) - sign(P.rank_of[t]) for t in range(P.n)]
+    row = mobius_row(P, P.bottom_i)
+    return [row[t] - sign(P.rank_of[t]) for t in range(P.n)]
 
 
 def star_sum(defects: Sequence, r: int) -> ExactPolynomial:

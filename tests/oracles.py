@@ -12,6 +12,8 @@ import itertools
 import math
 from fractions import Fraction
 
+from dehnsom.complexes import _bits
+
 
 def closure_of_facets(facets):
     """All subsets of the given facets, plus the empty set."""
@@ -331,3 +333,54 @@ def rank_set_pass_alpha(P):
             dp = nxt
         table.append(sum(v for i, v in dp.items() if P.leq_i(i, P.top_i)))
     return table
+
+
+# --- per-pair kernels, replaced in the package by Möbius rows and Horner steps ---
+
+def interval_walk_mobius(P):
+    """μ(s, t) for every comparable pair, keyed (s, t), by the interval
+    recursion μ(s,u) = −Σ_{s≤w<u} μ(s,w) with one bit walk over [s, u) per pair."""
+    mu = {}
+    for s in range(P.n):
+        for u in _bits(P._up[s]):
+            if u == s:
+                mu[(s, u)] = 1
+            else:
+                mu[(s, u)] = -sum(mu[(s, w)]
+                                  for w in _bits(P._up[s] & P._down[u] & ~(1 << u)))
+    return mu
+
+
+def pairwise_toric(P):
+    """(ĥ, ĝ) of every lower interval [0̂, q] as coefficient lists, lowest degree
+    first, by one polynomial product ĝ(u)·(x−1)^{ρ(q)−1−ρ(u)} per pair u < q."""
+    from dehnsom.polynomial import ExactPolynomial
+
+    one = ExactPolynomial.one()
+    h, g = [None] * P.n, [None] * P.n
+    for q in range(P.n):
+        rq = P.rank_of[q]
+        if rq == 0:
+            h[q] = g[q] = one
+            continue
+        acc = ExactPolynomial.zero()
+        for u in _bits(P._down[q] & ~(1 << q)):
+            acc = acc + g[u] * ExactPolynomial.x_minus_one_power(rq - 1 - P.rank_of[u])
+        h[q] = acc
+        g[q] = ((one - ExactPolynomial((0, 1))) * acc).truncate((rq - 1) // 2)
+    return [list(p.coeffs) for p in h], [list(p.coeffs) for p in g]
+
+
+def bit_walk_face_colors(cx, kappa):
+    """(color mask of every face aligned with cx._masks, first face mask that
+    repeats a color or None), by walking every vertex bit of every face."""
+    color_bit = [1 << (kappa[v] - 1) for v in cx.vertices]
+    colors, witness = [], None
+    for m in cx._masks:
+        c = 0
+        for i in _bits(m):
+            c |= color_bit[i]
+        if witness is None and c.bit_count() != m.bit_count():
+            witness = m
+        colors.append(c)
+    return tuple(colors), witness

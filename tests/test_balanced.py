@@ -30,7 +30,7 @@ from dehnsom.generators import (
 from dehnsom.polynomial import binom, sign
 from dehnsom.posets import order_complex
 
-from oracles import short_flag_sum_by_vertices
+from oracles import bit_walk_face_colors, short_flag_sum_by_vertices
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +61,24 @@ def test_order_complex_is_valid_balanced(torus_poset):
     oc = order_complex(torus_poset)
     assert isinstance(oc, BalancedComplex)
     BalancedComplex(oc.complex, oc.kappa)  # re-validation passes
+
+
+def test_face_colors_match_bit_walk(torus_poset):
+    posets = [torus_poset, boolean_lattice(4)]
+    posets += [random_graded_poset(((2, 3, 2), (3, 3), (2, 2, 2, 2))[seed % 3], 0.5, seed)
+               for seed in range(6)]
+    for p in posets:
+        bal = order_complex(p)
+        assert (bal.face_colors, None) == bit_walk_face_colors(bal.complex, bal.kappa)
+
+
+def test_repeated_color_witness_matches_bit_walk():
+    text = "colors: 1=1 2=2 3=1 4=3\n1 2 3\n2 3 4\n"
+    with pytest.raises(NotBalanced) as exc:
+        parse_balanced(text)
+    cx = build_complex([(1, 2, 3), (2, 3, 4)])
+    _, witness = bit_walk_face_colors(cx, {1: 1, 2: 2, 3: 1, 4: 3})
+    assert set(exc.value.witness) == set(cx.face_of(witness)) == {1, 3}
 
 
 def test_coloring_canonicalization():

@@ -41,6 +41,12 @@ def test_compute_toric_polygon():
     assert data["h_poly"] == [1, 3, 1]
 
 
+def test_compute_toric_boolean_lattice_ten():
+    r = run("compute", "toric", "--gen", "boolean_lattice(10)", "--json")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["h_poly"] == [1] * 10
+
+
 def test_verify_main_default_top_spec():
     r = run("verify", "main", "--gen", "face_poset(suspension(torus_7))")
     assert r.returncode == 0

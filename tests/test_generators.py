@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from dehnsom.complexes import (
@@ -100,6 +102,20 @@ def test_chain_and_boolean_edges():
     assert chain(0).n == 1 and chain(0).rho == 0
     assert boolean_lattice(0).n == 1
     assert boolean_lattice(3).n == 8
+
+
+def test_boolean_lattice_past_nine():
+    b = boolean_lattice(10)
+    assert (b.n, b.rho, len(b.covers())) == (1024, 10, 5120)
+    assert b.leq("1", "1,10") and b.leq("10", "1,10") and not b.leq("1", "10")
+    for n in range(10):  # up to n = 9 the labels and covers are the historical ones
+        old = ["".join(map(str, s))
+               for k in range(n + 1) for s in itertools.combinations(range(1, n + 1), k)]
+        covers = {(s, "".join(sorted(s + str(x)))) for s in old
+                  for x in range(1, n + 1) if str(x) not in s}
+        b = boolean_lattice(n)
+        assert sorted(b.labels) == sorted(old)
+        assert set(b.covers()) == covers
 
 
 def test_face_poset_without_top():

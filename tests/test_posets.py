@@ -43,6 +43,7 @@ from dehnsom.posets import (
     min_j_sing_order_complex,
     min_j_sing_recursive,
     mobius,
+    mobius_row,
     order_complex,
     parse_poset_json,
     rank_selected_subposet,
@@ -54,6 +55,7 @@ from dehnsom.posets import (
 from dehnsom.polynomial import sign
 
 from oracles import (
+    interval_walk_mobius,
     member_scan_chains,
     member_scan_error_buckets,
     naive_mobius,
@@ -436,6 +438,25 @@ def test_alpha_table_matches_rank_set_passes(seed):
     ranks = ((2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3, 2), (2, 3, 3, 2, 2))[seed % 5]
     P = random_graded_poset(ranks, 0.5, seed)
     assert _alpha_table(P) == rank_set_pass_alpha(P)
+
+
+@settings(deadline=None, max_examples=20)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_mobius_rows_match_interval_walk(seed):
+    ranks = ((2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3, 2))[seed % 4]
+    P = random_graded_poset(ranks, 0.5, seed)
+    for Q in (P, dual(P), boolean_lattice(2 + seed % 5)):
+        walk = interval_walk_mobius(Q)
+        mu_top = Q.mobius_to_top()
+        assert Q._mu == {}  # the μ(·, 1̂) column does not seed the rows
+        assert isinstance(mu_top, tuple) and Q.mobius_to_top() is mu_top
+        expected_bad = [(s, t, mu - sign(Q.rank_of[t] - Q.rank_of[s]))
+                        for (s, t), mu in sorted(walk.items())
+                        if mu != sign(Q.rank_of[t] - Q.rank_of[s])]
+        assert Q.bad_intervals() == expected_bad
+        rows = {(s, t): mu for s in range(Q.n) for t, mu in mobius_row(Q, s).items()}
+        assert rows == walk
+        assert all(mobius_row(Q, q)[Q.top_i] == mu_top[q] for q in range(Q.n))
 
 
 @pytest.mark.parametrize("alpha_first", [False, True])

@@ -43,7 +43,7 @@ from dehnsom.toric import (
     verify_swartz,
 )
 
-from oracles import naive_toric, p_trim
+from oracles import naive_toric, p_trim, pairwise_toric
 
 
 def _assert_toric_matches_naive(p):
@@ -90,6 +90,34 @@ def test_toric_coefficients_are_ints(spec):
 def test_toric_against_naive_recursion_on_random_posets(seed):
     ranks = ((2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3))[seed % 4]
     _assert_toric_matches_naive(random_graded_poset(ranks, 0.5, seed))
+
+
+def _assert_table_matches_pairwise_and_naive(P):
+    table = toric_table(P)
+    assert P._mu == {}  # the table reads no Möbius value
+    h, g = pairwise_toric(P)
+    assert [list(p.coeffs) for p in table.h] == h
+    assert [list(p.coeffs) for p in table.g] == g
+    for q in range(P.n):
+        lower = P.interval_i(P.bottom_i, q)
+        assert naive_toric(list(lower.labels), lower.covers()) == (h[q], g[q])
+
+
+@pytest.mark.parametrize("maker", [
+    lambda: chain(0), lambda: chain(1), lambda: chain(2), lambda: boolean_lattice(2),
+    lambda: random_graded_poset((3,), 0.5, 4), lambda: dual(random_graded_poset((4,), 0.5, 5)),
+])
+def test_horner_table_low_ranks(maker):
+    _assert_table_matches_pairwise_and_naive(maker())
+
+
+@settings(deadline=None, max_examples=20)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_horner_table_matches_pairwise_products(seed):
+    ranks = ((2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3), (2, 3, 2, 3, 2))[seed % 5]
+    P = random_graded_poset(ranks, 0.5, seed)
+    _assert_table_matches_pairwise_and_naive(P)
+    _assert_table_matches_pairwise_and_naive(dual(P))
 
 
 def test_polygon_lattice_matches_cycle_h():
