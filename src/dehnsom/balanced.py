@@ -72,9 +72,6 @@ class BalancedComplex:
     def d(self) -> int:
         return self.complex.dim + 1
 
-    def color_of_face(self, face: Iterable) -> int:
-        return _color_mask(self.kappa[v] for v in face)
-
 
 def validate_coloring(cx: SimplicialComplex, kappa: Mapping) -> BalancedComplex:
     """Canonicalize an arbitrary proper coloring to colors 1..d and validate it."""
@@ -125,8 +122,9 @@ def flag_h_vector(bal: BalancedComplex) -> FlagVector:
 def rank_selected(bal: BalancedComplex, S: Iterable[int]) -> SimplicialComplex:
     """Δ_S: the subcomplex of faces whose color set lies in S."""
     smask = _color_mask(S)
-    return SimplicialComplex(f for f in bal.complex.faces
-                             if bal.color_of_face(f) & ~smask == 0)
+    cx = bal.complex
+    return SimplicialComplex.from_masks(
+        cx.vertices, [m for m, c in zip(cx._masks, bal.face_colors) if not c & ~smask])
 
 
 def verify_flag_ds(bal: BalancedComplex, name: str = "") -> VerificationReport:

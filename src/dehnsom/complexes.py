@@ -1,16 +1,20 @@
 """Simplicial complexes and their exact invariants.
 
 Vertices are interned in label order and every face is an integer bitmask
-over them (bit i is ``vertices[i]``). The masks are the working form: closure,
-purity, facets, the link-error sweep and the flag tables all run on them.
-Frozensets of opaque vertex labels are the boundary form, kept for the public
-``faces`` set, ``facets()`` and error records. The empty face is always a
-member, so f_{-1} = 1.
+over them (bit i is ``vertices[i]``). The masks are the working form: every
+construction ends in one pass over them that checks closure and finds purity
+and the facets (``SimplicialComplex.from_masks``, called directly by
+``build_complex``, ``link``, ``join``, ``balanced.rank_selected`` and
+``posets.order_complex``), and face counts, the link-error sweep and the flag
+tables run on them. Frozensets of opaque vertex labels are the boundary
+form: the label constructor takes them, the public ``faces`` set is built
+from the masks on first read, and ``facets()`` and error records give
+labels. The empty face is always a member, so f_{-1} = 1.
 """
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -40,56 +44,122 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _relabel(masks: Iterable[int], new_bits: Sequence[int]) -> list[int]:
+    """Each mask with its bit i replaced by ``new_bits[i]``."""
+    return [sum(new_bits[i] for i in _bits(m)) for m in masks]
+
+
 class SimplicialComplex:
     """An inclusion-closed family of vertex subsets.
 
-    Downward closure is checked on construction: removing any single vertex
-    from a face must give a face. Instances are immutable and safe to share.
+    Downward closure is checked on every construction: removing any single
+    vertex from a face must give a face. The faces live as sorted bitmasks in
+    ``_masks``; the frozenset form ``faces`` is built on first read. Instances
+    are immutable and safe to share.
     """
 
-    __slots__ = ("faces", "vertices", "dim", "pure", "_bit", "_masks", "_facet_masks")
+    __slots__ = ("vertices", "dim", "pure", "_bit", "_masks", "_facet_masks", "_faces")
 
     def __init__(self, faces: Iterable[Iterable]):
-        fam = frozenset(Face(f) for f in faces)
-        if not fam:
-            raise EmptyInput("a complex has at least the empty face")
-        if Face() not in fam:
-            raise InternalError("the empty face is missing")
+        fam = {Face(f) for f in faces}
         verts = tuple(sorted({v for f in fam for v in f}, key=label_sort_key))
         bit = {v: 1 << i for i, v in enumerate(verts)}
-        masks = tuple(sorted(sum(map(bit.__getitem__, f)) for f in fam))
-        mask_set = frozenset(masks)
+        self._set_masks(verts, [sum(map(bit.__getitem__, f)) for f in fam])
+
+    @classmethod
+    def from_masks(cls, vertices: Sequence, masks: Iterable[int]) -> "SimplicialComplex":
+        """The complex whose faces are ``masks``, bit i standing for vertices[i].
+
+        ``vertices`` must be distinct and sorted by ``label_sort_key``, which
+        keeps the masks canonical; vertices that no face uses are dropped.
+        """
+        cx = cls.__new__(cls)
+        cx._set_masks(tuple(vertices), masks)
+        return cx
+
+    def _set_masks(self, verts: tuple, masks: Iterable[int]) -> None:
+        mask_set = set(masks)
+        if not mask_set:
+            raise EmptyInput("a complex has at least the empty face")
+        if 0 not in mask_set:
+            raise InternalError("the empty face is missing")
+        keys = [label_sort_key(v) for v in verts]
+        if any(a > b for a, b in zip(keys, keys[1:])):
+            raise InternalError("vertices are not in label order")
+        masks = sorted(mask_set)
+        if masks[-1].bit_length() > len(verts):
+            raise InternalError(f"a face uses bit {masks[-1].bit_length() - 1}, "
+                                f"past the {len(verts)} vertices")
         # every one-bit-removed submask must be a face; the submasks so reached
         # are exactly the non-maximal faces, so the rest are the facets
         covered = set()
         for m in masks:
-            for i in _bits(m):
-                sub = m ^ (1 << i)
+            rest = m
+            while rest:
+                low = rest & -rest
+                sub = m ^ low
                 if sub not in mask_set:
-                    face = {verts[j] for j in _bits(m)}
+                    face = {verts[i] for i in _bits(m)}
                     raise InternalError(f"family not closed under inclusion at {face}")
                 covered.add(sub)
-        facet_masks = tuple(m for m in masks if m not in covered)
+                rest ^= low
+        facet_masks = [m for m in masks if m not in covered]
+        used = 0
+        for m in facet_masks:
+            used |= m
+        if used != (1 << len(verts)) - 1:
+            # drop the unused vertices; the bit map keeps order, so masks stay sorted
+            keep = list(_bits(used))
+            new_bits = [0] * len(verts)
+            for k, i in enumerate(keep):
+                new_bits[i] = 1 << k
+            verts = tuple(verts[i] for i in keep)
+            masks = _relabel(masks, new_bits)
+            facet_masks = _relabel(facet_masks, new_bits)
         dim = max(m.bit_count() for m in facet_masks) - 1
-        object.__setattr__(self, "faces", fam)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "pure", all(m.bit_count() == dim + 1 for m in facet_masks))
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "_bit", bit)
-        object.__setattr__(self, "_masks", masks)
-        object.__setattr__(self, "_facet_masks", facet_masks)
+        object.__setattr__(self, "_bit", {v: 1 << i for i, v in enumerate(verts)})
+        object.__setattr__(self, "_masks", tuple(masks))
+        object.__setattr__(self, "_facet_masks", tuple(facet_masks))
+        object.__setattr__(self, "_faces", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
 
+    @property
+    def faces(self) -> frozenset:
+        """Every face as a frozenset of labels, built on first read."""
+        if self._faces is None:
+            object.__setattr__(self, "_faces", frozenset(map(self.face_of, self._masks)))
+        return self._faces
+
+    def _face_mask(self, face: Iterable) -> int | None:
+        """The bitmask of ``face`` if it is a face of the complex, else None."""
+        m = 0
+        for v in face:
+            b = self._bit.get(v)
+            if b is None:
+                return None
+            m |= b
+        k = bisect_left(self._masks, m)
+        return m if k < len(self._masks) and self._masks[k] == m else None
+
     def __contains__(self, face: Iterable) -> bool:
-        return Face(face) in self.faces
+        return self._face_mask(face) is not None
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SimplicialComplex) and self.faces == other.faces
+        if not isinstance(other, SimplicialComplex):
+            return False
+        if self.vertices == other.vertices:
+            return self._masks == other._masks
+        # equal vertex sets come in different orders only where labels tie
+        # under label_sort_key (True and "True", say)
+        return set(self.vertices) == set(other.vertices) and self.faces == other.faces
 
     def __hash__(self) -> int:
-        return hash(self.faces)
+        return hash((frozenset(self.vertices), len(self._masks)))
 
     def __repr__(self) -> str:
         return f"SimplicialComplex(dim={self.dim}, f={f_vector(self).entries})"
@@ -157,17 +227,23 @@ def build_complex(facets: Iterable[Iterable]) -> SimplicialComplex:
     facet_list = [Face(f) for f in facets]
     if not facet_list:
         raise EmptyInput("facet list is empty")
-    faces = {Face()}
-    for f in facet_list:
-        for k in range(1, len(f) + 1):
-            faces.update(Face(c) for c in itertools.combinations(f, k))
-    return SimplicialComplex(faces)
+    verts = tuple(sorted({v for f in facet_list for v in f}, key=label_sort_key))
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    faces = set()
+    for top in {sum(map(bit.__getitem__, f)) for f in facet_list}:
+        sub = top
+        while True:  # every submask of top, the empty face last
+            faces.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & top
+    return SimplicialComplex.from_masks(verts, faces)
 
 
 def f_vector(cx: SimplicialComplex) -> FVector:
     counts = [0] * (cx.dim + 2)
-    for f in cx.faces:
-        counts[len(f)] += 1
+    for m in cx._masks:
+        counts[m.bit_count()] += 1
     return FVector(tuple(counts))
 
 
@@ -201,24 +277,28 @@ def subset_transform(values: Sequence[int], d: int, signed: bool) -> list[int]:
 
 
 def reduced_euler_characteristic(cx: SimplicialComplex) -> int:
-    return sum(sign(len(f) - 1) for f in cx.faces)
+    return sum(sign(m.bit_count() - 1) for m in cx._masks)
 
 
 def link(cx: SimplicialComplex, face: Iterable) -> SimplicialComplex:
     """lk F = {G : F ∪ G a face, F ∩ G = ∅}, i.e. {H \\ F : H a face containing F}."""
     f = Face(face)
-    if f not in cx.faces:
+    m = cx._face_mask(f)
+    if m is None:
         raise FaceNotInComplex(f"{set(f)} is not a face")
-    return SimplicialComplex(h - f for h in cx.faces if f <= h)
+    return SimplicialComplex.from_masks(cx.vertices, [h ^ m for h in cx._masks if h & m == m])
 
 
 def join_with_mapping(a: SimplicialComplex, b: SimplicialComplex):
     """Join after relabeling both sides; returns (complex, left map, right map)."""
     left = {v: f"a:{v}" for v in a.vertices}
     right = {v: f"b:{v}" for v in b.vertices}
-    faces = {Face(left[v] for v in fa) | Face(right[v] for v in fb)
-             for fa in a.faces for fb in b.faces}
-    return SimplicialComplex(faces), left, right
+    verts = sorted([*left.values(), *right.values()], key=label_sort_key)
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    a_masks = _relabel(a._masks, [bit[left[v]] for v in a.vertices])
+    b_masks = _relabel(b._masks, [bit[right[v]] for v in b.vertices])
+    faces = [x | y for x in a_masks for y in b_masks]
+    return SimplicialComplex.from_masks(verts, faces), left, right
 
 
 def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:

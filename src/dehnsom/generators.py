@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, build_complex, join
+from .complexes import SimplicialComplex, _bits, build_complex, join
 from .errors import BadParams, ParseError, UnknownGenerator
 from .posets import GradedPoset, build_poset
 
@@ -121,24 +121,20 @@ def chain(n: int) -> GradedPoset:
     return build_poset(elements, list(zip(elements, elements[1:])))
 
 
-def _face_label(face) -> str:
-    from .complexes import label_sort_key
-    return "(" + ",".join(str(v) for v in sorted(face, key=label_sort_key)) + ")"
-
-
 def face_poset(x: SimplicialComplex, with_top: bool = True) -> GradedPoset:
-    """Faces of x ordered by inclusion, 0̂ = ∅; adjoins 1̂ when with_top."""
-    elements = [_face_label(f) for f in x.faces]
-    covers = []
-    for f in x.faces:
-        for v in f:
-            covers.append((_face_label(f - {v}), _face_label(f)))
+    """Faces of x ordered by inclusion, 0̂ = ∅; adjoins 1̂ when with_top.
+
+    A face is labeled by its vertices in label order, e.g. "(0,1,3)".
+    """
+    verts = x.vertices
+    label = {m: "(" + ",".join(str(verts[i]) for i in _bits(m)) + ")" for m in x._masks}
+    covers = [(label[m ^ (1 << i)], name) for m, name in label.items() for i in _bits(m)]
+    elements = list(label.values())
     if with_top:
         elements.append("TOP")
-        covers.extend((_face_label(f), "TOP") for f in x.facets())
-    else:
-        if len(x.facets()) != 1:
-            raise BadParams("face poset without a top needs a unique maximal face")
+        covers.extend((label[m], "TOP") for m in x._facet_masks)
+    elif len(x._facet_masks) != 1:
+        raise BadParams("face poset without a top needs a unique maximal face")
     return build_poset(elements, covers)
 
 

@@ -32,6 +32,7 @@ from .errors import (
     NotSimplicial,
     NoUniqueTop,
     ParseError,
+    RangeViolation,
 )
 from .polynomial import binom, sign
 from .reports import Row, VerificationReport
@@ -397,36 +398,31 @@ def _proper_mask(P: GradedPoset) -> int:
     return ((1 << P.n) - 1) & ~(1 << P.bottom_i) & ~(1 << P.top_i)
 
 
-def iter_chains(P: GradedPoset, allowed_ranks=None, max_size=None):
-    """All chains in P∖{0̂,1̂} (index tuples, increasing rank), incl. the empty chain."""
-    if P.rho < 1:
-        raise InternalError("proper part needs rho >= 1")
-    members = _proper_mask(P)
-    if allowed_ranks is not None:
-        members = sum(1 << i for i in _bits(members) if P.rank_of[i] in allowed_ranks)
-    yield ()
-    if max_size is not None and max_size < 1:
-        return
-    stack = [(i,) for i in reversed(list(_bits(members)))]
-    while stack:
-        chain = stack.pop()
-        yield chain
-        if max_size is not None and len(chain) >= max_size:
-            continue
-        last = chain[-1]
-        # everything above last except last itself has a larger index
-        stack.extend(chain + (j,) for j in _bits(P._up[last] & members & ~(1 << last)))
-
-
 def order_complex(P: GradedPoset):
-    """O(P): vertices P∖{0̂,1̂}, faces the chains, colored by rank (a balanced complex)."""
+    """O(P): vertices P∖{0̂,1̂}, faces the chains, colored by rank (a balanced complex).
+
+    Each proper element gets the bit of its place in label order, and the
+    chains are walked straight to bitmasks, one length at a time: every
+    chain ending at i is extended by each proper element above i.
+    """
     from .balanced import BalancedComplex  # local import avoids a cycle
 
     if P.rho < 1:
-        raise InternalError("order complex needs rho >= 1")
-    faces = [frozenset(P.labels[i] for i in c) for c in iter_chains(P)]
-    cx = SimplicialComplex(faces)
-    kappa = {P.labels[i]: P.rank_of[i] for i in proper_part(P)}
+        raise RangeViolation(f"order complex needs rank >= 1, got rank {P.rho}")
+    proper = proper_part(P)
+    verts = sorted(proper, key=lambda i: label_sort_key(P.labels[i]))
+    bit = [0] * P.n
+    for k, i in enumerate(verts):
+        bit[i] = 1 << k
+    above = P._strict_up_lists()
+    steps = [[(bit[j], j) for j in above[i] if j != P.top_i] for i in range(P.n)]
+    masks = [0]
+    level = [(bit[i], i) for i in proper]  # the chains with one element
+    while level:
+        masks += [m for m, _ in level]
+        level = [(m | b, j) for m, i in level for b, j in steps[i]]
+    cx = SimplicialComplex.from_masks([P.labels[i] for i in verts], masks)
+    kappa = {P.labels[i]: P.rank_of[i] for i in proper}
     return BalancedComplex(cx, kappa)
 
 
@@ -549,13 +545,10 @@ def _is_boolean_interval(P: GradedPoset, s: int, t: int) -> bool:
     atoms = [u for u in members if P.rank_of[u] == P.rank_of[s] + 1]
     if len(atoms) != r:
         return False
-    abit = {a: 1 << k for k, a in enumerate(atoms)}
-    aset = {}
+    atom_mask = sum(1 << a for a in atoms)
+    aset = {}  # member -> the atoms below it, as a bitmask over element indices
     for u in members:
-        m = 0
-        for a in atoms:
-            if P.leq_i(a, u):
-                m |= abit[a]
+        m = P._down[u] & atom_mask
         if m.bit_count() != P.rank_of[u] - P.rank_of[s]:
             return False
         aset[u] = m

@@ -24,9 +24,9 @@ from .polynomial import ExactPolynomial, binom, sign
 from .posets import (
     GradedPoset,
     _bits,
+    _chain_error_buckets,
     classify_poset,
     dual,
-    iter_chains,
     mobius_row,
 )
 from .reports import Row, VerificationReport
@@ -293,20 +293,20 @@ def verify_euler_relation(P: GradedPoset, which: str = "auto",
                         rhs=len(boundary) - chi_links))
 
     if want_faces and j < d // 2:
-        from .posets import chain_error
+        # Σ ε(C) over the nonempty chains C of P∖{0̂,1̂}, from the buckets of
+        # their rank sets (bit r−1 = rank r); a chain has as many elements as ranks
+        buckets = _chain_error_buckets(P)
+        jj = max(j, 0)
         if d % 2 == 0:
             # the sum runs over nonempty faces of O(P) of dimension < j
-            small = sum(chain_error(P, [P.labels[i] for i in c])
-                        for c in iter_chains(P, max_size=max(j, 0)) if c)
+            small = sum(e for rm, e in buckets.items() if rm and rm.bit_count() <= jj)
             # ε_{O(P)}(∅) = e(0̂,1̂), the same parity of (-1)^{d±1}
             rows.append(Row(index="face-sums even d", lhs=2 * e01, rhs=-small))
         else:
-            top_side = sum(chain_error(P, [P.labels[i] for i in c])
-                           for c in iter_chains(P, allowed_ranks=set(range(1, j + 1)))
-                           if c)
-            bot_side = sum(chain_error(P, [P.labels[i] for i in c])
-                           for c in iter_chains(P, allowed_ranks=set(range(d - j + 1, d + 1)))
-                           if c)
+            low = (1 << jj) - 1  # ranks 1..j
+            high = ((1 << d) - 1) ^ ((1 << (d - jj)) - 1)  # ranks d−j+1..d
+            top_side = sum(e for rm, e in buckets.items() if rm and not rm & ~low)
+            bot_side = sum(e for rm, e in buckets.items() if rm and not rm & ~high)
             rows.append(Row(index="face-sums odd d", lhs=top_side, rhs=bot_side))
 
     return VerificationReport("euler-rel", {"object": name or repr(P), "d": d, "j": j},
@@ -328,33 +328,42 @@ def verify_generalized(P: GradedPoset, name: str = "") -> VerificationReport:
     e01 = mu_top[P.bottom_i] - sign(P.rho)
 
     # for j >= floor(d/2) the two sums overlap on ranks (d-j, j]; such elements
-    # contribute both the ghat-error term and the starred defect term
-    rhs = ExactPolynomial.zero()
+    # contribute both the ghat-error term and the starred defect term. The
+    # terms of both sums are added up by rank r as int coefficients (each has
+    # degree <= r), and each rank's total is multiplied once by (x-1)^{d-r}.
+    rhs_by_rank = [[0] * (r + 1) for r in range(d + 1)]
+    lemma_by_rank = [[0] * (r + 1) for r in range(d + 1)]
     for q in range(P.n):
-        rq = P.rank_of[q]
-        if rq <= j:
-            term = table.g[q].reversed_at(rq) * ExactPolynomial.x_minus_one_power(d - rq)
-            rhs = rhs - term.scale(e_top[q])
-        if d - j < rq <= d:
-            star = star_sum(table.defect(q), rq - 1)
-            term = star * ExactPolynomial.x_minus_one_power(d - rq)
-            rhs = rhs - term.scale(mu_top[q])
+        r = P.rank_of[q]
+        if r > d:
+            continue
+        g, mu = table.g[q].coeffs, mu_top[q]
+        acc = rhs_by_rank[r]
+        if r <= j:  # e(q,1̂)·x^r ĝ(q, 1/x)
+            for k, c in enumerate(g):
+                acc[r - k] += e_top[q] * c
+        if d - j < r:  # μ(q,1̂)·Σ*(q)
+            for k, c in enumerate(star_sum(table.defect(q), r - 1).coeffs):
+                acc[k] += mu * c
+        if r >= 1:  # μ(q,1̂)·(ĝ(q) + (x−1)ĥ(q)) + (−1)^{d−r} x^r ĝ(q, 1/x)
+            acc = lemma_by_rank[r]
+            for k, c in enumerate(g):
+                acc[k] += mu * c
+                acc[r - k] += sign(d - r) * c
+            for k, c in enumerate(table.h[q].coeffs):
+                acc[k + 1] += mu * c
+                acc[k] -= mu * c
+
+    rhs = ExactPolynomial.zero()
+    # unconditioned intermediate: the inclusion-exclusion lemma for any graded poset
+    lemma = ExactPolynomial.x_minus_one_power(d).scale(-e01)
+    for r in range(d + 1):
+        y_pow = ExactPolynomial.x_minus_one_power(d - r)
+        rhs = rhs - y_pow * ExactPolynomial(rhs_by_rank[r])
+        lemma = lemma - y_pow * ExactPolynomial(lemma_by_rank[r])
 
     rows = [Row(index=f"x^{k}", lhs=lhs.coeff(k), rhs=rhs.coeff(k))
             for k in range(max(lhs.degree, rhs.degree, d) + 1)]
-
-    # unconditioned intermediate: the inclusion-exclusion lemma for any graded poset
-    lemma = ExactPolynomial.x_minus_one_power(d).scale(-e01)
-    for q in range(P.n):
-        rq = P.rank_of[q]
-        if not 1 <= rq <= d:
-            continue
-        y_pow = ExactPolynomial.x_minus_one_power(d - rq)
-        gq, hq = table.g[q], table.h[q]
-        g_plus_yh = gq + ExactPolynomial((-1, 1)) * hq
-        lemma = lemma - (y_pow * g_plus_yh).scale(mu_top[q])
-        neg_y_pow = y_pow if (d - rq) % 2 == 0 else -y_pow
-        lemma = lemma - neg_y_pow * gq.reversed_at(rq)
     rows += [Row(index=f"lemma x^{k}", lhs=lhs.coeff(k), rhs=lemma.coeff(k))
              for k in range(max(lhs.degree, lemma.degree, d) + 1)]
 

@@ -13,6 +13,7 @@ import math
 from fractions import Fraction
 
 from dehnsom.complexes import _bits
+from dehnsom.errors import InternalError
 
 
 def closure_of_facets(facets):
@@ -251,6 +252,28 @@ def _proper(P):
     return [i for i in range(P.n) if i not in (P.bottom_i, P.top_i)]
 
 
+def iter_chains(P, allowed_ranks=None, max_size=None):
+    """All chains in P∖{0̂,1̂} (index tuples, increasing rank), incl. the empty
+    chain, extending each chain by the bits of the up-set of its last element."""
+    if P.rho < 1:
+        raise InternalError("proper part needs rho >= 1")
+    members = ((1 << P.n) - 1) & ~(1 << P.bottom_i) & ~(1 << P.top_i)
+    if allowed_ranks is not None:
+        members = sum(1 << i for i in _bits(members) if P.rank_of[i] in allowed_ranks)
+    yield ()
+    if max_size is not None and max_size < 1:
+        return
+    stack = [(i,) for i in reversed(list(_bits(members)))]
+    while stack:
+        chain = stack.pop()
+        yield chain
+        if max_size is not None and len(chain) >= max_size:
+            continue
+        last = chain[-1]
+        # everything above last except last itself has a larger index
+        stack.extend(chain + (j,) for j in _bits(P._up[last] & members & ~(1 << last)))
+
+
 def member_scan_chains(P, allowed_ranks=None, max_size=None):
     """Chains of P∖{0̂,1̂} as index tuples, extending each chain by testing
     every proper element with leq_i; the empty chain comes first."""
@@ -269,6 +292,38 @@ def member_scan_chains(P, allowed_ranks=None, max_size=None):
         for j in members:
             if j > last and P.leq_i(last, j):
                 stack.append(chain + (j,))
+
+
+def atom_scan_is_boolean_interval(P, s, t):
+    """Whether [s, t] is a Boolean lattice, building each member's atom set
+    with one leq_i test per atom."""
+    r = P.rank_of[t] - P.rank_of[s]
+    members = list(_bits(P._up[s] & P._down[t]))
+    if len(members) != 1 << r:
+        return False
+    atoms = [u for u in members if P.rank_of[u] == P.rank_of[s] + 1]
+    if len(atoms) != r:
+        return False
+    abit = {a: 1 << k for k, a in enumerate(atoms)}
+    aset = {}
+    for u in members:
+        m = 0
+        for a in atoms:
+            if P.leq_i(a, u):
+                m |= abit[a]
+        if m.bit_count() != P.rank_of[u] - P.rank_of[s]:
+            return False
+        aset[u] = m
+    if len(set(aset.values())) != len(members):
+        return False
+    for v in members:
+        lower = [u for u in P._covers_dn[v] if u in aset]
+        if v != s and len(lower) != aset[v].bit_count():
+            return False
+        for u in lower:
+            if aset[u] & ~aset[v]:
+                return False
+    return True
 
 
 def member_scan_error_buckets(P):

@@ -37,7 +37,6 @@ from dehnsom.posets import (
     chain_error,
     classify_poset,
     dual,
-    iter_chains,
     min_j_sing_flat,
     min_j_sing_order_complex,
     min_j_sing_recursive,
@@ -55,6 +54,8 @@ from dehnsom.toric import (
     verify_generalized,
     verify_main,
 )
+
+from oracles import iter_chains
 
 
 def ok(n, text):

@@ -222,3 +222,14 @@ def test_degenerate_ranks(spec, identity, capsys):
         assert code == 2 and json.loads(err)["error"] == "RangeViolation"
     else:
         assert code == 0, err
+
+
+@pytest.mark.parametrize("spec", ["chain(0)", "boolean_lattice(0)"])
+def test_flag_of_rank_zero_poset_is_range_violation(spec, capsys):
+    assert main(["compute", "flag", "--gen", spec]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "RangeViolation",
+                                    "message": "order complex needs rank >= 1, got rank 0"}

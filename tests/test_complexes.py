@@ -363,3 +363,20 @@ def test_link_euler_table_matches_subset_walk(seed):
         expected = subset_walk_link_euler(cx)
         got = link_euler_table(cx)
         assert got == expected and list(got) == list(expected)
+
+
+def test_from_masks_rejects_bad_families():
+    verts = ("a", "b", "c")
+    assert SimplicialComplex.from_masks(verts, [0, 1, 2, 3]).vertices == ("a", "b")
+    with pytest.raises(InternalError, match="not closed under inclusion"):
+        SimplicialComplex.from_masks(verts, [0, 1, 2, 0b111])
+    with pytest.raises(InternalError, match="not closed under inclusion"):
+        SimplicialComplex.from_masks(verts, [0, 1, 0b11])
+    with pytest.raises(InternalError, match="empty face"):
+        SimplicialComplex.from_masks(verts, [1])
+    with pytest.raises(InternalError, match="past the 3 vertices"):
+        SimplicialComplex.from_masks(verts, [0, 0b1000])
+    with pytest.raises(InternalError, match="label order"):
+        SimplicialComplex.from_masks(("b", "a"), [0, 1, 2])
+    with pytest.raises(EmptyInput):
+        SimplicialComplex.from_masks(verts, [])

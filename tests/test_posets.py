@@ -3,9 +3,11 @@ from hypothesis import given, settings, strategies as st
 
 from dehnsom.balanced import flag_f_vector, flag_h_vector
 from dehnsom.complexes import (
+    SimplicialComplex,
     f_vector,
     face_error_table,
     h_vector,
+    label_sort_key,
     link,
     reduced_euler_characteristic,
 )
@@ -31,6 +33,7 @@ from dehnsom.generators import (
 from dehnsom.posets import (
     _alpha_table,
     _chain_error_buckets,
+    _is_boolean_interval,
     build_poset,
     chain_error,
     chain_mobius_product,
@@ -38,7 +41,6 @@ from dehnsom.posets import (
     dual,
     flag_alpha_beta,
     interval_error,
-    iter_chains,
     min_j_sing_flat,
     min_j_sing_order_complex,
     min_j_sing_recursive,
@@ -53,9 +55,14 @@ from dehnsom.posets import (
     verify_simplicial_ds,
 )
 from dehnsom.polynomial import sign
+from dehnsom.suite import verify_all
 
 from oracles import (
+    atom_scan_is_boolean_interval,
+    face_masks,
+    frozenset_complex,
     interval_walk_mobius,
+    iter_chains,
     member_scan_chains,
     member_scan_error_buckets,
     naive_mobius,
@@ -484,3 +491,64 @@ def test_graded_poset_is_immutable():
         P._cls = None
     assert P.labels == ("c0", "c1", "c2", "c3")
     assert classify_poset(P) is classify_poset(P)  # the cache still fills
+
+
+RANDOM_SHAPES = ((2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3, 2))
+
+
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_order_complex_matches_frozenset_path(seed):
+    P = random_graded_poset(RANDOM_SHAPES[seed % 4], 0.5, seed)
+    for Q in (P, dual(P), boolean_lattice(1 + seed % 5)):
+        chains = list(member_scan_chains(Q))
+        colors = {frozenset(Q.labels[i] for i in c): sum(1 << (Q.rank_of[i] - 1) for i in c)
+                  for c in chains}
+        faces = set(colors)
+        dim, pure, facets = frozenset_complex(faces)
+        verts = tuple(sorted({v for f in faces for v in f}, key=label_sort_key))
+        bit = {v: 1 << i for i, v in enumerate(verts)}
+        bal = order_complex(Q)
+        cx = bal.complex
+        assert cx._faces is None  # nothing read the frozensets yet
+        assert cx.vertices == verts
+        assert cx._masks == face_masks(faces, verts)
+        assert cx._facet_masks == face_masks(facets, verts)
+        assert (cx.dim, cx.pure) == (dim, pure)
+        assert bal.face_colors == tuple(c for _, c in sorted(
+            (sum(bit[v] for v in f), c) for f, c in colors.items()))
+        assert cx.faces == faces
+        from_faces = SimplicialComplex(faces)
+        from_masks = SimplicialComplex.from_masks(verts, reversed(cx._masks))
+        assert cx == from_faces == from_masks
+        assert hash(cx) == hash(from_faces) == hash(from_masks)
+        assert (from_masks._masks, from_masks._facet_masks) == (cx._masks, cx._facet_masks)
+
+
+def _assert_boolean_verdicts_match(P):
+    for s in range(P.n):
+        for t in range(s, P.n):
+            if P.leq_i(s, t):
+                assert _is_boolean_interval(P, s, t) == atom_scan_is_boolean_interval(P, s, t)
+
+
+@settings(deadline=None, max_examples=20)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_boolean_interval_matches_atom_scan(seed):
+    P = random_graded_poset(RANDOM_SHAPES[seed % 4], 0.5, seed)
+    for Q in (P, dual(P)):
+        _assert_boolean_verdicts_match(Q)
+
+
+@pytest.mark.parametrize("make", [*(lambda n=n: boolean_lattice(n) for n in range(2, 7)),
+                                  *(lambda n=n: polygon_lattice(n) for n in range(3, 9))])
+def test_boolean_interval_matches_atom_scan_on_lattices(make):
+    _assert_boolean_verdicts_match(make())
+
+
+def test_verify_all_leaves_order_complex_faces_unbuilt(torus_poset):
+    bal = order_complex(torus_poset)
+    reports = verify_all(bal, "O(torus)")
+    assert [r.identity for r in reports] == ["ds", "flag-ds"]
+    assert all(r.passed for r in reports)
+    assert bal.complex._faces is None

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from dehnsom.generators import (
     generate_from_string,
 )
 from dehnsom.polynomial import ExactPolynomial, binom, sign
-from dehnsom.posets import classify_poset, dual, min_j_sing_flat
+from dehnsom.posets import chain_error, classify_poset, dual, min_j_sing_flat
 from dehnsom.suite import POSET_SPECS
 from dehnsom.toric import (
     coeff_C,
@@ -43,7 +44,7 @@ from dehnsom.toric import (
     verify_swartz,
 )
 
-from oracles import naive_toric, p_trim, pairwise_toric
+from oracles import iter_chains, naive_toric, p_trim, pairwise_toric
 
 
 def _assert_toric_matches_naive(p):
@@ -524,3 +525,34 @@ def test_star_half_term_keyed_on_interval_parity(susp_poset):
         if defects[k_half]:
             hit += 1
     assert hit > 0  # the half-weighted term fired with nonzero content
+
+
+def _face_sums_per_chain(P, j):
+    """The face-sum row (lhs, rhs) with one chain_error per chain."""
+    d = P.rho - 1
+
+    def err(c):
+        return chain_error(P, [P.labels[i] for i in c])
+
+    if d % 2 == 0:
+        small = sum(err(c) for c in iter_chains(P, max_size=max(j, 0)) if c)
+        return 2 * (P.mobius(P.bottom, P.top) - sign(P.rho)), -small
+    top = sum(err(c) for c in iter_chains(P, allowed_ranks=set(range(1, j + 1))) if c)
+    bot = sum(err(c) for c in iter_chains(P, allowed_ranks=set(range(d - j + 1, d + 1))) if c)
+    return top, bot
+
+
+@pytest.mark.parametrize("ranks", [(3, 2, 3, 2), (2, 3, 3, 2), (2, 2, 2, 2, 2), (3, 2, 2, 3, 2),
+                                   (2,) * 6, (2,) * 7])
+@pytest.mark.parametrize("seed", range(3))
+def test_face_sums_match_per_chain_errors(ranks, seed):
+    # the relation only runs for j < floor(d/2); pinning min_j_sing to each
+    # such j checks the rank-set sums on both parities of d, whatever P's own j
+    P = random_graded_poset(ranks, 0.5, seed)
+    d = P.rho - 1
+    cls = classify_poset(P)
+    for j in range(-1, d // 2):
+        object.__setattr__(P, "_cls", dataclasses.replace(cls, min_j_sing=j))
+        (row,) = verify_euler_relation(P, which="face-sums").rows
+        assert row.index == ("face-sums even d" if d % 2 == 0 else "face-sums odd d")
+        assert (row.lhs, row.rhs) == _face_sums_per_chain(P, j)
