@@ -10,6 +10,7 @@ from .complexes import (
     f_vector,
     face_error,
     face_error_table,
+    face_errors,
     h_vector,
     join,
     link,

@@ -8,7 +8,7 @@ from typing import Iterable, Mapping
 
 from .complexes import (
     SimplicialComplex,
-    face_errors_by_mask,
+    face_errors,
     label_sort_key,
     parse_facets,
     serialize_facets,
@@ -137,11 +137,11 @@ def verify_flag_ds(bal: BalancedComplex, name: str = "") -> VerificationReport:
     d = bal.d
     h = flag_h_vector(bal)
     err_by_mask = [0] * (1 << d)
-    err_by_size = [0] * (d + 1)
-    eps = face_errors_by_mask(bal.complex)
-    for m, c in zip(bal.complex._masks, bal.face_colors):
-        err_by_mask[c] += eps[m]
-        err_by_size[m.bit_count()] += eps[m]
+    for c, e in zip(bal.face_colors, face_errors(bal.complex)):
+        err_by_mask[c] += e
+    err_by_size = [0] * (d + 1)  # a face has as many colors as vertices
+    for c, e in enumerate(err_by_mask):
+        err_by_size[c.bit_count()] += e
     full = (1 << d) - 1
     err_below = subset_transform(err_by_mask, d, signed=False)
     rows = []

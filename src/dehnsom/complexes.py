@@ -6,10 +6,14 @@ construction ends in one pass over them that checks closure and finds purity
 and the facets (``SimplicialComplex.from_masks``, called directly by
 ``build_complex``, ``link``, ``join``, ``balanced.rank_selected`` and
 ``posets.order_complex``), and face counts, the link-error sweep and the flag
-tables run on them. Frozensets of opaque vertex labels are the boundary
-form: the label constructor takes them, the public ``faces`` set is built
-from the masks on first read, and ``facets()`` and error records give
-labels. The empty face is always a member, so f_{-1} = 1.
+tables run on them. Per-face passes address a face by its position k in the
+sorted ``_masks``: the closure check marks covered positions, and the sweep
+gives χ̃(lk F) and ε(F) as lists aligned with ``_masks`` (as are
+``BalancedComplex.face_colors``); a mask is hashed only into a transient
+position table. Frozensets of opaque vertex labels are the boundary form: the
+label constructor takes them, the public ``faces`` set is built from the
+masks on first read, and ``facets()`` and error records give labels. The
+empty face is always a member, so f_{-1} = 1.
 """
 
 from __future__ import annotations
@@ -54,11 +58,13 @@ class SimplicialComplex:
 
     Downward closure is checked on every construction: removing any single
     vertex from a face must give a face. The faces live as sorted bitmasks in
-    ``_masks``; the frozenset form ``faces`` is built on first read. Instances
-    are immutable and safe to share.
+    ``_masks``; the frozenset form ``faces`` and the link-Euler values
+    (``link_euler_values``) are built on first read. Instances are immutable
+    and safe to share.
     """
 
-    __slots__ = ("vertices", "dim", "pure", "_bit", "_masks", "_facet_masks", "_faces")
+    __slots__ = ("vertices", "dim", "pure", "_bit", "_masks", "_facet_masks", "_faces",
+                 "_link_chi")
 
     def __init__(self, faces: Iterable[Iterable]):
         fam = {Face(f) for f in faces}
@@ -78,32 +84,32 @@ class SimplicialComplex:
         return cx
 
     def _set_masks(self, verts: tuple, masks: Iterable[int]) -> None:
-        mask_set = set(masks)
-        if not mask_set:
+        masks = sorted(set(masks))
+        if not masks:
             raise EmptyInput("a complex has at least the empty face")
-        if 0 not in mask_set:
+        if masks[0]:
             raise InternalError("the empty face is missing")
         keys = [label_sort_key(v) for v in verts]
         if any(a > b for a, b in zip(keys, keys[1:])):
             raise InternalError("vertices are not in label order")
-        masks = sorted(mask_set)
         if masks[-1].bit_length() > len(verts):
             raise InternalError(f"a face uses bit {masks[-1].bit_length() - 1}, "
                                 f"past the {len(verts)} vertices")
         # every one-bit-removed submask must be a face; the submasks so reached
-        # are exactly the non-maximal faces, so the rest are the facets
-        covered = set()
+        # are exactly the non-maximal faces, so the unmarked rest are the facets
+        position = {m: k for k, m in enumerate(masks)}
+        covered = bytearray(len(masks))
         for m in masks:
             rest = m
             while rest:
                 low = rest & -rest
-                sub = m ^ low
-                if sub not in mask_set:
+                k = position.get(m ^ low)
+                if k is None:
                     face = {verts[i] for i in _bits(m)}
                     raise InternalError(f"family not closed under inclusion at {face}")
-                covered.add(sub)
+                covered[k] = 1
                 rest ^= low
-        facet_masks = [m for m in masks if m not in covered]
+        facet_masks = [m for m, c in zip(masks, covered) if not c]
         used = 0
         for m in facet_masks:
             used |= m
@@ -124,6 +130,7 @@ class SimplicialComplex:
         object.__setattr__(self, "_masks", tuple(masks))
         object.__setattr__(self, "_facet_masks", tuple(facet_masks))
         object.__setattr__(self, "_faces", None)
+        object.__setattr__(self, "_link_chi", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
@@ -165,10 +172,13 @@ class SimplicialComplex:
         return f"SimplicialComplex(dim={self.dim}, f={f_vector(self).entries})"
 
     def mask_of(self, face: Iterable) -> int:
+        m = 0
         try:
-            return sum(self._bit[v] for v in face)
+            for v in face:
+                m |= self._bit[v]
         except KeyError as exc:
             raise FaceNotInComplex(f"unknown vertex in {set(face)}") from exc
+        return m
 
     def face_of(self, mask: int) -> Face:
         verts = self.vertices
@@ -314,42 +324,63 @@ def face_error(cx: SimplicialComplex, face: Iterable) -> int:
     return reduced_euler_characteristic(link(cx, f)) - sign(d - 1 - len(f))
 
 
-def link_euler_table(cx: SimplicialComplex) -> dict[int, int]:
-    """χ̃(lk F) for every face at once, keyed by face bitmask.
+def _link_euler_sweep(masks: Sequence[int], n: int) -> list[int]:
+    """χ̃(lk F) for every face of the sorted ``masks`` over ``n`` vertices,
+    as a list aligned with ``masks``.
 
     χ̃(lk F) = Σ_{H ⊇ F, H a face} (−1)^{|H∖F|−1}: the signed superset
     (Yates) transform of the constant −1, one vertex at a time. It runs on
     the faces alone, since a set that is not a face has no face above it, so
-    the cost is Σ |H| over the faces.
+    the cost is Σ |H| over the faces. Faces are addressed by their position
+    in ``masks``; only the transient ``position`` dict hashes a mask.
     """
-    acc = dict.fromkeys(cx._masks, -1)
-    with_bit = {}  # vertex bit -> the faces containing it
-    for h in cx._masks:
-        m = h
-        while m:
-            low = m & -m
-            with_bit.setdefault(low, []).append(h)
-            m ^= low
+    position = {m: k for k, m in enumerate(masks)}
+    with_vertex = [[] for _ in range(n)]  # vertex -> positions of the faces containing it
+    for k, h in enumerate(masks):
+        while h:
+            low = h & -h
+            with_vertex[low.bit_length() - 1].append(k)
+            h ^= low
+    acc = [-1] * len(masks)
     # one pass per vertex; the passes commute, so their order is free
-    for bit, faces in with_bit.items():
-        for h in faces:
-            acc[h ^ bit] -= acc[h]
+    for i, faces in enumerate(with_vertex):
+        bit = 1 << i
+        for k in faces:
+            acc[position[masks[k] ^ bit]] -= acc[k]
     return acc
 
 
-def face_errors_by_mask(cx: SimplicialComplex) -> dict[int, int]:
-    """ε(F) for every face of a pure complex, keyed by face bitmask, via one
-    sweep over all faces."""
+def link_euler_values(cx: SimplicialComplex) -> tuple[int, ...]:
+    """χ̃(lk F) for every face, aligned with ``cx._masks``; swept once per complex."""
+    if cx._link_chi is None:
+        chi = _link_euler_sweep(cx._masks, len(cx.vertices))
+        object.__setattr__(cx, "_link_chi", tuple(chi))
+    return cx._link_chi
+
+
+def face_errors(cx: SimplicialComplex) -> list[int]:
+    """ε(F) = χ̃(lk F) − (−1)^{d−1−|F|} for every face of a pure complex,
+    aligned with ``cx._masks``."""
     if not cx.pure:
         raise NotPure("face errors are defined for pure complexes")
     d = cx.dim + 1
-    chi = link_euler_table(cx)
-    return {m: v - sign(d - 1 - m.bit_count()) for m, v in chi.items()}
+    sphere = [sign(d - 1 - k) for k in range(d + 1)]  # χ̃ of a sphere link, by |F|
+    return [c - sphere[m.bit_count()] for m, c in zip(cx._masks, link_euler_values(cx))]
+
+
+def link_euler_table(cx: SimplicialComplex) -> dict[int, int]:
+    """χ̃(lk F) for every face at once, keyed by face bitmask in ``_masks`` order."""
+    return dict(zip(cx._masks, link_euler_values(cx)))
+
+
+def face_errors_by_mask(cx: SimplicialComplex) -> dict[int, int]:
+    """ε(F) for every face of a pure complex, keyed by face bitmask."""
+    return dict(zip(cx._masks, face_errors(cx)))
 
 
 def face_error_table(cx: SimplicialComplex) -> dict[Face, int]:
     """ε(F) for every face of a pure complex, keyed by face."""
-    return {cx.face_of(m): e for m, e in face_errors_by_mask(cx).items()}
+    return dict(zip(map(cx.face_of, cx._masks), face_errors(cx)))
 
 
 def short_h_vector(cx: SimplicialComplex) -> tuple[int, ...]:
@@ -373,7 +404,7 @@ def short_h_vector(cx: SimplicialComplex) -> tuple[int, ...]:
 
 
 def singularity_profile(cx: SimplicialComplex) -> SingularityProfile:
-    bad = sorted(((cx.face_of(m), e) for m, e in face_errors_by_mask(cx).items() if e),
+    bad = sorted(((cx.face_of(m), e) for m, e in zip(cx._masks, face_errors(cx)) if e),
                  key=lambda fe: face_sort_key(fe[0]))
     min_j = max((len(f) - 1 for f, _ in bad), default=-2) + 1
     return SingularityProfile(
@@ -395,7 +426,7 @@ def verify_pure_ds(cx: SimplicialComplex, name: str = "") -> VerificationReport:
     d = cx.dim + 1
     h = h_vector(cx).entries
     eps = [0] * (d + 1)  # Σ ε(F) over the faces F of each size
-    for m, e in face_errors_by_mask(cx).items():
+    for m, e in zip(cx._masks, face_errors(cx)):
         eps[m.bit_count()] += e
     rows = []
     for j in range(d + 1):

@@ -17,7 +17,7 @@ from .complexes import (
     HVector,
     SimplicialComplex,
     _bits,
-    face_errors_by_mask,
+    face_errors,
     h_from_f,
     label_sort_key,
     subset_transform,
@@ -611,8 +611,9 @@ def min_j_sing_recursive(P: GradedPoset) -> int:
 
 def min_j_sing_order_complex(P: GradedPoset) -> int:
     """Prop-6.3 criterion: smallest j making O(P) a j-singular complex."""
-    errors = face_errors_by_mask(order_complex(P).complex)
-    return max((m.bit_count() - 1 for m, e in errors.items() if e != 0), default=-2) + 1
+    cx = order_complex(P).complex
+    return max((m.bit_count() - 1 for m, e in zip(cx._masks, face_errors(cx)) if e),
+               default=-2) + 1
 
 
 def classify_poset(P: GradedPoset, cross_check: bool = False) -> PosetClassification:

@@ -439,3 +439,45 @@ def bit_walk_face_colors(cx, kappa):
             witness = m
         colors.append(c)
     return tuple(colors), witness
+
+
+# --- mask-keyed kernels, replaced in the package by passes over face positions ---
+
+def mask_keyed_link_euler(cx):
+    """χ̃(lk F) for every face, keyed by face bitmask in ``_masks`` order, by
+    the signed superset transform with the faces of each vertex bit held in a
+    dict keyed by power-of-two ints and the accumulator keyed by mask."""
+    acc = dict.fromkeys(cx._masks, -1)
+    with_bit = {}  # vertex bit -> the faces containing it
+    for h in cx._masks:
+        m = h
+        while m:
+            low = m & -m
+            with_bit.setdefault(low, []).append(h)
+            m ^= low
+    for bit, faces in with_bit.items():
+        for h in faces:
+            acc[h ^ bit] -= acc[h]
+    return acc
+
+
+def set_closure_facets(vertices, masks):
+    """(facet masks, dim, pure) of a family of face masks, bit i standing for
+    vertices[i], by set membership: in increasing mask order, every
+    one-bit-removed submask must be in the family (else InternalError naming
+    the face), and the facets are the faces no such submask reaches."""
+    mask_set = set(masks)
+    covered = set()
+    for m in sorted(mask_set):
+        rest = m
+        while rest:
+            low = rest & -rest
+            sub = m ^ low
+            if sub not in mask_set:
+                face = {vertices[i] for i in _bits(m)}
+                raise InternalError(f"family not closed under inclusion at {face}")
+            covered.add(sub)
+            rest ^= low
+    facet_masks = sorted(mask_set - covered)
+    dim = max(m.bit_count() for m in facet_masks) - 1
+    return facet_masks, dim, all(m.bit_count() == dim + 1 for m in facet_masks)
