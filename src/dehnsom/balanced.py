@@ -3,6 +3,7 @@ and the flag Dehn-Sommerville verification."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -12,6 +13,7 @@ from .complexes import (
     label_sort_key,
     parse_facets,
     serialize_facets,
+    subset_label,
     subset_transform,
     _parse_label,
 )
@@ -21,11 +23,13 @@ from .reports import Row, VerificationReport
 
 
 def _color_mask(colors: Iterable[int]) -> int:
-    return sum(1 << (c - 1) for c in colors)
-
-
-def _mask_label(mask: int) -> str:
-    return "{" + ",".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1) + "}"
+    """The bitmask of a color set, bit c−1 for color c; repeats count once."""
+    mask = 0
+    for c in colors:
+        if c < 1:
+            raise NotBalanced(f"colors are numbered from 1, got {c}")
+        mask |= 1 << (c - 1)
+    return mask
 
 
 @dataclass(frozen=True)
@@ -53,20 +57,18 @@ class BalancedComplex:
                      if not isinstance(self.kappa[v], int) or not 1 <= self.kappa[v] <= d]
         if bad_range:
             raise NotBalanced(f"colors outside 1..{d} at {bad_range}")
-        color_bit = [1 << (self.kappa[v] - 1) for v in cx.vertices]
-        # _masks is sorted, so m minus its lowest vertex already has its colors
-        color_of = {0: 0}
-        for m in cx._masks:
-            low = m & -m
-            if not low:
-                continue
-            rest = color_of[m ^ low]
-            bit = color_bit[low.bit_length() - 1]
-            if rest & bit:
+        # OR each vertex's color into the faces of its star; a face repeats a
+        # color exactly when it has fewer colors than vertices
+        colors = [0] * len(cx._masks)
+        for v, faces in zip(cx.vertices, cx._star):
+            bit = 1 << (self.kappa[v] - 1)
+            for k in faces:
+                colors[k] |= bit
+        for m, c in zip(cx._masks, colors):  # in mask order: the smallest such face
+            if c.bit_count() != m.bit_count():
                 f = cx.face_of(m)
                 raise NotBalanced(f"face {set(f)} repeats a color", witness=f)
-            color_of[m] = rest | bit
-        object.__setattr__(self, "face_colors", tuple(color_of[m] for m in cx._masks))
+        object.__setattr__(self, "face_colors", tuple(colors))
 
     @property
     def d(self) -> int:
@@ -106,10 +108,7 @@ class FlagVector:
 
 def flag_f_vector(bal: BalancedComplex) -> FlagVector:
     """f_S = number of faces whose color set is exactly S."""
-    counts: dict[int, int] = {}
-    for c in bal.face_colors:
-        counts[c] = counts.get(c, 0) + 1
-    return FlagVector(bal.d, counts)
+    return FlagVector(bal.d, dict(Counter(bal.face_colors)))
 
 
 def flag_h_vector(bal: BalancedComplex) -> FlagVector:
@@ -147,7 +146,7 @@ def verify_flag_ds(bal: BalancedComplex, name: str = "") -> VerificationReport:
     rows = []
     for mask in range(1 << d):
         rows.append(Row(
-            index=f"S={_mask_label(mask)}",
+            index=f"S={subset_label(mask)}",
             lhs=h.by_mask(mask) - h.by_mask(full ^ mask),
             rhs=sign(d - mask.bit_count()) * err_below[mask],
         ))

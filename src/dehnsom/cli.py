@@ -95,8 +95,8 @@ def cmd_compute(args) -> int:
         bal = _as_balanced(obj)
         ff, fh = bl.flag_f_vector(bal), bl.flag_h_vector(bal)
         payload = {"d": bal.d,
-                   "flag_f": {bl._mask_label(m): v for m, v in ff.items()},
-                   "flag_h": {bl._mask_label(m): v for m, v in fh.items()}}
+                   "flag_f": {cx.subset_label(m): v for m, v in ff.items()},
+                   "flag_h": {cx.subset_label(m): v for m, v in fh.items()}}
         lines = [f"S={s}  f_S={payload['flag_f'][s]}  h_S={payload['flag_h'][s]}"
                  for s in payload["flag_f"]]
         _emit(args, payload, "\n".join(lines))

@@ -1,23 +1,24 @@
 """Simplicial complexes and their exact invariants.
 
 Vertices are interned in label order and every face is an integer bitmask
-over them (bit i is ``vertices[i]``). The masks are the working form: every
-construction ends in one pass over them that checks closure and finds purity
-and the facets (``SimplicialComplex.from_masks``, called directly by
+over them (bit i is ``vertices[i]``). Every construction ends in one pass
+over the masks (``SimplicialComplex.from_masks``, called directly by
 ``build_complex``, ``link``, ``join``, ``balanced.rank_selected`` and
-``posets.order_complex``), and face counts, the link-error sweep and the flag
-tables run on them. Per-face passes address a face by its position k in the
-sorted ``_masks``: the closure check marks covered positions, and the sweep
-gives χ̃(lk F) and ε(F) as lists aligned with ``_masks`` (as are
-``BalancedComplex.face_colors``); a mask is hashed only into a transient
-position table. Frozensets of opaque vertex labels are the boundary form: the
-label constructor takes them, the public ``faces`` set is built from the
-masks on first read, and ``facets()`` and error records give labels. The
-empty face is always a member, so f_{-1} = 1.
+``posets.order_complex``) that checks closure, finds purity and the facets,
+and keeps the face incidence it looked up (``_star``/``_drop``). Only that
+pass hashes masks, into a transient position table; every later per-face
+pass, the link sweep and the balanced coloring among them, addresses a face
+by its position in the sorted ``_masks``, so χ̃(lk F), ε(F) and
+``BalancedComplex.face_colors`` are lists aligned with ``_masks``. Frozensets
+of opaque vertex labels are the boundary form: the label constructor takes
+them, the public ``faces`` set is built from the masks on first read, and
+``facets()`` and error records give labels. The empty face is always a
+member, so f_{-1} = 1.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -58,13 +59,15 @@ class SimplicialComplex:
 
     Downward closure is checked on every construction: removing any single
     vertex from a face must give a face. The faces live as sorted bitmasks in
-    ``_masks``; the frozenset form ``faces`` and the link-Euler values
+    ``_masks``; the check keeps, for each vertex i, the positions of the faces
+    containing i (``_star[i]``) and of the same faces minus i (``_drop[i]``) as
+    aligned ``array("i")``. The frozenset form ``faces`` and the link-Euler values
     (``link_euler_values``) are built on first read. Instances are immutable
     and safe to share.
     """
 
-    __slots__ = ("vertices", "dim", "pure", "_bit", "_masks", "_facet_masks", "_faces",
-                 "_link_chi")
+    __slots__ = ("vertices", "dim", "pure", "_bit", "_masks", "_facet_masks", "_star",
+                 "_drop", "_faces", "_link_chi")
 
     def __init__(self, faces: Iterable[Iterable]):
         fam = {Face(f) for f in faces}
@@ -95,33 +98,35 @@ class SimplicialComplex:
         if masks[-1].bit_length() > len(verts):
             raise InternalError(f"a face uses bit {masks[-1].bit_length() - 1}, "
                                 f"past the {len(verts)} vertices")
-        # every one-bit-removed submask must be a face; the submasks so reached
-        # are exactly the non-maximal faces, so the unmarked rest are the facets
+        # every one-vertex-removed submask must be a face (masks are sorted, so
+        # the first face to fail is the smallest); each lookup is kept
         position = {m: k for k, m in enumerate(masks)}
+        star, drop = [array("i") for _ in verts], [array("i") for _ in verts]
         covered = bytearray(len(masks))
-        for m in masks:
+        for k, m in enumerate(masks):
             rest = m
             while rest:
                 low = rest & -rest
-                k = position.get(m ^ low)
-                if k is None:
+                p = position.get(m ^ low)
+                if p is None:
                     face = {verts[i] for i in _bits(m)}
                     raise InternalError(f"family not closed under inclusion at {face}")
-                covered[k] = 1
+                i = low.bit_length() - 1
+                star[i].append(k)
+                drop[i].append(p)
+                covered[p] = 1
                 rest ^= low
-        facet_masks = [m for m, c in zip(masks, covered) if not c]
-        used = 0
-        for m in facet_masks:
-            used |= m
-        if used != (1 << len(verts)) - 1:
-            # drop the unused vertices; the bit map keeps order, so masks stay sorted
-            keep = list(_bits(used))
+        keep = [i for i, faces in enumerate(star) if faces]
+        if len(keep) < len(verts):
+            # drop the unused vertices; the bit map keeps order, so positions hold
             new_bits = [0] * len(verts)
-            for k, i in enumerate(keep):
-                new_bits[i] = 1 << k
+            for j, i in enumerate(keep):
+                new_bits[i] = 1 << j
             verts = tuple(verts[i] for i in keep)
             masks = _relabel(masks, new_bits)
-            facet_masks = _relabel(facet_masks, new_bits)
+            star, drop = [star[i] for i in keep], [drop[i] for i in keep]
+        # the submasks reached are exactly the non-maximal faces
+        facet_masks = [m for m, c in zip(masks, covered) if not c]
         dim = max(m.bit_count() for m in facet_masks) - 1
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "pure", all(m.bit_count() == dim + 1 for m in facet_masks))
@@ -129,6 +134,8 @@ class SimplicialComplex:
         object.__setattr__(self, "_bit", {v: 1 << i for i, v in enumerate(verts)})
         object.__setattr__(self, "_masks", tuple(masks))
         object.__setattr__(self, "_facet_masks", tuple(facet_masks))
+        object.__setattr__(self, "_star", tuple(star))
+        object.__setattr__(self, "_drop", tuple(drop))
         object.__setattr__(self, "_faces", None)
         object.__setattr__(self, "_link_chi", None)
 
@@ -286,6 +293,11 @@ def subset_transform(values: Sequence[int], d: int, signed: bool) -> list[int]:
     return out
 
 
+def subset_label(mask: int) -> str:
+    """The subset of [d] held in ``mask`` (bit i for i+1), written like "{1,3}"."""
+    return "{" + ",".join(str(i + 1) for i in _bits(mask)) + "}"
+
+
 def reduced_euler_characteristic(cx: SimplicialComplex) -> int:
     return sum(sign(m.bit_count() - 1) for m in cx._masks)
 
@@ -324,36 +336,27 @@ def face_error(cx: SimplicialComplex, face: Iterable) -> int:
     return reduced_euler_characteristic(link(cx, f)) - sign(d - 1 - len(f))
 
 
-def _link_euler_sweep(masks: Sequence[int], n: int) -> list[int]:
-    """χ̃(lk F) for every face of the sorted ``masks`` over ``n`` vertices,
-    as a list aligned with ``masks``.
+def _link_euler_sweep(masks: Sequence[int], star: Sequence, drop: Sequence) -> list[int]:
+    """χ̃(lk F) for every face of the sorted ``masks``, as a list aligned with
+    ``masks``, from the face incidence ``star``/``drop`` of the complex.
 
     χ̃(lk F) = Σ_{H ⊇ F, H a face} (−1)^{|H∖F|−1}: the signed superset
     (Yates) transform of the constant −1, one vertex at a time. It runs on
     the faces alone, since a set that is not a face has no face above it, so
-    the cost is Σ |H| over the faces. Faces are addressed by their position
-    in ``masks``; only the transient ``position`` dict hashes a mask.
+    the cost is Σ |H| over the faces, and it reads positions only.
     """
-    position = {m: k for k, m in enumerate(masks)}
-    with_vertex = [[] for _ in range(n)]  # vertex -> positions of the faces containing it
-    for k, h in enumerate(masks):
-        while h:
-            low = h & -h
-            with_vertex[low.bit_length() - 1].append(k)
-            h ^= low
     acc = [-1] * len(masks)
-    # one pass per vertex; the passes commute, so their order is free
-    for i, faces in enumerate(with_vertex):
-        bit = 1 << i
-        for k in faces:
-            acc[position[masks[k] ^ bit]] -= acc[k]
+    # one pass per vertex i, from each face H ∋ i to H∖i; the passes commute
+    for faces, subs in zip(star, drop):
+        for k, p in zip(faces, subs):
+            acc[p] -= acc[k]
     return acc
 
 
 def link_euler_values(cx: SimplicialComplex) -> tuple[int, ...]:
     """χ̃(lk F) for every face, aligned with ``cx._masks``; swept once per complex."""
     if cx._link_chi is None:
-        chi = _link_euler_sweep(cx._masks, len(cx.vertices))
+        chi = _link_euler_sweep(cx._masks, cx._star, cx._drop)
         object.__setattr__(cx, "_link_chi", tuple(chi))
     return cx._link_chi
 
@@ -395,12 +398,8 @@ def short_h_vector(cx: SimplicialComplex) -> tuple[int, ...]:
     d = cx.dim + 1
     if d < 1:
         raise EmptyInput("short h-vector needs d >= 1")
-    link_f = [0] * d
-    for m in cx._masks:
-        k = m.bit_count()
-        if k:
-            link_f[k - 1] += k
-    return h_from_f(link_f, d - 1)
+    f = f_vector(cx).entries  # f[k] faces with k vertices
+    return h_from_f([k * f[k] for k in range(1, d + 1)], d - 1)
 
 
 def singularity_profile(cx: SimplicialComplex) -> SingularityProfile:

@@ -20,6 +20,7 @@ from .complexes import (
     face_errors,
     h_from_f,
     label_sort_key,
+    subset_label,
     subset_transform,
 )
 from .errors import (
@@ -525,9 +526,8 @@ def verify_flag_poset(P: GradedPoset, name: str = "") -> VerificationReport:
                                  signed=False)
     rows = []
     for mask in range(1 << d):
-        s_label = "{" + ",".join(str(r + 1) for r in _bits(mask)) + "}"
         rows.append(Row(
-            index=f"S={s_label}",
+            index=f"S={subset_label(mask)}",
             lhs=beta[mask] - beta[full ^ mask],
             rhs=sign(d - mask.bit_count()) * eps_below[mask],
         ))

@@ -481,3 +481,33 @@ def set_closure_facets(vertices, masks):
     facet_masks = sorted(mask_set - covered)
     dim = max(m.bit_count() for m in facet_masks) - 1
     return facet_masks, dim, all(m.bit_count() == dim + 1 for m in facet_masks)
+
+
+# --- hashing kernels, replaced in the package by the face incidence of the closure pass ---
+
+def bucketed_link_euler(masks, n):
+    """χ̃(lk F) for every face of the sorted ``masks`` over ``n`` vertices, as a
+    list aligned with ``masks``, by the signed superset transform with its own
+    {mask: position} dict and the faces bucketed by vertex: each step looks
+    up the position of the face minus the vertex."""
+    position = {m: k for k, m in enumerate(masks)}
+    with_vertex = [[] for _ in range(n)]  # vertex -> positions of the faces containing it
+    for k, h in enumerate(masks):
+        for i in _bits(h):
+            with_vertex[i].append(k)
+    acc = [-1] * len(masks)
+    for i, faces in enumerate(with_vertex):
+        bit = 1 << i
+        for k in faces:
+            acc[position[masks[k] ^ bit]] -= acc[k]
+    return acc
+
+
+def brute_incidence(masks, n):
+    """(star, drop) of the sorted ``masks`` over ``n`` vertices by scanning
+    every face for every vertex: star[i] lists the positions of the faces
+    containing i in increasing order, drop[i] the positions of those faces
+    minus i, found with ``list.index``."""
+    star = [[k for k, m in enumerate(masks) if m >> i & 1] for i in range(n)]
+    drop = [[masks.index(masks[k] ^ (1 << i)) for k in star[i]] for i in range(n)]
+    return star, drop

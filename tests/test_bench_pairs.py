@@ -55,3 +55,22 @@ def test_summary_and_claim(bp):
 
 def test_parse_seeds(bp):
     assert bp.parse_seeds(["1001-1003", "7"]) == [1001, 1002, 1003, 7]
+
+
+def test_within_bound_on_both_sides(bp):
+    # the parent's median is 0.5758; a 5 % bound allows up to 0.6046 when lower is better
+    assert bp.within_bound(PARENT, CHANGE, "lower", 0.05)
+    assert bp.within_bound(PARENT, [v * 1.049 for v in PARENT], "lower", 0.05)
+    assert not bp.within_bound(PARENT, [v * 1.051 for v in PARENT], "lower", 0.05)
+    assert bp.within_bound(PARENT, [v * 0.951 for v in PARENT], "higher", 0.05)
+    assert not bp.within_bound(PARENT, [v * 0.949 for v in PARENT], "higher", 0.05)
+    assert not bp.within_bound(PARENT, CHANGE, "higher", 0.25)
+    assert bp.within_bound([2, 2, 2], [2.5, 2.5, 2.5], "lower", 0.25)
+
+
+def test_summary_reports_the_bound(bp):
+    assert "within_bound" not in bp.summarize(PARENT, CHANGE, "s", "lower")
+    m = bp.summarize(PARENT, [v * 1.3 for v in PARENT], "s", "lower", 0.25)
+    assert m["bound"] == 0.25 and m["within_bound"] is False
+    m = bp.summarize(PARENT, CHANGE, "s", "lower", bound=0.25)
+    assert m["within_bound"] is True and m["change_better_pairs"] == 10

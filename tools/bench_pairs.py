@@ -11,7 +11,8 @@ first (the parent on the first, third, ... seed), so drift on the host falls
 on both sides alike. Each run's last stdout line is its JSON result. The
 record holds, per workload and end-to-end metric of the change's
 BENCHMARK.json, the per-seed values of both sides, their median with the
-first and third quartiles, and the number of pairs the change won; with
+first and third quartiles, the number of pairs the change won, and
+whether the change's median stays within the metric's ``bound``; with
 ``--claim`` it adds the claimed metric's medians, the parent's IQR and the
 relative move. Standard library only.
 """
@@ -44,9 +45,21 @@ def better_pairs(parent, change, better: str) -> int:
     return sum(c > p for p, c in zip(parent, change))
 
 
-def summarize(parent, change, unit: str, better: str, digits: int = 4) -> dict:
-    """One metric's record from the per-seed values of both sides."""
-    return {
+def within_bound(parent, change, better: str, bound: float) -> bool:
+    """Whether the change's median is worse than the parent's by at most
+    ``bound``, a share of the parent's median (the regression check of a
+    metric's ``bound`` in BENCHMARK.json)."""
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    if better == "lower":
+        return c_med <= p_med * (1 + bound)
+    return c_med >= p_med * (1 - bound)
+
+
+def summarize(parent, change, unit: str, better: str, bound: float | None = None,
+              digits: int = 4) -> dict:
+    """One metric's record from the per-seed values of both sides; with a
+    ``bound``, also whether the change stays within it."""
+    record = {
         "unit": unit,
         "parent": [round(v, digits) for v in parent],
         "change": [round(v, digits) for v in change],
@@ -54,6 +67,10 @@ def summarize(parent, change, unit: str, better: str, digits: int = 4) -> dict:
         "change_median_q1_q3": [round(v, digits) for v in quartiles(change)],
         "change_better_pairs": better_pairs(parent, change, better),
     }
+    if bound is not None:
+        record["bound"] = bound
+        record["within_bound"] = within_bound(parent, change, better, bound)
+    return record
 
 
 def claim(record: dict, workload: str, metric: str, better: str) -> dict:
@@ -150,7 +167,7 @@ def main(argv=None) -> int:
             "metrics": {
                 name: summarize([r["metrics"][name]["value"] for r in runs["parent"]],
                                 [r["metrics"][name]["value"] for r in runs["change"]],
-                                m["unit"], m["better"])
+                                m["unit"], m["better"], m.get("bound"))
                 for name, m in metrics.items()
             },
             "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
