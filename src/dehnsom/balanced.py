@@ -4,8 +4,7 @@ and the flag Dehn-Sommerville verification."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .complexes import (
     SimplicialComplex,
@@ -32,43 +31,60 @@ def _color_mask(colors: Iterable[int]) -> int:
     return mask
 
 
-@dataclass(frozen=True)
 class BalancedComplex:
     """A pure (d-1)-complex with a proper vertex coloring by [d].
 
     ``kappa`` maps every vertex to a color in 1..d; no face repeats a color.
+    ``face_colors`` holds the color set of every face as a bitmask, aligned
+    with ``complex._masks``. Instances are immutable; they compare by
+    ``complex``, ``kappa`` and ``color_relabeling`` and are not hashable.
     """
 
-    complex: SimplicialComplex
-    kappa: Mapping
-    color_relabeling: Mapping | None = None
-    face_colors: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    """The color set of every face as a bitmask, aligned with ``complex._masks``."""
+    __slots__ = ("complex", "kappa", "color_relabeling", "face_colors")
 
-    def __post_init__(self):
-        cx = self.complex
+    def __init__(self, complex: SimplicialComplex, kappa: Mapping,
+                 color_relabeling: Mapping | None = None):
+        cx = complex
         if not cx.pure:
             raise NotPure("balanced complexes are pure by definition")
         d = cx.dim + 1
-        missing = [v for v in cx.vertices if v not in self.kappa]
+        missing = [v for v in cx.vertices if v not in kappa]
         if missing:
             raise NotBalanced(f"vertices without a color: {missing}")
         bad_range = [v for v in cx.vertices
-                     if not isinstance(self.kappa[v], int) or not 1 <= self.kappa[v] <= d]
+                     if not isinstance(kappa[v], int) or not 1 <= kappa[v] <= d]
         if bad_range:
             raise NotBalanced(f"colors outside 1..{d} at {bad_range}")
         # OR each vertex's color into the faces of its star; a face repeats a
         # color exactly when it has fewer colors than vertices
         colors = [0] * len(cx._masks)
         for v, faces in zip(cx.vertices, cx._star):
-            bit = 1 << (self.kappa[v] - 1)
+            bit = 1 << (kappa[v] - 1)
             for k in faces:
                 colors[k] |= bit
         for m, c in zip(cx._masks, colors):  # in mask order: the smallest such face
             if c.bit_count() != m.bit_count():
                 f = cx.face_of(m)
                 raise NotBalanced(f"face {set(f)} repeats a color", witness=f)
+        object.__setattr__(self, "complex", cx)
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "color_relabeling", color_relabeling)
         object.__setattr__(self, "face_colors", tuple(colors))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BalancedComplex is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.complex, self.kappa, self.color_relabeling)
+                == (other.complex, other.kappa, other.color_relabeling))
+
+    __hash__ = None  # kappa is a dict
+
+    def __repr__(self) -> str:
+        return (f"BalancedComplex(complex={self.complex!r}, kappa={self.kappa!r}, "
+                f"color_relabeling={self.color_relabeling!r})")
 
     @property
     def d(self) -> int:
@@ -88,12 +104,11 @@ def validate_coloring(cx: SimplicialComplex, kappa: Mapping) -> BalancedComplex:
     return BalancedComplex(cx, canonical, color_relabeling=relabel)
 
 
-@dataclass(frozen=True)
-class FlagVector:
+class FlagVector(NamedTuple):
     """Values indexed by color subsets of [d], stored by bitmask (colex order)."""
 
     d: int
-    values: Mapping[int, int] = field(default_factory=dict)
+    values: Mapping[int, int]
 
     def __getitem__(self, colors) -> int:
         return self.values.get(_color_mask(colors), 0)

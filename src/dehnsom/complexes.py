@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyInput, FaceNotInComplex, InternalError, NotPure, ParseError
 from .polynomial import ExactPolynomial, binom, sign
@@ -195,8 +194,7 @@ class SimplicialComplex:
         return sorted(map(self.face_of, self._facet_masks), key=face_sort_key)
 
 
-@dataclass(frozen=True)
-class FVector:
+class FVector(NamedTuple):
     """Face counts (f_{-1}, f_0, ..., f_{d-1}); f_{-1} = 1 for the empty face."""
 
     entries: tuple[int, ...]
@@ -210,8 +208,7 @@ class FVector:
         return self.entries[i + 1]
 
 
-@dataclass(frozen=True)
-class HVector:
+class HVector(NamedTuple):
     """Entries (h_0, ..., h_d) from sum h_i x^{d-i} = sum f_{i-1} (x-1)^{d-i}."""
 
     entries: tuple[int, ...]
@@ -225,14 +222,12 @@ class HVector:
         return self.entries[i]
 
 
-@dataclass(frozen=True)
-class FaceError:
+class FaceError(NamedTuple):
     face: Face
     epsilon: int
 
 
-@dataclass(frozen=True)
-class SingularityProfile:
+class SingularityProfile(NamedTuple):
     eulerian: bool
     semi_eulerian: bool
     min_singular_j: int

@@ -8,7 +8,7 @@ linear congruential generator so other implementations can reproduce them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import SimplicialComplex, _bits, build_complex, join
 from .errors import BadParams, ParseError, UnknownGenerator
@@ -39,8 +39,7 @@ class Lcg:
         return self.next_u64() % n
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(NamedTuple):
     name: str
     params: tuple = ()
     seed: int | None = None
@@ -139,6 +138,8 @@ def face_poset(x: SimplicialComplex, with_top: bool = True) -> GradedPoset:
 
 
 def polygon_lattice(n: int) -> GradedPoset:
+    if n < 3:
+        raise BadParams("polygon_lattice needs n >= 3")
     return face_poset(cycle(n), with_top=True)
 
 

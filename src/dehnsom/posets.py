@@ -10,8 +10,7 @@ reported values use the original labels.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .complexes import (
     HVector,
@@ -320,15 +319,13 @@ def build_poset(elements: Sequence, covers: Iterable[tuple]) -> GradedPoset:
 
 # --- spec-facing operations ---------------------------------------------------
 
-@dataclass(frozen=True)
-class IntervalError:
+class IntervalError(NamedTuple):
     s: object
     t: object
     e: int
 
 
-@dataclass(frozen=True)
-class PosetClassification:
+class PosetClassification(NamedTuple):
     eulerian: bool
     semi_eulerian: bool
     lower_eulerian: bool

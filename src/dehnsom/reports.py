@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import ParseError
 
@@ -13,15 +11,14 @@ SCHEMA_VERSION = 1
 
 
 def _jsonable(v: Any):
-    if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
     if isinstance(v, bool) or isinstance(v, int) or isinstance(v, str):
         return v
+    if hasattr(v, "denominator"):  # a Fraction, in a report read back by _value
+        return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
     return str(v)
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     """One compared index of an identity. Non-asserted rows are informational."""
 
     index: str
@@ -39,10 +36,9 @@ class Row:
         return (not self.asserted) or self.residual == 0
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     identity: str
-    parameters: dict = field(default_factory=dict)
+    parameters: dict
     rows: tuple[Row, ...] = ()
 
     @property
@@ -98,6 +94,7 @@ class VerificationReport:
 def _value(v):
     """A saved lhs or rhs: an integer or a 'p/q' string."""
     if isinstance(v, str):
+        from fractions import Fraction  # imported here: only saved reports hold fractions
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError):

@@ -8,8 +8,7 @@ hard-coded beyond the generator specs of the catalog.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import balanced as bl
 from . import complexes as cx
@@ -20,8 +19,7 @@ from .generators import generate_from_string
 from .reports import VerificationReport
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     kinds: tuple[str, ...]
     """Input kinds the identity takes: "complex", "balanced" or "poset"."""
     min_rho: int

@@ -9,8 +9,7 @@ degree-⌊d/2⌋ truncation of (1−x)·ĥ(P,x).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
     BadArguments,
@@ -85,8 +84,7 @@ def toric_table(P: GradedPoset) -> ToricTable:
     return P._toric
 
 
-@dataclass(frozen=True)
-class ToricPair:
+class ToricPair(NamedTuple):
     h_poly: ExactPolynomial
     g_poly: ExactPolynomial
     h_indexed: Mapping[int, int]
@@ -96,8 +94,7 @@ class ToricPair:
         return self.h_poly.degree
 
 
-@dataclass(frozen=True)
-class DefectSequence:
+class DefectSequence(NamedTuple):
     """A_k = ĥ_{d−k} − ĥ_k for k = 0..d, antisymmetric around d/2."""
 
     j: int
@@ -107,8 +104,7 @@ class DefectSequence:
         return self.entries[k]
 
 
-@dataclass(frozen=True)
-class CCoefficient:
+class CCoefficient(NamedTuple):
     T: GradedPoset
     u: int
     v: int

@@ -119,6 +119,36 @@ def test_report_json_round_trip(tmp_path):
     assert json.loads(r.stdout) == json.loads(out.read_text())
 
 
+SAVED_FRACTIONS = {"schema": 1, "identity": "ds", "parameters": {"object": "saved", "d": 2},
+                   "rows": [{"index": "a", "lhs": "1/2", "rhs": "1/2"},
+                            {"index": "b", "lhs": "3/1", "rhs": 3},
+                            {"index": "c", "lhs": "-4/6", "rhs": 0, "asserted": False,
+                             "note": "by hand"}]}
+
+
+def test_report_renders_saved_fractions(tmp_path):
+    # "p/q" values are read back as Fractions; fractions is imported only then
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(SAVED_FRACTIONS))
+    r = run("report", str(path))
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout == ("identity: ds\n"
+                        "object=saved  d=2\n"
+                        "index  lhs   rhs  residual\n"
+                        "a      1/2   1/2  0         ok\n"
+                        "b      3     3    0         ok\n"
+                        "c      -2/3  0    -2/3      info  by hand\n"
+                        "result: PASS\n\n")
+    r = run("report", str(path), "--json")
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout == (
+        '[{"schema": 1, "identity": "ds", "parameters": {"object": "saved", "d": 2}, '
+        '"rows": [{"index": "a", "lhs": "1/2", "rhs": "1/2", "residual": 0, "asserted": true}, '
+        '{"index": "b", "lhs": 3, "rhs": 3, "residual": 0, "asserted": true}, '
+        '{"index": "c", "lhs": "-2/3", "rhs": 0, "residual": "-2/3", "asserted": false, '
+        '"note": "by hand"}], "pass": true}]\n')
+
+
 def _row_report(lhs):
     return json.dumps({"identity": "demo", "rows": [{"index": "k=0", "lhs": lhs, "rhs": 0}]})
 
@@ -173,6 +203,13 @@ def test_error_exit_codes(tmp_path):
     r = run("verify", "all", "--gen", "suspension(" * 1500 + "torus_7" + ")" * 1500)
     assert r.returncode == 2
     assert json.loads(r.stderr)["error"] == "ParseError"
+
+
+def test_polygon_lattice_names_itself_in_its_error(capsys):
+    assert main(["classify", "--gen", "polygon_lattice(2)"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "BadParams", "message": "polygon_lattice needs n >= 3"}
 
 
 def test_seed_option():
