@@ -40,7 +40,6 @@ from .posets import (
     flag_alpha_beta,
     interval_error,
     interval_errors,
-    mobius,
     order_complex,
     rank_selected_subposet,
     simplicial_poset_h,
@@ -48,10 +47,8 @@ from .posets import (
     verify_simplicial_ds,
 )
 from .toric import (
-    CCoefficient,
     DefectSequence,
     ToricPair,
-    c_coefficient,
     coeff_C,
     defect_sequence,
     dual_defect_report,

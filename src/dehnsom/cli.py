@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import balanced as bl
 from . import complexes as cx
@@ -20,6 +19,15 @@ from .errors import DehnsomError, ParseError
 from .generators import GeneratorSpec, generate, parse_spec
 from .reports import report_from_dict
 from .suite import IDENTITIES, run_catalog, verify, verify_all
+
+
+def _read(path: str) -> str:
+    """The text of a UTF-8 input file; other bytes are a ParseError."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _load_target(args):
@@ -35,7 +43,7 @@ def _load_target(args):
     elif not args.target:
         raise ParseError("provide a file path or --gen SPEC")
     else:
-        text = Path(args.target).read_text()
+        text = _read(args.target)
         if text.lstrip().startswith("{"):
             obj = ps.parse_poset_json(text)
         elif any(line.lstrip().startswith("colors:") for line in text.splitlines()):
@@ -44,7 +52,7 @@ def _load_target(args):
             obj = cx.parse_facets(text)
         name = args.target
     if args.colors and isinstance(obj, cx.SimplicialComplex):
-        obj = bl.validate_coloring(obj, bl.parse_colors(Path(args.colors).read_text()))
+        obj = bl.validate_coloring(obj, bl.parse_colors(_read(args.colors)))
     return obj, name
 
 
@@ -157,7 +165,8 @@ def cmd_verify(args) -> int:
             print()
         print(f"{sum(r.passed for r in reports)}/{len(reports)} reports passed")
     if args.out:
-        Path(args.out).write_text(json.dumps([r.to_dict() for r in reports], indent=1))
+        with open(args.out, "w", encoding="utf-8") as f:
+            f.write(json.dumps([r.to_dict() for r in reports], indent=1))
     return 0 if all_pass else 1
 
 
@@ -171,7 +180,8 @@ def cmd_generate(args) -> int:
     else:
         text = cx.serialize_facets(obj)
     if args.out:
-        Path(args.out).write_text(text)
+        with open(args.out, "w", encoding="utf-8") as f:
+            f.write(text)
     else:
         sys.stdout.write(text)
     return 0
@@ -179,8 +189,8 @@ def cmd_generate(args) -> int:
 
 def cmd_report(args) -> int:
     try:
-        data = json.loads(Path(args.target).read_text())
-    except (ValueError, RecursionError) as exc:  # bad JSON or bad UTF-8; too deep
+        data = json.loads(_read(args.target))
+    except (ValueError, RecursionError) as exc:  # bad JSON; too deep
         raise ParseError(f"not a JSON report: {exc}") from None
     reports = [report_from_dict(item) for item in (data if isinstance(data, list) else [data])]
     if args.json:

@@ -371,11 +371,6 @@ def link_euler_table(cx: SimplicialComplex) -> dict[int, int]:
     return dict(zip(cx._masks, link_euler_values(cx)))
 
 
-def face_errors_by_mask(cx: SimplicialComplex) -> dict[int, int]:
-    """ε(F) for every face of a pure complex, keyed by face bitmask."""
-    return dict(zip(cx._masks, face_errors(cx)))
-
-
 def face_error_table(cx: SimplicialComplex) -> dict[Face, int]:
     """ε(F) for every face of a pure complex, keyed by face."""
     return dict(zip(map(cx.face_of, cx._masks), face_errors(cx)))

@@ -128,9 +128,6 @@ class GradedPoset:
     def leq_i(self, i: int, j: int) -> bool:
         return bool(self._up[i] & (1 << j))
 
-    def elements_of_rank(self, r: int) -> list:
-        return [v for v, rv in zip(self.labels, self.rank_of) if rv == r]
-
     def covers(self) -> list[tuple]:
         out = []
         for i, ups in enumerate(self._covers_up):
@@ -194,26 +191,7 @@ class GradedPoset:
             object.__setattr__(self, "_mu_top", tuple(out))
         return self._mu_top
 
-    def interval_i(self, s: int, t: int) -> "GradedPoset":
-        """The closed interval [s, t] materialized as a poset of its own."""
-        if not self.leq_i(s, t):
-            raise NotComparable("not an interval")
-        members = sorted(_bits(self._up[s] & self._down[t]))
-        pos = {m: k for k, m in enumerate(members)}
-        base = self.rank_of[s]
-        return GradedPoset(
-            [self.labels[m] for m in members],
-            [self.rank_of[m] - base for m in members],
-            [[pos[j] for j in self._covers_up[m] if j in pos] for m in members],
-        )
-
-    def interval(self, s, t) -> "GradedPoset":
-        return self.interval_i(self.index(s), self.index(t))
-
     # --- interval errors ------------------------------------------------------
-
-    def interval_error_i(self, s: int, t: int) -> int:
-        return self.mobius_i(s, t) - sign(self.rank_of[t] - self.rank_of[s])
 
     def bad_intervals(self) -> list[tuple[int, int, int]]:
         """All (s, t, e) index pairs with e(s,t) = μ(s,t) − (−1)^{length} nonzero."""
@@ -334,10 +312,6 @@ class PosetClassification(NamedTuple):
     max_lower_simplicial_k: int
 
 
-def mobius(P: GradedPoset, s, t) -> int:
-    return P.mobius(s, t)
-
-
 def mobius_row(P: GradedPoset, s: int) -> dict[int, int]:
     """{u: μ(s, u)} for every u ≥ s, in index order; mobius_i builds it on first use."""
     P.mobius_i(s, P.top_i)
@@ -346,7 +320,7 @@ def mobius_row(P: GradedPoset, s: int) -> dict[int, int]:
 
 def interval_error(P: GradedPoset, s, t) -> int:
     """e([s,t]) = μ(s,t) − (−1)^{ρ(t)−ρ(s)}."""
-    return P.interval_error_i(P.index(s), P.index(t))
+    return P.mobius(s, t) - sign(P.rank(t) - P.rank(s))
 
 
 def interval_errors(P: GradedPoset) -> list[IntervalError]:
@@ -387,10 +361,6 @@ def chain_error(P: GradedPoset, chain: Sequence) -> int:
     return sign(len(tuple(chain))) * (prod - sign(P.rho))
 
 
-def proper_part(P: GradedPoset) -> list[int]:
-    return [i for i in range(P.n) if i not in (P.bottom_i, P.top_i)]
-
-
 def _proper_mask(P: GradedPoset) -> int:
     """P∖{0̂,1̂} as a bitmask over element indices."""
     return ((1 << P.n) - 1) & ~(1 << P.bottom_i) & ~(1 << P.top_i)
@@ -407,7 +377,7 @@ def order_complex(P: GradedPoset):
 
     if P.rho < 1:
         raise RangeViolation(f"order complex needs rank >= 1, got rank {P.rho}")
-    proper = proper_part(P)
+    proper = list(_bits(_proper_mask(P)))
     verts = sorted(proper, key=lambda i: label_sort_key(P.labels[i]))
     bit = [0] * P.n
     for k, i in enumerate(verts):
@@ -655,14 +625,7 @@ def _classify(P: GradedPoset) -> PosetClassification:
 
 def dual(P: GradedPoset) -> GradedPoset:
     """Covers reversed, bottom/top swapped, rank(x) ↦ ρ(P) − rank(x)."""
-    return build_poset(P.labels, [(P.labels[j], P.labels[i])
-                                  for i, j in enumerate_covers(P)])
-
-
-def enumerate_covers(P: GradedPoset):
-    for i, ups in enumerate(P._covers_up):
-        for j in ups:
-            yield (i, j)
+    return build_poset(P.labels, [(b, a) for a, b in P.covers()])
 
 
 # --- simplicial posets -----------------------------------------------------
@@ -707,7 +670,7 @@ def parse_poset_json(text: str) -> GradedPoset:
         data = json.loads(text)
         elements = data["elements"]
         covers = data["covers"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
         raise ParseError(f"bad poset JSON: {exc}") from exc
     if not (isinstance(elements, list) and isinstance(covers, list)):
         raise ParseError("bad poset JSON: elements and covers must be lists")
@@ -721,7 +684,7 @@ def parse_poset_json(text: str) -> GradedPoset:
 
 
 def serialize_poset_json(P: GradedPoset) -> str:
-    covers = sorted(((P.labels[i], P.labels[j]) for i, j in enumerate_covers(P)),
+    covers = sorted(P.covers(),
                     key=lambda c: (P.rank(c[0]), label_sort_key(c[0]), label_sort_key(c[1])))
     return json.dumps({"elements": list(P.labels), "covers": [list(c) for c in covers]},
                       indent=1)

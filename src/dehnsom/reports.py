@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from typing import Any, NamedTuple
 
 from .errors import ParseError
@@ -45,9 +44,6 @@ class VerificationReport(NamedTuple):
     def passed(self) -> bool:
         return all(r.ok for r in self.rows)
 
-    def failures(self) -> list[Row]:
-        return [r for r in self.rows if not r.ok]
-
     def to_dict(self) -> dict:
         return {
             "schema": SCHEMA_VERSION,
@@ -66,9 +62,6 @@ class VerificationReport(NamedTuple):
             ],
             "pass": self.passed,
         }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     def format_table(self) -> str:
         """Plain UTF-8 aligned columns, pipe-friendly (no color codes)."""

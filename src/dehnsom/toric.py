@@ -104,13 +104,6 @@ class DefectSequence(NamedTuple):
         return self.entries[k]
 
 
-class CCoefficient(NamedTuple):
-    T: GradedPoset
-    u: int
-    v: int
-    value: int
-
-
 def toric_pair(P: GradedPoset) -> ToricPair:
     table = toric_table(P)
     h = table.h[P.top_i]
@@ -151,10 +144,6 @@ def coeff_C(T: GradedPoset, u: int, v: int) -> int:
     if u < rho:
         raise BadArguments(f"u={u} below the interval rank {rho}")
     return _c_weight_from_g(toric_table(T).g[T.top_i], rho, u, v)
-
-
-def c_coefficient(T: GradedPoset, u: int, v: int) -> CCoefficient:
-    return CCoefficient(T, u, v, coeff_C(T, u, v))
 
 
 def _e_to_top(P: GradedPoset) -> list[int]:

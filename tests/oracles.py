@@ -406,6 +406,22 @@ def interval_walk_mobius(P):
     return mu
 
 
+def interval(P, s, t):
+    """The closed interval [s, t] of P (element indices) as a poset of its own."""
+    from dehnsom.posets import GradedPoset
+
+    if not P.leq_i(s, t):
+        raise InternalError("not an interval")
+    members = list(_bits(P._up[s] & P._down[t]))
+    pos = {m: k for k, m in enumerate(members)}
+    base = P.rank_of[s]
+    return GradedPoset(
+        [P.labels[m] for m in members],
+        [P.rank_of[m] - base for m in members],
+        [[pos[j] for j in P._covers_up[m] if j in pos] for m in members],
+    )
+
+
 def pairwise_toric(P):
     """(ĥ, ĝ) of every lower interval [0̂, q] as coefficient lists, lowest degree
     first, by one polynomial product ĝ(u)·(x−1)^{ρ(q)−1−ρ(u)} per pair u < q."""

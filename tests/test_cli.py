@@ -170,6 +170,31 @@ def test_report_malformed_input_is_parse_error(tmp_path, text, capsys):
     assert out == "" and json.loads(err)["error"] == "ParseError"
 
 
+def test_deeply_nested_poset_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"elements": ' + "[" * 200_000 + "]" * 200_000 + ', "covers": []}')
+    assert main(["classify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("target, colors", [
+    (b"0 1\n1 \xff\n", None),
+    (b'{"elements": ["\xff"], "covers": []}', None),
+    (b"0 1\n1 2\n2 3\n0 3\n", b"0=1 1=2 2=1 3=2 \xff\n"),
+], ids=["facets", "poset", "colors"])
+def test_non_utf8_input_is_parse_error(tmp_path, capsys, target, colors):
+    argv = ["verify", "all", str(tmp_path / "input")]
+    (tmp_path / "input").write_bytes(target)
+    if colors:
+        (tmp_path / "colors").write_bytes(colors)
+        argv += ["--colors", str(tmp_path / "colors")]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    diag = json.loads(err)
+    assert out == "" and diag["error"] == "ParseError" and "utf-8" in diag["message"]
+
+
 def test_error_exit_codes(tmp_path):
     r = run("verify", "ds", "--gen", "unknown_thing(3)")
     assert r.returncode == 2

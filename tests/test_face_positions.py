@@ -19,7 +19,6 @@ from dehnsom.complexes import (
     build_complex,
     face_error_table,
     face_errors,
-    face_errors_by_mask,
     face_sort_key,
     link_euler_table,
     link_euler_values,
@@ -62,7 +61,6 @@ def test_aligned_link_euler_and_errors_match_oracles(seed):
         d = cx.dim + 1
         expected = [walked[m] - (-1) ** (d - 1 - m.bit_count()) for m in cx._masks]
         assert face_errors(cx) == expected
-        assert list(face_errors_by_mask(cx).items()) == list(zip(cx._masks, expected))
         assert list(face_error_table(cx).values()) == expected
 
 
@@ -144,7 +142,7 @@ def test_verify_path_skips_mask_keyed_tables(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the verify path read a mask-keyed table")
 
-    wrappers = (link_euler_table, face_errors_by_mask, face_error_table)
+    wrappers = (link_euler_table, face_error_table)
     patched = 0
     for name, module in list(sys.modules.items()):
         if name != "dehnsom" and not name.startswith("dehnsom."):

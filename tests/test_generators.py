@@ -93,7 +93,7 @@ def test_random_pure_complex_properties():
 def test_random_graded_poset_properties():
     p = random_graded_poset((2, 3, 2), 0.4, 3)
     assert p.rho == 4
-    assert len(p.elements_of_rank(2)) == 3
+    assert p.rank_of.count(2) == 3
     with pytest.raises(BadParams):
         random_graded_poset((), 0.4, 3)
 

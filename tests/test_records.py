@@ -1,6 +1,8 @@
 """Result records and the balanced-complex type: immutability, equality,
-reprs, and what `import dehnsom.cli` leaves out of a fresh process."""
+reprs, what `import dehnsom.cli` leaves out of a fresh process, and the
+README's library example."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -14,19 +16,39 @@ from dehnsom.generators import GeneratorSpec, boolean_lattice, generate_from_str
 from dehnsom.posets import IntervalError, PosetClassification, order_complex
 from dehnsom.reports import Row, VerificationReport
 from dehnsom.suite import Identity
-from dehnsom.toric import CCoefficient, DefectSequence, ToricPair
+from dehnsom.toric import DefectSequence, ToricPair
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def test_cli_import_leaves_out_slow_modules():
     # -S skips site and its .pth files, so only src/ and the stdlib are seen
     code = ("import sys, dehnsom.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'fractions'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'fractions', 'pathlib'} & set(sys.modules)))")
     r = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                        env={**os.environ, "PYTHONPATH": str(SRC)})
     assert (r.returncode, r.stderr) == (0, "")
     assert r.stdout == "[]\n"
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    stated = []
+    # a line `expr  # literal` states the value of expr
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        try:
+            value = ast.literal_eval(comment.strip())
+        except (ValueError, SyntaxError):
+            continue
+        assert eval(code, namespace) == value, line
+        stated.append(value)
+    assert stated == [(1, 4, 10, -1), 1, True]
+    assert "result: PASS" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("record, fields", [
@@ -41,10 +63,11 @@ def test_cli_import_leaves_out_slow_modules():
                            "min_j_sing", "max_lower_simplicial_k")),
     (ToricPair, ("h_poly", "g_poly", "h_indexed")),
     (DefectSequence, ("j", "entries")),
-    (CCoefficient, ("T", "u", "v", "value")),
-    (Row, ("index", "lhs", "rhs", "asserted", "note")),
-    (VerificationReport, ("identity", "parameters", "rows")),
-    (Identity, ("kinds", "min_rho", "applies", "run")),
+    # explicit ids keep each case's name when an entry before it is removed
+    pytest.param(Row, ("index", "lhs", "rhs", "asserted", "note"), id="Row-fields11"),
+    pytest.param(VerificationReport, ("identity", "parameters", "rows"),
+                 id="VerificationReport-fields12"),
+    pytest.param(Identity, ("kinds", "min_rho", "applies", "run"), id="Identity-fields13"),
 ])
 def test_record_fields_keep_their_order(record, fields):
     assert record._fields == fields
