@@ -9,10 +9,10 @@ from typing import Iterable, Mapping, NamedTuple
 from .complexes import (
     SimplicialComplex,
     face_errors,
+    flag_rows,
     label_sort_key,
     parse_facets,
     serialize_facets,
-    subset_label,
     subset_transform,
     _parse_label,
 )
@@ -156,19 +156,10 @@ def verify_flag_ds(bal: BalancedComplex, name: str = "") -> VerificationReport:
     err_by_size = [0] * (d + 1)  # a face has as many colors as vertices
     for c, e in enumerate(err_by_mask):
         err_by_size[c.bit_count()] += e
-    full = (1 << d) - 1
-    err_below = subset_transform(err_by_mask, d, signed=False)
-    rows = []
-    for mask in range(1 << d):
-        rows.append(Row(
-            index=f"S={subset_label(mask)}",
-            lhs=h.by_mask(mask) - h.by_mask(full ^ mask),
-            rhs=sign(d - mask.bit_count()) * err_below[mask],
-        ))
+    rows = flag_rows(h.values, err_by_mask, d)
     # refinement: row sums over |S| = i must reproduce the pure identity at index i
     for i in range(d + 1):
-        lhs = sum(h.by_mask(m) - h.by_mask(full ^ m)
-                  for m in range(1 << d) if m.bit_count() == i)
+        lhs = sum(r.lhs for m, r in enumerate(rows[:1 << d]) if m.bit_count() == i)
         rhs = sign(i - 1) * sum(binom(d - k, i) * e for k, e in enumerate(err_by_size))
         rows.append(Row(index=f"refine |S|={i}", lhs=lhs, rhs=rhs))
     return VerificationReport("flag-ds", {"object": name or repr(bal.complex), "d": d},

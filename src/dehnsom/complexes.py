@@ -288,6 +288,15 @@ def subset_transform(values: Sequence[int], d: int, signed: bool) -> list[int]:
     return out
 
 
+def flag_rows(h: Sequence[int], errors: Sequence[int], d: int) -> list[Row]:
+    """h[S] − h[S^c] against (−1)^{d−|S|} Σ_{T ⊆ S} errors[T] for every S ⊆ [d],
+    both tables indexed by bitmask."""
+    full = (1 << d) - 1
+    below = subset_transform(errors, d, signed=False)
+    return [Row(index=f"S={subset_label(m)}", lhs=h[m] - h[full ^ m],
+                rhs=sign(d - m.bit_count()) * below[m]) for m in range(1 << d)]
+
+
 def subset_label(mask: int) -> str:
     """The subset of [d] held in ``mask`` (bit i for i+1), written like "{1,3}"."""
     return "{" + ",".join(str(i + 1) for i in _bits(mask)) + "}"

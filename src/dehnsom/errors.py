@@ -79,10 +79,6 @@ class NotOneSing(DehnsomError):
     pass
 
 
-class ParityNotApplicable(DehnsomError):
-    pass
-
-
 class RangeViolation(DehnsomError):
     pass
 

@@ -170,9 +170,10 @@ def random_graded_poset(ranks, density: float, seed: int) -> GradedPoset:
     then guaranteed at least one lower and one upper cover, which makes the
     result graded by construction.
     """
-    ranks = tuple(int(r) for r in ranks)
-    if not ranks or any(r < 1 for r in ranks):
-        raise BadParams("ranks must be a nonempty tuple of positive layer sizes")
+    ranks = tuple(ranks)
+    if not ranks or any(isinstance(r, bool) or not isinstance(r, int) or r < 1
+                        for r in ranks):
+        raise BadParams("ranks must be a nonempty tuple of positive integer layer sizes")
     if not 0.0 <= density <= 1.0:
         raise BadParams("density must lie in [0, 1]")
     rng = Lcg(seed)
@@ -234,14 +235,14 @@ def generate(spec: GeneratorSpec):
         if want in (SimplicialComplex, GradedPoset):
             if not isinstance(value, want):
                 raise BadParams(f"{spec.name} wants a {want.__name__} argument")
-        elif want is float:
-            value = float(value)
         elif want is bool:
             if not isinstance(value, bool):
                 raise BadParams(f"{spec.name} wants a boolean, got {value!r}")
-        elif want is int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise BadParams(f"{spec.name} wants an integer, got {value!r}")
+        elif want in (int, float):  # an int is a float too, a bool is neither
+            if isinstance(value, bool) or not isinstance(value, (want, int)):
+                kind = "an integer" if want is int else "a number"
+                raise BadParams(f"{spec.name} wants {kind}, got {value!r}")
+            value = want(value)
         elif want is tuple:
             if not isinstance(value, (tuple, list)):
                 raise BadParams(f"{spec.name} wants a list of layer sizes")
@@ -274,6 +275,24 @@ def parse_spec(text: str) -> GeneratorSpec:
             raise ParseError(f"expected a name at position {start} in {text!r}")
         return text[start:pos]
 
+    def parse_items(close: str, depth: int) -> tuple:
+        """The comma-separated values of a list or an argument list, up to and
+        including the closing bracket."""
+        nonlocal pos
+        items = []
+        while True:
+            skip_ws()
+            if pos < len(text) and text[pos] == close:
+                pos += 1
+                return tuple(items)
+            items.append(parse_value(depth + 1))
+            skip_ws()
+            if pos < len(text) and text[pos] == ",":
+                pos += 1
+            elif not (pos < len(text) and text[pos] == close):
+                raise ParseError("unterminated list" if close == "]" else
+                                 f"expected ',' or ')' at {pos} in {text!r}")
+
     def parse_value(depth: int):
         nonlocal pos
         if depth > MAX_SPEC_DEPTH:
@@ -282,21 +301,7 @@ def parse_spec(text: str) -> GeneratorSpec:
         skip_ws()
         if pos < len(text) and text[pos] == "[":
             pos += 1
-            items = []
-            while True:
-                skip_ws()
-                if pos < len(text) and text[pos] == "]":
-                    pos += 1
-                    return tuple(items)
-                items.append(parse_value(depth + 1))
-                skip_ws()
-                if pos < len(text) and text[pos] == ",":
-                    pos += 1
-                elif pos < len(text) and text[pos] == "]":
-                    pos += 1
-                    return tuple(items)
-                else:
-                    raise ParseError("unterminated list")
+            return parse_items("]", depth)
         if pos < len(text) and (text[pos].isalpha() or text[pos] == "_"):
             start = pos
             node = parse_node(depth)
@@ -323,24 +328,11 @@ def parse_spec(text: str) -> GeneratorSpec:
         skip_ws()
         name = parse_name()
         skip_ws()
-        params = []
+        params = ()
         if pos < len(text) and text[pos] == "(":
             pos += 1
-            while True:
-                skip_ws()
-                if pos < len(text) and text[pos] == ")":
-                    pos += 1
-                    break
-                params.append(parse_value(depth + 1))
-                skip_ws()
-                if pos < len(text) and text[pos] == ",":
-                    pos += 1
-                elif pos < len(text) and text[pos] == ")":
-                    pos += 1
-                    break
-                else:
-                    raise ParseError(f"expected ',' or ')' at {pos} in {text!r}")
-        return GeneratorSpec(name, tuple(params))
+            params = parse_items(")", depth)
+        return GeneratorSpec(name, params)
 
     node = parse_node(0)
     skip_ws()

@@ -17,9 +17,9 @@ from .complexes import (
     SimplicialComplex,
     _bits,
     face_errors,
+    flag_rows,
     h_from_f,
     label_sort_key,
-    subset_label,
     subset_transform,
 )
 from .errors import (
@@ -147,30 +147,9 @@ class GradedPoset:
                                tuple(list(_bits(up[w] & ~(1 << w))) for w in range(self.n)))
         return self._above
 
-    def _mobius_row(self, s: int) -> dict[int, int]:
-        """{u: μ(s, u)} for every u ≥ s in index order, built on first use.
-
-        One push pass in index (= rank) order: when w is reached, every
-        element of [s, w) has already pushed into it, so μ(s, w) is final and
-        is subtracted from each u above w. The work is Σ_u |[s, u)|.
-        """
-        row = self._mu.get(s)
-        if row is None:
-            above = self._strict_up_lists()
-            ups = [s, *above[s]]
-            acc = [0] * self.n
-            acc[s] = 1
-            for w in ups:
-                val = acc[w]
-                if val:
-                    for u in above[w]:
-                        acc[u] -= val
-            row = self._mu[s] = {u: acc[u] for u in ups}
-        return row
-
     def mobius_i(self, s: int, t: int) -> int:
         """μ(s, t), read from the Möbius row of s."""
-        val = self._mobius_row(s).get(t)
+        val = mobius_row(self, s).get(t)
         if val is None:
             raise NotComparable(f"{self.labels[s]!r} is not below {self.labels[t]!r}")
         return val
@@ -199,12 +178,55 @@ class GradedPoset:
             bad = []
             rank = self.rank_of
             for s in range(self.n):
-                for t, mu in self._mobius_row(s).items():
+                for t, mu in mobius_row(self, s).items():
                     e = mu - sign(rank[t] - rank[s])
                     if e:
                         bad.append((s, t, e))
             object.__setattr__(self, "_bad", bad)
         return self._bad
+
+
+# --- Möbius rows and end errors ---------------------------------------------
+
+def mobius_row(P: GradedPoset, s: int) -> dict[int, int]:
+    """{u: μ(s, u)} for every u ≥ s in index order, built on first use.
+
+    One push pass in index (= rank) order: when w is reached, every element
+    of [s, w) has already pushed into it, so μ(s, w) is final and is
+    subtracted from each u above w. The work is Σ_u |[s, u)|.
+    """
+    row = P._mu.get(s)
+    if row is None:
+        above = P._strict_up_lists()
+        ups = [s, *above[s]]
+        acc = [0] * P.n
+        acc[s] = 1
+        for w in ups:
+            val = acc[w]
+            if val:
+                for u in above[w]:
+                    acc[u] -= val
+        row = P._mu[s] = {u: acc[u] for u in ups}
+    return row
+
+
+def end_errors(P: GradedPoset) -> tuple[list[int], list[int]]:
+    """The interval errors at the ends of P, indexed by element: e(q, 1̂) for
+    every q from the μ(·, 1̂) column, and e(0̂, q) for every q from the Möbius
+    row of 0̂. e(0̂, 1̂) is the first list's entry at 0̂."""
+    mu_top = P.mobius_to_top()
+    row = mobius_row(P, P.bottom_i)
+    rank, rho = P.rank_of, P.rho
+    return ([mu_top[q] - sign(rho - rank[q]) for q in range(P.n)],
+            [row[t] - sign(rank[t]) for t in range(P.n)])
+
+
+def rank_sums(P: GradedPoset, values: Sequence[int]) -> list[int]:
+    """Σ values[q] over the elements q of each rank 0, ..., ρ."""
+    sums = [0] * (P.rho + 1)
+    for r, v in zip(P.rank_of, values):
+        sums[r] += v
+    return sums
 
 
 def build_poset(elements: Sequence, covers: Iterable[tuple]) -> GradedPoset:
@@ -310,12 +332,6 @@ class PosetClassification(NamedTuple):
     simplicial: bool
     min_j_sing: int
     max_lower_simplicial_k: int
-
-
-def mobius_row(P: GradedPoset, s: int) -> dict[int, int]:
-    """{u: μ(s, u)} for every u ≥ s, in index order; mobius_i builds it on first use."""
-    P.mobius_i(s, P.top_i)
-    return P._mu[s]
 
 
 def interval_error(P: GradedPoset, s, t) -> int:
@@ -486,18 +502,9 @@ def _chain_error_buckets(P: GradedPoset) -> dict[int, int]:
 def verify_flag_poset(P: GradedPoset, name: str = "") -> VerificationReport:
     """β(S) − β(S^c) against (−1)^{d−|S|} Σ_{C ∈ 𝒞(P_S)} ε_P(C) for every S ⊆ [d]."""
     d = P.rho - 1
-    full = (1 << d) - 1
     beta = subset_transform(_alpha_table(P), d, signed=True)
     buckets = _chain_error_buckets(P)
-    eps_below = subset_transform([buckets.get(m, 0) for m in range(1 << d)], d,
-                                 signed=False)
-    rows = []
-    for mask in range(1 << d):
-        rows.append(Row(
-            index=f"S={subset_label(mask)}",
-            lhs=beta[mask] - beta[full ^ mask],
-            rhs=sign(d - mask.bit_count()) * eps_below[mask],
-        ))
+    rows = flag_rows(beta, [buckets.get(m, 0) for m in range(1 << d)], d)
     return VerificationReport("flag-poset", {"object": name or repr(P), "d": d},
                               tuple(rows))
 
@@ -649,14 +656,10 @@ def verify_simplicial_ds(P: GradedPoset, name: str = "") -> VerificationReport:
     """Cor-3.4 residuals: h_{d−j} − h_j against the upper-interval Möbius errors."""
     h = simplicial_poset_h(P).entries
     d = P.rho - 1
-    mu_top = P.mobius_to_top()
+    top_by_rank = rank_sums(P, end_errors(P)[0])
     rows = []
     for j in range(d + 1):
-        rhs = sign(j) * sum(
-            binom(d - P.rank_of[t], j)
-            * (mu_top[t] - sign(d - 1 - P.rank_of[t]))
-            for t in range(P.n) if t != P.top_i
-        )
+        rhs = sign(j) * sum(binom(d - r, j) * top_by_rank[r] for r in range(d + 1))
         rows.append(Row(index=f"j={j}", lhs=h[d - j] - h[j], rhs=rhs))
     return VerificationReport("simplicial-ds",
                               {"object": name or repr(P), "d": d, "h": list(h)},

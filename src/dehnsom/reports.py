@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from typing import Any, NamedTuple
 
 from .errors import ParseError
@@ -85,14 +86,14 @@ class VerificationReport(NamedTuple):
 
 
 def _value(v):
-    """A saved lhs or rhs: an integer or a 'p/q' string."""
-    if isinstance(v, str):
+    """A saved lhs or rhs: a JSON integer, or a string of digits '[-]p' or '[-]p/q'."""
+    if isinstance(v, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", v):
         from fractions import Fraction  # imported here: only saved reports hold fractions
         try:
             return Fraction(v)
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError):  # q = 0; more digits than int() takes
             pass
-    elif isinstance(v, int):
+    elif isinstance(v, int) and not isinstance(v, bool):
         return v
     raise ParseError(f"report value {v!r} is neither an integer nor 'p/q'")
 

@@ -16,7 +16,6 @@ from .errors import (
     InternalError,
     NotLowerEulerian,
     NotOneSing,
-    ParityNotApplicable,
     RangeViolation,
 )
 from .polynomial import ExactPolynomial, binom, sign
@@ -26,7 +25,8 @@ from .posets import (
     _chain_error_buckets,
     classify_poset,
     dual,
-    mobius_row,
+    end_errors,
+    rank_sums,
 )
 from .reports import Row, VerificationReport
 
@@ -117,8 +117,9 @@ def toric_pair(P: GradedPoset) -> ToricPair:
     return ToricPair(h, g, indexed)
 
 
-def defect_sequence(P: GradedPoset, j: int | None = None) -> DefectSequence:
-    """The defect of the top element's lower interval, P itself."""
+def defect_sequence(P: GradedPoset) -> DefectSequence:
+    """The defect of the top element's lower interval, P itself, with
+    j = min_j_sing."""
     if P.rho == 0:  # the trivial poset: ĥ = 1 has degree 0, and A_0 = 0
         entries = (0,)
     else:
@@ -127,9 +128,7 @@ def defect_sequence(P: GradedPoset, j: int | None = None) -> DefectSequence:
     for k in range(d + 1):
         if entries[k] != -entries[d - k]:
             raise InternalError("defect sequence is not antisymmetric")
-    if j is None:
-        j = classify_poset(P).min_j_sing
-    return DefectSequence(j, entries)
+    return DefectSequence(classify_poset(P).min_j_sing, entries)
 
 
 def _c_weight_from_g(g: ExactPolynomial, rho: int, u: int, v: int) -> int:
@@ -144,16 +143,6 @@ def coeff_C(T: GradedPoset, u: int, v: int) -> int:
     if u < rho:
         raise BadArguments(f"u={u} below the interval rank {rho}")
     return _c_weight_from_g(toric_table(T).g[T.top_i], rho, u, v)
-
-
-def _e_to_top(P: GradedPoset) -> list[int]:
-    mu_top = P.mobius_to_top()
-    return [mu_top[q] - sign(P.rho - P.rank_of[q]) for q in range(P.n)]
-
-
-def _e_from_bottom(P: GradedPoset) -> list[int]:
-    row = mobius_row(P, P.bottom_i)
-    return [row[t] - sign(P.rank_of[t]) for t in range(P.n)]
 
 
 def star_sum(defects: Sequence, r: int) -> ExactPolynomial:
@@ -201,8 +190,8 @@ def verify_swartz(P: GradedPoset, name: str = "") -> VerificationReport:
     if cls.min_j_sing > 0:
         raise BadArguments("the semi-Eulerian defect formula needs min_j_sing <= 0")
     d = P.rho - 1
-    seq = defect_sequence(P, j=cls.min_j_sing)
-    e = P.mobius_i(P.bottom_i, P.top_i) - sign(P.rho)
+    seq = defect_sequence(P)
+    e = end_errors(P)[0][P.bottom_i]
     rows = [Row(index=f"k={k}", lhs=seq[k], rhs=sign(d - k + 1) * binom(d, k) * e)
             for k in range(d + 1)]
     return VerificationReport("swartz", {"object": name or repr(P), "d": d, "e": e},
@@ -215,60 +204,43 @@ def verify_1sing(P: GradedPoset, name: str = "") -> VerificationReport:
     if cls.min_j_sing > 1:
         raise NotOneSing(f"min_j_sing = {cls.min_j_sing}")
     d = P.rho - 1
-    seq = defect_sequence(P, j=cls.min_j_sing)
-    e_top = _e_to_top(P)
-    e_bot = _e_from_bottom(P)
-    e01 = P.mobius_i(P.bottom_i, P.top_i) - sign(P.rho)
-    sum_rank_d = sum(e_bot[t] for t in range(P.n) if P.rank_of[t] == d)
-    sum_rank_1 = sum(e_top[s] for s in range(P.n) if P.rank_of[s] == 1)
+    seq = defect_sequence(P)
+    e_top, e_bot = end_errors(P)
+    top_by_rank, bot_by_rank = rank_sums(P, e_top), rank_sums(P, e_bot)
     rows = []
     for i in range(d + 1):
-        rhs = sign(d - i + 1) * (binom(d, i) * e01
-                                     + binom(d, i) * sum_rank_d
-                                     + binom(d - 1, i - 1) * sum_rank_1)
+        rhs = sign(d - i + 1) * (binom(d, i) * e_top[P.bottom_i]
+                                 + binom(d, i) * bot_by_rank[d]
+                                 + binom(d - 1, i - 1) * top_by_rank[1])
         rows.append(Row(index=f"i={i}", lhs=seq[i], rhs=rhs, asserted=i > d // 2,
                         note="" if i > d // 2 else "outside theorem range"))
     return VerificationReport("1sing", {"object": name or repr(P), "d": d,
                                         "j": cls.min_j_sing}, tuple(rows))
 
 
-def verify_euler_relation(P: GradedPoset, which: str = "auto",
-                          name: str = "") -> VerificationReport:
+def verify_euler_relation(P: GradedPoset, name: str = "") -> VerificationReport:
     """Euler-type relations among interval errors.
 
-    Three relations are evaluated: the interval-sum balance (both parities of
-    d), the vertex-link count relation (even d, 1-Sing), and the bounded-face
-    error relation (j < floor(d/2)). ``which`` may pin a single relation; its
-    hypothesis is then enforced. The default evaluates every applicable one.
+    Each relation gives its row when its hypothesis holds: the interval-sum
+    balance (both parities of d) always, the vertex-link count relation for
+    even d and a 1-Sing poset, and the bounded-face error relation for
+    j < ⌊d/2⌋.
     """
     cls = classify_poset(P)
     j = cls.min_j_sing
     d = P.rho - 1
-    e_top = _e_to_top(P)
-    e_bot = _e_from_bottom(P)
-    e01 = P.mobius_i(P.bottom_i, P.top_i) - sign(P.rho)
-    sum_top = sum(e_top[t] for t in range(P.n) if 1 <= P.rank_of[t] <= j)
-    sum_bot = sum(e_bot[t] for t in range(P.n) if d - j + 1 <= P.rank_of[t] <= d)
+    e_top, e_bot = end_errors(P)
+    e01 = e_top[P.bottom_i]
+    sum_top = sum(rank_sums(P, e_top)[1:j + 1])  # ranks 1..j
+    sum_bot = sum(rank_sums(P, e_bot)[d - j + 1:d + 1])  # ranks d−j+1..d
     rows = []
+    if d % 2 == 0:
+        rows.append(Row(index="interval-sums even d", lhs=2 * e01,
+                        rhs=-sum_top - sum_bot))
+    else:
+        rows.append(Row(index="interval-sums odd d", lhs=sum_top, rhs=sum_bot))
 
-    want_links = which in ("auto", "vertex-links")
-    want_intervals = which in ("auto", "interval-sums")
-    want_faces = which in ("auto", "face-sums")
-    if which == "vertex-links" and not (d % 2 == 0 and j <= 1):
-        raise ParityNotApplicable("the vertex-link relation needs even d and a 1-Sing poset")
-    if which == "face-sums" and not j < d // 2:
-        raise ParityNotApplicable("the face-error relation needs j < floor(d/2)")
-    if which not in ("auto", "vertex-links", "interval-sums", "face-sums"):
-        raise BadArguments(f"unknown relation {which!r}")
-
-    if want_intervals:
-        if d % 2 == 0:
-            rows.append(Row(index="interval-sums even d", lhs=2 * e01,
-                            rhs=-sum_top - sum_bot))
-        else:
-            rows.append(Row(index="interval-sums odd d", lhs=sum_top, rhs=sum_bot))
-
-    if want_links and d % 2 == 0 and j <= 1:
+    if d % 2 == 0 and j <= 1:
         mu_top = P.mobius_to_top()
         boundary = [q for q in range(P.n) if P.rank_of[q] in (1, d)]
         # χ̃(lk v_q) in O(P) is −μ(0̂,q)·μ(q,1̂) by the product formula
@@ -277,7 +249,7 @@ def verify_euler_relation(P: GradedPoset, which: str = "auto",
         rows.append(Row(index="vertex-links", lhs=2 * (chi_op + 1),
                         rhs=len(boundary) - chi_links))
 
-    if want_faces and j < d // 2:
+    if j < d // 2:
         # Σ ε(C) over the nonempty chains C of P∖{0̂,1̂}, from the buckets of
         # their rank sets (bit r−1 = rank r); a chain has as many elements as ranks
         buckets = _chain_error_buckets(P)
@@ -308,9 +280,9 @@ def verify_generalized(P: GradedPoset, name: str = "") -> VerificationReport:
     table = toric_table(P)
     h_top = table.h[P.top_i]
     lhs = h_top - h_top.reversed_at(d)
-    e_top = _e_to_top(P)
+    e_top = end_errors(P)[0]
     mu_top = P.mobius_to_top()
-    e01 = mu_top[P.bottom_i] - sign(P.rho)
+    e01 = e_top[P.bottom_i]
 
     # for j >= floor(d/2) the two sums overlap on ranks (d-j, j]; such elements
     # contribute both the ghat-error term and the starred defect term. The
@@ -367,8 +339,8 @@ def verify_main(P: GradedPoset, name: str = "") -> VerificationReport:
     d = P.rho - 1
     if d <= 2 * j:
         raise RangeViolation(f"needs d > 2j, got d={d}, j={j}")
-    seq = defect_sequence(P, j=j)
-    e_top = _e_to_top(P)
+    seq = defect_sequence(P)
+    e_top = end_errors(P)[0]
     table = toric_table(P)
     rows = []
     for k in range(d + 1):
@@ -395,7 +367,7 @@ def lower_eulerian_defect(P: GradedPoset, k: int):
         raise NotLowerEulerian("some proper lower interval is not Eulerian")
     j = cls.min_j_sing
     d = P.rho - 1
-    e_top = _e_to_top(P)
+    e_top = end_errors(P)[0]
     table = toric_table(P)
     total = 0
     for q in range(P.n):
@@ -412,7 +384,7 @@ def verify_lower_eulerian(P: GradedPoset, name: str = "") -> VerificationReport:
     cls = classify_poset(P)
     j = cls.min_j_sing
     d = P.rho - 1
-    seq = defect_sequence(P, j=j)
+    seq = defect_sequence(P)
     rows = []
     for k in range(d + 1):
         ok_range = 2 * k > d + j
@@ -425,23 +397,18 @@ def verify_lower_eulerian(P: GradedPoset, name: str = "") -> VerificationReport:
 def dual_defect_report(P: GradedPoset, name: str = "") -> VerificationReport:
     """A_k(P) next to A_k(P*): equality for j ≤ 0, and for j = 1 (even d) the
     explicit dual-difference formula, asserted in the range it is derived for."""
-    cls = classify_poset(P)
-    j = cls.min_j_sing
+    seq_p = defect_sequence(P)
+    seq_q = defect_sequence(dual(P))
+    j = seq_p.j
     d = P.rho - 1
-    Q = dual(P)
-    cls_dual = classify_poset(Q)
-    seq_p = defect_sequence(P, j=j)
-    seq_q = defect_sequence(Q, j=cls_dual.min_j_sing)
-    rows = [Row(index="min_j_sing", lhs=j, rhs=cls_dual.min_j_sing)]
-    e_top = _e_to_top(P)
-    e_bot = _e_from_bottom(P)
-    sum_rank_1 = sum(e_top[q] for q in range(P.n) if P.rank_of[q] == 1)
-    sum_rank_d = sum(e_bot[q] for q in range(P.n) if P.rank_of[q] == d)
+    rows = [Row(index="min_j_sing", lhs=j, rhs=seq_q.j)]
+    e_top, e_bot = end_errors(P)
+    top_by_rank, bot_by_rank = rank_sums(P, e_top), rank_sums(P, e_bot)
     for k in range(d + 1):
         if j <= 0:
             rows.append(Row(index=f"k={k}", lhs=seq_p[k], rhs=seq_q[k]))
         elif j == 1 and d % 2 == 0:
-            rhs = seq_q[k] + sign(d - k) * binom(d - 1, k) * (sum_rank_1 - sum_rank_d)
+            rhs = seq_q[k] + sign(d - k) * binom(d - 1, k) * (top_by_rank[1] - bot_by_rank[d])
             rows.append(Row(index=f"k={k}", lhs=seq_p[k], rhs=rhs,
                             asserted=2 * k > d + 1,
                             note="" if 2 * k > d + 1 else "outside formula range"))

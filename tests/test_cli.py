@@ -158,10 +158,12 @@ def _row_report(lhs):
     '[{"rows": []}]',
     _row_report("1/0"),
     _row_report("abc"),
+    _row_report("1e5000"),
+    _row_report(True),
     "[1,2]",
     "[" * 100_000,
-], ids=["not-json", "no-identity", "zero-denominator", "not-a-number", "not-an-object",
-        "too-deep"])
+], ids=["not-json", "no-identity", "zero-denominator", "not-a-number", "exponent",
+        "boolean", "not-an-object", "too-deep"])
 def test_report_malformed_input_is_parse_error(tmp_path, text, capsys):
     path = tmp_path / "report.json"
     path.write_text(text)
@@ -295,3 +297,20 @@ def test_flag_of_rank_zero_poset_is_range_violation(spec, capsys):
     assert len(lines) == 1
     assert json.loads(lines[0]) == {"error": "RangeViolation",
                                     "message": "order complex needs rank >= 1, got rank 0"}
+
+
+@pytest.mark.parametrize("spec", [
+    "random_pure_complex(3,9,[1],1)",
+    "random_pure_complex(3,9,torus_7,1)",
+    "random_pure_complex(3,9,true,1)",
+    "random_graded_poset([2,torus_7],0.5,1)",
+    "random_graded_poset([[2]],0.5,1)",
+    "random_graded_poset([2,1.5],0.5,1)",
+    "random_graded_poset([2,true],0.5,1)",
+])
+def test_generate_wrong_parameter_type_is_bad_params(spec, capsys):
+    # a list, a built object or a boolean where a number is wanted, or a
+    # layer size that is not an integer
+    assert main(["generate", spec]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "BadParams"

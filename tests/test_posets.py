@@ -39,6 +39,7 @@ from dehnsom.posets import (
     chain_mobius_product,
     classify_poset,
     dual,
+    end_errors,
     flag_alpha_beta,
     interval_error,
     min_j_sing_flat,
@@ -48,6 +49,7 @@ from dehnsom.posets import (
     order_complex,
     parse_poset_json,
     rank_selected_subposet,
+    rank_sums,
     serialize_poset_json,
     simplicial_poset_h,
     verify_flag_poset,
@@ -463,6 +465,13 @@ def test_mobius_rows_match_interval_walk(seed):
         rows = {(s, t): mu for s in range(Q.n) for t, mu in mobius_row(Q, s).items()}
         assert rows == walk
         assert all(mobius_row(Q, q)[Q.top_i] == mu_top[q] for q in range(Q.n))
+        e_top, e_bot = end_errors(Q)
+        rank, top = Q.rank_of, Q.top_i
+        assert (e_top, e_bot, rank_sums(Q, e_top)) == (
+            [walk[q, top] - sign(Q.rho - rank[q]) for q in range(Q.n)],
+            [walk[Q.bottom_i, q] - sign(rank[q]) for q in range(Q.n)],
+            [sum(walk[q, top] - sign(Q.rho - r) for q in range(Q.n) if rank[q] == r)
+             for r in range(Q.rho + 1)])
 
 
 @pytest.mark.parametrize("alpha_first", [False, True])
