@@ -15,10 +15,11 @@ from . import balanced as bl
 from . import complexes as cx
 from . import posets as ps
 from . import toric as tc
-from .errors import DehnsomError, ParseError
-from .generators import GeneratorSpec, generate, parse_spec
+from .errors import DehnsomError, ParseError, UsageError
+from .generators import generate, parse_spec
 from .reports import report_from_dict
-from .suite import IDENTITIES, run_catalog, verify, verify_all
+from .suite import (BALANCED, COMPLEX, IDENTITIES, POSET, as_kind, run_catalog, verify,
+                    verify_all)
 
 
 def _read(path: str) -> str:
@@ -30,16 +31,19 @@ def _read(path: str) -> str:
         raise ParseError(f"{path}: {exc}") from None
 
 
+def _generate(text: str, seed):
+    """The object of a generator spec, with ``--seed`` as its last parameter."""
+    spec = parse_spec(text)
+    return generate(spec if seed is None else spec._replace(seed=seed))
+
+
 def _load_target(args):
     """Resolve --gen SPEC or a file path into a complex/balanced/poset object.
 
-    A plain complex given with --colors becomes a balanced complex.
+    A plain complex given with --colors becomes balanced; other kinds refuse --colors.
     """
     if args.gen:
-        spec = parse_spec(args.gen)
-        if args.seed is not None:
-            spec = GeneratorSpec(spec.name, spec.params, seed=args.seed)
-        obj, name = generate(spec), args.gen
+        obj, name = _generate(args.gen, args.seed), args.gen
     elif not args.target:
         raise ParseError("provide a file path or --gen SPEC")
     else:
@@ -51,32 +55,10 @@ def _load_target(args):
         else:
             obj = cx.parse_facets(text)
         name = args.target
-    if args.colors and isinstance(obj, cx.SimplicialComplex):
-        obj = bl.validate_coloring(obj, bl.parse_colors(_read(args.colors)))
+    if args.colors:
+        obj = bl.validate_coloring(as_kind(obj, ("complex",), "--colors")[0],
+                                   bl.parse_colors(_read(args.colors)))
     return obj, name
-
-
-def _as_balanced(obj):
-    if isinstance(obj, bl.BalancedComplex):
-        return obj
-    if isinstance(obj, ps.GradedPoset):
-        return ps.order_complex(obj)
-    raise ParseError("a balanced complex is required: give a poset, a balanced "
-                     "file, or --colors")
-
-
-def _need_poset(obj) -> ps.GradedPoset:
-    if not isinstance(obj, ps.GradedPoset):
-        raise ParseError("this command needs a graded poset input")
-    return obj
-
-
-def _need_complex(obj) -> cx.SimplicialComplex:
-    if isinstance(obj, bl.BalancedComplex):
-        return obj.complex
-    if isinstance(obj, cx.SimplicialComplex):
-        return obj
-    raise ParseError("this command needs a simplicial-complex input")
 
 
 def _emit(args, payload, human: str):
@@ -86,46 +68,48 @@ def _emit(args, payload, human: str):
         print(human)
 
 
+# the input kinds of each `compute` target, as in `suite.Identity.kinds`
+COMPUTE_KINDS = {"f": COMPLEX, "h": COMPLEX, "euler": COMPLEX, "flag": BALANCED,
+                 "toric": POSET, "defect": POSET}
+
+
 def cmd_compute(args) -> int:
-    obj, name = _load_target(args)
     what = args.what
+    X = as_kind(_load_target(args)[0], COMPUTE_KINDS[what], f"compute {what}")[0]
     if what == "f":
-        f = cx.f_vector(_need_complex(obj))
+        f = cx.f_vector(X)
         _emit(args, {"f": list(f.entries)}, f"f = {list(f.entries)}")
     elif what == "h":
-        h = cx.h_vector(_need_complex(obj))
+        h = cx.h_vector(X)
         human = f"h = {list(h.entries)}" + ("  (impure input)" if h.impure else "")
         _emit(args, {"h": list(h.entries), "impure": h.impure}, human)
     elif what == "euler":
-        chi = cx.reduced_euler_characteristic(_need_complex(obj))
+        chi = cx.reduced_euler_characteristic(X)
         _emit(args, {"euler": chi}, f"chi_tilde = {chi}")
     elif what == "flag":
-        bal = _as_balanced(obj)
-        ff, fh = bl.flag_f_vector(bal), bl.flag_h_vector(bal)
-        payload = {"d": bal.d,
+        ff, fh = bl.flag_f_vector(X), bl.flag_h_vector(X)
+        payload = {"d": X.d,
                    "flag_f": {cx.subset_label(m): v for m, v in ff.items()},
                    "flag_h": {cx.subset_label(m): v for m, v in fh.items()}}
         lines = [f"S={s}  f_S={payload['flag_f'][s]}  h_S={payload['flag_h'][s]}"
                  for s in payload["flag_f"]]
         _emit(args, payload, "\n".join(lines))
     elif what == "toric":
-        pair = tc.toric_pair(_need_poset(obj))
+        pair = tc.toric_pair(X)
         payload = {"h_poly": pair.h_poly.serialize(), "g_poly": pair.g_poly.serialize(),
                    "h_indexed": {str(k): v for k, v in sorted(pair.h_indexed.items())}}
         _emit(args, payload,
               f"hhat = {pair.h_poly.serialize()}  (hhat_k: {dict(sorted(pair.h_indexed.items()))})\n"
               f"ghat = {pair.g_poly.serialize()}")
-    elif what == "defect":
-        seq = tc.defect_sequence(_need_poset(obj))
+    else:
+        seq = tc.defect_sequence(X)
         _emit(args, {"j": seq.j, "A": list(seq.entries)},
               f"j = {seq.j}, A = {list(seq.entries)}")
-    else:
-        raise ParseError(f"unknown compute target {what!r}")
     return 0
 
 
 def cmd_classify(args) -> int:
-    obj, name = _load_target(args)
+    obj = _load_target(args)[0]
     if isinstance(obj, ps.GradedPoset):
         c = ps.classify_poset(obj, cross_check=args.check)
         payload = {"eulerian": c.eulerian, "semi_eulerian": c.semi_eulerian,
@@ -134,7 +118,7 @@ def cmd_classify(args) -> int:
                    "max_lower_simplicial_k": c.max_lower_simplicial_k}
         human = "\n".join(f"{k} = {v}" for k, v in payload.items())
     else:
-        p = cx.singularity_profile(_need_complex(obj))
+        p = cx.singularity_profile(as_kind(obj, COMPLEX, "classify")[0])
         payload = {"eulerian": p.eulerian, "semi_eulerian": p.semi_eulerian,
                    "min_singular_j": p.min_singular_j,
                    "error_set": [{"face": sorted(map(str, fe.face)), "epsilon": fe.epsilon}
@@ -147,6 +131,15 @@ def cmd_classify(args) -> int:
     return 0
 
 
+def _print_reports(args, reports):
+    if args.json:
+        print(json.dumps([r.to_dict() for r in reports]))
+    else:
+        for r in reports:
+            print(r.format_table())
+            print()
+
+
 def cmd_verify(args) -> int:
     if args.identity == "all" and not (args.gen or args.target):
         reports = run_catalog()
@@ -156,25 +149,17 @@ def cmd_verify(args) -> int:
             reports = verify_all(obj, name)
         else:
             reports = [verify(args.identity, obj, name)]
-    all_pass = all(r.passed for r in reports)
-    if args.json:
-        print(json.dumps([r.to_dict() for r in reports]))
-    else:
-        for r in reports:
-            print(r.format_table())
-            print()
+    _print_reports(args, reports)
+    if not args.json:
         print(f"{sum(r.passed for r in reports)}/{len(reports)} reports passed")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(json.dumps([r.to_dict() for r in reports], indent=1))
-    return 0 if all_pass else 1
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_generate(args) -> int:
-    spec = parse_spec(args.spec)
-    if args.seed is not None:
-        spec = GeneratorSpec(spec.name, spec.params, seed=args.seed)
-    obj = generate(spec)
+    obj = _generate(args.spec, args.seed)
     if isinstance(obj, ps.GradedPoset):
         text = ps.serialize_poset_json(obj) + "\n"
     else:
@@ -193,32 +178,31 @@ def cmd_report(args) -> int:
     except (ValueError, RecursionError) as exc:  # bad JSON; too deep
         raise ParseError(f"not a JSON report: {exc}") from None
     reports = [report_from_dict(item) for item in (data if isinstance(data, list) else [data])]
-    if args.json:
-        print(json.dumps([rep.to_dict() for rep in reports]))
-    else:
-        for rep in reports:
-            print(rep.format_table())
-            print()
-    return 0 if all(rep.passed for rep in reports) else 1
+    _print_reports(args, reports)
+    return 0 if all(r.passed for r in reports) else 1
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dehnsom",
         description="Exact Dehn-Sommerville computations and verifications "
                     "for complexes and graded posets.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p, target=True):
-        if target:
-            p.add_argument("target", nargs="?", help="input file (facets, balanced, or poset JSON)")
-            p.add_argument("--gen", help="generator spec, e.g. 'face_poset(torus_7,true)'")
-            p.add_argument("--seed", type=int, help="seed for random generators")
-            p.add_argument("--colors", help="color-map file for flag identities on plain complexes")
+    def add_common(p):
+        p.add_argument("target", nargs="?", help="input file (facets, balanced, or poset JSON)")
+        p.add_argument("--gen", help="generator spec, e.g. 'face_poset(torus_7,true)'")
+        p.add_argument("--seed", type=int, help="seed for random generators")
+        p.add_argument("--colors", help="color-map file that makes a plain complex balanced")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("compute", help="print f/h/flag/toric vectors")
-    p.add_argument("what", choices=["f", "h", "euler", "flag", "toric", "defect"])
+    p.add_argument("what", choices=COMPUTE_KINDS)
     add_common(p)
     p.set_defaults(fn=cmd_compute)
 
@@ -238,7 +222,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("spec", help="generator spec, e.g. 'circle_join(4,torus_7)'")
     p.add_argument("--seed", type=int)
     p.add_argument("-o", "--out")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("report", help="render a saved JSON report as a table")
@@ -252,12 +235,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, verbs = build_parser()
-    if argv and argv[0] in verbs:
-        # a verb's options may come before, between or after its positionals
-        args = verbs[argv[0]].parse_intermixed_args(argv[1:])
-    else:
-        args = parser.parse_args(argv)
     try:
+        if argv and argv[0] in verbs:
+            # a verb's options may come before, between or after its positionals
+            args = verbs[argv[0]].parse_intermixed_args(argv[1:])
+        else:
+            args = parser.parse_args(argv)
         return args.fn(args)
     except DehnsomError as exc:
         diag = {"error": type(exc).__name__, "message": str(exc)}

@@ -297,6 +297,13 @@ def flag_rows(h: Sequence[int], errors: Sequence[int], d: int) -> list[Row]:
                 rhs=sign(d - m.bit_count()) * below[m]) for m in range(1 << d)]
 
 
+def ds_rows(h: Sequence[int], by_size: Sequence[int], d: int) -> list[Row]:
+    """h_{d−j} − h_j against (−1)^j Σ_k C(d−k, j)·by_size[k] for j = 0, ..., d."""
+    return [Row(index=f"j={j}", lhs=h[d - j] - h[j],
+                rhs=sign(j) * sum(binom(d - k, j) * x for k, x in enumerate(by_size)))
+            for j in range(d + 1)]
+
+
 def subset_label(mask: int) -> str:
     """The subset of [d] held in ``mask`` (bit i for i+1), written like "{1,3}"."""
     return "{" + ",".join(str(i + 1) for i in _bits(mask)) + "}"
@@ -426,14 +433,10 @@ def verify_pure_ds(cx: SimplicialComplex, name: str = "") -> VerificationReport:
     eps = [0] * (d + 1)  # Σ ε(F) over the faces F of each size
     for m, e in zip(cx._masks, face_errors(cx)):
         eps[m.bit_count()] += e
-    rows = []
-    for j in range(d + 1):
-        rhs = sign(j) * sum(binom(d - k, j) * e for k, e in enumerate(eps))
-        rows.append(Row(index=f"j={j}", lhs=h[d - j] - h[j], rhs=rhs))
     return VerificationReport(
         identity="ds",
         parameters={"object": name or repr(cx), "d": d, "h": list(h)},
-        rows=tuple(rows),
+        rows=tuple(ds_rows(h, eps, d)),
     )
 
 

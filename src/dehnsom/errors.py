@@ -99,3 +99,7 @@ class BadParams(DehnsomError):
 
 class ParseError(DehnsomError):
     pass
+
+
+class UsageError(DehnsomError):
+    """A command line the argument parser refuses."""

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .complexes import SimplicialComplex, _bits, build_complex, join
 from .errors import BadParams, ParseError, UnknownGenerator
-from .posets import GradedPoset, build_poset
+from .posets import GradedPoset, build_poset, dual
 
 # Knuth's MMIX constants; state advances as x -> (a*x + c) mod 2^64.
 LCG_MULT = 6364136223846793005
@@ -212,6 +212,7 @@ _CATALOG = {
     "chain": (chain, (int,), 1),
     "face_poset": (face_poset, (SimplicialComplex, bool), 1),  # with_top defaults true
     "polygon_lattice": (polygon_lattice, (int,), 1),
+    "dual": (dual, (GradedPoset,), 1),
     "random_pure_complex": (random_pure_complex, (int, int, float, int), 4),
     "random_graded_poset": (random_graded_poset, (tuple, float, int), 3),
 }

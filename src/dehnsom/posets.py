@@ -16,6 +16,7 @@ from .complexes import (
     HVector,
     SimplicialComplex,
     _bits,
+    ds_rows,
     face_errors,
     flag_rows,
     h_from_f,
@@ -34,8 +35,8 @@ from .errors import (
     ParseError,
     RangeViolation,
 )
-from .polynomial import binom, sign
-from .reports import Row, VerificationReport
+from .polynomial import sign
+from .reports import VerificationReport
 
 
 class GradedPoset:
@@ -269,44 +270,34 @@ def build_poset(elements: Sequence, covers: Iterable[tuple]) -> GradedPoset:
             raise NoUniqueBottom(f"minimal elements: {[elements[i] for i in minimal]}")
         if len(maximal) != 1:
             raise NoUniqueTop(f"maximal elements: {[elements[i] for i in maximal]}")
-    bottom = minimal[0]
 
-    # gradedness: shortest and longest cover-path lengths from 0̂ agree per element
-    short = [None] * n
-    long_ = [None] * n
-    short_par = [None] * n
-    long_par = [None] * n
-    short[bottom] = long_[bottom] = 0
+    # gradedness: ranks are longest cover paths from 0̂, and every cover adds 1
+    ranks = [0] * n
+    parent = [None] * n
     for i in topo:
-        if short[i] is None:
-            continue
         for j in ups[i]:
-            if short[j] is None or short[i] + 1 < short[j]:
-                short[j] = short[i] + 1
-                short_par[j] = i
-            if long_[j] is None or long_[i] + 1 > long_[j]:
-                long_[j] = long_[i] + 1
-                long_par[j] = i
-    for i in range(n):
-        if short[i] != long_[i]:
-            def walk(parents, k):
-                path = [k]
-                while parents[path[-1]] is not None:
-                    path.append(parents[path[-1]])
-                return [elements[e] for e in reversed(path)]
+            if ranks[i] + 1 > ranks[j]:
+                ranks[j], parent[j] = ranks[i] + 1, i
+    for i in topo:
+        for j in ups[i]:
+            if ranks[j] != ranks[i] + 1:
+                def walk(k):
+                    path = [k]
+                    while parent[path[-1]] is not None:
+                        path.append(parent[path[-1]])
+                    return [elements[e] for e in reversed(path)]
 
-            up_ext = []
-            k = i
-            while ups[k]:
-                k = min(ups[k])
-                up_ext.append(elements[k])
-            c1 = walk(short_par, i) + up_ext
-            c2 = walk(long_par, i) + up_ext
-            raise NotGraded(
-                f"maximal chains of lengths {len(c1) - 1} and {len(c2) - 1}",
-                chains=(c1, c2),
-            )
-    ranks = short
+                up_ext = []
+                k = j
+                while ups[k]:
+                    k = min(ups[k])
+                    up_ext.append(elements[k])
+                c1 = walk(i) + [elements[j]] + up_ext
+                c2 = walk(j) + up_ext
+                raise NotGraded(
+                    f"maximal chains of lengths {len(c1) - 1} and {len(c2) - 1}",
+                    chains=(c1, c2),
+                )
 
     order = sorted(range(n), key=lambda i: (ranks[i], label_sort_key(elements[i])))
     pos = {old: new for new, old in enumerate(order)}
@@ -656,14 +647,10 @@ def verify_simplicial_ds(P: GradedPoset, name: str = "") -> VerificationReport:
     """Cor-3.4 residuals: h_{d−j} − h_j against the upper-interval Möbius errors."""
     h = simplicial_poset_h(P).entries
     d = P.rho - 1
-    top_by_rank = rank_sums(P, end_errors(P)[0])
-    rows = []
-    for j in range(d + 1):
-        rhs = sign(j) * sum(binom(d - r, j) * top_by_rank[r] for r in range(d + 1))
-        rows.append(Row(index=f"j={j}", lhs=h[d - j] - h[j], rhs=rhs))
+    top_by_rank = rank_sums(P, end_errors(P)[0])[:d + 1]
     return VerificationReport("simplicial-ds",
                               {"object": name or repr(P), "d": d, "h": list(h)},
-                              tuple(rows))
+                              tuple(ds_rows(h, top_by_rank, d)))
 
 
 # --- poset JSON format -------------------------------------------------------

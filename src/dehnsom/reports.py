@@ -110,6 +110,12 @@ def report_from_dict(data) -> VerificationReport:
         if not (isinstance(r, dict) and isinstance(r.get("index"), str)
                 and "lhs" in r and "rhs" in r):
             raise ParseError(f"a report row needs a string 'index', 'lhs' and 'rhs': {r!r}")
-        rows.append(Row(r["index"], _value(r["lhs"]), _value(r["rhs"]),
-                        r.get("asserted", True), r.get("note", "")))
+        row = Row(r["index"], _value(r["lhs"]), _value(r["rhs"]),
+                  r.get("asserted", True), r.get("note", ""))
+        try:  # str() refuses an int of more than sys.get_int_max_str_digits() digits
+            for v in (row.lhs, row.rhs, row.residual):
+                str(_jsonable(v))
+        except ValueError:
+            raise ParseError(f"report row {row.index!r} has a value too long to print") from None
+        rows.append(row)
     return VerificationReport(data["identity"], data.get("parameters", {}), tuple(rows))

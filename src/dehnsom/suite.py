@@ -27,28 +27,22 @@ class Identity(NamedTuple):
     applies: Callable[[ps.PosetClassification, int], bool] | None
     """Hypothesis on (classification, rank) for `verify all` on a poset; None if none."""
     run: Callable[[object, str], VerificationReport]
-    """(object, name) -> report; looks its function up in the module at call time."""
+    """(object of the first kind, name) -> report; looks its function up at call time."""
 
 
-def _flag_ds(obj, name: str) -> VerificationReport:
-    if isinstance(obj, ps.GradedPoset):
-        obj, name = ps.order_complex(obj), f"O({name})"
-    return bl.verify_flag_ds(obj, name)
-
-
-POSET = ("poset",)
+# input kinds; `as_kind` turns the others into the first
+COMPLEX, BALANCED, POSET = ("complex", "balanced"), ("balanced", "poset"), ("poset",)
 
 # `verify all` runs the applicable entries in this order
 IDENTITIES: dict[str, Identity] = {
-    "ds": Identity(("complex", "balanced"), 0, None,
-                   lambda X, name: cx.verify_pure_ds(getattr(X, "complex", X), name)),
+    "ds": Identity(COMPLEX, 0, None, lambda X, name: cx.verify_pure_ds(X, name)),
     "flag-poset": Identity(POSET, 1, None, lambda P, name: ps.verify_flag_poset(P, name)),
     "generalized": Identity(POSET, 1, None,
                             lambda P, name: tc.verify_generalized(P, name)),
     "euler-rel": Identity(POSET, 0, None,
                           lambda P, name: tc.verify_euler_relation(P, name=name)),
     "dual": Identity(POSET, 0, None, lambda P, name: tc.dual_defect_report(P, name)),
-    "flag-ds": Identity(("balanced", "poset"), 1, None, _flag_ds),
+    "flag-ds": Identity(BALANCED, 1, None, lambda B, name: bl.verify_flag_ds(B, name)),
     "simplicial-ds": Identity(POSET, 0, lambda c, rho: c.simplicial,
                               lambda P, name: ps.verify_simplicial_ds(P, name)),
     "stanley": Identity(POSET, 1, lambda c, rho: c.eulerian,
@@ -72,18 +66,29 @@ def _kind(obj) -> str:
     return "complex"
 
 
+def as_kind(obj, kinds, what: str, name: str = "", min_rho: int = 0):
+    """``(obj, name)`` as the first of ``kinds``: a balanced complex serves as
+    its complex, a poset as its order complex, named ``O(name)``. A kind not
+    in ``kinds`` is a ParseError, a poset of rank below ``min_rho`` a
+    RangeViolation."""
+    kind = _kind(obj)
+    if kind not in kinds:
+        hint = " (give --colors)" if kind == "complex" and "balanced" in kinds else ""
+        raise ParseError(f"{what} needs a {' or '.join(kinds)} input, got a {kind}{hint}")
+    if kind == "poset" and obj.rho < min_rho:
+        raise RangeViolation(f"{what} needs rank >= {min_rho}, got rank {obj.rho}")
+    if kind == kinds[0]:
+        return obj, name
+    if kind == "balanced":
+        return obj.complex, name
+    return ps.order_complex(obj), f"O({name})"
+
+
 def verify(identity: str, obj, name: str) -> VerificationReport:
     """Run one identity; an input it does not take or a rank below its
     minimum is a validation error, as is a failed hypothesis inside it."""
     entry = IDENTITIES[identity]
-    kind = _kind(obj)
-    if kind not in entry.kinds:
-        hint = " (give --colors)" if kind == "complex" and "balanced" in entry.kinds else ""
-        raise ParseError(f"{identity} needs a {' or '.join(entry.kinds)} input, "
-                         f"got a {kind}{hint}")
-    if kind == "poset" and obj.rho < entry.min_rho:
-        raise RangeViolation(f"{identity} needs rank >= {entry.min_rho}, got rank {obj.rho}")
-    return entry.run(obj, name)
+    return entry.run(*as_kind(obj, entry.kinds, identity, name, entry.min_rho))
 
 
 def verify_all(obj, name: str, identities=IDENTITIES) -> list[VerificationReport]:
@@ -99,7 +104,7 @@ def verify_all(obj, name: str, identities=IDENTITIES) -> list[VerificationReport
                 continue
             if entry.applies and not entry.applies(ps.classify_poset(obj), obj.rho):
                 continue
-        reports.append(entry.run(obj, name))
+        reports.append(entry.run(*as_kind(obj, entry.kinds, identity, name)))
     return reports
 
 
@@ -155,7 +160,7 @@ DUALIZED_SPECS = [
 
 TORIC = tuple(n for n in IDENTITIES if n not in ("flag-poset", "flag-ds"))
 
-# (spec, identities); "dual(X)" names the dual of the poset X
+# (spec, identities)
 CATALOG = (
     [(spec, ("ds",)) for spec in COMPLEX_DS_SPECS]
     + [(spec, (identity,)) for spec in ORDER_COMPLEX_SPECS
@@ -165,15 +170,9 @@ CATALOG = (
 )
 
 
-def _build(spec: str):
-    if spec.startswith("dual("):
-        return ps.dual(generate_from_string(spec[len("dual("):-1]))
-    return generate_from_string(spec)
-
-
 def run_catalog() -> list[VerificationReport]:
     """The reports of `dehnsom verify all` without an input: the whole catalog."""
     reports = []
     for spec, identities in CATALOG:
-        reports += verify_all(_build(spec), spec, identities)
+        reports += verify_all(generate_from_string(spec), spec, identities)
     return reports

@@ -314,3 +314,70 @@ def test_generate_wrong_parameter_type_is_bad_params(spec, capsys):
     assert main(["generate", spec]) == 2
     out, err = capsys.readouterr()
     assert out == "" and json.loads(err)["error"] == "BadParams"
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["verify", "nonsense"],
+    ["compute", "h", "--gen", "torus_7", "--bogus"],
+    ["generate", "torus_7", "--json"],
+    ["verify", "ds", "--gen", "torus_7", "--seed", "x"],
+], ids=["no-verb", "unknown-identity", "unknown-option", "generate-json", "bad-seed"])
+def test_usage_error_is_one_json_object(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "UsageError"
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0 and "usage: dehnsom" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("target", ["--gen=polygon_lattice(5)", "balanced"])
+def test_colors_needs_a_plain_complex(tmp_path, target, capsys):
+    if target == "balanced":
+        target = str(tmp_path / "c4.bal")
+        Path(target).write_text("colors: 0=1 1=2 2=1 3=2\n0 1\n1 2\n2 3\n0 3\n")
+    assert main(["compute", "toric", target, "--colors", str(tmp_path / "missing")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "ParseError"
+    assert json.loads(err)["message"].startswith("--colors needs a complex input")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compute", "f", "--gen", "polygon_lattice(5)"],
+     "compute f needs a complex or balanced input, got a poset"),
+    (["compute", "flag", "--gen", "torus_7"],
+     "compute flag needs a balanced or poset input, got a complex (give --colors)"),
+    (["compute", "defect", "--gen", "torus_7"],
+     "compute defect needs a poset input, got a complex"),
+], ids=["f-on-poset", "flag-on-complex", "defect-on-complex"])
+def test_compute_wrong_kind_is_parse_error(argv, message, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err) == {"error": "ParseError", "message": message}
+
+
+def test_dual_spec_on_the_command_line(capsys):
+    assert main(["compute", "toric", "--gen", "dual(polygon_lattice(5))", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["h_poly"] == [1, 3, 1]
+
+
+NINES = "9" * 4300  # the most digits Python prints; lhs − rhs has one more
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["table", "json"])
+@pytest.mark.parametrize("text", [
+    json.dumps({"identity": "demo", "rows": [{"index": "k=0", "lhs": NINES,
+                                              "rhs": "-" + NINES}]}),
+    '{"identity": "demo", "rows": [{"index": "k=0", "lhs": %s, "rhs": -%s}]}' % (NINES, NINES),
+], ids=["digit-strings", "json-ints"])
+def test_report_value_too_long_to_print_is_parse_error(tmp_path, text, as_json, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    assert main(["report", str(path)] + ["--json"] * as_json) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "ParseError"

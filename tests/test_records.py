@@ -1,6 +1,6 @@
 """Result records and the balanced-complex type: immutability, equality,
-reprs, what `import dehnsom.cli` leaves out of a fresh process, and the
-README's library example."""
+reprs, what `import dehnsom.cli` leaves out of a fresh process, the README's
+library example, and the README's lists of identities and generators."""
 
 import ast
 import os
@@ -12,10 +12,10 @@ import pytest
 
 from dehnsom.balanced import BalancedComplex, FlagVector
 from dehnsom.complexes import FaceError, FVector, HVector, SingularityProfile, h_vector
-from dehnsom.generators import GeneratorSpec, boolean_lattice, generate_from_string
+from dehnsom.generators import _CATALOG, GeneratorSpec, boolean_lattice, generate_from_string
 from dehnsom.posets import IntervalError, PosetClassification, order_complex
 from dehnsom.reports import Row, VerificationReport
-from dehnsom.suite import Identity
+from dehnsom.suite import IDENTITIES, Identity
 from dehnsom.toric import DefectSequence, ToricPair
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,6 +49,14 @@ def test_readme_library_example_runs(capsys):
         stated.append(value)
     assert stated == [(1, 4, 10, -1), 1, True]
     assert "result: PASS" in capsys.readouterr().out
+
+
+def test_readme_lists_every_identity_and_generator():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    identities = readme.split("Identities:", 1)[1].split(".", 1)[0]
+    assert [k for k in IDENTITIES if f"`{k}`" not in identities] == []
+    catalog = readme.split("\nCatalog:", 1)[1].split("\n\n", 1)[0]
+    assert [k for k in _CATALOG if f"`{k}`" not in catalog and f"`{k}(" not in catalog] == []
 
 
 @pytest.mark.parametrize("record, fields", [
