@@ -41,8 +41,13 @@ def _load_target(args):
     """Resolve --gen SPEC or a file path into a complex/balanced/poset object.
 
     A plain complex given with --colors becomes balanced; other kinds refuse --colors.
+    An input that would be ignored (a file with --gen, --seed without it) is refused.
     """
-    if args.gen:
+    if args.gen is not None and args.target:
+        raise ParseError("give a file path or --gen SPEC, not both")
+    if args.seed is not None and args.gen is None:
+        raise ParseError("--seed needs --gen SPEC")
+    if args.gen is not None:
         obj, name = _generate(args.gen, args.seed), args.gen
     elif not args.target:
         raise ParseError("provide a file path or --gen SPEC")
@@ -132,16 +137,20 @@ def cmd_classify(args) -> int:
 
 
 def _print_reports(args, reports):
+    """Print the reports; with --json, return the dicts that were printed."""
     if args.json:
-        print(json.dumps([r.to_dict() for r in reports]))
-    else:
-        for r in reports:
-            print(r.format_table())
-            print()
+        dicts = [r.to_dict() for r in reports]
+        print(json.dumps(dicts))
+        return dicts
+    for r in reports:
+        print(r.format_table())
+        print()
+    return None
 
 
 def cmd_verify(args) -> int:
-    if args.identity == "all" and not (args.gen or args.target):
+    has_input = args.target or args.colors or args.gen is not None or args.seed is not None
+    if args.identity == "all" and not has_input:
         reports = run_catalog()
     else:
         obj, name = _load_target(args)
@@ -149,12 +158,14 @@ def cmd_verify(args) -> int:
             reports = verify_all(obj, name)
         else:
             reports = [verify(args.identity, obj, name)]
-    _print_reports(args, reports)
+    dicts = _print_reports(args, reports)
     if not args.json:
         print(f"{sum(r.passed for r in reports)}/{len(reports)} reports passed")
     if args.out:
+        if dicts is None:
+            dicts = [r.to_dict() for r in reports]
         with open(args.out, "w", encoding="utf-8") as f:
-            f.write(json.dumps([r.to_dict() for r in reports], indent=1))
+            f.write(json.dumps(dicts, indent=1))
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -4,11 +4,12 @@ Vertices are interned in label order and every face is an integer bitmask
 over them (bit i is ``vertices[i]``). Every construction ends in one pass
 over the masks (``SimplicialComplex.from_masks``, called directly by
 ``build_complex``, ``link``, ``join``, ``balanced.rank_selected`` and
-``posets.order_complex``) that checks closure, finds purity and the facets,
-and keeps the face incidence it looked up (``_star``/``_drop``). Only that
-pass hashes masks, into a transient position table; every later per-face
-pass, the link sweep and the balanced coloring among them, addresses a face
-by its position in the sorted ``_masks``, so χ̃(lk F), ε(F) and
+``posets.order_complex``) that sorts them once, checks closure, finds
+purity and the facets, and keeps the face incidence it looked up
+(``_star``/``_drop``). Only that pass hashes masks, into a transient position
+table; every later per-face pass, the link sweep and the balanced coloring
+among them, addresses a face by its position in the sorted ``_masks``, so
+χ̃(lk F), ε(F) and
 ``BalancedComplex.face_colors`` are lists aligned with ``_masks``. Frozensets
 of opaque vertex labels are the boundary form: the label constructor takes
 them, the public ``faces`` set is built from the masks on first read, and
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from operator import eq
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyInput, FaceNotInComplex, InternalError, NotPure, ParseError
@@ -80,13 +82,18 @@ class SimplicialComplex:
 
         ``vertices`` must be distinct and sorted by ``label_sort_key``, which
         keeps the masks canonical; vertices that no face uses are dropped.
+        ``masks`` may be any iterable, unsorted and with repeats: it is sorted
+        once into a new list (a caller's list is never changed), and repeats
+        are dropped only when a check of adjacent masks finds one.
         """
         cx = cls.__new__(cls)
         cx._set_masks(tuple(vertices), masks)
         return cx
 
     def _set_masks(self, verts: tuple, masks: Iterable[int]) -> None:
-        masks = sorted(set(masks))
+        masks = sorted(masks)
+        if any(map(eq, masks, masks[1:])):  # drop repeats only when there are any
+            masks = [m for m, n in zip(masks, masks[1:]) if m != n] + masks[-1:]
         if not masks:
             raise EmptyInput("a complex has at least the empty face")
         if masks[0]:

@@ -390,12 +390,14 @@ def order_complex(P: GradedPoset):
     for k, i in enumerate(verts):
         bit[i] = 1 << k
     above = P._strict_up_lists()
-    steps = [[(bit[j], j) for j in above[i] if j != P.top_i] for i in range(P.n)]
+    steps = [[j for j in above[i] if j != P.top_i] for i in range(P.n)]
     masks = [0]
-    level = [(bit[i], i) for i in proper]  # the chains with one element
+    # the chains of one length as two parallel lists: masks and last elements
+    level, ends = [bit[i] for i in proper], proper
     while level:
-        masks += [m for m, _ in level]
-        level = [(m | b, j) for m, i in level for b, j in steps[i]]
+        masks += level
+        level = [m | bit[j] for m, i in zip(level, ends) for j in steps[i]]
+        ends = [j for i in ends for j in steps[i]]
     cx = SimplicialComplex.from_masks([P.labels[i] for i in verts], masks)
     kappa = {P.labels[i]: P.rank_of[i] for i in proper}
     return BalancedComplex(cx, kappa)

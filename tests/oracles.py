@@ -12,8 +12,9 @@ import itertools
 import math
 from fractions import Fraction
 
-from dehnsom.complexes import _bits
+from dehnsom.complexes import _bits, label_sort_key
 from dehnsom.errors import InternalError
+from dehnsom.posets import _proper_mask
 
 
 def closure_of_facets(facets):
@@ -527,3 +528,26 @@ def brute_incidence(masks, n):
     star = [[k for k, m in enumerate(masks) if m >> i & 1] for i in range(n)]
     drop = [[masks.index(masks[k] ^ (1 << i)) for k in star[i]] for i in range(n)]
     return star, drop
+
+
+# --- hashing order-complex construction, replaced by one sort and a two-list walk ---
+
+def tuple_walk_chain_masks(P):
+    """(vertex labels in label order, the chain masks of O(P) sorted without
+    repeats, the rank of every vertex label) by walking the chains as
+    ``(mask, last element)`` tuples, one length at a time, and dropping the
+    repeats through a set before sorting."""
+    proper = list(_bits(_proper_mask(P)))
+    verts = sorted(proper, key=lambda i: label_sort_key(P.labels[i]))
+    bit = [0] * P.n
+    for k, i in enumerate(verts):
+        bit[i] = 1 << k
+    above = P._strict_up_lists()
+    steps = [[(bit[j], j) for j in above[i] if j != P.top_i] for i in range(P.n)]
+    masks = [0]
+    level = [(bit[i], i) for i in proper]  # the chains with one element
+    while level:
+        masks += [m for m, _ in level]
+        level = [(m | b, j) for m, i in level for b, j in steps[i]]
+    kappa = {P.labels[i]: P.rank_of[i] for i in proper}
+    return [P.labels[i] for i in verts], sorted(set(masks)), kappa

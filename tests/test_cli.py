@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from dehnsom.cli import main
+from dehnsom.reports import VerificationReport
 from dehnsom.suite import IDENTITIES
 
 CLI = [sys.executable, "-m", "dehnsom.cli"]
@@ -381,3 +382,44 @@ def test_report_value_too_long_to_print_is_parse_error(tmp_path, text, as_json, 
     assert main(["report", str(path)] + ["--json"] * as_json) == 2
     out, err = capsys.readouterr()
     assert out == "" and json.loads(err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compute", "h", "--gen", "torus_7", "/nonexistent"],
+     "give a file path or --gen SPEC, not both"),
+    (["compute", "toric", "POSET", "--seed", "5"], "--seed needs --gen SPEC"),
+    (["verify", "all", "--seed", "5"], "--seed needs --gen SPEC"),
+    (["verify", "all", "--colors", "POSET"], "provide a file path or --gen SPEC"),
+    (["compute", "h", "--gen", "", "POSET"], "give a file path or --gen SPEC, not both"),
+    (["verify", "all", "--gen", ""], "expected a name at position 0 in ''"),
+], ids=["file-with-gen", "seed-with-file", "seed-with-catalog", "colors-with-catalog",
+        "file-with-empty-gen", "empty-gen"])
+def test_ignored_input_is_refused(tmp_path, argv, message, capsys):
+    poset = tmp_path / "poset.json"
+    poset.write_text(json.dumps({"elements": ["a", "b"], "covers": [["a", "b"]]}))
+    assert main([str(poset) if a == "POSET" else a for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "ParseError", "message": message}
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["table", "json"])
+def test_verify_out_serializes_each_report_once(tmp_path, monkeypatch, as_json, capsys):
+    calls = []
+    to_dict = VerificationReport.to_dict
+
+    def counted(self):
+        calls.append(self.identity)
+        return to_dict(self)
+
+    monkeypatch.setattr(VerificationReport, "to_dict", counted)
+    golden = Path(__file__).resolve().parent.parent / "bench" / "reference" / "catalog.json"
+    path = tmp_path / "all.json"
+    assert main(["verify", "all", "-o", str(path)] + ["--json"] * as_json) == 0
+    out = capsys.readouterr().out
+    dicts = json.loads(golden.read_bytes())
+    assert calls == [d["identity"] for d in dicts]
+    # the same bytes as before: stdout is the golden, the file its indent=1 form
+    assert path.read_text(encoding="utf-8") == json.dumps(dicts, indent=1)
+    if as_json:
+        assert out.encode() == golden.read_bytes()
