@@ -191,7 +191,8 @@ def short_flag_sum(bal: BalancedComplex, S: Iterable[int], i: int) -> int:
 
 def parse_colors(text: str) -> dict:
     """A color map: whitespace-separated 'label=color' pairs, with an optional
-    'colors:' prefix on a line; '#' comments are ignored."""
+    'colors:' prefix on a line; '#' comments are ignored. A label colored
+    twice is a ParseError."""
     kappa = {}
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -202,9 +203,13 @@ def parse_colors(text: str) -> dict:
             if not eq:
                 raise ParseError(f"bad color assignment {pair!r}")
             try:
-                kappa[_parse_label(label)] = int(color)
+                color = int(color)
             except ValueError:
                 raise ParseError(f"bad color in {pair!r}") from None
+            label = _parse_label(label)
+            if label in kappa:
+                raise ParseError(f"label {label!r} is colored twice")
+            kappa[label] = color
     return kappa
 
 

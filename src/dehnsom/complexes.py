@@ -106,7 +106,7 @@ class SimplicialComplex:
                                 f"past the {len(verts)} vertices")
         # every one-vertex-removed submask must be a face (masks are sorted, so
         # the first face to fail is the smallest); each lookup is kept
-        position = {m: k for k, m in enumerate(masks)}
+        position = dict(zip(masks, range(len(masks))))
         star, drop = [array("i") for _ in verts], [array("i") for _ in verts]
         covered = bytearray(len(masks))
         for k, m in enumerate(masks):

@@ -11,6 +11,10 @@ class InternalError(DehnsomError):
     """A tripwire fired: an invariant the implementation guarantees was violated."""
 
 
+class Inapplicable(DehnsomError):
+    """A verifier refused its input: a rank below its minimum or an unmet hypothesis."""
+
+
 # --- simplicial complexes ---------------------------------------------------
 
 class EmptyInput(DehnsomError):
@@ -65,25 +69,25 @@ class NotAChain(DehnsomError):
     pass
 
 
-class NotSimplicial(DehnsomError):
+class NotSimplicial(Inapplicable):
     pass
 
 
 # --- toric verifications ------------------------------------------------
 
-class BadArguments(DehnsomError):
+class BadArguments(Inapplicable):
     pass
 
 
-class NotOneSing(DehnsomError):
+class NotOneSing(Inapplicable):
     pass
 
 
-class RangeViolation(DehnsomError):
+class RangeViolation(Inapplicable):
     pass
 
 
-class NotLowerEulerian(DehnsomError):
+class NotLowerEulerian(Inapplicable):
     pass
 
 

@@ -230,6 +230,12 @@ def rank_sums(P: GradedPoset, values: Sequence[int]) -> list[int]:
     return sums
 
 
+def need_rank(P: GradedPoset, k: int, what: str) -> None:
+    """Refuse a poset of rank below k: ``what`` is undefined there."""
+    if P.rho < k:
+        raise RangeViolation(f"{what} needs rank >= {k}, got rank {P.rho}")
+
+
 def build_poset(elements: Sequence, covers: Iterable[tuple]) -> GradedPoset:
     """Validate covers into a graded poset: unique 0̂/1̂, acyclic, rank-compatible."""
     elements = list(elements)
@@ -382,8 +388,7 @@ def order_complex(P: GradedPoset):
     """
     from .balanced import BalancedComplex  # local import avoids a cycle
 
-    if P.rho < 1:
-        raise RangeViolation(f"order complex needs rank >= 1, got rank {P.rho}")
+    need_rank(P, 1, "order complex")
     proper = list(_bits(_proper_mask(P)))
     verts = sorted(proper, key=lambda i: label_sort_key(P.labels[i]))
     bit = [0] * P.n
@@ -432,6 +437,7 @@ def _alpha_table(P: GradedPoset) -> list[int]:
 def flag_alpha_beta(P: GradedPoset, S: Iterable[int]) -> tuple[int, int]:
     """(α_P(S), β_P(S)): maximal-chain count of the rank-selected subposet and
     its Möbius-inverted companion."""
+    need_rank(P, 1, "flag-poset")
     d = P.rho - 1
     S = frozenset(S)
     if not S <= set(range(1, d + 1)):
@@ -494,6 +500,7 @@ def _chain_error_buckets(P: GradedPoset) -> dict[int, int]:
 
 def verify_flag_poset(P: GradedPoset, name: str = "") -> VerificationReport:
     """β(S) − β(S^c) against (−1)^{d−|S|} Σ_{C ∈ 𝒞(P_S)} ε_P(C) for every S ⊆ [d]."""
+    need_rank(P, 1, "flag-poset")
     d = P.rho - 1
     beta = subset_transform(_alpha_table(P), d, signed=True)
     buckets = _chain_error_buckets(P)

@@ -105,13 +105,19 @@ def report_from_dict(data) -> VerificationReport:
             and isinstance(data.get("rows", []), list)):
         raise ParseError("a report is an object with a string 'identity', "
                          "an object 'parameters' and a list 'rows'")
+    schema = data.get("schema", SCHEMA_VERSION)
+    if type(schema) is not int or schema != SCHEMA_VERSION:
+        raise ParseError(f"a report has schema {SCHEMA_VERSION}, got {schema!r}")
     rows = []
     for r in data.get("rows", []):
         if not (isinstance(r, dict) and isinstance(r.get("index"), str)
                 and "lhs" in r and "rhs" in r):
             raise ParseError(f"a report row needs a string 'index', 'lhs' and 'rhs': {r!r}")
-        row = Row(r["index"], _value(r["lhs"]), _value(r["rhs"]),
-                  r.get("asserted", True), r.get("note", ""))
+        asserted, note = r.get("asserted", True), r.get("note", "")
+        if not (isinstance(asserted, bool) and isinstance(note, str)):
+            raise ParseError(f"a report row's 'asserted' must be a boolean and its "
+                             f"'note' a string: {r!r}")
+        row = Row(r["index"], _value(r["lhs"]), _value(r["rhs"]), asserted, note)
         try:  # str() refuses an int of more than sys.get_int_max_str_digits() digits
             for v in (row.lhs, row.rhs, row.residual):
                 str(_jsonable(v))

@@ -1,9 +1,9 @@
 """The identity table behind `dehnsom verify`, and the built-in catalog.
 
-Each identity is listed once, with the inputs it takes, the least poset rank
-it is defined for and the hypothesis under which `verify all` runs it. The
-hypotheses are re-derived from each object's classification; nothing is
-hard-coded beyond the generator specs of the catalog.
+Each identity is listed once, with the inputs it takes. Its least rank and
+its hypothesis are stated only by its verifier, which refuses an input that
+misses either with an `Inapplicable` error; `verify all` passes over those
+refusals. Nothing is hard-coded beyond the generator specs of the catalog.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from . import balanced as bl
 from . import complexes as cx
 from . import posets as ps
 from . import toric as tc
-from .errors import ParseError, RangeViolation
+from .errors import Inapplicable, ParseError
 from .generators import generate_from_string
 from .reports import VerificationReport
 
@@ -22,10 +22,6 @@ from .reports import VerificationReport
 class Identity(NamedTuple):
     kinds: tuple[str, ...]
     """Input kinds the identity takes: "complex", "balanced" or "poset"."""
-    min_rho: int
-    """Least rank of a poset input; below it the identity is undefined."""
-    applies: Callable[[ps.PosetClassification, int], bool] | None
-    """Hypothesis on (classification, rank) for `verify all` on a poset; None if none."""
     run: Callable[[object, str], VerificationReport]
     """(object of the first kind, name) -> report; looks its function up at call time."""
 
@@ -33,28 +29,20 @@ class Identity(NamedTuple):
 # input kinds; `as_kind` turns the others into the first
 COMPLEX, BALANCED, POSET = ("complex", "balanced"), ("balanced", "poset"), ("poset",)
 
-# `verify all` runs the applicable entries in this order
+# `verify all` runs the entries that take its input, in this order
 IDENTITIES: dict[str, Identity] = {
-    "ds": Identity(COMPLEX, 0, None, lambda X, name: cx.verify_pure_ds(X, name)),
-    "flag-poset": Identity(POSET, 1, None, lambda P, name: ps.verify_flag_poset(P, name)),
-    "generalized": Identity(POSET, 1, None,
-                            lambda P, name: tc.verify_generalized(P, name)),
-    "euler-rel": Identity(POSET, 0, None,
-                          lambda P, name: tc.verify_euler_relation(P, name=name)),
-    "dual": Identity(POSET, 0, None, lambda P, name: tc.dual_defect_report(P, name)),
-    "flag-ds": Identity(BALANCED, 1, None, lambda B, name: bl.verify_flag_ds(B, name)),
-    "simplicial-ds": Identity(POSET, 0, lambda c, rho: c.simplicial,
-                              lambda P, name: ps.verify_simplicial_ds(P, name)),
-    "stanley": Identity(POSET, 1, lambda c, rho: c.eulerian,
-                        lambda P, name: tc.verify_stanley(P, name)),
-    "swartz": Identity(POSET, 0, lambda c, rho: c.min_j_sing <= 0,
-                       lambda P, name: tc.verify_swartz(P, name)),
-    "1sing": Identity(POSET, 2, lambda c, rho: c.min_j_sing <= 1,
-                      lambda P, name: tc.verify_1sing(P, name)),
-    "main": Identity(POSET, 0, lambda c, rho: rho - 1 > 2 * c.min_j_sing,
-                     lambda P, name: tc.verify_main(P, name)),
-    "lower-eulerian": Identity(POSET, 0, lambda c, rho: c.lower_eulerian,
-                               lambda P, name: tc.verify_lower_eulerian(P, name)),
+    "ds": Identity(COMPLEX, lambda X, name: cx.verify_pure_ds(X, name)),
+    "flag-poset": Identity(POSET, lambda P, name: ps.verify_flag_poset(P, name)),
+    "generalized": Identity(POSET, lambda P, name: tc.verify_generalized(P, name)),
+    "euler-rel": Identity(POSET, lambda P, name: tc.verify_euler_relation(P, name=name)),
+    "dual": Identity(POSET, lambda P, name: tc.dual_defect_report(P, name)),
+    "flag-ds": Identity(BALANCED, lambda B, name: bl.verify_flag_ds(B, name)),
+    "simplicial-ds": Identity(POSET, lambda P, name: ps.verify_simplicial_ds(P, name)),
+    "stanley": Identity(POSET, lambda P, name: tc.verify_stanley(P, name)),
+    "swartz": Identity(POSET, lambda P, name: tc.verify_swartz(P, name)),
+    "1sing": Identity(POSET, lambda P, name: tc.verify_1sing(P, name)),
+    "main": Identity(POSET, lambda P, name: tc.verify_main(P, name)),
+    "lower-eulerian": Identity(POSET, lambda P, name: tc.verify_lower_eulerian(P, name)),
 }
 
 
@@ -66,17 +54,14 @@ def _kind(obj) -> str:
     return "complex"
 
 
-def as_kind(obj, kinds, what: str, name: str = "", min_rho: int = 0):
+def as_kind(obj, kinds, what: str, name: str = ""):
     """``(obj, name)`` as the first of ``kinds``: a balanced complex serves as
     its complex, a poset as its order complex, named ``O(name)``. A kind not
-    in ``kinds`` is a ParseError, a poset of rank below ``min_rho`` a
-    RangeViolation."""
+    in ``kinds`` is a ParseError."""
     kind = _kind(obj)
     if kind not in kinds:
         hint = " (give --colors)" if kind == "complex" and "balanced" in kinds else ""
         raise ParseError(f"{what} needs a {' or '.join(kinds)} input, got a {kind}{hint}")
-    if kind == "poset" and obj.rho < min_rho:
-        raise RangeViolation(f"{what} needs rank >= {min_rho}, got rank {obj.rho}")
     if kind == kinds[0]:
         return obj, name
     if kind == "balanced":
@@ -85,26 +70,23 @@ def as_kind(obj, kinds, what: str, name: str = "", min_rho: int = 0):
 
 
 def verify(identity: str, obj, name: str) -> VerificationReport:
-    """Run one identity; an input it does not take or a rank below its
-    minimum is a validation error, as is a failed hypothesis inside it."""
+    """Run one identity; an input it does not take is a ParseError, and the
+    verifier refuses a rank below its minimum or an unmet hypothesis."""
     entry = IDENTITIES[identity]
-    return entry.run(*as_kind(obj, entry.kinds, identity, name, entry.min_rho))
+    return entry.run(*as_kind(obj, entry.kinds, identity, name))
 
 
 def verify_all(obj, name: str, identities=IDENTITIES) -> list[VerificationReport]:
-    """Every identity of ``identities`` whose input kind, minimum rank and
-    hypothesis the object meets, in table order."""
+    """Every identity of ``identities`` that takes the object's kind and does
+    not refuse it, in table order."""
     kind = _kind(obj)
     reports = []
     for identity, entry in IDENTITIES.items():
-        if identity not in identities or kind not in entry.kinds:
-            continue
-        if kind == "poset":
-            if obj.rho < entry.min_rho:
-                continue
-            if entry.applies and not entry.applies(ps.classify_poset(obj), obj.rho):
-                continue
-        reports.append(entry.run(*as_kind(obj, entry.kinds, identity, name)))
+        if identity in identities and kind in entry.kinds:
+            try:
+                reports.append(verify(identity, obj, name))
+            except Inapplicable:
+                pass
     return reports
 
 

@@ -26,6 +26,7 @@ from .posets import (
     classify_poset,
     dual,
     end_errors,
+    need_rank,
     rank_sums,
 )
 from .reports import Row, VerificationReport
@@ -172,6 +173,7 @@ def star_sum(defects: Sequence, r: int) -> ExactPolynomial:
 
 def verify_stanley(P: GradedPoset, name: str = "") -> VerificationReport:
     """ĥ_i = ĥ_{d−i} on an Eulerian poset."""
+    need_rank(P, 1, "stanley")
     cls = classify_poset(P)
     if not cls.eulerian:
         raise BadArguments("the symmetry theorem needs an Eulerian poset")
@@ -200,6 +202,7 @@ def verify_swartz(P: GradedPoset, name: str = "") -> VerificationReport:
 
 def verify_1sing(P: GradedPoset, name: str = "") -> VerificationReport:
     """The 1-Sing defect formula: asserted for i > ⌊d/2⌋, informational below."""
+    need_rank(P, 2, "1sing")
     cls = classify_poset(P)
     if cls.min_j_sing > 1:
         raise NotOneSing(f"min_j_sing = {cls.min_j_sing}")
@@ -274,6 +277,7 @@ def verify_generalized(P: GradedPoset, name: str = "") -> VerificationReport:
     """The full polynomial identity for ĥ(P) − x^d ĥ(P,1/x) of a j-Sing poset,
     with j = min_j_sing, plus the unconditional graded-poset lemma as an
     independent intermediate."""
+    need_rank(P, 1, "generalized")
     cls = classify_poset(P)
     j = cls.min_j_sing
     d = P.rho - 1
@@ -381,14 +385,14 @@ def lower_eulerian_defect(P: GradedPoset, k: int):
 
 
 def verify_lower_eulerian(P: GradedPoset, name: str = "") -> VerificationReport:
-    cls = classify_poset(P)
-    j = cls.min_j_sing
+    j = classify_poset(P).min_j_sing
     d = P.rho - 1
+    rhs = [lower_eulerian_defect(P, k) for k in range(d + 1)]  # refuses before any table
     seq = defect_sequence(P)
     rows = []
     for k in range(d + 1):
         ok_range = 2 * k > d + j
-        rows.append(Row(index=f"k={k}", lhs=seq[k], rhs=lower_eulerian_defect(P, k),
+        rows.append(Row(index=f"k={k}", lhs=seq[k], rhs=rhs[k],
                         asserted=ok_range, note="" if ok_range else "outside theorem range"))
     return VerificationReport("lower-eulerian", {"object": name or repr(P), "d": d, "j": j},
                               tuple(rows))

@@ -150,8 +150,13 @@ def test_report_renders_saved_fractions(tmp_path):
         '"note": "by hand"}], "pass": true}]\n')
 
 
-def _row_report(lhs):
-    return json.dumps({"identity": "demo", "rows": [{"index": "k=0", "lhs": lhs, "rhs": 0}]})
+def _row_report(lhs, **fields):
+    return json.dumps({"identity": "demo",
+                       "rows": [{"index": "k=0", "lhs": lhs, "rhs": 0, **fields}]})
+
+
+def _schema_report(schema):
+    return json.dumps({"schema": schema, "identity": "demo", "rows": []})
 
 
 @pytest.mark.parametrize("text", [
@@ -163,8 +168,18 @@ def _row_report(lhs):
     _row_report(True),
     "[1,2]",
     "[" * 100_000,
+    _row_report(0, asserted="false"),
+    _row_report(0, asserted=0),
+    _row_report(0, asserted=None),
+    _row_report(0, note=5),
+    _row_report(0, note=None),
+    _schema_report(2),
+    _schema_report("1"),
+    _schema_report(True),
 ], ids=["not-json", "no-identity", "zero-denominator", "not-a-number", "exponent",
-        "boolean", "not-an-object", "too-deep"])
+        "boolean", "not-an-object", "too-deep", "asserted-string", "asserted-zero",
+        "asserted-null", "note-number", "note-null", "schema-2", "schema-string",
+        "schema-boolean"])
 def test_report_malformed_input_is_parse_error(tmp_path, text, capsys):
     path = tmp_path / "report.json"
     path.write_text(text)
@@ -257,6 +272,24 @@ def test_colors_option(tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("source", ["header", "option"])
+def test_label_colored_twice_is_parse_error(tmp_path, source, capsys):
+    # the last color alone would make a proper coloring
+    colors, facets = "0=2 0=1 1=2 2=1 3=2", "0 1\n1 2\n2 3\n0 3\n"
+    target = tmp_path / "c4"
+    argv = ["verify", "flag-ds", str(target)]
+    if source == "header":
+        target.write_text(f"colors: {colors}\n{facets}")
+    else:
+        target.write_text(facets)
+        (tmp_path / "c4.colors").write_text(colors + "\n")
+        argv += ["--colors", str(tmp_path / "c4.colors")]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err) == {"error": "ParseError",
+                                             "message": "label 0 is colored twice"}
+
+
 def test_verify_all_catalog_matches_golden(capsys):
     golden = Path(__file__).resolve().parent.parent / "bench" / "reference" / "catalog.json"
     assert main(["verify", "all", "--json"]) == 0
@@ -270,6 +303,11 @@ def test_verify_all_order_complex_matches_golden(capsys):
     assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
+# README's minimum poset ranks, with the name each refusal gives; the rest take rank 0
+MIN_RANK = {"flag-poset": (1, "flag-poset"), "generalized": (1, "generalized"),
+            "flag-ds": (1, "order complex"), "stanley": (1, "stanley"), "1sing": (2, "1sing")}
+
+
 @pytest.mark.parametrize("identity", [*IDENTITIES, "all"])
 @pytest.mark.parametrize("spec", ["chain(0)", "chain(1)"])
 def test_degenerate_ranks(spec, identity, capsys):
@@ -277,14 +315,16 @@ def test_degenerate_ranks(spec, identity, capsys):
     out, err = capsys.readouterr()
     entry = IDENTITIES.get(identity)
     rho = int(spec[len("chain("):-1])
+    least, what = MIN_RANK.get(identity, (0, identity))
     if identity == "all":
         assert code == 0
         names = [rep["identity"] for rep in json.loads(out)]
-        assert names and all(IDENTITIES[n].min_rho <= rho for n in names)
+        assert names and all(MIN_RANK.get(n, (0,))[0] <= rho for n in names)
     elif "poset" not in entry.kinds:
         assert code == 2 and json.loads(err)["error"] == "ParseError"
-    elif rho < entry.min_rho:
-        assert code == 2 and json.loads(err)["error"] == "RangeViolation"
+    elif rho < least:
+        assert code == 2 and json.loads(err) == {
+            "error": "RangeViolation", "message": f"{what} needs rank >= {least}, got rank {rho}"}
     else:
         assert code == 0, err
 

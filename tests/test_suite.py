@@ -1,15 +1,27 @@
-"""The identity table: input kinds, and each hypothesis written twice (as the
-table's `applies` predicate and as the refusal inside the verifier)."""
+"""The identity table: input kinds, and the refusals that only the verifiers
+state. Each verifier refuses a rank below its minimum or an unmet hypothesis
+with an `Inapplicable` error before it builds any table, and `verify all`
+runs exactly the identities that do not refuse."""
 
+import functools
 import itertools
+import json
+import sys
 
 import pytest
 
-from dehnsom.errors import DehnsomError, ParseError, RangeViolation
-from dehnsom.generators import generate_from_string, random_graded_poset, torus_7
-from dehnsom.posets import classify_poset, dual, order_complex
+from dehnsom.cli import main
+from dehnsom.complexes import SimplicialComplex
+from dehnsom import toric as tc
+from dehnsom.errors import Inapplicable, InternalError, ParseError, RangeViolation
+from dehnsom.generators import (boolean_lattice, chain, generate_from_string,
+                                random_graded_poset, torus_7)
+from dehnsom.posets import (classify_poset, dual, flag_alpha_beta, order_complex,
+                            verify_flag_poset)
+from dehnsom.reports import VerificationReport
 from dehnsom.suite import (BALANCED, COMPLEX, IDENTITIES, ORDER_COMPLEX_SPECS, POSET,
-                           POSET_SPECS, as_kind, verify)
+                           POSET_SPECS, as_kind, verify, verify_all)
+from dehnsom.toric import verify_1sing, verify_generalized, verify_stanley
 
 
 def test_as_kind_converts_to_the_first_kind(torus_poset):
@@ -22,8 +34,6 @@ def test_as_kind_converts_to_the_first_kind(torus_poset):
     assert as_kind(torus_poset, POSET, "main", "P") == (torus_poset, "P")
     with pytest.raises(ParseError, match="main needs a poset input, got a complex$"):
         as_kind(torus, POSET, "main")
-    with pytest.raises(RangeViolation, match="1sing needs rank >= 5, got rank 4"):
-        as_kind(torus_poset, POSET, "1sing", min_rho=5)
 
 
 CATALOG_POSETS = [generate_from_string(s) for s in dict.fromkeys(ORDER_COMPLEX_SPECS
@@ -32,21 +42,87 @@ SHAPES = [(1,), (2,), (3,), (1, 1), (2, 2), (2, 3), (3, 2), (1, 2, 1), (2, 1, 2)
           (2, 2, 2), (3, 3), (2, 3, 2, 2)]
 RANDOM_POSETS = [random_graded_poset(shape, density, seed) for shape, density, seed
                  in itertools.product(SHAPES, (0.3, 0.6, 1.0), range(1, 6))]
-HYPOTHESES = {name: entry for name, entry in IDENTITIES.items() if entry.applies}
+CORPORA = {
+    "catalog": CATALOG_POSETS,
+    "duals": [dual(P) for P in CATALOG_POSETS],
+    "random": RANDOM_POSETS,
+    "low-rank": [chain(0), chain(1), boolean_lattice(0), boolean_lattice(1)],
+}
+ON_POSETS = [name for name, entry in IDENTITIES.items() if "poset" in entry.kinds]
+
+# the functions that build the tables a verifier reads; a refusal reads none
+BUILDERS = ["toric_table", "end_errors", "_alpha_table", "_chain_error_buckets",
+            "defect_sequence", "mobius_row", "dual"]
 
 
-@pytest.mark.parametrize("posets", [CATALOG_POSETS, [dual(P) for P in CATALOG_POSETS],
-                                    RANDOM_POSETS], ids=["catalog", "duals", "random"])
-def test_applies_agrees_with_the_verifier_refusal(posets):
-    disagree = []
-    for P, (name, entry) in itertools.product(posets, HYPOTHESES.items()):
-        assert P.rho >= entry.min_rho
-        applies = entry.applies(classify_poset(P), P.rho)
-        try:
-            verify(name, P, "")
-            refused = False
-        except DehnsomError:
-            refused = True
-        if applies == refused:
-            disagree.append((name, repr(P), applies))
-    assert disagree == []
+class Built(Exception):
+    """A builder ran where only a refusal was expected."""
+
+
+def _outcome(name, P):
+    """The report of ``verify``, or its refusal as (class, message)."""
+    try:
+        return verify(name, P, "P")
+    except Inapplicable as exc:
+        return type(exc), str(exc)
+
+
+@functools.cache
+def _outcomes(corpus):
+    return [[_outcome(name, P) for name in ON_POSETS] for P in CORPORA[corpus]]
+
+
+@pytest.mark.parametrize("corpus", CORPORA)
+def test_verify_all_skips_exactly_the_refusals(corpus):
+    refused = 0
+    for P, outcomes in zip(CORPORA[corpus], _outcomes(corpus)):
+        ran = [o for o in outcomes if isinstance(o, VerificationReport)]
+        refused += len(outcomes) - len(ran)
+        assert verify_all(P, "P") == ran
+    assert refused  # every corpus has posets that some identity refuses
+
+
+@pytest.mark.parametrize("corpus", CORPORA)
+def test_refusals_come_before_any_table(corpus, monkeypatch):
+    expected = [[(name, o) for name, o in zip(ON_POSETS, outcomes)
+                 if not isinstance(o, VerificationReport)] for outcomes in _outcomes(corpus)]
+    for P in CORPORA[corpus]:
+        classify_poset(P)  # cached before the Möbius rows it reads stop working
+
+    def build(*args, **kwargs):
+        raise Built
+
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "dehnsom"]
+    for name in BUILDERS:
+        for module in modules:
+            if name in vars(module):
+                monkeypatch.setattr(module, name, build)
+    monkeypatch.setattr(SimplicialComplex, "from_masks", build)
+    for P, refusals in zip(CORPORA[corpus], expected):
+        assert [(name, _outcome(name, P)) for name, _ in refusals] == refusals
+
+
+@pytest.mark.parametrize("call, identity, spec", [
+    (verify_flag_poset, "flag-poset", "chain(0)"),
+    (lambda P: flag_alpha_beta(P, []), "flag-poset", "chain(0)"),
+    (verify_generalized, "generalized", "chain(0)"),
+    (verify_stanley, "stanley", "chain(0)"),
+    (verify_1sing, "1sing", "chain(1)"),
+], ids=["verify_flag_poset", "flag_alpha_beta", "verify_generalized", "verify_stanley",
+        "verify_1sing"])
+def test_library_calls_below_the_minimum_rank_refuse_as_the_cli_does(call, identity, spec,
+                                                                     capsys):
+    assert main(["verify", identity, "--gen", spec]) == 2
+    diag = json.loads(capsys.readouterr().err)
+    with pytest.raises(RangeViolation) as refusal:
+        call(generate_from_string(spec))
+    assert {"error": "RangeViolation", "message": str(refusal.value)} == diag
+
+
+def test_verify_all_lets_other_errors_through(monkeypatch):
+    def tripwire(P, name=""):
+        raise InternalError("tripwire")
+
+    monkeypatch.setattr(tc, "verify_swartz", tripwire)
+    with pytest.raises(InternalError, match="tripwire"):
+        verify_all(chain(2), "P")
