@@ -44,13 +44,13 @@ class GradedPoset:
 
     Instances are immutable; the Möbius rows (``_mu``, keyed by the row's
     element), the μ(·, 1̂) column, the strict up-sets as lists, the bad
-    intervals, the toric table and the classification are caches filled on
-    first use.
+    intervals, the end errors, the toric table and the classification are
+    caches filled on first use.
     """
 
     __slots__ = ("labels", "rank_of", "bottom_i", "top_i", "_index", "_up", "_down",
                  "_covers_up", "_covers_dn", "_above", "_mu", "_mu_top", "_bad",
-                 "_toric", "_cls")
+                 "_ends", "_toric", "_cls")
 
     def __init__(self, labels, ranks, covers_up):
         # internal constructor; use build_poset() for validated construction
@@ -88,6 +88,7 @@ class GradedPoset:
             ("_mu", {}),
             ("_mu_top", None),
             ("_bad", None),
+            ("_ends", None),
             ("_toric", None),
             ("_cls", None),
         ):
@@ -179,8 +180,10 @@ class GradedPoset:
             bad = []
             rank = self.rank_of
             for s in range(self.n):
+                rs = rank[s]
                 for t, mu in mobius_row(self, s).items():
-                    e = mu - sign(rank[t] - rank[s])
+                    # (−1)^{ρ(t)−ρ(s)} is −1 exactly when the ranks differ in parity
+                    e = mu + 1 if (rank[t] ^ rs) & 1 else mu - 1
                     if e:
                         bad.append((s, t, e))
             object.__setattr__(self, "_bad", bad)
@@ -211,15 +214,18 @@ def mobius_row(P: GradedPoset, s: int) -> dict[int, int]:
     return row
 
 
-def end_errors(P: GradedPoset) -> tuple[list[int], list[int]]:
+def end_errors(P: GradedPoset) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The interval errors at the ends of P, indexed by element: e(q, 1̂) for
     every q from the μ(·, 1̂) column, and e(0̂, q) for every q from the Möbius
-    row of 0̂. e(0̂, 1̂) is the first list's entry at 0̂."""
-    mu_top = P.mobius_to_top()
-    row = mobius_row(P, P.bottom_i)
-    rank, rho = P.rank_of, P.rho
-    return ([mu_top[q] - sign(rho - rank[q]) for q in range(P.n)],
-            [row[t] - sign(rank[t]) for t in range(P.n)])
+    row of 0̂. e(0̂, 1̂) is the first tuple's entry at 0̂. Cached on P."""
+    if P._ends is None:
+        mu_top = P.mobius_to_top()
+        row = mobius_row(P, P.bottom_i)
+        rank, rho = P.rank_of, P.rho
+        object.__setattr__(P, "_ends", (
+            tuple([mu_top[q] - sign(rho - rank[q]) for q in range(P.n)]),
+            tuple([row[t] - sign(rank[t]) for t in range(P.n)])))
+    return P._ends
 
 
 def rank_sums(P: GradedPoset, values: Sequence[int]) -> list[int]:
@@ -511,34 +517,6 @@ def verify_flag_poset(P: GradedPoset, name: str = "") -> VerificationReport:
 
 # --- classification ---------------------------------------------------------
 
-def _is_boolean_interval(P: GradedPoset, s: int, t: int) -> bool:
-    r = P.rank_of[t] - P.rank_of[s]
-    members = list(_bits(P._up[s] & P._down[t]))
-    if len(members) != 1 << r:
-        return False
-    atoms = [u for u in members if P.rank_of[u] == P.rank_of[s] + 1]
-    if len(atoms) != r:
-        return False
-    atom_mask = sum(1 << a for a in atoms)
-    aset = {}  # member -> the atoms below it, as a bitmask over element indices
-    for u in members:
-        m = P._down[u] & atom_mask
-        if m.bit_count() != P.rank_of[u] - P.rank_of[s]:
-            return False
-        aset[u] = m
-    if len(set(aset.values())) != len(members):
-        return False
-    # cover digraph must match the hypercube's through the atom-set map
-    for v in members:
-        lower = [u for u in P._covers_dn[v] if u in aset]
-        if v != s and len(lower) != aset[v].bit_count():
-            return False
-        for u in lower:
-            if aset[u] & ~aset[v]:
-                return False
-    return True
-
-
 def min_j_sing_flat(P: GradedPoset) -> int:
     """Remark-6.2 criterion: smallest j with every interval of length ≤ d−j Eulerian."""
     bad = P.bad_intervals()
@@ -609,14 +587,35 @@ def classify_poset(P: GradedPoset, cross_check: bool = False) -> PosetClassifica
     return P._cls
 
 
+def _boolean_lower_intervals(P: GradedPoset) -> list[bool]:
+    """Whether [0̂, t] is a Boolean lattice, for every t, in one pass in index
+    (= rank) order.
+
+    With r = ρ(t), [0̂, t] is Boolean iff it has 2^r elements, r atoms and r
+    lower covers, each lower cover's interval is Boolean, and the covers'
+    atom sets are distinct. Then the covers' atom sets are all r of the
+    (r−1)-subsets of t's atoms, and the 2^r count makes the atom-set map a
+    bijection from [0̂, t] onto the subsets, so it is an isomorphism.
+    """
+    rank, down, covers_dn = P.rank_of, P._down, P._covers_dn
+    atoms = sum(1 << a for a in P._covers_up[P.bottom_i])  # the rank-1 elements
+    ok = []
+    for t in range(P.n):
+        r, below, lower = rank[t], down[t], covers_dn[t]
+        ok.append(below.bit_count() == 1 << r
+                  and (below & atoms).bit_count() == r
+                  and len(lower) == r
+                  and all(ok[c] for c in lower)
+                  and len({down[c] & atoms for c in lower}) == r)
+    return ok
+
+
 def _classify(P: GradedPoset) -> PosetClassification:
     bad = P.bad_intervals()
     boolean_ok = [True] * (P.rho + 1)
-    for t in range(P.n):
-        if t != P.top_i and not _is_boolean_interval(P, P.bottom_i, t):
+    for t, ok in enumerate(_boolean_lower_intervals(P)):
+        if not ok:
             boolean_ok[P.rank_of[t]] = False
-    if not _is_boolean_interval(P, P.bottom_i, P.top_i):
-        boolean_ok[P.rho] = False
     max_k = 0
     while max_k < P.rho and all(boolean_ok[: max_k + 2]):
         max_k += 1
@@ -631,8 +630,20 @@ def _classify(P: GradedPoset) -> PosetClassification:
 
 
 def dual(P: GradedPoset) -> GradedPoset:
-    """Covers reversed, bottom/top swapped, rank(x) ↦ ρ(P) − rank(x)."""
-    return build_poset(P.labels, [(b, a) for a, b in P.covers()])
+    """Covers reversed, bottom/top swapped, rank(x) ↦ ρ(P) − rank(x).
+
+    Built from P's index arrays with no second validation: within one rank
+    P's index order is already label order, so the dual's elements sort by
+    (−rank, index), and its up-covers are P's down-covers. The result is a
+    fresh poset; none of P's caches carry over.
+    """
+    rank, rho = P.rank_of, P.rho
+    order = sorted(range(P.n), key=lambda i: (-rank[i], i))
+    pos = [0] * P.n
+    for new, old in enumerate(order):
+        pos[old] = new
+    return GradedPoset([P.labels[i] for i in order], [rho - rank[i] for i in order],
+                       [[pos[j] for j in P._covers_dn[i]] for i in order])
 
 
 # --- simplicial posets -----------------------------------------------------

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from dehnsom.generators import cross_polytope, face_poset, rp2_6, suspension, torus_7
@@ -56,6 +58,39 @@ def doubled_edge():
         [("bot", "v1"), ("bot", "v2"), ("v1", "e1"), ("v2", "e1"),
          ("v1", "e2"), ("v2", "e2"), ("e1", "top"), ("e2", "top")],
     )
+
+
+@pytest.fixture(scope="session")
+def shared_atoms_poset():
+    """Rank 3 with 8 elements, 3 atoms and 3 coatoms, each coatom over two
+    atoms, but c1 and c2 share the atom set {a, b}: [0̂, 1̂] is not Boolean,
+    and only the distinct-atom-sets test of the one-pass criterion says so."""
+    return build_poset(
+        ["0", "a", "b", "c", "c1", "c2", "c3", "1"],
+        [("0", "a"), ("0", "b"), ("0", "c"), ("a", "c1"), ("b", "c1"), ("a", "c2"),
+         ("b", "c2"), ("a", "c3"), ("c", "c3"), ("c1", "1"), ("c2", "1"), ("c3", "1")],
+    )
+
+
+@pytest.fixture(scope="session")
+def split_square_poset():
+    """B_4 on a, b, c, d with the rank-2 element cd split in two: cd1 lies
+    under bcd only and cd2 under acd only. Every lower interval below 1̂ is
+    Boolean and 1̂ has 4 atoms and 4 lower covers, so only the 2^4 element
+    count (it has 17) says [0̂, 1̂] is not Boolean."""
+    subsets = ["".join(c) for k in range(5) for c in itertools.combinations("abcd", k)]
+    covers = []
+    for lo in subsets:
+        for hi in subsets:
+            if len(hi) == len(lo) + 1 and set(lo) <= set(hi):
+                if hi == "cd":
+                    covers += [(lo, "cd1"), (lo, "cd2")]
+                elif lo == "cd":
+                    covers.append(("cd1" if hi == "bcd" else "cd2", hi))
+                else:
+                    covers.append((lo, hi))
+    elements = [s for s in subsets if s != "cd"] + ["cd1", "cd2"]
+    return build_poset(elements, covers)
 
 
 def _strip_top(P):

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from dehnsom.complexes import _bits, label_sort_key
 from dehnsom.errors import InternalError
-from dehnsom.posets import _proper_mask
+from dehnsom.posets import _proper_mask, build_poset
 
 
 def closure_of_facets(facets):
@@ -325,6 +325,12 @@ def atom_scan_is_boolean_interval(P, s, t):
             if aset[u] & ~aset[v]:
                 return False
     return True
+
+
+def rebuilt_dual(P):
+    """P* by reversing P's labeled covers and validating them again with
+    build_poset, which recomputes the ranks and the label order."""
+    return build_poset(P.labels, [(b, a) for a, b in P.covers()])
 
 
 def member_scan_error_buckets(P):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,16 +26,19 @@ from dehnsom.errors import (
 from dehnsom.generators import (
     boolean_lattice,
     chain,
+    cross_polytope,
     cycle,
     face_poset,
     polygon_lattice,
     random_graded_poset,
     simplex_boundary,
+    torus_7,
 )
 from dehnsom.posets import (
+    GradedPoset,
     _alpha_table,
+    _boolean_lower_intervals,
     _chain_error_buckets,
-    _is_boolean_interval,
     build_poset,
     chain_error,
     chain_mobius_product,
@@ -68,6 +73,7 @@ from oracles import (
     member_scan_error_buckets,
     naive_mobius,
     rank_set_pass_alpha,
+    rebuilt_dual,
     submask_sum,
 )
 
@@ -468,8 +474,8 @@ def test_mobius_rows_match_interval_walk(seed):
         e_top, e_bot = end_errors(Q)
         rank, top = Q.rank_of, Q.top_i
         assert (e_top, e_bot, rank_sums(Q, e_top)) == (
-            [walk[q, top] - sign(Q.rho - rank[q]) for q in range(Q.n)],
-            [walk[Q.bottom_i, q] - sign(rank[q]) for q in range(Q.n)],
+            tuple(walk[q, top] - sign(Q.rho - rank[q]) for q in range(Q.n)),
+            tuple(walk[Q.bottom_i, q] - sign(rank[q]) for q in range(Q.n)),
             [sum(walk[q, top] - sign(Q.rho - r) for q in range(Q.n) if rank[q] == r)
              for r in range(Q.rho + 1)])
 
@@ -534,10 +540,9 @@ def test_order_complex_matches_frozenset_path(seed):
 
 
 def _assert_boolean_verdicts_match(P):
-    for s in range(P.n):
-        for t in range(s, P.n):
-            if P.leq_i(s, t):
-                assert _is_boolean_interval(P, s, t) == atom_scan_is_boolean_interval(P, s, t)
+    verdicts = _boolean_lower_intervals(P)
+    assert verdicts == [atom_scan_is_boolean_interval(P, P.bottom_i, t) for t in range(P.n)]
+    return verdicts
 
 
 @settings(deadline=None, max_examples=20)
@@ -551,7 +556,74 @@ def test_boolean_interval_matches_atom_scan(seed):
 @pytest.mark.parametrize("make", [*(lambda n=n: boolean_lattice(n) for n in range(2, 7)),
                                   *(lambda n=n: polygon_lattice(n) for n in range(3, 9))])
 def test_boolean_interval_matches_atom_scan_on_lattices(make):
-    _assert_boolean_verdicts_match(make())
+    P = make()
+    for Q in (P, dual(P)):
+        _assert_boolean_verdicts_match(Q)
+
+
+@pytest.mark.parametrize("name", ["shared_atoms_poset", "split_square_poset"])
+def test_boolean_criterion_rejects_the_near_misses(name, request):
+    # each poset fails exactly one condition of the one-pass criterion, at 1̂
+    P = request.getfixturevalue(name)
+    verdicts = _assert_boolean_verdicts_match(P)
+    assert verdicts == [t != P.top_i for t in range(P.n)]
+    c = classify_poset(P)
+    assert c.simplicial and c.max_lower_simplicial_k == P.rho - 1
+
+
+TIED_LABELS = [
+    {"elements": ["b", True, "True", "t"],
+     "covers": [["b", True], ["b", "True"], [True, "t"], ["True", "t"]]},
+    {"elements": ["t", "x", "True", "b", True],
+     "covers": [["b", "True"], ["b", True], ["True", "x"], [True, "x"], ["x", "t"]]},
+]
+
+
+CACHE_SLOTS = ("_above", "_mu", "_mu_top", "_bad", "_ends", "_toric", "_cls")
+
+
+def _assert_dual_matches_rebuild(P):
+    Q = dual(P)
+    oracle = rebuilt_dual(P)
+    assert (Q.labels, Q.rank_of, Q._covers_up, Q._up) == (
+        oracle.labels, oracle.rank_of, oracle._covers_up, oracle._up)
+    assert all(getattr(Q, f) in (None, {}) for f in CACHE_SLOTS)  # P*'s caches are its own
+    back = dual(Q)
+    for field in GradedPoset.__slots__:
+        if field not in CACHE_SLOTS:
+            assert getattr(back, field) == getattr(P, field), field
+
+
+FACE_POSET_COMPLEXES = [simplex_boundary(1), simplex_boundary(3), cycle(5),
+                        cross_polytope(3), torus_7()]
+
+
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_dual_matches_rebuilt_dual(seed):
+    P = random_graded_poset(RANDOM_SHAPES[seed % 4], 0.5, seed)
+    cx = FACE_POSET_COMPLEXES[seed % len(FACE_POSET_COMPLEXES)]
+    for Q in (P, face_poset(cx, True), boolean_lattice(seed % 7)):
+        _assert_dual_matches_rebuild(Q)
+
+
+@pytest.mark.parametrize("doc", TIED_LABELS, ids=["true-first", "True-first"])
+def test_dual_keeps_label_ties_in_input_order(doc):
+    P = parse_poset_json(json.dumps(doc))
+    assert label_sort_key(True) == label_sort_key("True")
+    _assert_dual_matches_rebuild(P)
+    tied = [v for v in doc["elements"] if str(v) == "True"]
+    assert [v for v in dual(P).labels if str(v) == "True"] == tied
+
+
+def test_end_errors_are_cached_tuples(torus_poset, susp_poset):
+    for P in (torus_poset, susp_poset, chain(0), random_graded_poset((2, 3, 2), 0.5, 7)):
+        ends = end_errors(P)
+        assert end_errors(P) is ends
+        mu_top, row = P.mobius_to_top(), mobius_row(P, P.bottom_i)
+        assert ends == (
+            tuple(mu_top[q] - sign(P.rho - P.rank_of[q]) for q in range(P.n)),
+            tuple(row[q] - sign(P.rank_of[q]) for q in range(P.n)))
 
 
 def test_verify_all_leaves_order_complex_faces_unbuilt(torus_poset):
