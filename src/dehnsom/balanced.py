@@ -3,7 +3,9 @@ and the flag Dehn-Sommerville verification."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
+from itertools import islice
 from typing import Iterable, Mapping, NamedTuple
 
 from .complexes import (
@@ -55,13 +57,15 @@ class BalancedComplex:
                      if not isinstance(kappa[v], int) or not 1 <= kappa[v] <= d]
         if bad_range:
             raise NotBalanced(f"colors outside 1..{d} at {bad_range}")
-        # OR each vertex's color into the faces of its star; a face repeats a
-        # color exactly when it has fewer colors than vertices
-        colors = [0] * len(cx._masks)
-        for v, faces in zip(cx.vertices, cx._star):
-            bit = 1 << (kappa[v] - 1)
-            for k in faces:
-                colors[k] |= bit
+        # the faces with top vertex t are one run of the sorted masks, each with
+        # its parent's colors and t's; a face repeats a color exactly when it
+        # has fewer colors than vertices
+        colors, lo = [0] * len(cx._masks), 1
+        faces = islice(cx._drop, 1, None)  # one pass over the drops, run by run
+        for t, v in enumerate(cx.vertices):
+            bit, hi = 1 << (kappa[v] - 1), bisect_left(cx._masks, 2 << t)
+            colors[lo:hi] = [colors[f[-1]] | bit for f in islice(faces, hi - lo)]
+            lo = hi
         for m, c in zip(cx._masks, colors):  # in mask order: the smallest such face
             if c.bit_count() != m.bit_count():
                 f = cx.face_of(m)

@@ -4,13 +4,13 @@ Vertices are interned in label order and every face is an integer bitmask
 over them (bit i is ``vertices[i]``). Every construction ends in one pass
 over the masks (``SimplicialComplex.from_masks``, called directly by
 ``build_complex``, ``link``, ``join``, ``balanced.rank_selected`` and
-``posets.order_complex``) that sorts them once, checks closure, finds
-purity and the facets, and keeps the face incidence it looked up
-(``_star``/``_drop``). Only that pass hashes masks, into a transient position
-table; every later per-face pass, the link sweep and the balanced coloring
-among them, addresses a face by its position in the sorted ``_masks``, so
-χ̃(lk F), ε(F) and
-``BalancedComplex.face_colors`` are lists aligned with ``_masks``. Frozensets
+``posets.order_complex``) that sorts them once, checks closure run by run of
+faces with the same top vertex, finds purity and the facets, and keeps each
+face's one-vertex-removed faces (``_drop``). Only that pass hashes masks,
+into transient position tables; every later per-face pass, the link sweep
+and the balanced coloring among them, addresses a face by its position in
+the sorted ``_masks``, so χ̃(lk F), ε(F) and ``BalancedComplex.face_colors``
+are lists aligned with ``_masks``. Frozensets
 of opaque vertex labels are the boundary form: the label constructor takes
 them, the public ``faces`` set is built from the masks on first read, and
 ``facets()`` and error records give labels. The empty face is always a
@@ -19,9 +19,9 @@ member, so f_{-1} = 1.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
-from operator import eq
+from itertools import compress, repeat
+from operator import eq, ge, xor
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyInput, FaceNotInComplex, InternalError, NotPure, ParseError
@@ -60,15 +60,16 @@ class SimplicialComplex:
 
     Downward closure is checked on every construction: removing any single
     vertex from a face must give a face. The faces live as sorted bitmasks in
-    ``_masks``; the check keeps, for each vertex i, the positions of the faces
-    containing i (``_star[i]``) and of the same faces minus i (``_drop[i]``) as
-    aligned ``array("i")``. The frozenset form ``faces`` and the link-Euler values
-    (``link_euler_values``) are built on first read. Instances are immutable
-    and safe to share.
+    ``_masks``; the check keeps, for the face at each position, the positions
+    of its one-vertex-removed faces in ascending vertex order (``_drop``, a
+    list of tuples aligned with ``_masks``), so the last is its parent, the
+    face minus its top vertex. The frozenset form ``faces`` and the link-Euler
+    values (``link_euler_values``) are built on first read. Instances are
+    immutable and safe to share.
     """
 
-    __slots__ = ("vertices", "dim", "pure", "_bit", "_masks", "_facet_masks", "_star",
-                 "_drop", "_faces", "_link_chi")
+    __slots__ = ("vertices", "dim", "pure", "_bit", "_masks", "_facet_masks", "_drop",
+                 "_faces", "_link_chi")
 
     def __init__(self, faces: Iterable[Iterable]):
         fam = {Face(f) for f in faces}
@@ -104,25 +105,32 @@ class SimplicialComplex:
         if masks[-1].bit_length() > len(verts):
             raise InternalError(f"a face uses bit {masks[-1].bit_length() - 1}, "
                                 f"past the {len(verts)} vertices")
-        # every one-vertex-removed submask must be a face (masks are sorted, so
-        # the first face to fail is the smallest); each lookup is kept
-        position = dict(zip(masks, range(len(masks))))
-        star, drop = [array("i") for _ in verts], [array("i") for _ in verts]
+        # the faces with top vertex t are one run of the sorted masks, each its
+        # parent (the face minus t) plus t; a missing parent or drop is a KeyError
+        ids = list(range(len(masks)))  # one int object per position, shared
+        bounds = [bisect_left(masks, 1 << t) for t in range(len(verts) + 1)]
+        runs = list(zip(bounds, bounds[1:]))
+        position = dict(zip(masks, ids))
+        try:
+            parents = [list(map(position.__getitem__, map(xor, masks[lo:hi], repeat(1 << t))))
+                       for t, (lo, hi) in enumerate(runs)]
+            del position
+            # F's drops in ascending vertex order: each drop of its parent with
+            # t added (the run's face above that drop), then the parent
+            drop = [()]
+            for run, (lo, hi) in zip(parents, runs):
+                face_at = dict(zip(run, ids[lo:hi])).__getitem__
+                drop += [(*map(face_at, drop[p]), p) for p in run]
+        except KeyError:  # name the smallest face that lacks a one-vertex-removed face
+            family = set(masks)
+            m = next(m for m in masks if any(m ^ (1 << i) not in family for i in _bits(m)))
+            face = {verts[i] for i in _bits(m)}
+            raise InternalError(f"family not closed under inclusion at {face}") from None
         covered = bytearray(len(masks))
-        for k, m in enumerate(masks):
-            rest = m
-            while rest:
-                low = rest & -rest
-                p = position.get(m ^ low)
-                if p is None:
-                    face = {verts[i] for i in _bits(m)}
-                    raise InternalError(f"family not closed under inclusion at {face}")
-                i = low.bit_length() - 1
-                star[i].append(k)
-                drop[i].append(p)
+        for faces in drop:
+            for p in faces:
                 covered[p] = 1
-                rest ^= low
-        keep = [i for i, faces in enumerate(star) if faces]
+        keep = [t for t, (lo, hi) in enumerate(runs) if lo < hi]
         if len(keep) < len(verts):
             # drop the unused vertices; the bit map keeps order, so positions hold
             new_bits = [0] * len(verts)
@@ -130,7 +138,6 @@ class SimplicialComplex:
                 new_bits[i] = 1 << j
             verts = tuple(verts[i] for i in keep)
             masks = _relabel(masks, new_bits)
-            star, drop = [star[i] for i in keep], [drop[i] for i in keep]
         # the submasks reached are exactly the non-maximal faces
         facet_masks = [m for m, c in zip(masks, covered) if not c]
         dim = max(m.bit_count() for m in facet_masks) - 1
@@ -140,8 +147,7 @@ class SimplicialComplex:
         object.__setattr__(self, "_bit", {v: 1 << i for i, v in enumerate(verts)})
         object.__setattr__(self, "_masks", tuple(masks))
         object.__setattr__(self, "_facet_masks", tuple(facet_masks))
-        object.__setattr__(self, "_star", tuple(star))
-        object.__setattr__(self, "_drop", tuple(drop))
+        object.__setattr__(self, "_drop", drop)
         object.__setattr__(self, "_faces", None)
         object.__setattr__(self, "_link_chi", None)
 
@@ -183,15 +189,6 @@ class SimplicialComplex:
 
     def __repr__(self) -> str:
         return f"SimplicialComplex(dim={self.dim}, f={f_vector(self).entries})"
-
-    def mask_of(self, face: Iterable) -> int:
-        m = 0
-        try:
-            for v in face:
-                m |= self._bit[v]
-        except KeyError as exc:
-            raise FaceNotInComplex(f"unknown vertex in {set(face)}") from exc
-        return m
 
     def face_of(self, mask: int) -> Face:
         verts = self.vertices
@@ -354,28 +351,30 @@ def face_error(cx: SimplicialComplex, face: Iterable) -> int:
     return reduced_euler_characteristic(link(cx, f)) - sign(d - 1 - len(f))
 
 
-def _link_euler_sweep(masks: Sequence[int], star: Sequence, drop: Sequence) -> list[int]:
-    """χ̃(lk F) for every face of the sorted ``masks``, as a list aligned with
-    ``masks``, from the face incidence ``star``/``drop`` of the complex.
+def _link_euler_sweep(drop: Sequence[tuple]) -> list[int]:
+    """χ̃(lk F) for every face of a complex, as a list aligned with its sorted
+    masks, from the per-face drops ``drop`` of the complex.
 
     χ̃(lk F) = Σ_{H ⊇ F, H a face} (−1)^{|H∖F|−1}: the signed superset
-    (Yates) transform of the constant −1, one vertex at a time. It runs on
-    the faces alone, since a set that is not a face has no face above it, so
-    the cost is Σ |H| over the faces, and it reads positions only.
+    (Yates) transform of the constant −1. Level j visits every face with at
+    least j vertices, supersets first, and moves its value to the face minus
+    its j-th highest vertex, so each pair H ⊇ G is joined by exactly one path:
+    H∖G removed from the top down, level by level. It runs on the faces alone,
+    since a set that is not a face has no face above it, in Σ |H| steps.
     """
-    acc = [-1] * len(masks)
-    # one pass per vertex i, from each face H ∋ i to H∖i; the passes commute
-    for faces, subs in zip(star, drop):
-        for k, p in zip(faces, subs):
-            acc[p] -= acc[k]
+    acc = [-1] * len(drop)
+    sizes = list(map(len, drop))
+    down = range(len(drop) - 1, -1, -1)
+    for j in range(1, max(sizes) + 1):
+        for k in compress(down, map(ge, reversed(sizes), repeat(j))):
+            acc[drop[k][-j]] -= acc[k]
     return acc
 
 
 def link_euler_values(cx: SimplicialComplex) -> tuple[int, ...]:
     """χ̃(lk F) for every face, aligned with ``cx._masks``; swept once per complex."""
     if cx._link_chi is None:
-        chi = _link_euler_sweep(cx._masks, cx._star, cx._drop)
-        object.__setattr__(cx, "_link_chi", tuple(chi))
+        object.__setattr__(cx, "_link_chi", tuple(_link_euler_sweep(cx._drop)))
     return cx._link_chi
 
 

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from fractions import Fraction
+from typing import NamedTuple
 
-from dehnsom.complexes import _bits, label_sort_key
-from dehnsom.errors import InternalError
+from dehnsom.complexes import _bits, _relabel, label_sort_key
+from dehnsom.errors import EmptyInput, FaceNotInComplex, InternalError
 from dehnsom.posets import _proper_mask, build_poset
 
 
@@ -557,3 +559,96 @@ def tuple_walk_chain_masks(P):
         level = [(m | b, j) for m, i in level for b, j in steps[i]]
     kappa = {P.labels[i]: P.rank_of[i] for i in proper}
     return [P.labels[i] for i in verts], sorted(set(masks)), kappa
+
+
+# --- the vertex-major closure pass, replaced in the package by runs of faces by top vertex ---
+
+class VertexMajor(NamedTuple):
+    """What the vertex-major closure pass found: the used vertices, the sorted
+    masks over them, the facet masks, dim, purity and the face incidence."""
+
+    vertices: tuple
+    masks: list
+    facet_masks: list
+    dim: int
+    pure: bool
+    star: list  # star[i]: positions of the faces containing vertex i, as array("i")
+    drop: list  # drop[i]: positions of the same faces minus i, aligned with star[i]
+
+
+def vertex_major_closure(vertices, masks):
+    """The closure pass over face masks (bit i standing for vertices[i]) that
+    ``SimplicialComplex._set_masks`` made before it worked run by run: face by
+    face in mask order, one position lookup and two ``array.append`` calls per
+    (face, vertex) pair. Sorts and dedupes its input, drops unused vertices,
+    and raises InternalError naming the smallest face that is not closed."""
+    verts = tuple(vertices)
+    masks = sorted(set(masks))
+    if not masks:
+        raise EmptyInput("a complex has at least the empty face")
+    if masks[0]:
+        raise InternalError("the empty face is missing")
+    position = {m: k for k, m in enumerate(masks)}
+    star, drop = [array("i") for _ in verts], [array("i") for _ in verts]
+    covered = bytearray(len(masks))
+    for k, m in enumerate(masks):
+        rest = m
+        while rest:
+            low = rest & -rest
+            p = position.get(m ^ low)
+            if p is None:
+                face = {verts[i] for i in _bits(m)}
+                raise InternalError(f"family not closed under inclusion at {face}")
+            i = low.bit_length() - 1
+            star[i].append(k)
+            drop[i].append(p)
+            covered[p] = 1
+            rest ^= low
+    keep = [i for i, faces in enumerate(star) if faces]
+    if len(keep) < len(verts):
+        new_bits = [0] * len(verts)
+        for j, i in enumerate(keep):
+            new_bits[i] = 1 << j
+        verts = tuple(verts[i] for i in keep)
+        masks = _relabel(masks, new_bits)
+        star, drop = [star[i] for i in keep], [drop[i] for i in keep]
+    facet_masks = [m for m, c in zip(masks, covered) if not c]
+    dim = max(m.bit_count() for m in facet_masks) - 1
+    pure = all(m.bit_count() == dim + 1 for m in facet_masks)
+    return VertexMajor(verts, masks, facet_masks, dim, pure, star, drop)
+
+
+def vertex_major_link_euler(masks, star, drop):
+    """χ̃(lk F) for every face of the sorted ``masks``, aligned with them, by
+    the signed superset transform one vertex at a time over the face
+    incidence ``star``/``drop``: from each face H ∋ i to H∖i."""
+    acc = [-1] * len(masks)
+    for faces, subs in zip(star, drop):
+        for k, p in zip(faces, subs):
+            acc[p] -= acc[k]
+    return acc
+
+
+def star_walk_face_colors(masks, star, vertices, kappa):
+    """(color mask of every face aligned with ``masks``, the first face mask
+    that repeats a color or None), ORing each vertex's color into the faces of
+    its star."""
+    colors = [0] * len(masks)
+    for v, faces in zip(vertices, star):
+        bit = 1 << (kappa[v] - 1)
+        for k in faces:
+            colors[k] |= bit
+    witness = next((m for m, c in zip(masks, colors) if c.bit_count() != m.bit_count()), None)
+    return tuple(colors), witness
+
+
+def mask_of(cx, face):
+    """The bitmask of ``face`` over the vertices of ``cx``; a repeated vertex
+    counts once, and a vertex outside the complex raises FaceNotInComplex."""
+    m = 0
+    try:
+        for v in face:
+            m |= cx._bit[v]
+    except KeyError as exc:
+        raise FaceNotInComplex(f"unknown vertex in {set(face)}") from exc
+    return m

@@ -45,6 +45,7 @@ from oracles import (
     frozenset_complex,
     h_closed_form,
     link_faces,
+    mask_of,
     short_h_by_links,
     submask_sum,
     subset_walk_link_euler,
@@ -332,7 +333,7 @@ def test_mask_construction_matches_frozenset_oracle(seed):
     assert cx.facets() == sorted(facets, key=face_sort_key)
     assert cx.vertices == tuple(sorted({v for f in fam for v in f}, key=label_sort_key))
     assert cx._masks == face_masks(fam, cx.vertices)
-    assert all(cx.face_of(cx.mask_of(f)) == f for f in fam)
+    assert all(cx.face_of(mask_of(cx, f)) == f for f in fam)
     # dropping a face some other face covers leaves a family that is not closed
     covered = sorted(fam - facets, key=face_sort_key)[1:]  # not the empty face
     dropped = covered[seed % len(covered)]

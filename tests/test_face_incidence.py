@@ -1,9 +1,10 @@
-"""The face incidence kept by the closure pass, and what reads it.
+"""The face incidence of the vertex-major closure pass, and what reads it.
 
-``SimplicialComplex._star``/``_drop`` are pinned to a brute-force scan, the
-link sweep that reads them to the sweep that hashed masks itself, and the
-balanced coloring that ORs colors over the stars to a bit walk. The color-set
-masks of the flag vectors and rank selection OR repeated colors.
+The per-vertex ``star``/``drop`` of ``oracles.vertex_major_closure`` (the
+closure pass the package made before it worked by top-vertex runs) are pinned
+to a brute-force scan, its vertex-major link sweep to the sweep that hashed
+masks itself, and the balanced coloring to a bit walk. The color-set masks of
+the flag vectors and rank selection OR repeated colors.
 """
 
 from array import array
@@ -14,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from dehnsom.balanced import BalancedComplex, flag_h_vector, rank_selected, verify_flag_ds
 from dehnsom.complexes import (
     SimplicialComplex,
-    _link_euler_sweep,
     f_vector,
     label_sort_key,
     link_euler_values,
@@ -24,7 +24,13 @@ from dehnsom.errors import DehnsomError, NotBalanced
 from dehnsom.generators import random_graded_poset, random_pure_complex
 from dehnsom.posets import dual, order_complex, verify_flag_poset
 
-from oracles import bit_walk_face_colors, brute_incidence, bucketed_link_euler
+from oracles import (
+    bit_walk_face_colors,
+    brute_incidence,
+    bucketed_link_euler,
+    vertex_major_closure,
+    vertex_major_link_euler,
+)
 
 EXTRA = (-1, 10**6, "~unused")  # labels no tested complex uses
 
@@ -58,16 +64,17 @@ def test_incidence_matches_brute_force(seed):
         assert again.vertices == cx.vertices and again._masks == cx._masks
         masks, n = list(again._masks), len(again.vertices)
         star, drop = brute_incidence(masks, n)
-        for got in (cx, again):
-            assert len(got._star) == len(got._drop) == n
+        oracle = vertex_major_closure(verts, fed)
+        for got in (vertex_major_closure(cx.vertices, cx._masks), oracle):
+            assert len(got.star) == len(got.drop) == n
             assert all(isinstance(a, array) and a.typecode == "i"
-                       for a in got._star + got._drop)
-            assert [list(a) for a in got._star] == star
-            assert [list(a) for a in got._drop] == drop
+                       for a in got.star + got.drop)
+            assert [list(a) for a in got.star] == star
+            assert [list(a) for a in got.drop] == drop
         chi = bucketed_link_euler(masks, n)
         assert list(link_euler_values(again)) == chi
         # the sweep reads positions only: masks serve for their count
-        assert _link_euler_sweep([None] * len(masks), again._star, again._drop) == chi
+        assert vertex_major_link_euler([None] * len(masks), oracle.star, oracle.drop) == chi
 
 
 @settings(deadline=None, max_examples=25)

@@ -18,11 +18,15 @@ from dehnsom.errors import InternalError
 from dehnsom.generators import boolean_lattice, random_graded_poset, torus_7
 from dehnsom.posets import dual, order_complex
 
-from oracles import set_closure_facets, tuple_walk_chain_masks
+from oracles import set_closure_facets, tuple_walk_chain_masks, vertex_major_closure
 
 
 def _state(cx):
-    return (cx.vertices, cx.dim, cx.pure, cx._masks, cx._facet_masks, cx._star, cx._drop)
+    """The complex's fields, with the face incidence of the vertex-major
+    closure pass over its masks."""
+    oracle = vertex_major_closure(cx.vertices, cx._masks)
+    return (cx.vertices, cx.dim, cx.pure, cx._masks, cx._facet_masks, cx._drop,
+            oracle.star, oracle.drop)
 
 
 @settings(deadline=None, max_examples=25)
