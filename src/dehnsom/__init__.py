@@ -31,7 +31,6 @@ from .balanced import (
 )
 from .posets import (
     GradedPoset,
-    IntervalError,
     PosetClassification,
     build_poset,
     chain_error,
@@ -39,9 +38,7 @@ from .posets import (
     dual,
     flag_alpha_beta,
     interval_error,
-    interval_errors,
     order_complex,
-    rank_selected_subposet,
     simplicial_poset_h,
     verify_flag_poset,
     verify_simplicial_ds,

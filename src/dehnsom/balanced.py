@@ -14,7 +14,6 @@ from .complexes import (
     flag_rows,
     label_sort_key,
     parse_facets,
-    serialize_facets,
     subset_transform,
     _parse_label,
 )
@@ -96,15 +95,12 @@ class BalancedComplex:
 
 
 def validate_coloring(cx: SimplicialComplex, kappa: Mapping) -> BalancedComplex:
-    """Canonicalize an arbitrary proper coloring to colors 1..d and validate it."""
-    if not cx.pure:
-        raise NotPure("balanced complexes are pure by definition")
-    missing = [v for v in cx.vertices if v not in kappa]
-    if missing:
-        raise NotBalanced(f"vertices without a color: {missing}")
-    palette = sorted({kappa[v] for v in cx.vertices}, key=label_sort_key)
+    """Canonicalize an arbitrary proper coloring to colors 1..d and validate it;
+    ``BalancedComplex`` refuses an impure complex and an uncolored vertex."""
+    colored = [v for v in cx.vertices if v in kappa]
+    palette = sorted({kappa[v] for v in colored}, key=label_sort_key)
     relabel = {c: i + 1 for i, c in enumerate(palette)}
-    canonical = {v: relabel[kappa[v]] for v in cx.vertices}
+    canonical = {v: relabel[kappa[v]] for v in colored}
     return BalancedComplex(cx, canonical, color_relabeling=relabel)
 
 
@@ -235,8 +231,3 @@ def parse_balanced(text: str) -> BalancedComplex:
         raise ParseError("missing colors: header")
     cx = parse_facets("\n".join(facet_lines))
     return validate_coloring(cx, kappa)
-
-
-def serialize_balanced(bal: BalancedComplex) -> str:
-    colors = " ".join(f"{v}={bal.kappa[v]}" for v in bal.complex.vertices)
-    return f"colors: {colors}\n" + serialize_facets(bal.complex)

@@ -31,24 +31,16 @@ def _read(path: str) -> str:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _generate(text: str, seed):
-    """The object of a generator spec, with ``--seed`` as its last parameter."""
-    spec = parse_spec(text)
-    return generate(spec if seed is None else spec._replace(seed=seed))
-
-
 def _load_target(args):
     """Resolve --gen SPEC or a file path into a complex/balanced/poset object.
 
     A plain complex given with --colors becomes balanced; other kinds refuse --colors.
-    An input that would be ignored (a file with --gen, --seed without it) is refused.
+    An input that would be ignored (a file with --gen) is refused.
     """
     if args.gen is not None and args.target:
         raise ParseError("give a file path or --gen SPEC, not both")
-    if args.seed is not None and args.gen is None:
-        raise ParseError("--seed needs --gen SPEC")
     if args.gen is not None:
-        obj, name = _generate(args.gen, args.seed), args.gen
+        obj, name = generate(parse_spec(args.gen)), args.gen
     elif not args.target:
         raise ParseError("provide a file path or --gen SPEC")
     else:
@@ -149,7 +141,7 @@ def _print_reports(args, reports):
 
 
 def cmd_verify(args) -> int:
-    has_input = args.target or args.colors or args.gen is not None or args.seed is not None
+    has_input = args.target or args.colors or args.gen is not None
     if args.identity == "all" and not has_input:
         reports = run_catalog()
     else:
@@ -170,7 +162,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    obj = _generate(args.spec, args.seed)
+    obj = generate(parse_spec(args.spec))
     if isinstance(obj, ps.GradedPoset):
         text = ps.serialize_poset_json(obj) + "\n"
     else:
@@ -208,7 +200,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     def add_common(p):
         p.add_argument("target", nargs="?", help="input file (facets, balanced, or poset JSON)")
         p.add_argument("--gen", help="generator spec, e.g. 'face_poset(torus_7,true)'")
-        p.add_argument("--seed", type=int, help="seed for random generators")
         p.add_argument("--colors", help="color-map file that makes a plain complex balanced")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -231,7 +222,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("generate", help="write a catalog object")
     p.add_argument("spec", help="generator spec, e.g. 'circle_join(4,torus_7)'")
-    p.add_argument("--seed", type=int)
     p.add_argument("-o", "--out")
     p.set_defaults(fn=cmd_generate)
 

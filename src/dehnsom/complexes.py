@@ -449,10 +449,13 @@ def verify_pure_ds(cx: SimplicialComplex, name: str = "") -> VerificationReport:
 # --- facet-list text format -------------------------------------------------
 
 def _parse_label(token: str):
+    """An int when the token is its canonical decimal form, else the token itself:
+    "01", "+1", "1_0" and non-ASCII digits stay distinct strings."""
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
         return token
+    return value if str(value) == token else token
 
 
 def parse_facets(text: str) -> SimplicialComplex:

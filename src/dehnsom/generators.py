@@ -1,6 +1,6 @@
 """Deterministic catalog of complexes and posets, plus seeded random families.
 
-Every generator is a pure function of its (name, params, seed): byte-identical
+Every generator is a pure function of its (name, params): byte-identical
 canonical serialization across runs. Random families use a documented 64-bit
 linear congruential generator so other implementations can reproduce them.
 """
@@ -42,7 +42,6 @@ class Lcg:
 class GeneratorSpec(NamedTuple):
     name: str
     params: tuple = ()
-    seed: int | None = None
 
 
 # --- deterministic complexes --------------------------------------------------
@@ -219,18 +218,16 @@ _CATALOG = {
 
 
 def generate(spec: GeneratorSpec):
-    """Build a catalog object; same (name, params, seed) always gives the same object."""
+    """Build a catalog object; the same (name, params) always gives the same object.
+    A random family's seed is its last parameter."""
     if spec.name not in _CATALOG:
         raise UnknownGenerator(spec.name)
     fn, sig, required = _CATALOG[spec.name]
-    params = list(spec.params)
-    if spec.seed is not None:
-        params.append(spec.seed)
-    if not required <= len(params) <= len(sig):
+    if not required <= len(spec.params) <= len(sig):
         raise BadParams(f"{spec.name} takes {required}..{len(sig)} parameters, "
-                        f"got {len(params)}")
+                        f"got {len(spec.params)}")
     args = []
-    for value, want in zip(params, sig):
+    for value, want in zip(spec.params, sig):
         if isinstance(value, GeneratorSpec):
             value = generate(value)
         if want in (SimplicialComplex, GradedPoset):

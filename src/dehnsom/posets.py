@@ -322,12 +322,6 @@ def build_poset(elements: Sequence, covers: Iterable[tuple]) -> GradedPoset:
 
 # --- spec-facing operations ---------------------------------------------------
 
-class IntervalError(NamedTuple):
-    s: object
-    t: object
-    e: int
-
-
 class PosetClassification(NamedTuple):
     eulerian: bool
     semi_eulerian: bool
@@ -340,15 +334,6 @@ class PosetClassification(NamedTuple):
 def interval_error(P: GradedPoset, s, t) -> int:
     """e([s,t]) = μ(s,t) − (−1)^{ρ(t)−ρ(s)}."""
     return P.mobius(s, t) - sign(P.rank(t) - P.rank(s))
-
-
-def interval_errors(P: GradedPoset) -> list[IntervalError]:
-    """Every non-Eulerian interval of P as labeled records, sorted by span."""
-    return sorted(
-        (IntervalError(P.labels[s], P.labels[t], e) for s, t, e in P.bad_intervals()),
-        key=lambda ie: (P.rank(ie.t) - P.rank(ie.s), label_sort_key(ie.s),
-                        label_sort_key(ie.t)),
-    )
 
 
 def _check_chain(P: GradedPoset, chain: Sequence) -> list[int]:
@@ -451,25 +436,6 @@ def flag_alpha_beta(P: GradedPoset, S: Iterable[int]) -> tuple[int, int]:
     alpha = _alpha_table(P)
     mask = sum(1 << (r - 1) for r in S)
     return alpha[mask], subset_transform(alpha, d, signed=True)[mask]
-
-
-def rank_selected_subposet(P: GradedPoset, S: Iterable[int]) -> GradedPoset:
-    """P_S: elements with rank in S, always retaining 0̂ and 1̂."""
-    d = P.rho - 1
-    keep_ranks = set(S) | {0, d + 1}
-    keep = [i for i in range(P.n) if P.rank_of[i] in keep_ranks]
-    labels = [P.labels[i] for i in keep]
-    covers = []
-    kept_ranks = sorted({P.rank_of[i] for i in keep})
-    succ = {r: kept_ranks[k + 1] for k, r in enumerate(kept_ranks[:-1])}
-    for a in keep:
-        nxt = succ.get(P.rank_of[a])
-        if nxt is None:
-            continue
-        for b in keep:
-            if P.rank_of[b] == nxt and P.leq_i(a, b):
-                covers.append((P.labels[a], P.labels[b]))
-    return build_poset(labels, covers)
 
 
 def _chain_error_buckets(P: GradedPoset) -> dict[int, int]:

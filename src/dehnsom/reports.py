@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import re
 from typing import Any, NamedTuple
 
 from .errors import ParseError
@@ -11,10 +10,8 @@ SCHEMA_VERSION = 1
 
 
 def _jsonable(v: Any):
-    if isinstance(v, bool) or isinstance(v, int) or isinstance(v, str):
+    if isinstance(v, (int, str)):  # a bool is an int
         return v
-    if hasattr(v, "denominator"):  # a Fraction, in a report read back by _value
-        return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
     return str(v)
 
 
@@ -86,16 +83,10 @@ class VerificationReport(NamedTuple):
 
 
 def _value(v):
-    """A saved lhs or rhs: a JSON integer, or a string of digits '[-]p' or '[-]p/q'."""
-    if isinstance(v, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", v):
-        from fractions import Fraction  # imported here: only saved reports hold fractions
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError):  # q = 0; more digits than int() takes
-            pass
-    elif isinstance(v, int) and not isinstance(v, bool):
+    """A saved lhs or rhs: a JSON integer, the only value ``to_dict`` writes."""
+    if isinstance(v, int) and not isinstance(v, bool):
         return v
-    raise ParseError(f"report value {v!r} is neither an integer nor 'p/q'")
+    raise ParseError(f"report value {v!r} is not an integer")
 
 
 def report_from_dict(data) -> VerificationReport:
@@ -120,7 +111,7 @@ def report_from_dict(data) -> VerificationReport:
         row = Row(r["index"], _value(r["lhs"]), _value(r["rhs"]), asserted, note)
         try:  # str() refuses an int of more than sys.get_int_max_str_digits() digits
             for v in (row.lhs, row.rhs, row.residual):
-                str(_jsonable(v))
+                str(v)
         except ValueError:
             raise ParseError(f"report row {row.index!r} has a value too long to print") from None
         rows.append(row)

@@ -14,7 +14,7 @@ from array import array
 from fractions import Fraction
 from typing import NamedTuple
 
-from dehnsom.complexes import _bits, _relabel, label_sort_key
+from dehnsom.complexes import _bits, _relabel, label_sort_key, serialize_facets
 from dehnsom.errors import EmptyInput, FaceNotInComplex, InternalError
 from dehnsom.posets import _proper_mask, build_poset
 
@@ -652,3 +652,33 @@ def mask_of(cx, face):
     except KeyError as exc:
         raise FaceNotInComplex(f"unknown vertex in {set(face)}") from exc
     return m
+
+
+# --- second forms that only tests read, kept here as references ---
+
+def rank_selected_subposet(P, S):
+    """P_S: elements with rank in S, always retaining 0̂ and 1̂, covers found by
+    testing every pair of adjacent kept ranks; a reference for α(S), the
+    maximal-chain count of P_S."""
+    d = P.rho - 1
+    keep_ranks = set(S) | {0, d + 1}
+    keep = [i for i in range(P.n) if P.rank_of[i] in keep_ranks]
+    labels = [P.labels[i] for i in keep]
+    covers = []
+    kept_ranks = sorted({P.rank_of[i] for i in keep})
+    succ = {r: kept_ranks[k + 1] for k, r in enumerate(kept_ranks[:-1])}
+    for a in keep:
+        nxt = succ.get(P.rank_of[a])
+        if nxt is None:
+            continue
+        for b in keep:
+            if P.rank_of[b] == nxt and P.leq_i(a, b):
+                covers.append((P.labels[a], P.labels[b]))
+    return build_poset(labels, covers)
+
+
+def balanced_text(bal):
+    """The balanced text format of ``bal``: a 'colors:' header in vertex order,
+    then its canonical facet list."""
+    colors = " ".join(f"{v}={bal.kappa[v]}" for v in bal.complex.vertices)
+    return f"colors: {colors}\n" + serialize_facets(bal.complex)

@@ -8,7 +8,6 @@ from dehnsom.balanced import (
     flag_h_vector,
     parse_balanced,
     rank_selected,
-    serialize_balanced,
     short_flag_sum,
     validate_coloring,
     verify_flag_ds,
@@ -30,7 +29,12 @@ from dehnsom.generators import (
 from dehnsom.polynomial import binom, sign
 from dehnsom.posets import order_complex
 
-from oracles import bit_walk_face_colors, short_flag_sum_by_vertices
+from oracles import (
+    balanced_text,
+    bit_walk_face_colors,
+    rank_selected_subposet,
+    short_flag_sum_by_vertices,
+)
 
 
 @pytest.fixture(scope="module")
@@ -53,8 +57,11 @@ def test_validate_coloring_cases(c4):
     with pytest.raises(NotBalanced) as exc:
         validate_coloring(build_complex([(1, 2, 3)]), {1: 1, 2: 1, 3: 2})
     assert exc.value.witness is not None
-    with pytest.raises(NotPure):
+    # purity first, then the uncolored vertices, as BalancedComplex checks them
+    with pytest.raises(NotPure, match="^balanced complexes are pure by definition$"):
         validate_coloring(build_complex([(1, 2, 3), (4, 5)]), {})
+    with pytest.raises(NotBalanced, match=r"^vertices without a color: \[2, 3\]$"):
+        validate_coloring(build_complex([(1, 2), (2, 3)]), {1: "a", 9: "b"})
 
 
 def test_order_complex_is_valid_balanced(torus_poset):
@@ -96,7 +103,6 @@ def test_rank_selected(c4):
 
 
 def test_rank_selected_matches_subposet():
-    from dehnsom.posets import rank_selected_subposet
     p = face_poset(cross_polytope(2), True)
     oc = order_complex(p)
     for S in ([1], [2], [3], [1, 2], [2, 3], [1, 3]):
@@ -212,11 +218,11 @@ def test_short_flag_sum_matches_vertex_scan(sd_torus):
 
 
 def test_parse_serialize_balanced_round_trip(c4):
-    text = serialize_balanced(c4)
+    text = balanced_text(c4)
     again = parse_balanced(text)
     assert again.complex == c4.complex
     assert again.kappa == c4.kappa
-    assert serialize_balanced(again) == text
+    assert balanced_text(again) == text
 
 
 def test_parse_balanced_requires_header():
@@ -227,7 +233,7 @@ def test_parse_balanced_requires_header():
 
 def test_flag_ds_on_random_rank_selected_order_complexes():
     from dehnsom.generators import random_graded_poset
-    from dehnsom.posets import order_complex, rank_selected_subposet
+    from dehnsom.posets import order_complex
     for seed in range(6):
         p = random_graded_poset((2, 3, 2), 0.6, 90 + seed)
         for S in ([1, 2], [2, 3], [1, 3]):

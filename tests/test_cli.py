@@ -1,12 +1,13 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from dehnsom.cli import main
+from dehnsom.cli import build_parser, main
 from dehnsom.reports import VerificationReport
 from dehnsom.suite import IDENTITIES
 
@@ -112,42 +113,16 @@ def test_report_rendering(tmp_path):
     assert r.returncode == 1 and "FAIL" in r.stdout
 
 
-def test_report_json_round_trip(tmp_path):
+def test_report_json_round_trip(tmp_path, capsys):
+    # a saved file reads back as the bytes `verify --json` prints for the same input
     out = tmp_path / "report.json"
-    run("verify", "swartz", "--gen", "face_poset(torus_7,true)", "-o", str(out))
-    r = run("report", str(out), "--json")
-    assert r.returncode == 0
-    assert json.loads(r.stdout) == json.loads(out.read_text())
-
-
-SAVED_FRACTIONS = {"schema": 1, "identity": "ds", "parameters": {"object": "saved", "d": 2},
-                   "rows": [{"index": "a", "lhs": "1/2", "rhs": "1/2"},
-                            {"index": "b", "lhs": "3/1", "rhs": 3},
-                            {"index": "c", "lhs": "-4/6", "rhs": 0, "asserted": False,
-                             "note": "by hand"}]}
-
-
-def test_report_renders_saved_fractions(tmp_path):
-    # "p/q" values are read back as Fractions; fractions is imported only then
-    path = tmp_path / "report.json"
-    path.write_text(json.dumps(SAVED_FRACTIONS))
-    r = run("report", str(path))
-    assert (r.returncode, r.stderr) == (0, "")
-    assert r.stdout == ("identity: ds\n"
-                        "object=saved  d=2\n"
-                        "index  lhs   rhs  residual\n"
-                        "a      1/2   1/2  0         ok\n"
-                        "b      3     3    0         ok\n"
-                        "c      -2/3  0    -2/3      info  by hand\n"
-                        "result: PASS\n\n")
-    r = run("report", str(path), "--json")
-    assert (r.returncode, r.stderr) == (0, "")
-    assert r.stdout == (
-        '[{"schema": 1, "identity": "ds", "parameters": {"object": "saved", "d": 2}, '
-        '"rows": [{"index": "a", "lhs": "1/2", "rhs": "1/2", "residual": 0, "asserted": true}, '
-        '{"index": "b", "lhs": 3, "rhs": 3, "residual": 0, "asserted": true}, '
-        '{"index": "c", "lhs": "-2/3", "rhs": 0, "residual": "-2/3", "asserted": false, '
-        '"note": "by hand"}], "pass": true}]\n')
+    for argv in (["swartz", "--gen", "face_poset(torus_7,true)"], ["all"]):  # all: the catalog
+        assert main(["verify", *argv, "--json"]) == 0
+        printed = capsys.readouterr().out
+        assert main(["verify", *argv, "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["report", str(out), "--json"]) == 0
+        assert capsys.readouterr().out == printed
 
 
 def _row_report(lhs, **fields):
@@ -166,6 +141,9 @@ def _schema_report(schema):
     _row_report("abc"),
     _row_report("1e5000"),
     _row_report(True),
+    _row_report("1/2"),
+    _row_report("3"),
+    _row_report("-4/6"),
     "[1,2]",
     "[" * 100_000,
     _row_report(0, asserted="false"),
@@ -177,7 +155,8 @@ def _schema_report(schema):
     _schema_report("1"),
     _schema_report(True),
 ], ids=["not-json", "no-identity", "zero-denominator", "not-a-number", "exponent",
-        "boolean", "not-an-object", "too-deep", "asserted-string", "asserted-zero",
+        "boolean", "fraction-string", "integer-string", "negative-fraction-string",
+        "not-an-object", "too-deep", "asserted-string", "asserted-zero",
         "asserted-null", "note-number", "note-null", "schema-2", "schema-string",
         "schema-boolean"])
 def test_report_malformed_input_is_parse_error(tmp_path, text, capsys):
@@ -255,10 +234,22 @@ def test_polygon_lattice_names_itself_in_its_error(capsys):
     assert json.loads(err) == {"error": "BadParams", "message": "polygon_lattice needs n >= 3"}
 
 
-def test_seed_option():
-    a = run("generate", "random_pure_complex(3,8,0.4)", "--seed", "5")
-    b = run("generate", "random_pure_complex(3,8,0.4,5)")
-    assert a.stdout == b.stdout
+@pytest.mark.parametrize("argv", [
+    ["compute", "f", "--gen", "random_pure_complex(3,8,0.4)"],
+    ["classify", "POSET"],
+    ["verify", "all"],
+    ["generate", "random_pure_complex(3,8,0.4)"],
+], ids=["compute", "classify", "verify", "generate"])
+def test_seed_option(tmp_path, argv, capsys):
+    # a random family's seed is the last parameter of its spec; --seed is no option
+    poset = tmp_path / "poset.json"
+    poset.write_text(json.dumps({"elements": ["a", "b"], "covers": [["a", "b"]]}))
+    argv = [str(poset) if a == "POSET" else a for a in argv]
+    assert main(argv + ["--seed", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "UsageError",
+                               "message": f"dehnsom {argv[0]}: unrecognized arguments: --seed 5"}
 
 
 def test_colors_option(tmp_path):
@@ -427,12 +418,10 @@ def test_report_value_too_long_to_print_is_parse_error(tmp_path, text, as_json, 
 @pytest.mark.parametrize("argv, message", [
     (["compute", "h", "--gen", "torus_7", "/nonexistent"],
      "give a file path or --gen SPEC, not both"),
-    (["compute", "toric", "POSET", "--seed", "5"], "--seed needs --gen SPEC"),
-    (["verify", "all", "--seed", "5"], "--seed needs --gen SPEC"),
     (["verify", "all", "--colors", "POSET"], "provide a file path or --gen SPEC"),
     (["compute", "h", "--gen", "", "POSET"], "give a file path or --gen SPEC, not both"),
     (["verify", "all", "--gen", ""], "expected a name at position 0 in ''"),
-], ids=["file-with-gen", "seed-with-file", "seed-with-catalog", "colors-with-catalog",
+], ids=["file-with-gen", "colors-with-catalog",
         "file-with-empty-gen", "empty-gen"])
 def test_ignored_input_is_refused(tmp_path, argv, message, capsys):
     poset = tmp_path / "poset.json"
@@ -463,3 +452,38 @@ def test_verify_out_serializes_each_report_once(tmp_path, monkeypatch, as_json, 
     assert path.read_text(encoding="utf-8") == json.dumps(dicts, indent=1)
     if as_json:
         assert out.encode() == golden.read_bytes()
+
+
+# each pair of tokens names two vertices: only a canonical decimal is an int label
+LOOKALIKES = [("01", "1"), ("+1", "1"), ("1_0", "10"), ("١", "1")]
+
+
+@pytest.mark.parametrize("a, b", LOOKALIKES, ids=["leading-zero", "plus", "underscore",
+                                                  "arabic-indic"])
+def test_lookalike_labels_stay_distinct(tmp_path, a, b, capsys):
+    facets = tmp_path / "facets"
+    facets.write_text(f"{a} 2 3\n{b} 2 4\n", encoding="utf-8")
+    assert main(["compute", "f", str(facets), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"f": [1, 5, 6, 2]}
+    # a 4-cycle a-b-2-3 properly colored; merged, a and b would be one label colored twice
+    balanced = tmp_path / "balanced"
+    balanced.write_text(f"colors: {a}=1 {b}=2 2=1 3=2\n{a} {b}\n{b} 2\n2 3\n3 {a}\n",
+                        encoding="utf-8")
+    assert main(["compute", "f", str(balanced), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"f": [1, 4, 4]}
+
+
+def _readme_cli_flags() -> set:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    section = section.replace("python -m", "")  # the interpreter's flag, not dehnsom's
+    return set(re.findall(r"(?<![\w-])(--[a-z][a-z-]*|-[a-z])\b", section))
+
+
+def test_readme_names_every_option_and_only_real_ones():
+    parser, verbs = build_parser()
+    options = [a.option_strings for p in (parser, *verbs.values())
+               for a in p._actions if a.option_strings]
+    named = _readme_cli_flags()
+    assert [o for o in options if not named & set(o)] == []
+    assert named - {flag for o in options for flag in o} == set()

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dehnsom import complexes, suite
-from dehnsom.balanced import parse_balanced, serialize_balanced
+from dehnsom.balanced import parse_balanced
 from dehnsom.complexes import (
     SimplicialComplex,
     build_complex,
@@ -29,7 +29,13 @@ from dehnsom.errors import InternalError, NotPure
 from dehnsom.generators import face_poset, random_graded_poset, random_pure_complex, torus_7
 from dehnsom.posets import classify_poset, dual, order_complex
 
-from oracles import mask_keyed_link_euler, mask_of, set_closure_facets, subset_walk_link_euler
+from oracles import (
+    balanced_text,
+    mask_keyed_link_euler,
+    mask_of,
+    set_closure_facets,
+    subset_walk_link_euler,
+)
 
 
 def _complexes(seed):
@@ -116,7 +122,7 @@ def test_verify_all_sweeps_a_balanced_complex_once(monkeypatch, tmp_path):
     assert calls == [len(bal.complex._masks)]
 
     path = tmp_path / "sd_torus.txt"
-    path.write_text(serialize_balanced(bal))
+    path.write_text(balanced_text(bal))
     calls.clear()
     from_file = parse_balanced(path.read_text())
     again = suite.verify_all(from_file, "O(torus)")

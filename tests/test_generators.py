@@ -11,12 +11,10 @@ from dehnsom.complexes import (
 from dehnsom.errors import BadParams, ParseError, UnknownGenerator
 from dehnsom.generators import (
     MAX_SPEC_DEPTH,
-    GeneratorSpec,
     Lcg,
     boolean_lattice,
     chain,
     face_poset,
-    generate,
     generate_from_string,
     parse_spec,
     random_graded_poset,
@@ -162,9 +160,3 @@ def test_parse_spec_grammar():
 def test_face_poset_default_top():
     p = generate_from_string("face_poset(torus_7)")
     assert p.rho == 4
-
-
-def test_generator_spec_seed_slot():
-    a = generate(GeneratorSpec("random_pure_complex", (3, 7, 0.5), seed=4))
-    b = generate(GeneratorSpec("random_pure_complex", (3, 7, 0.5, 4)))
-    assert serialize_facets(a) == serialize_facets(b)

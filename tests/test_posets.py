@@ -53,7 +53,6 @@ from dehnsom.posets import (
     mobius_row,
     order_complex,
     parse_poset_json,
-    rank_selected_subposet,
     rank_sums,
     serialize_poset_json,
     simplicial_poset_h,
@@ -72,6 +71,7 @@ from oracles import (
     member_scan_chains,
     member_scan_error_buckets,
     naive_mobius,
+    rank_selected_subposet,
     rank_set_pass_alpha,
     rebuilt_dual,
     submask_sum,
@@ -382,11 +382,11 @@ def test_random_poset_graded_and_classified(seed):
 
 
 def test_interval_errors_records(torus_poset, susp_poset):
-    from dehnsom.posets import interval_errors
-    errs = interval_errors(torus_poset)
-    assert [(e.s, e.t, e.e) for e in errs] == [("()", "TOP", -2)]
-    assert {susp_poset.rank(e.t) - susp_poset.rank(e.s)
-            for e in interval_errors(susp_poset)} == {4, 5}
+    labels = torus_poset.labels
+    assert [(labels[s], labels[t], e) for s, t, e in torus_poset.bad_intervals()] == [
+        ("()", "TOP", -2)]
+    rank = susp_poset.rank_of
+    assert {rank[t] - rank[s] for s, t, _ in susp_poset.bad_intervals()} == {4, 5}
 
 
 def test_classification_cached_cross_check_rerun(monkeypatch):
