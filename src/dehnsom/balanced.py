@@ -3,13 +3,12 @@ and the flag Dehn-Sommerville verification."""
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
-from itertools import islice
 from typing import Iterable, Mapping, NamedTuple
 
 from .complexes import (
     SimplicialComplex,
+    _face_sums,
     face_errors,
     flag_rows,
     label_sort_key,
@@ -56,15 +55,9 @@ class BalancedComplex:
                      if not isinstance(kappa[v], int) or not 1 <= kappa[v] <= d]
         if bad_range:
             raise NotBalanced(f"colors outside 1..{d} at {bad_range}")
-        # the faces with top vertex t are one run of the sorted masks, each with
-        # its parent's colors and t's; a face repeats a color exactly when it
-        # has fewer colors than vertices
-        colors, lo = [0] * len(cx._masks), 1
-        faces = islice(cx._drop, 1, None)  # one pass over the drops, run by run
-        for t, v in enumerate(cx.vertices):
-            bit, hi = 1 << (kappa[v] - 1), bisect_left(cx._masks, 2 << t)
-            colors[lo:hi] = [colors[f[-1]] | bit for f in islice(faces, hi - lo)]
-            lo = hi
+        # a face's colors are its vertices' colors; it repeats one exactly when
+        # the sum of its color bits carries, to fewer set bits than vertices
+        colors = _face_sums(cx, [1 << (kappa[v] - 1) for v in cx.vertices])
         for m, c in zip(cx._masks, colors):  # in mask order: the smallest such face
             if c.bit_count() != m.bit_count():
                 f = cx.face_of(m)

@@ -7,20 +7,20 @@ over the masks (``SimplicialComplex.from_masks``, called directly by
 ``posets.order_complex``) that sorts them once, checks closure run by run of
 faces with the same top vertex, finds purity and the facets, and keeps each
 face's one-vertex-removed faces (``_drop``). Only that pass hashes masks,
-into transient position tables; every later per-face pass, the link sweep
-and the balanced coloring among them, addresses a face by its position in
-the sorted ``_masks``, so χ̃(lk F), ε(F) and ``BalancedComplex.face_colors``
-are lists aligned with ``_masks``. Frozensets
-of opaque vertex labels are the boundary form: the label constructor takes
-them, the public ``faces`` set is built from the masks on first read, and
-``facets()`` and error records give labels. The empty face is always a
-member, so f_{-1} = 1.
+into transient position tables; every later per-face pass addresses a face
+by its position in the sorted ``_masks``, so χ̃(lk F), ε(F) and
+``BalancedComplex.face_colors`` are lists aligned with ``_masks``. Only that
+pass and ``_vertex_sums`` (per-face sums of vertex values: relabeled masks,
+color sets) read the run layout. Frozensets of opaque vertex labels are the
+boundary form: the label constructor takes them, the public ``faces`` set is
+built from the masks on first read, and ``facets()`` and error records give
+labels. The empty face is always a member, so f_{-1} = 1.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import compress, repeat
+from itertools import accumulate, compress, islice, repeat
 from operator import eq, ge, xor
 from typing import Iterable, NamedTuple, Sequence
 
@@ -50,9 +50,23 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _relabel(masks: Iterable[int], new_bits: Sequence[int]) -> list[int]:
-    """Each mask with its bit i replaced by ``new_bits[i]``."""
-    return [sum(new_bits[i] for i in _bits(m)) for m in masks]
+def _vertex_sums(masks: Sequence[int], drop: Sequence[tuple], values: Sequence[int]) -> list[int]:
+    """Σ values[i] over the vertices i of every face of the sorted ``masks``
+    (per-face drops ``drop``), aligned with them. The faces with top vertex t
+    are one run of the masks, each its parent ``drop[k][-1]`` plus t, so a
+    face takes one addition."""
+    sums, lo = [0] * len(masks), 1
+    faces = islice(drop, 1, None)  # one pass over the drops, run by run
+    for t, value in enumerate(values):
+        hi = bisect_left(masks, 2 << t)
+        sums[lo:hi] = [sums[f[-1]] + value for f in islice(faces, hi - lo)]
+        lo = hi
+    return sums
+
+
+def _face_sums(cx: "SimplicialComplex", values: Sequence[int]) -> list[int]:
+    """Σ values[i] over the vertices i of every face of ``cx``, aligned with ``cx._masks``."""
+    return _vertex_sums(cx._masks, cx._drop, values)
 
 
 class SimplicialComplex:
@@ -130,14 +144,12 @@ class SimplicialComplex:
         for faces in drop:
             for p in faces:
                 covered[p] = 1
-        keep = [t for t, (lo, hi) in enumerate(runs) if lo < hi]
-        if len(keep) < len(verts):
+        used = [lo < hi for lo, hi in runs]
+        if not all(used):
             # drop the unused vertices; the bit map keeps order, so positions hold
-            new_bits = [0] * len(verts)
-            for j, i in enumerate(keep):
-                new_bits[i] = 1 << j
-            verts = tuple(verts[i] for i in keep)
-            masks = _relabel(masks, new_bits)
+            new_bits = [u << below for u, below in zip(used, accumulate(used, initial=0))]
+            masks = _vertex_sums(masks, drop, new_bits)
+            verts = tuple(compress(verts, used))
         # the submasks reached are exactly the non-maximal faces
         facet_masks = [m for m, c in zip(masks, covered) if not c]
         dim = max(m.bit_count() for m in facet_masks) - 1
@@ -332,8 +344,8 @@ def join_with_mapping(a: SimplicialComplex, b: SimplicialComplex):
     right = {v: f"b:{v}" for v in b.vertices}
     verts = sorted([*left.values(), *right.values()], key=label_sort_key)
     bit = {v: 1 << i for i, v in enumerate(verts)}
-    a_masks = _relabel(a._masks, [bit[left[v]] for v in a.vertices])
-    b_masks = _relabel(b._masks, [bit[right[v]] for v in b.vertices])
+    a_masks = _face_sums(a, [bit[left[v]] for v in a.vertices])
+    b_masks = _face_sums(b, [bit[right[v]] for v in b.vertices])
     faces = [x | y for x in a_masks for y in b_masks]
     return SimplicialComplex.from_masks(verts, faces), left, right
 
@@ -472,8 +484,15 @@ def parse_facets(text: str) -> SimplicialComplex:
 
 
 def serialize_facets(cx: SimplicialComplex) -> str:
-    """Canonical form: facets sorted lexicographically by interned vertex index."""
-    order = {v: i for i, v in enumerate(cx.vertices)}
-    rows = sorted(tuple(sorted(f, key=order.__getitem__)) for f in cx.facets())
-    lines = [" ".join(str(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    """Canonical form: facets sorted lexicographically by interned vertex index.
+
+    A label that ``parse_facets`` would read back as another label, or that
+    would make the CLI read the text as another format, is a ParseError.
+    """
+    for v in cx.vertices:
+        text = str(v)
+        if (text.split() != [text] or "#" in text or text.startswith(("{", "colors:"))
+                or _parse_label(text) != v):
+            raise ParseError(f"label {v!r} does not read back as itself in the facet format")
+    rows = sorted(tuple(_bits(m)) for m in cx._facet_masks)
+    return "".join(" ".join(str(cx.vertices[i]) for i in row) + "\n" for row in rows)

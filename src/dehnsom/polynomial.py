@@ -76,15 +76,6 @@ class ExactPolynomial:
             return self.coeffs[k]
         return 0
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __call__(self, value: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
-
     # --- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "ExactPolynomial") -> "ExactPolynomial":

@@ -12,15 +12,16 @@ from __future__ import annotations
 import json
 from typing import Iterable, NamedTuple, Sequence
 
+from .balanced import BalancedComplex
 from .complexes import (
     HVector,
     SimplicialComplex,
     _bits,
     ds_rows,
-    face_errors,
     flag_rows,
     h_from_f,
     label_sort_key,
+    singularity_profile,
     subset_transform,
 )
 from .errors import (
@@ -377,8 +378,6 @@ def order_complex(P: GradedPoset):
     chains are walked straight to bitmasks, one length at a time: every
     chain ending at i is extended by each proper element above i.
     """
-    from .balanced import BalancedComplex  # local import avoids a cycle
-
     need_rank(P, 1, "order complex")
     proper = list(_bits(_proper_mask(P)))
     verts = sorted(proper, key=lambda i: label_sort_key(P.labels[i]))
@@ -529,9 +528,7 @@ def min_j_sing_recursive(P: GradedPoset) -> int:
 
 def min_j_sing_order_complex(P: GradedPoset) -> int:
     """Prop-6.3 criterion: smallest j making O(P) a j-singular complex."""
-    cx = order_complex(P).complex
-    return max((m.bit_count() - 1 for m, e in zip(cx._masks, face_errors(cx)) if e),
-               default=-2) + 1
+    return singularity_profile(order_complex(P).complex).min_singular_j
 
 
 def classify_poset(P: GradedPoset, cross_check: bool = False) -> PosetClassification:
@@ -617,12 +614,7 @@ def dual(P: GradedPoset) -> GradedPoset:
 def simplicial_poset_f(P: GradedPoset) -> tuple[int, ...]:
     if not classify_poset(P).simplicial:
         raise NotSimplicial("some proper lower interval is not a Boolean lattice")
-    d = P.rho - 1
-    counts = [0] * (d + 1)
-    for r in P.rank_of:
-        if r <= d:
-            counts[r] += 1
-    return tuple(counts)
+    return tuple(rank_sums(P, [1] * P.n)[:P.rho])  # ranks 0..d; 1̂ alone has rank ρ
 
 
 def simplicial_poset_h(P: GradedPoset) -> HVector:

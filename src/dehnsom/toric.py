@@ -282,8 +282,7 @@ def verify_generalized(P: GradedPoset, name: str = "") -> VerificationReport:
     j = cls.min_j_sing
     d = P.rho - 1
     table = toric_table(P)
-    h_top = table.h[P.top_i]
-    lhs = h_top - h_top.reversed_at(d)
+    lhs = ExactPolynomial(table.defect(P.top_i))  # [x^k] ĥ(P) − x^d ĥ(P,1/x) is A_k
     e_top = end_errors(P)[0]
     mu_top = P.mobius_to_top()
     e01 = e_top[P.bottom_i]

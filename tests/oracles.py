@@ -14,9 +14,15 @@ from array import array
 from fractions import Fraction
 from typing import NamedTuple
 
-from dehnsom.complexes import _bits, _relabel, label_sort_key, serialize_facets
+from dehnsom.complexes import _bits, label_sort_key, serialize_facets
 from dehnsom.errors import EmptyInput, FaceNotInComplex, InternalError
 from dehnsom.posets import _proper_mask, build_poset
+
+
+def _relabel(masks, new_bits):
+    """Each mask with its bit i replaced by ``new_bits[i]``, by walking its bits:
+    the reference for ``complexes._vertex_sums``."""
+    return [sum(new_bits[i] for i in _bits(m)) for m in masks]
 
 
 def closure_of_facets(facets):

@@ -88,6 +88,23 @@ def test_repeated_color_witness_matches_bit_walk():
     assert set(exc.value.witness) == set(cx.face_of(witness)) == {1, 3}
 
 
+@pytest.mark.parametrize("colors, text, witness", [
+    ((1, 1), "face {0, 1} repeats a color", {0, 1}),
+    ((1, 1, 1), "face {0, 1} repeats a color", {0, 1}),
+    # the color bits of the whole face sum to 1 + 1 + 2 + 4 = 8: a carry through three bits
+    ((1, 1, 2, 3), "face {0, 1} repeats a color", {0, 1}),
+    ((2, 3, 1, 1), "face {2, 3} repeats a color", {2, 3}),
+])
+def test_repeated_colors_with_carry_chains(colors, text, witness):
+    cx = build_complex([range(len(colors))])
+    kappa = dict(enumerate(colors))
+    with pytest.raises(NotBalanced) as exc:
+        BalancedComplex(cx, kappa)
+    assert str(exc.value) == text
+    assert exc.value.witness == frozenset(witness)
+    assert cx.face_of(bit_walk_face_colors(cx, kappa)[1]) == exc.value.witness
+
+
 def test_coloring_canonicalization():
     bal = validate_coloring(cycle(4), {0: "red", 1: "blue", 2: "red", 3: "blue"})
     assert sorted(set(bal.kappa.values())) == [1, 2]

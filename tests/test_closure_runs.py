@@ -5,9 +5,11 @@ top vertex) one run of equal top vertex at a time and builds each face's
 one-vertex-removed faces from its parent's; the link sweep goes level by level
 over those per-face drops, and the balanced coloring takes each face's colors
 from its parent. ``oracles.vertex_major_closure``, ``vertex_major_link_euler``
-and ``star_walk_face_colors`` are the per-vertex kernels from before. These
-tests hold the two to the same facets, dim, purity, χ̃(lk F), face colors and
-closure errors, on clean, shuffled, repeated, generator and padded input.
+and ``star_walk_face_colors`` are the per-vertex kernels from before, and
+``oracles._relabel`` walks every bit of every face where ``_vertex_sums`` adds
+one value to the parent's sum. These tests hold the two to the same facets,
+dim, purity, χ̃(lk F), face colors, per-face sums and closure errors, on
+clean, shuffled, repeated, generator and padded input.
 """
 
 import random
@@ -19,6 +21,7 @@ from dehnsom.balanced import BalancedComplex
 from dehnsom.complexes import (
     SimplicialComplex,
     _bits,
+    _vertex_sums,
     face_sort_key,
     label_sort_key,
     link_euler_values,
@@ -27,7 +30,7 @@ from dehnsom.errors import InternalError, NotBalanced
 from dehnsom.generators import random_graded_poset, random_pure_complex
 from dehnsom.posets import dual, order_complex
 
-from oracles import star_walk_face_colors, vertex_major_closure, vertex_major_link_euler
+from oracles import _relabel, star_walk_face_colors, vertex_major_closure, vertex_major_link_euler
 
 EXTRA = (-7, 10**6, "~unused")  # labels no tested complex uses
 
@@ -74,12 +77,18 @@ def _assert_same(got, oracle):
 @settings(deadline=None, max_examples=30)
 @given(seed=st.integers(min_value=0, max_value=10**9))
 def test_runs_match_vertex_major_pass(seed):
+    rng = random.Random(seed)
     for cx in _complexes(seed):
         _assert_same(cx, vertex_major_closure(cx.vertices, cx._masks))
         verts, fed = _fed(cx, seed)
         oracle = vertex_major_closure(verts, fed)
         _assert_same(SimplicialComplex.from_masks(verts, fed), oracle)
         _assert_same(SimplicialComplex.from_masks(verts, iter(fed)), oracle)
+        # per-face sums of a random bit map: zeros, single bits and wide values
+        # (the padded call in _set_masks is held to _relabel by _assert_same)
+        bits = [rng.choice((0, 1 << rng.randrange(80), rng.randrange(1 << 80)))
+                for _ in cx.vertices]
+        assert _vertex_sums(cx._masks, cx._drop, bits) == _relabel(cx._masks, bits)
 
 
 def _smallest_unclosed(masks):

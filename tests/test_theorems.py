@@ -5,17 +5,22 @@ agreement checks the link sweep, the closure pass and the f→h transform
 against mathematics rather than against an earlier version of themselves.
 """
 
+from math import comb
+
 from hypothesis import given, settings, strategies as st
 
 from dehnsom.complexes import (
     SimplicialComplex,
+    f_vector,
     h_vector,
+    join,
     join_with_mapping,
     link_euler_table,
     link_euler_values,
 )
-from dehnsom.generators import random_graded_poset, random_pure_complex, suspension
-from dehnsom.posets import order_complex
+from dehnsom.generators import face_poset, random_graded_poset, random_pure_complex, suspension
+from dehnsom.posets import dual, flag_alpha_beta, order_complex
+from dehnsom.toric import toric_pair
 
 RANKS = ((2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3, 2), (4, 1, 4), (1, 3, 1, 3, 1))
 
@@ -63,3 +68,54 @@ def test_suspension_multiplies_h_by_one_plus_x(seed):
     h = h_vector(cx).entries
     expected = tuple(a + b for a, b in zip(h + (0,), (0,) + h))
     assert h_vector(suspension(cx)).entries == expected
+
+
+def _surjections(i, k):
+    """k!·S(i, k), the number of maps from an i-set onto a k-set, by inclusion-exclusion."""
+    return sum((-1) ** j * comb(k, j) * (k - j) ** i for j in range(k + 1))
+
+
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_toric_h_of_a_face_poset_is_the_h_vector(seed):
+    # Stanley 1987: ĝ of a Boolean interval is 1, so a simplicial poset's toric
+    # ĥ is the h-vector of its complex
+    cx = random_pure_complex(1 + seed % 4, 5 + seed % 4, 0.4, seed)
+    h = h_vector(cx).entries
+    assert toric_pair(face_poset(cx, True)).h_indexed == dict(enumerate(h))
+
+
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_barycentric_subdivision_f_vector(seed):
+    # Brenti–Welker 2008: f_{k−1}(sd Δ) = Σ_i f_{i−1}(Δ)·k!·S(i, k), where
+    # sd Δ = O(face_poset(Δ)) counts chains of nonempty faces
+    cx = random_pure_complex(1 + seed % 4, 5 + seed % 4, 0.4, seed)
+    f = f_vector(cx).entries
+    sd = f_vector(order_complex(face_poset(cx, True)).complex).entries
+    assert sd == tuple(sum(f[i] * _surjections(i, k) for i in range(len(f)))
+                       for k in range(len(f)))
+
+
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_join_multiplies_h_polynomials(seed):
+    # h(Δ * Γ) = h(Δ)·h(Γ): the f-polynomials multiply, and so do the h-polynomials
+    a, b = _random_complex(seed), _random_complex(seed // 5 + 11)
+    ha, hb = h_vector(a).entries, h_vector(b).entries
+    product = [0] * (len(ha) + len(hb) - 1)
+    for i, x in enumerate(ha):
+        for j, y in enumerate(hb):
+            product[i + j] += x * y
+    assert h_vector(join(a, b)).entries == tuple(product)
+
+
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(min_value=0, max_value=10**9), density=st.sampled_from((0.3, 0.5, 0.8)))
+def test_flag_beta_of_the_dual_reverses_ranks(seed, density):
+    # duality: rank r of P is rank ρ − r of P*, so β_{P*}(S) = β_P(ρ − S)
+    P = random_graded_poset(RANKS[seed % len(RANKS)], density, seed)
+    Q, rho = dual(P), P.rho
+    for m in range(1 << (rho - 1)):
+        S = [r for r in range(1, rho) if m >> (r - 1) & 1]
+        assert flag_alpha_beta(Q, S)[1] == flag_alpha_beta(P, [rho - r for r in S])[1]
