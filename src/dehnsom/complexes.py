@@ -426,16 +426,25 @@ def short_h_vector(cx: SimplicialComplex) -> tuple[int, ...]:
     return h_from_f([k * f[k] for k in range(1, d + 1)], d - 1)
 
 
+def _singular_faces(cx: SimplicialComplex) -> tuple[list[tuple[int, int]], bool, bool, int]:
+    """The (mask, ε) pairs of the faces of a pure complex with ε ≠ 0, in mask
+    order, and (eulerian, semi_eulerian, min_singular_j) read from their
+    sizes; no face set is built."""
+    bad = [(m, e) for m, e in zip(cx._masks, face_errors(cx)) if e]
+    sizes = [m.bit_count() for m, _ in bad]
+    return bad, not bad, not any(sizes), max(sizes, default=-1)
+
+
 def singularity_profile(cx: SimplicialComplex) -> SingularityProfile:
-    bad = sorted(((cx.face_of(m), e) for m, e in zip(cx._masks, face_errors(cx)) if e),
-                 key=lambda fe: face_sort_key(fe[0]))
-    min_j = max((len(f) - 1 for f, _ in bad), default=-2) + 1
-    return SingularityProfile(
-        eulerian=not bad,
-        semi_eulerian=all(f == Face() for f, _ in bad),
-        min_singular_j=min_j,
-        error_set=tuple(FaceError(f, e) for f, e in bad),
-    )
+    bad, eulerian, semi_eulerian, min_j = _singular_faces(cx)
+    # the vertices are in label_sort_key order, so listing a face's keys by
+    # vertex index lists them sorted, as face_sort_key does
+    verts = cx.vertices
+    keys = list(map(label_sort_key, verts))
+    faces = [(list(_bits(m)), e) for m, e in bad]
+    faces.sort(key=lambda fe: (len(fe[0]), list(map(keys.__getitem__, fe[0]))))
+    return SingularityProfile(eulerian, semi_eulerian, min_j, tuple(
+        FaceError(Face(map(verts.__getitem__, ix)), e) for ix, e in faces))
 
 
 def verify_pure_ds(cx: SimplicialComplex, name: str = "") -> VerificationReport:

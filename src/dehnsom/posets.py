@@ -17,11 +17,11 @@ from .complexes import (
     HVector,
     SimplicialComplex,
     _bits,
+    _singular_faces,
     ds_rows,
     flag_rows,
     h_from_f,
     label_sort_key,
-    singularity_profile,
     subset_transform,
 )
 from .errors import (
@@ -528,7 +528,7 @@ def min_j_sing_recursive(P: GradedPoset) -> int:
 
 def min_j_sing_order_complex(P: GradedPoset) -> int:
     """Prop-6.3 criterion: smallest j making O(P) a j-singular complex."""
-    return singularity_profile(order_complex(P).complex).min_singular_j
+    return _singular_faces(order_complex(P).complex)[3]
 
 
 def classify_poset(P: GradedPoset, cross_check: bool = False) -> PosetClassification:

@@ -153,8 +153,14 @@ CATALOG = (
 
 
 def run_catalog() -> list[VerificationReport]:
-    """The reports of `dehnsom verify all` without an input: the whole catalog."""
-    reports = []
-    for spec, identities in CATALOG:
-        reports += verify_all(generate_from_string(spec), spec, identities)
+    """The reports of `dehnsom verify all` without an input: the whole catalog.
+    Each distinct spec is generated once and dropped after its last entry."""
+    last = {spec: i for i, (spec, _) in enumerate(CATALOG)}
+    objects, reports = {}, []
+    for i, (spec, identities) in enumerate(CATALOG):
+        if spec not in objects:
+            objects[spec] = generate_from_string(spec)
+        reports += verify_all(objects[spec], spec, identities)
+        if last[spec] == i:
+            del objects[spec]
     return reports

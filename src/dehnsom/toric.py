@@ -4,7 +4,9 @@ symmetry defects.
 Indexing follows Swartz: for rank d+1 the toric h-polynomial is written
 ĥ(P,x) = ĥ_d + ĥ_{d−1}x + ... + ĥ_0 x^d, so ĥ_k is the coefficient of
 x^{d−k} and ĥ_0 = 1 is the leading coefficient. The g-polynomial is the
-degree-⌊d/2⌋ truncation of (1−x)·ĥ(P,x).
+degree-⌊d/2⌋ truncation of (1−x)·ĥ(P,x). The table of every lower interval
+holds them as int tuples; a polynomial is wrapped as ExactPolynomial only
+where it leaves this module (`toric_pair`, `verify_generalized`).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .errors import (
 from .polynomial import ExactPolynomial, binom, sign
 from .posets import (
     GradedPoset,
-    _bits,
     _chain_error_buckets,
     classify_poset,
     dual,
@@ -33,50 +34,51 @@ from .reports import Row, VerificationReport
 
 
 class ToricTable:
-    """ĥ and ĝ of every lower interval [0̂, t], for a whole poset.
+    """ĥ and ĝ of every lower interval [0̂, t], for a whole poset, as int
+    tuples, lowest degree first.
 
     Lower intervals of lower intervals are again lower intervals, so one table
     per poset feeds the recursion ĥ(q) = Σ_{u<q} ĝ(u)·(x−1)^{ρ(q)−1−ρ(u)} for
-    every element; isomorphic intervals are not detected. The ĝ(u) below q
-    are first summed coefficient-wise by rank, into G_0, ..., G_{ρ(q)−1};
-    then ĥ(q) = (···(G_0·(x−1) + G_1)·(x−1) + ···)·(x−1) + G_{ρ(q)−1} is
-    evaluated by Horner steps on int lists, each step a multiplication by
-    (x−1) and one addition. ĝ(q) is the degree-⌊(ρ(q)−1)/2⌋ truncation of
-    (1−x)·ĥ(q). No Möbius value is read.
+    every element; isomorphic intervals are not detected. One push pass in
+    index (= rank) order: once ĝ(u) is final it is added coefficient-wise
+    into the rank-ρ(u) sum of every element of u's up-list, so q's sums
+    G_0, ..., G_{ρ(q)−1} are complete when q is reached. Then ĥ(q) =
+    (···(G_0·(x−1) + G_1)·(x−1) + ···)·(x−1) + G_{ρ(q)−1} by Horner steps;
+    its leading coefficient is 1, so it has exactly ρ(q) coefficients
+    (ĥ(0̂) = 1). ĝ(q) is the degree-⌊(ρ(q)−1)/2⌋ truncation of (1−x)·ĥ(q),
+    trailing zeros trimmed. No Möbius value is read.
     """
 
     def __init__(self, P: GradedPoset):
         self.P = P
         rank = P.rank_of
-        h: list[list[int]] = [None] * P.n
-        g: list[list[int]] = [None] * P.n
-        for q in range(P.n):  # index order is rank order
+        above = P._strict_up_lists()
+        # cols[r][k][w] = Σ [x^k]ĝ(u) over the u < w of rank r ≥ 1, as ĝ of
+        # rank r has ⌊(r+1)/2⌋ coefficients; G_0 = ĝ(0̂) = 1 is not pushed
+        cols = [[[0] * P.n for _ in range((r + 1) // 2)] for r in range(P.rho + 1)]
+        self.h, self.g = [], []
+        for q in range(P.n):
             rq = rank[q]
-            if rq == 0:
-                h[q] = g[q] = [1]
-                continue
-            # ĝ of an element of rank r ≥ 1 has ⌊(r+1)/2⌋ coefficients; ĝ(0̂) = 1
-            by_rank = [[0] * max(1, (r + 1) // 2) for r in range(rq)]
-            for u in _bits(P._down[q] & ~(1 << q)):
-                acc = by_rank[rank[u]]
-                for k, c in enumerate(g[u]):
-                    acc[k] += c
-            hq = by_rank[0]
-            for grouped in by_rank[1:]:
-                # hq·(x−1) + G_r
-                hq = [b - a for a, b in zip(hq + [0], [0] + hq)]
-                for k, c in enumerate(grouped):
-                    hq[k] += c
-            h[q] = hq
-            g[q] = [b - a for a, b in zip([0] + hq, hq[:(rq - 1) // 2 + 1])]
-        self.h = [ExactPolynomial(c) for c in h]
-        self.g = [ExactPolynomial(c) for c in g]
+            hq = [1]
+            for r in range(1, rq):
+                hq = [b - a for a, b in zip(hq + [0], [0] + hq)]  # hq·(x−1) + G_r
+                for k, col in enumerate(cols[r]):
+                    hq[k] += col[q]
+            gq = [b - a for a, b in zip([0] + hq, hq[:(rq - 1) // 2 + 1])] if rq else [1]
+            while gq and not gq[-1]:
+                gq.pop()
+            for col, c in zip(cols[rq], gq):
+                if c:
+                    for w in above[q]:
+                        col[w] += c
+            self.h.append(tuple(hq))
+            self.g.append(tuple(gq))
 
     def defect(self, q: int) -> list:
         """A_k(Q) = ĥ_{r−k}(Q) − ĥ_k(Q) for the lower interval at element q."""
         r = self.P.rank_of[q] - 1
         hq = self.h[q]
-        return [hq.coeff(k) - hq.coeff(r - k) for k in range(r + 1)]
+        return [hq[k] - hq[r - k] for k in range(r + 1)]
 
 
 def toric_table(P: GradedPoset) -> ToricTable:
@@ -108,14 +110,11 @@ class DefectSequence(NamedTuple):
 def toric_pair(P: GradedPoset) -> ToricPair:
     table = toric_table(P)
     h = table.h[P.top_i]
-    g = table.g[P.top_i]
-    if P.rho == 0:  # the trivial poset: hhat = ghat = 1
-        return ToricPair(h, g, {})
-    d = P.rho - 1
-    if h.coeff(d) != 1:
+    if h[-1] != 1:
         raise InternalError("toric h must have leading coefficient ĥ_0 = 1")
-    indexed = {k: h.coeff(d - k) for k in range(d + 1)}
-    return ToricPair(h, g, indexed)
+    d = P.rho - 1  # −1 for the trivial poset: ĥ = ĝ = 1, and no ĥ_k
+    return ToricPair(ExactPolynomial(h), ExactPolynomial(table.g[P.top_i]),
+                     {k: h[d - k] for k in range(d + 1)})
 
 
 def defect_sequence(P: GradedPoset) -> DefectSequence:
@@ -132,9 +131,8 @@ def defect_sequence(P: GradedPoset) -> DefectSequence:
     return DefectSequence(classify_poset(P).min_j_sing, entries)
 
 
-def _c_weight_from_g(g: ExactPolynomial, rho: int, u: int, v: int) -> int:
-    return sum(sign(l) * c * binom(u - rho, v - l)
-               for l, c in enumerate(g.coeffs))
+def _c_weight_from_g(g: Sequence[int], rho: int, u: int, v: int) -> int:
+    return sum(sign(l) * c * binom(u - rho, v - l) for l, c in enumerate(g))
 
 
 def coeff_C(T: GradedPoset, u: int, v: int) -> int:
@@ -297,7 +295,7 @@ def verify_generalized(P: GradedPoset, name: str = "") -> VerificationReport:
         r = P.rank_of[q]
         if r > d:
             continue
-        g, mu = table.g[q].coeffs, mu_top[q]
+        g, mu = table.g[q], mu_top[q]
         acc = rhs_by_rank[r]
         if r <= j:  # e(q,1̂)·x^r ĝ(q, 1/x)
             for k, c in enumerate(g):
@@ -310,7 +308,7 @@ def verify_generalized(P: GradedPoset, name: str = "") -> VerificationReport:
             for k, c in enumerate(g):
                 acc[k] += mu * c
                 acc[r - k] += sign(d - r) * c
-            for k, c in enumerate(table.h[q].coeffs):
+            for k, c in enumerate(table.h[q]):
                 acc[k + 1] += mu * c
                 acc[k] -= mu * c
 
@@ -378,7 +376,7 @@ def lower_eulerian_defect(P: GradedPoset, k: int):
         if rq > j or e_top[q] == 0:
             continue
         inner = sum(sign(d - k - l + 1) * c * binom(d - rq, k - rq + l)
-                    for l, c in enumerate(table.g[q].coeffs))
+                    for l, c in enumerate(table.g[q]))
         total += e_top[q] * inner
     return total
 

@@ -688,3 +688,49 @@ def balanced_text(bal):
     then its canonical facet list."""
     colors = " ".join(f"{v}={bal.kappa[v]}" for v in bal.complex.vertices)
     return f"colors: {colors}\n" + serialize_facets(bal.complex)
+
+
+# --- kernels replaced in the package, kept as references ---
+
+def rank_grouped_pull_toric(P):
+    """(ĥ, ĝ) of every lower interval [0̂, q] as int tuples, lowest degree
+    first, trailing zeros trimmed: for each q, the ĝ(u) of the u < q are
+    pulled by one bit walk over q's down-mask and summed by rank, then
+    ĥ(q) follows by Horner steps in (x−1)."""
+    rank = P.rank_of
+    h, g = [None] * P.n, [None] * P.n
+    for q in range(P.n):
+        rq = rank[q]
+        if rq == 0:
+            h[q] = g[q] = [1]
+            continue
+        by_rank = [[0] * max(1, (r + 1) // 2) for r in range(rq)]
+        for u in _bits(P._down[q] & ~(1 << q)):
+            acc = by_rank[rank[u]]
+            for k, c in enumerate(g[u]):
+                acc[k] += c
+        hq = by_rank[0]
+        for grouped in by_rank[1:]:
+            hq = [b - a for a, b in zip(hq + [0], [0] + hq)]
+            for k, c in enumerate(grouped):
+                hq[k] += c
+        h[q] = hq
+        g[q] = [b - a for a, b in zip([0] + hq, hq[:(rq - 1) // 2 + 1])]
+    return [tuple(p_trim(p)) for p in h], [tuple(p_trim(p)) for p in g]
+
+
+def frozenset_singularity_profile(cx):
+    """The singularity profile of a pure complex with every error face built
+    as a label frozenset and sorted by ``face_sort_key``; min_singular_j,
+    eulerian and semi_eulerian are read from those sets."""
+    from dehnsom.complexes import FaceError, SingularityProfile, face_errors, face_sort_key
+
+    bad = sorted(((cx.face_of(m), e) for m, e in zip(cx._masks, face_errors(cx)) if e),
+                 key=lambda fe: face_sort_key(fe[0]))
+    min_j = max((len(f) - 1 for f, _ in bad), default=-2) + 1
+    return SingularityProfile(
+        eulerian=not bad,
+        semi_eulerian=all(f == frozenset() for f, _ in bad),
+        min_singular_j=min_j,
+        error_set=tuple(FaceError(f, e) for f, e in bad),
+    )

@@ -74,3 +74,22 @@ def test_summary_reports_the_bound(bp):
     assert m["bound"] == 0.25 and m["within_bound"] is False
     m = bp.summarize(PARENT, CHANGE, "s", "lower", bound=0.25)
     assert m["within_bound"] is True and m["change_better_pairs"] == 10
+
+
+def test_checkouts_of_unequal_path_length_are_refused(bp, tmp_path, capsys):
+    argv = ["--workload", "catalog", "--seeds", "1", "--out", str(tmp_path / "out.json")]
+    (tmp_path / "c1").mkdir()
+    (tmp_path / "change").mkdir()
+    code = bp.main(["--parent", str(tmp_path / "c1"), "--change", str(tmp_path / "change")]
+                   + argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "differ in path length" in err
+    assert not (tmp_path / "out.json").exists()
+    # paths are compared as they resolve: c1/../c2 and change12 are both 9
+    # characters long as given, but c1/../c2 resolves to c2
+    assert bp.main(["--parent", f"{tmp_path}/c1/../c2", "--change", f"{tmp_path}/change12"]
+                   + argv) == 2
+    # equal lengths pass the check and go on to read the change's BENCHMARK.json
+    with pytest.raises(FileNotFoundError):
+        bp.main(["--parent", str(tmp_path / "c1"), "--change", str(tmp_path / "c2")] + argv)

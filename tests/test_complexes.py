@@ -44,6 +44,7 @@ from oracles import (
     euler_from_faces,
     face_masks,
     frozenset_complex,
+    frozenset_singularity_profile,
     h_closed_form,
     link_faces,
     mask_of,
@@ -223,6 +224,32 @@ def test_singularity_profile_cases(torus, susp_torus):
     assert not prof.semi_eulerian and prof.min_singular_j == 1
     by_dim = sorted((len(fe.face) - 1, fe.epsilon) for fe in prof.error_set)
     assert by_dim == [(-1, 2), (0, -2), (0, -2)]
+
+
+@pytest.mark.parametrize("spec", COMPLEX_DS_SPECS)
+def test_singularity_profile_matches_frozenset_reference_on_catalog(spec):
+    cx = generate_from_string(spec)
+    assert singularity_profile(cx) == frozenset_singularity_profile(cx)
+
+
+def test_singularity_profile_orders_mixed_labels_like_face_sort_key():
+    # 10 sorts after 2 as an int and before it as a string; "a" after every int
+    cx = build_complex([(1, 2, 10), (2, 10, "a"), (1, 10, "a"), (1, 2, "b"), (2, "a", "b")])
+    prof = singularity_profile(cx)
+    assert len(prof.error_set) > 1
+    assert prof == frozenset_singularity_profile(cx)
+
+
+@settings(deadline=None, max_examples=15)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_singularity_profile_matches_frozenset_reference_on_order_complexes(seed):
+    from dehnsom.posets import dual, order_complex
+
+    ranks = ((2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3, 2))[seed % 4]
+    P = random_graded_poset(ranks, 0.5, seed)
+    for Q in (P, dual(P)):
+        cx = order_complex(Q).complex
+        assert singularity_profile(cx) == frozenset_singularity_profile(cx)
 
 
 def test_verify_pure_ds_sphere_and_torus(torus):

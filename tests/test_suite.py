@@ -12,6 +12,7 @@ import pytest
 
 from dehnsom.cli import main
 from dehnsom.complexes import SimplicialComplex
+from dehnsom import suite
 from dehnsom import toric as tc
 from dehnsom.errors import Inapplicable, InternalError, ParseError, RangeViolation
 from dehnsom.generators import (boolean_lattice, chain, generate_from_string,
@@ -19,8 +20,8 @@ from dehnsom.generators import (boolean_lattice, chain, generate_from_string,
 from dehnsom.posets import (classify_poset, dual, flag_alpha_beta, order_complex,
                             verify_flag_poset)
 from dehnsom.reports import VerificationReport
-from dehnsom.suite import (BALANCED, COMPLEX, IDENTITIES, ORDER_COMPLEX_SPECS, POSET,
-                           POSET_SPECS, as_kind, verify, verify_all)
+from dehnsom.suite import (BALANCED, CATALOG, COMPLEX, IDENTITIES, ORDER_COMPLEX_SPECS,
+                           POSET, POSET_SPECS, as_kind, verify, verify_all)
 from dehnsom.toric import verify_1sing, verify_generalized, verify_stanley
 
 
@@ -126,3 +127,27 @@ def test_verify_all_lets_other_errors_through(monkeypatch):
     monkeypatch.setattr(tc, "verify_swartz", tripwire)
     with pytest.raises(InternalError, match="tripwire"):
         verify_all(chain(2), "P")
+
+
+def test_run_catalog_builds_each_spec_once(monkeypatch):
+    built, served = [], []
+
+    def counting_generate(spec):
+        built.append(spec)
+        return generate_from_string(spec)
+
+    def recording_verify_all(obj, name, identities=IDENTITIES):
+        served.append((obj, name))  # holds every object, so no id is reused
+        return verify_all(obj, name, identities)
+
+    monkeypatch.setattr(suite, "generate_from_string", counting_generate)
+    monkeypatch.setattr(suite, "verify_all", recording_verify_all)
+    suite.run_catalog()
+    assert len(CATALOG) == len(served) == 44
+    assert len(built) == len(set(built)) == 32
+    assert [name for _, name in served] == [spec for spec, _ in CATALOG]
+    # one object per spec string, and never one object for two of them
+    spec_of = {}
+    for obj, name in served:
+        assert spec_of.setdefault(id(obj), name) == name
+    assert len(spec_of) == 32

@@ -18,8 +18,14 @@ from dehnsom.complexes import (
     link_euler_table,
     link_euler_values,
 )
-from dehnsom.generators import face_poset, random_graded_poset, random_pure_complex, suspension
-from dehnsom.posets import dual, flag_alpha_beta, order_complex
+from dehnsom.generators import (
+    face_poset,
+    random_graded_poset,
+    random_pure_complex,
+    suspension,
+    torus_7,
+)
+from dehnsom.posets import dual, flag_alpha_beta, order_complex, verify_flag_poset
 from dehnsom.toric import toric_pair
 
 RANKS = ((2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3, 2), (4, 1, 4), (1, 3, 1, 3, 1))
@@ -119,3 +125,28 @@ def test_flag_beta_of_the_dual_reverses_ranks(seed, density):
     for m in range(1 << (rho - 1)):
         S = [r for r in range(1, rho) if m >> (r - 1) & 1]
         assert flag_alpha_beta(Q, S)[1] == flag_alpha_beta(P, [rho - r for r in S])[1]
+
+
+def _flag_rows_by_rank_set(P):
+    """(lhs, rhs) of every row of verify_flag_poset(P), keyed by its rank set S."""
+    return {frozenset(int(r) for r in row.index[len("S={"):-1].split(",") if r):
+            (row.lhs, row.rhs) for row in verify_flag_poset(P).rows}
+
+
+def _assert_dual_flag_rows_reverse_ranks(P):
+    # duality: β_{P*}(S) = β_P(ρ − S), and a chain of P* is a chain of P with
+    # the same Möbius product and ε, its rank set reversed
+    rho = P.rho
+    rows, dual_rows = _flag_rows_by_rank_set(P), _flag_rows_by_rank_set(dual(P))
+    assert len(dual_rows) == 1 << (rho - 1)
+    assert dual_rows == {frozenset(rho - r for r in S): v for S, v in rows.items()}
+
+
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(min_value=0, max_value=10**9), density=st.sampled_from((0.3, 0.5, 0.8)))
+def test_flag_poset_rows_of_the_dual_reverse_ranks(seed, density):
+    _assert_dual_flag_rows_reverse_ranks(random_graded_poset(RANKS[seed % len(RANKS)], density, seed))
+
+
+def test_flag_poset_rows_of_the_dual_reverse_ranks_on_the_torus_face_poset():
+    _assert_dual_flag_rows_reverse_ranks(face_poset(torus_7(), True))

@@ -42,7 +42,14 @@ from dehnsom.toric import (
     verify_swartz,
 )
 
-from oracles import interval, iter_chains, naive_toric, p_trim, pairwise_toric
+from oracles import (
+    interval,
+    iter_chains,
+    naive_toric,
+    p_trim,
+    pairwise_toric,
+    rank_grouped_pull_toric,
+)
 
 
 def _assert_toric_matches_naive(p):
@@ -81,7 +88,7 @@ def test_toric_coefficients_are_ints(spec):
     P = generate_from_string(spec)
     for Q in (P, dual(P)):
         table = toric_table(Q)
-        assert all(type(c) is int for poly in table.h + table.g for c in poly.coeffs)
+        assert all(type(c) is int for coeffs in table.h + table.g for c in coeffs)
 
 
 @settings(deadline=None, max_examples=20)
@@ -95,8 +102,8 @@ def _assert_table_matches_pairwise_and_naive(P):
     table = toric_table(P)
     assert P._mu == {}  # the table reads no Möbius value
     h, g = pairwise_toric(P)
-    assert [list(p.coeffs) for p in table.h] == h
-    assert [list(p.coeffs) for p in table.g] == g
+    assert [list(p) for p in table.h] == h
+    assert [list(p) for p in table.g] == g
     for q in range(P.n):
         lower = interval(P, P.bottom_i, q)
         assert naive_toric(list(lower.labels), lower.covers()) == (h[q], g[q])
@@ -117,6 +124,28 @@ def test_horner_table_matches_pairwise_products(seed):
     P = random_graded_poset(ranks, 0.5, seed)
     _assert_table_matches_pairwise_and_naive(P)
     _assert_table_matches_pairwise_and_naive(dual(P))
+
+
+def _assert_push_matches_pull(P):
+    table = toric_table(P)
+    assert (table.h, table.g) == rank_grouped_pull_toric(P)
+    assert all(type(c) is tuple for c in table.h + table.g)
+
+
+@pytest.mark.parametrize("spec", [f"chain({n})" for n in range(4)]
+                         + [f"boolean_lattice({n})" for n in range(6)])
+def test_push_table_matches_rank_grouped_pull_on_small_posets(spec):
+    _assert_push_matches_pull(generate_from_string(spec))
+
+
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(min_value=0, max_value=10**9),
+       density=st.sampled_from((0.3, 0.5, 0.8)))
+def test_push_table_matches_rank_grouped_pull(seed, density):
+    ranks = ((2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3), (1, 3, 1, 3, 1))[seed % 5]
+    P = random_graded_poset(ranks, density, seed)
+    _assert_push_matches_pull(P)
+    _assert_push_matches_pull(dual(P))
 
 
 def test_polygon_lattice_matches_cycle_h():
@@ -195,8 +224,9 @@ def test_g_reversal_defect_identity_every_interval(torus_poset, susp_poset):
             rq = P.rank_of[q]
             if rq == 0:
                 continue
-            lhs = table.g[q] + y * table.h[q]
-            rhs = table.g[q].reversed_at(rq) + star_sum(table.defect(q), rq - 1)
+            gq, hq = ExactPolynomial(table.g[q]), ExactPolynomial(table.h[q])
+            lhs = gq + y * hq
+            rhs = gq.reversed_at(rq) + star_sum(table.defect(q), rq - 1)
             assert lhs == rhs, (P, P.labels[q])
 
 
@@ -423,7 +453,7 @@ def test_cube_torus_poset_heart_term(cube_torus_poset):
     assert cls.max_lower_simplicial_k == 2
     table = toric_table(P)
     squares = [q for q in range(P.n)
-               if P.rank_of[q] == 3 and list(table.g[q].coeffs) == [1, 1]]
+               if P.rank_of[q] == 3 and list(table.g[q]) == [1, 1]]
     assert squares, "expected square 2-cells with ghat = 1 + x"
     seq = defect_sequence(P)
     d = P.rho - 1
@@ -433,7 +463,7 @@ def test_cube_torus_poset_heart_term(cube_torus_poset):
     for q in squares:
         for k in range(d + 1):
             inner = sum(sign(d - k - l + 1) * int(c) * binom(d - 3, k - 3 + l)
-                        for l, c in enumerate(table.g[q].coeffs))
+                        for l, c in enumerate(table.g[q]))
             heart = sign(d - k + 1) * (binom(d - 3, k - 3) - (4 - 3) * binom(d - 3, k - 2))
             assert inner == heart
 
@@ -445,10 +475,10 @@ def test_heart_term_collapses_for_boolean_interval(oct_torus_poset):
     rank3 = [q for q in range(P.n) if P.rank_of[q] == 3]
     assert rank3
     for q in rank3[:5]:
-        assert list(table.g[q].coeffs) == [1]  # Boolean: f_1 = 3, ghat = 1
+        assert list(table.g[q]) == [1]  # Boolean: f_1 = 3, ghat = 1
         for k in range(d + 1):
             inner = sum(sign(d - k - l + 1) * int(c) * binom(d - 3, k - 3 + l)
-                        for l, c in enumerate(table.g[q].coeffs))
+                        for l, c in enumerate(table.g[q]))
             assert inner == sign(d - k + 1) * binom(d - 3, k - 3)
 
 
@@ -473,13 +503,13 @@ def test_eulerian_interval_reversal_identity():
     #   = -(x-1)^{d-rho} ghat(T)
     for T in (boolean_lattice(2), boolean_lattice(3), boolean_lattice(4),
               polygon_lattice(5)):
-        table = toric_table(T)
+        g = [ExactPolynomial(c) for c in toric_table(T).g]
         rho = T.rho
         for d in (rho, rho + 1, rho + 3):
-            lhs = -ExactPolynomial.x_minus_one_power(d - rho) * table.g[T.top_i].reversed_at(rho)
+            lhs = -ExactPolynomial.x_minus_one_power(d - rho) * g[T.top_i].reversed_at(rho)
             for u in range(T.n - 1):
-                lhs = lhs + ExactPolynomial.x_minus_one_power(d - T.rank_of[u]) * table.g[u]
-            rhs = -ExactPolynomial.x_minus_one_power(d - rho) * table.g[T.top_i]
+                lhs = lhs + ExactPolynomial.x_minus_one_power(d - T.rank_of[u]) * g[u]
+            rhs = -ExactPolynomial.x_minus_one_power(d - rho) * g[T.top_i]
             assert lhs == rhs
 
 

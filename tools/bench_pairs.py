@@ -14,7 +14,9 @@ BENCHMARK.json, the per-seed values of both sides, their median with the
 first and third quartiles, the number of pairs the change won, and
 whether the change's median stays within the metric's ``bound``; with
 ``--claim`` it adds the claimed metric's medians, the parent's IQR and the
-relative move. Standard library only.
+relative move. Both checkouts must resolve to absolute paths of equal
+length: the child's peak RSS moves with the length of its directory name, so
+unequal paths exit 2 before any run. Standard library only.
 """
 
 from __future__ import annotations
@@ -138,6 +140,11 @@ def main(argv=None) -> int:
     ap.add_argument("--name", default="", help="one line saying what the change is")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
+    parent, change = args.parent.resolve(), args.change.resolve()
+    if len(str(parent)) != len(str(change)):
+        print(f"bench_pairs: --parent {parent} and --change {change} differ in path length, "
+              "which moves the child's peak RSS; use paths of equal length", file=sys.stderr)
+        return 2
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in spec["end_to_end"]}
