@@ -94,7 +94,7 @@ class ToricPair(NamedTuple):
 
     @property
     def d(self) -> int:
-        return self.h_poly.degree
+        return len(self.h_indexed) - 1  # ρ − 1, so −1 for the trivial poset
 
 
 class DefectSequence(NamedTuple):

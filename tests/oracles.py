@@ -1,29 +1,52 @@
-"""Independent brute-force oracles used to freeze expected values.
+"""Reference computations that the tests hold the package's kernels to.
 
-Everything here recomputes invariants from first principles (explicit subset
-enumeration, textbook recursions, hand convolution) without touching the
-package's internal representations, so an agreement is evidence rather than
-tautology.
+The rule: each quantity has a definition-level reference (brute force from
+the definition, for small inputs) and at most one fast reference that shares
+no code with the kernel it checks; sympy and networkx serve as outside
+references in their own test files. A reference calls the package's public
+functions and ``_bits``, and reads public values only: labels, ranks, covers,
+``leq_i``, the poset's up/down masks and cover lists, and a complex's
+vertices, vertex bits ``_bit`` and sorted face masks ``_masks``. It never
+reads the face layout of the closure pass, so that layout can change inside
+complexes.py alone. ``frozenset_singularity_profile`` is partial: it takes ε
+from ``face_errors`` and the order from ``face_sort_key``, so it checks only
+how ``singularity_profile`` sorts and aggregates (ε is checked against the
+link walk in test_face_positions.py).
+
+The quantities, each with its definition-level reference, then its fast one:
+
+- faces, closure, facets, dim, purity and the smallest unclosed face named:
+  ``closure_of_facets`` and ``frozenset_complex``; ``set_closure_facets``
+- χ̃(lk F): ``link_faces`` with ``euler_from_faces``; ``subset_walk_link_euler``
+- per-face sums of vertex values (``complexes._face_sums``): ``_relabel``
+- face colors and the face that repeats a color: ``bit_walk_face_colors``
+- face bitmasks: ``mask_of``; h from f: ``h_closed_form``; the short
+  h-vector: ``short_h_by_links``; the profile: ``frozenset_singularity_profile``
+- subset sums (``complexes.subset_transform``): ``submask_sum``; short flag
+  sums: ``short_flag_sum_by_vertices``
+- chains of P∖{0̂,1̂}, the faces of O(P): ``member_scan_chains``; ``iter_chains``
+- Möbius values: ``naive_mobius``; ``interval_walk_mobius``
+- α(S): ``rank_selected_subposet``; ``rank_set_pass_alpha``
+- chain errors by rank set: ``member_scan_error_buckets``
+- Boolean lower intervals: ``atom_scan_is_boolean_interval``; P*: ``rebuilt_dual``
+- toric ĥ/ĝ: ``naive_toric``; ``rank_grouped_pull_toric``
+
+``face_masks``, ``interval`` and ``balanced_text`` build inputs, and the
+``p_*`` helpers are the hand-rolled polynomials of ``naive_toric``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from array import array
 from fractions import Fraction
-from typing import NamedTuple
 
-from dehnsom.complexes import _bits, label_sort_key, serialize_facets
-from dehnsom.errors import EmptyInput, FaceNotInComplex, InternalError
-from dehnsom.posets import _proper_mask, build_poset
+from dehnsom.complexes import _bits, serialize_facets
+from dehnsom.errors import FaceNotInComplex, InternalError
+from dehnsom.posets import build_poset
 
 
-def _relabel(masks, new_bits):
-    """Each mask with its bit i replaced by ``new_bits[i]``, by walking its bits:
-    the reference for ``complexes._vertex_sums``."""
-    return [sum(new_bits[i] for i in _bits(m)) for m in masks]
-
+# --- faces, closure, facets, dim and purity -------------------------------------
 
 def closure_of_facets(facets):
     """All subsets of the given facets, plus the empty set."""
@@ -35,18 +58,113 @@ def closure_of_facets(facets):
     return faces
 
 
-def f_counts(faces):
-    """(f_{-1}, f_0, ..., f_{d-1}) by direct counting."""
-    top = max(len(f) for f in faces)
-    out = [0] * (top + 1)
-    for f in faces:
-        out[len(f)] += 1
-    return tuple(out)
+def frozenset_complex(faces):
+    """(dim, pure, facets) of a face family by the frozenset checks the complex
+    constructor made before it worked on bitmasks: O(|F|·n) set unions.
 
+    Raises ValueError when removing a vertex from some face leaves the family.
+    """
+    fam = frozenset(frozenset(f) for f in faces)
+    for f in fam:
+        for v in f:
+            if f - {v} not in fam:
+                raise ValueError(f"family not closed under inclusion at {set(f)}")
+    dim = max(len(f) for f in fam) - 1
+    verts = {v for f in fam for v in f}
+    facets = {f for f in fam if not any(f | {v} in fam for v in verts - f)}
+    return dim, all(len(f) == dim + 1 for f in facets), facets
+
+
+def set_closure_facets(vertices, masks):
+    """(facet masks, dim, pure) of a family of face masks, bit i standing for
+    vertices[i], by set membership: in increasing mask order, every
+    one-bit-removed submask must be in the family (else InternalError naming
+    the first face that fails, the smallest in mask order), and the facets
+    are the faces no such submask reaches."""
+    mask_set = set(masks)
+    covered = set()
+    for m in sorted(mask_set):
+        rest = m
+        while rest:
+            low = rest & -rest
+            sub = m ^ low
+            if sub not in mask_set:
+                face = {vertices[i] for i in _bits(m)}
+                raise InternalError(f"family not closed under inclusion at {face}")
+            covered.add(sub)
+            rest ^= low
+    facet_masks = sorted(mask_set - covered)
+    dim = max(m.bit_count() for m in facet_masks) - 1
+    return facet_masks, dim, all(m.bit_count() == dim + 1 for m in facet_masks)
+
+
+def face_masks(faces, vertices):
+    """The faces as sorted bitmasks, bit i standing for vertices[i]."""
+    bit = {v: 1 << i for i, v in enumerate(vertices)}
+    return tuple(sorted(sum(bit[v] for v in f) for f in faces))
+
+
+# --- χ̃(lk F), per-face sums and face colors ------------------------------------
 
 def euler_from_faces(faces):
     return sum((-1) ** (len(f) - 1) if len(f) else -1 for f in faces)
 
+
+def link_faces(faces, f):
+    """lk F by literal definition: G disjoint from F with F ∪ G a face."""
+    f = frozenset(f)
+    return {g for g in faces if not (g & f) and (g | f) in faces}
+
+
+def subset_walk_link_euler(cx):
+    """χ̃(lk F) for every face, keyed by face bitmask, by walking every subset
+    F of every face H and adding (−1)^{|H∖F|−1}: Σ 2^{|H|} steps."""
+    acc = dict.fromkeys(cx._masks, 0)
+    for h in cx._masks:
+        sub = h
+        while True:
+            acc[sub] += 1 if ((h ^ sub).bit_count() & 1) else -1
+            if sub == 0:
+                break
+            sub = (sub - 1) & h
+    return acc
+
+
+def _relabel(masks, new_bits):
+    """Σ new_bits[i] over the vertices i of each mask, by walking its bits: the
+    reference for ``complexes._face_sums`` (a relabeling when every value is
+    one bit)."""
+    return [sum(new_bits[i] for i in _bits(m)) for m in masks]
+
+
+def bit_walk_face_colors(cx, kappa):
+    """(color mask of every face aligned with cx._masks, first face mask that
+    repeats a color or None), by walking every vertex bit of every face."""
+    color_bit = [1 << (kappa[v] - 1) for v in cx.vertices]
+    colors, witness = [], None
+    for m in cx._masks:
+        c = 0
+        for i in _bits(m):
+            c |= color_bit[i]
+        if witness is None and c.bit_count() != m.bit_count():
+            witness = m
+        colors.append(c)
+    return tuple(colors), witness
+
+
+def mask_of(cx, face):
+    """The bitmask of ``face`` over the vertices of ``cx``; a repeated vertex
+    counts once, and a vertex outside the complex raises FaceNotInComplex."""
+    m = 0
+    try:
+        for v in face:
+            m |= cx._bit[v]
+    except KeyError as exc:
+        raise FaceNotInComplex(f"unknown vertex in {set(face)}") from exc
+    return m
+
+
+# --- h-vectors, subset sums and the singularity profile -------------------------
 
 def h_closed_form(f, d):
     """h_k = sum_i (-1)^{k-i} C(d-i, k-i) f_{i-1}, the expanded transform."""
@@ -59,10 +177,118 @@ def h_closed_form(f, d):
     )
 
 
-def link_faces(faces, f):
-    """lk F by literal definition: G disjoint from F with F ∪ G a face."""
-    f = frozenset(f)
-    return {g for g in faces if not (g & f) and (g | f) in faces}
+def short_h_by_links(cx):
+    """Σ_v h(lk v), building every vertex link as a complex of its own."""
+    from dehnsom.complexes import h_vector, link
+
+    d = cx.dim + 1
+    out = [0] * d
+    for v in cx.vertices:
+        hv = h_vector(link(cx, [v])).entries
+        for i in range(d):
+            out[i] += hv[i] if i < len(hv) else 0
+    return tuple(out)
+
+
+def submask_sum(table, mask, signed):
+    """Σ_{S ⊆ mask} table[S], each term times (−1)^{|mask∖S|} when signed.
+
+    The direct submask loop the flag tables used before the subset transform:
+    O(3^d) over a whole table.
+    """
+    total, sub = 0, mask
+    while True:
+        sgn = -1 if signed and (mask ^ sub).bit_count() % 2 else 1
+        total += sgn * table[sub]
+        if sub == 0:
+            return total
+        sub = (sub - 1) & mask
+
+
+def short_flag_sum_by_vertices(bal, S, i):
+    """Σ over the color-i vertices v of h_S(lk v), by the scan of every face for
+    every color-i vertex that short_flag_sum made before it read the face color
+    masks: O(n_i·|F|) frozenset tests."""
+    counts = [0] * (1 << bal.d)
+    for v in bal.complex.vertices:
+        if bal.kappa[v] != i:
+            continue
+        for face in bal.complex.faces:
+            if v in face:
+                counts[sum(1 << (bal.kappa[u] - 1) for u in face - {v})] += 1
+    return submask_sum(counts, sum(1 << (c - 1) for c in S), signed=True)
+
+
+def frozenset_singularity_profile(cx):
+    """The singularity profile of a pure complex with every error face built
+    as a label frozenset and sorted by ``face_sort_key``; min_singular_j,
+    eulerian and semi_eulerian are read from those sets."""
+    from dehnsom.complexes import FaceError, SingularityProfile, face_errors, face_sort_key
+
+    bad = sorted(((cx.face_of(m), e) for m, e in zip(cx._masks, face_errors(cx)) if e),
+                 key=lambda fe: face_sort_key(fe[0]))
+    min_j = max((len(f) - 1 for f, _ in bad), default=-2) + 1
+    return SingularityProfile(
+        eulerian=not bad,
+        semi_eulerian=all(f == frozenset() for f, _ in bad),
+        min_singular_j=min_j,
+        error_set=tuple(FaceError(f, e) for f, e in bad),
+    )
+
+
+def balanced_text(bal):
+    """The balanced text format of ``bal``: a 'colors:' header in vertex order,
+    then its canonical facet list."""
+    colors = " ".join(f"{v}={bal.kappa[v]}" for v in bal.complex.vertices)
+    return f"colors: {colors}\n" + serialize_facets(bal.complex)
+
+
+# --- chains, Möbius values and poset tables -------------------------------------
+
+def _proper(P):
+    return [i for i in range(P.n) if i not in (P.bottom_i, P.top_i)]
+
+
+def member_scan_chains(P, allowed_ranks=None, max_size=None):
+    """Chains of P∖{0̂,1̂} as index tuples, extending each chain by testing
+    every proper element with leq_i; the empty chain comes first."""
+    members = [i for i in _proper(P)
+               if allowed_ranks is None or P.rank_of[i] in allowed_ranks]
+    yield ()
+    if max_size is not None and max_size < 1:
+        return
+    stack = [(i,) for i in reversed(members)]
+    while stack:
+        chain = stack.pop()
+        yield chain
+        if max_size is not None and len(chain) >= max_size:
+            continue
+        last = chain[-1]
+        for j in members:
+            if j > last and P.leq_i(last, j):
+                stack.append(chain + (j,))
+
+
+def iter_chains(P, allowed_ranks=None, max_size=None):
+    """All chains in P∖{0̂,1̂} (index tuples, increasing rank), incl. the empty
+    chain, extending each chain by the bits of the up-set of its last element."""
+    if P.rho < 1:
+        raise InternalError("proper part needs rho >= 1")
+    members = ((1 << P.n) - 1) & ~(1 << P.bottom_i) & ~(1 << P.top_i)
+    if allowed_ranks is not None:
+        members = sum(1 << i for i in _bits(members) if P.rank_of[i] in allowed_ranks)
+    yield ()
+    if max_size is not None and max_size < 1:
+        return
+    stack = [(i,) for i in reversed(list(_bits(members)))]
+    while stack:
+        chain = stack.pop()
+        yield chain
+        if max_size is not None and len(chain) >= max_size:
+            continue
+        last = chain[-1]
+        # everything above last except last itself has a larger index
+        stack.extend(chain + (j,) for j in _bits(P._up[last] & members & ~(1 << last)))
 
 
 def naive_mobius(elements, covers):
@@ -97,7 +323,144 @@ def naive_mobius(elements, covers):
     return leq, mu
 
 
-# --- hand-rolled polynomials over Fraction, lowest degree first ---------------
+def interval_walk_mobius(P):
+    """μ(s, t) for every comparable pair, keyed (s, t), by the interval
+    recursion μ(s,u) = −Σ_{s≤w<u} μ(s,w) with one bit walk over [s, u) per pair."""
+    mu = {}
+    for s in range(P.n):
+        for u in _bits(P._up[s]):
+            if u == s:
+                mu[(s, u)] = 1
+            else:
+                mu[(s, u)] = -sum(mu[(s, w)]
+                                  for w in _bits(P._up[s] & P._down[u] & ~(1 << u)))
+    return mu
+
+
+def rank_selected_subposet(P, S):
+    """P_S: elements with rank in S, always retaining 0̂ and 1̂, covers found by
+    testing every pair of adjacent kept ranks; a reference for α(S), the
+    maximal-chain count of P_S."""
+    d = P.rho - 1
+    keep_ranks = set(S) | {0, d + 1}
+    keep = [i for i in range(P.n) if P.rank_of[i] in keep_ranks]
+    labels = [P.labels[i] for i in keep]
+    covers = []
+    kept_ranks = sorted({P.rank_of[i] for i in keep})
+    succ = {r: kept_ranks[k + 1] for k, r in enumerate(kept_ranks[:-1])}
+    for a in keep:
+        nxt = succ.get(P.rank_of[a])
+        if nxt is None:
+            continue
+        for b in keep:
+            if P.rank_of[b] == nxt and P.leq_i(a, b):
+                covers.append((P.labels[a], P.labels[b]))
+    return build_poset(labels, covers)
+
+
+def rank_set_pass_alpha(P):
+    """α(S) for every rank set S ⊆ [d], bitmask-indexed, by one chain-counting
+    pass per S over the ranks in S, testing every pair with leq_i: 2^d passes."""
+    d = P.rho - 1
+    by_rank = [[] for _ in range(d + 2)]
+    for i in _proper(P):
+        by_rank[P.rank_of[i]].append(i)
+    table = []
+    for mask in range(1 << d):
+        dp = {P.bottom_i: 1}
+        for r in range(1, d + 1):
+            if not mask >> (r - 1) & 1:
+                continue
+            nxt = {}
+            for j in by_rank[r]:
+                total = sum(v for i, v in dp.items() if P.leq_i(i, j))
+                if total:
+                    nxt[j] = total
+            dp = nxt
+        table.append(sum(v for i, v in dp.items() if P.leq_i(i, P.top_i)))
+    return table
+
+
+def member_scan_error_buckets(P):
+    """Σ ε(C) over the chains C of P∖{0̂,1̂}, bucketed by rank-set bitmask,
+    by recursion over chains extended through leq_i member scans."""
+    def sgn(k):
+        return -1 if k % 2 else 1
+
+    mu_top = P.mobius_to_top()
+    buckets = {}
+    sign_d = sgn(P.rho)
+    members = _proper(P)
+
+    def visit(last_i, prod, size, rmask):
+        eps = sgn(size) * (prod * mu_top[last_i] - sign_d)
+        buckets[rmask] = buckets.get(rmask, 0) + eps
+        for j in members:
+            if j > last_i and P.leq_i(last_i, j):
+                visit(j, prod * P.mobius_i(last_i, j), size + 1,
+                      rmask | (1 << (P.rank_of[j] - 1)))
+
+    buckets[0] = mu_top[P.bottom_i] - sign_d
+    for i in members:
+        visit(i, P.mobius_i(P.bottom_i, i), 1, 1 << (P.rank_of[i] - 1))
+    return buckets
+
+
+def atom_scan_is_boolean_interval(P, s, t):
+    """Whether [s, t] is a Boolean lattice, building each member's atom set
+    with one leq_i test per atom."""
+    r = P.rank_of[t] - P.rank_of[s]
+    members = list(_bits(P._up[s] & P._down[t]))
+    if len(members) != 1 << r:
+        return False
+    atoms = [u for u in members if P.rank_of[u] == P.rank_of[s] + 1]
+    if len(atoms) != r:
+        return False
+    abit = {a: 1 << k for k, a in enumerate(atoms)}
+    aset = {}
+    for u in members:
+        m = 0
+        for a in atoms:
+            if P.leq_i(a, u):
+                m |= abit[a]
+        if m.bit_count() != P.rank_of[u] - P.rank_of[s]:
+            return False
+        aset[u] = m
+    if len(set(aset.values())) != len(members):
+        return False
+    for v in members:
+        lower = [u for u in P._covers_dn[v] if u in aset]
+        if v != s and len(lower) != aset[v].bit_count():
+            return False
+        for u in lower:
+            if aset[u] & ~aset[v]:
+                return False
+    return True
+
+
+def rebuilt_dual(P):
+    """P* by reversing P's labeled covers and validating them again with
+    build_poset, which recomputes the ranks and the label order."""
+    return build_poset(P.labels, [(b, a) for a, b in P.covers()])
+
+
+def interval(P, s, t):
+    """The closed interval [s, t] of P (element indices) as a poset of its own."""
+    from dehnsom.posets import GradedPoset
+
+    if not P.leq_i(s, t):
+        raise InternalError("not an interval")
+    members = list(_bits(P._up[s] & P._down[t]))
+    pos = {m: k for k, m in enumerate(members)}
+    base = P.rank_of[s]
+    return GradedPoset(
+        [P.labels[m] for m in members],
+        [P.rank_of[m] - base for m in members],
+        [[pos[j] for j in P._covers_up[m] if j in pos] for m in members],
+    )
+
+
+# --- toric ĥ/ĝ, over hand-rolled polynomials (Fraction, lowest degree first) ----
 
 def p_trim(p):
     p = list(p)
@@ -190,508 +553,6 @@ def naive_toric(elements, covers):
     return p_trim(h_of(top)), p_trim(g_of(top))
 
 
-def submask_sum(table, mask, signed):
-    """Σ_{S ⊆ mask} table[S], each term times (−1)^{|mask∖S|} when signed.
-
-    The direct submask loop the flag tables used before the subset transform:
-    O(3^d) over a whole table.
-    """
-    total, sub = 0, mask
-    while True:
-        sgn = -1 if signed and (mask ^ sub).bit_count() % 2 else 1
-        total += sgn * table[sub]
-        if sub == 0:
-            return total
-        sub = (sub - 1) & mask
-
-
-def short_flag_sum_by_vertices(bal, S, i):
-    """Σ over the color-i vertices v of h_S(lk v), by the scan of every face for
-    every color-i vertex that short_flag_sum made before it read the face color
-    masks: O(n_i·|F|) frozenset tests."""
-    counts = [0] * (1 << bal.d)
-    for v in bal.complex.vertices:
-        if bal.kappa[v] != i:
-            continue
-        for face in bal.complex.faces:
-            if v in face:
-                counts[sum(1 << (bal.kappa[u] - 1) for u in face - {v})] += 1
-    return submask_sum(counts, sum(1 << (c - 1) for c in S), signed=True)
-
-
-# --- frozenset and member-scan kernels, replaced in the package by bitmask walks ---
-
-def frozenset_complex(faces):
-    """(dim, pure, facets) of a face family by the frozenset checks the complex
-    constructor made before it worked on bitmasks: O(|F|·n) set unions.
-
-    Raises ValueError when removing a vertex from some face leaves the family.
-    """
-    fam = frozenset(frozenset(f) for f in faces)
-    for f in fam:
-        for v in f:
-            if f - {v} not in fam:
-                raise ValueError(f"family not closed under inclusion at {set(f)}")
-    dim = max(len(f) for f in fam) - 1
-    verts = {v for f in fam for v in f}
-    facets = {f for f in fam if not any(f | {v} in fam for v in verts - f)}
-    return dim, all(len(f) == dim + 1 for f in facets), facets
-
-
-def face_masks(faces, vertices):
-    """The faces as sorted bitmasks, bit i standing for vertices[i]."""
-    bit = {v: 1 << i for i, v in enumerate(vertices)}
-    return tuple(sorted(sum(bit[v] for v in f) for f in faces))
-
-
-def short_h_by_links(cx):
-    """Σ_v h(lk v), building every vertex link as a complex of its own."""
-    from dehnsom.complexes import h_vector, link
-
-    d = cx.dim + 1
-    out = [0] * d
-    for v in cx.vertices:
-        hv = h_vector(link(cx, [v])).entries
-        for i in range(d):
-            out[i] += hv[i] if i < len(hv) else 0
-    return tuple(out)
-
-
-def _proper(P):
-    return [i for i in range(P.n) if i not in (P.bottom_i, P.top_i)]
-
-
-def iter_chains(P, allowed_ranks=None, max_size=None):
-    """All chains in P∖{0̂,1̂} (index tuples, increasing rank), incl. the empty
-    chain, extending each chain by the bits of the up-set of its last element."""
-    if P.rho < 1:
-        raise InternalError("proper part needs rho >= 1")
-    members = ((1 << P.n) - 1) & ~(1 << P.bottom_i) & ~(1 << P.top_i)
-    if allowed_ranks is not None:
-        members = sum(1 << i for i in _bits(members) if P.rank_of[i] in allowed_ranks)
-    yield ()
-    if max_size is not None and max_size < 1:
-        return
-    stack = [(i,) for i in reversed(list(_bits(members)))]
-    while stack:
-        chain = stack.pop()
-        yield chain
-        if max_size is not None and len(chain) >= max_size:
-            continue
-        last = chain[-1]
-        # everything above last except last itself has a larger index
-        stack.extend(chain + (j,) for j in _bits(P._up[last] & members & ~(1 << last)))
-
-
-def member_scan_chains(P, allowed_ranks=None, max_size=None):
-    """Chains of P∖{0̂,1̂} as index tuples, extending each chain by testing
-    every proper element with leq_i; the empty chain comes first."""
-    members = [i for i in _proper(P)
-               if allowed_ranks is None or P.rank_of[i] in allowed_ranks]
-    yield ()
-    if max_size is not None and max_size < 1:
-        return
-    stack = [(i,) for i in reversed(members)]
-    while stack:
-        chain = stack.pop()
-        yield chain
-        if max_size is not None and len(chain) >= max_size:
-            continue
-        last = chain[-1]
-        for j in members:
-            if j > last and P.leq_i(last, j):
-                stack.append(chain + (j,))
-
-
-def atom_scan_is_boolean_interval(P, s, t):
-    """Whether [s, t] is a Boolean lattice, building each member's atom set
-    with one leq_i test per atom."""
-    r = P.rank_of[t] - P.rank_of[s]
-    members = list(_bits(P._up[s] & P._down[t]))
-    if len(members) != 1 << r:
-        return False
-    atoms = [u for u in members if P.rank_of[u] == P.rank_of[s] + 1]
-    if len(atoms) != r:
-        return False
-    abit = {a: 1 << k for k, a in enumerate(atoms)}
-    aset = {}
-    for u in members:
-        m = 0
-        for a in atoms:
-            if P.leq_i(a, u):
-                m |= abit[a]
-        if m.bit_count() != P.rank_of[u] - P.rank_of[s]:
-            return False
-        aset[u] = m
-    if len(set(aset.values())) != len(members):
-        return False
-    for v in members:
-        lower = [u for u in P._covers_dn[v] if u in aset]
-        if v != s and len(lower) != aset[v].bit_count():
-            return False
-        for u in lower:
-            if aset[u] & ~aset[v]:
-                return False
-    return True
-
-
-def rebuilt_dual(P):
-    """P* by reversing P's labeled covers and validating them again with
-    build_poset, which recomputes the ranks and the label order."""
-    return build_poset(P.labels, [(b, a) for a, b in P.covers()])
-
-
-def member_scan_error_buckets(P):
-    """Σ ε(C) over the chains C of P∖{0̂,1̂}, bucketed by rank-set bitmask,
-    by recursion over chains extended through leq_i member scans."""
-    def sgn(k):
-        return -1 if k % 2 else 1
-
-    mu_top = P.mobius_to_top()
-    buckets = {}
-    sign_d = sgn(P.rho)
-    members = _proper(P)
-
-    def visit(last_i, prod, size, rmask):
-        eps = sgn(size) * (prod * mu_top[last_i] - sign_d)
-        buckets[rmask] = buckets.get(rmask, 0) + eps
-        for j in members:
-            if j > last_i and P.leq_i(last_i, j):
-                visit(j, prod * P.mobius_i(last_i, j), size + 1,
-                      rmask | (1 << (P.rank_of[j] - 1)))
-
-    buckets[0] = mu_top[P.bottom_i] - sign_d
-    for i in members:
-        visit(i, P.mobius_i(P.bottom_i, i), 1, 1 << (P.rank_of[i] - 1))
-    return buckets
-
-
-# --- enumerating kernels, replaced in the package by linear-work transforms ---
-
-def subset_walk_link_euler(cx):
-    """χ̃(lk F) for every face, keyed by face bitmask, by walking every subset
-    F of every face H and adding (−1)^{|H∖F|−1}: Σ 2^{|H|} steps."""
-    acc = dict.fromkeys(cx._masks, 0)
-    for h in cx._masks:
-        sub = h
-        while True:
-            acc[sub] += 1 if ((h ^ sub).bit_count() & 1) else -1
-            if sub == 0:
-                break
-            sub = (sub - 1) & h
-    return acc
-
-
-def rank_set_pass_alpha(P):
-    """α(S) for every rank set S ⊆ [d], bitmask-indexed, by one chain-counting
-    pass per S over the ranks in S, testing every pair with leq_i: 2^d passes."""
-    d = P.rho - 1
-    by_rank = [[] for _ in range(d + 2)]
-    for i in _proper(P):
-        by_rank[P.rank_of[i]].append(i)
-    table = []
-    for mask in range(1 << d):
-        dp = {P.bottom_i: 1}
-        for r in range(1, d + 1):
-            if not mask >> (r - 1) & 1:
-                continue
-            nxt = {}
-            for j in by_rank[r]:
-                total = sum(v for i, v in dp.items() if P.leq_i(i, j))
-                if total:
-                    nxt[j] = total
-            dp = nxt
-        table.append(sum(v for i, v in dp.items() if P.leq_i(i, P.top_i)))
-    return table
-
-
-# --- per-pair kernels, replaced in the package by Möbius rows and Horner steps ---
-
-def interval_walk_mobius(P):
-    """μ(s, t) for every comparable pair, keyed (s, t), by the interval
-    recursion μ(s,u) = −Σ_{s≤w<u} μ(s,w) with one bit walk over [s, u) per pair."""
-    mu = {}
-    for s in range(P.n):
-        for u in _bits(P._up[s]):
-            if u == s:
-                mu[(s, u)] = 1
-            else:
-                mu[(s, u)] = -sum(mu[(s, w)]
-                                  for w in _bits(P._up[s] & P._down[u] & ~(1 << u)))
-    return mu
-
-
-def interval(P, s, t):
-    """The closed interval [s, t] of P (element indices) as a poset of its own."""
-    from dehnsom.posets import GradedPoset
-
-    if not P.leq_i(s, t):
-        raise InternalError("not an interval")
-    members = list(_bits(P._up[s] & P._down[t]))
-    pos = {m: k for k, m in enumerate(members)}
-    base = P.rank_of[s]
-    return GradedPoset(
-        [P.labels[m] for m in members],
-        [P.rank_of[m] - base for m in members],
-        [[pos[j] for j in P._covers_up[m] if j in pos] for m in members],
-    )
-
-
-def pairwise_toric(P):
-    """(ĥ, ĝ) of every lower interval [0̂, q] as coefficient lists, lowest degree
-    first, by one polynomial product ĝ(u)·(x−1)^{ρ(q)−1−ρ(u)} per pair u < q."""
-    from dehnsom.polynomial import ExactPolynomial
-
-    one = ExactPolynomial.one()
-    h, g = [None] * P.n, [None] * P.n
-    for q in range(P.n):
-        rq = P.rank_of[q]
-        if rq == 0:
-            h[q] = g[q] = one
-            continue
-        acc = ExactPolynomial.zero()
-        for u in _bits(P._down[q] & ~(1 << q)):
-            acc = acc + g[u] * ExactPolynomial.x_minus_one_power(rq - 1 - P.rank_of[u])
-        h[q] = acc
-        g[q] = ((one - ExactPolynomial((0, 1))) * acc).truncate((rq - 1) // 2)
-    return [list(p.coeffs) for p in h], [list(p.coeffs) for p in g]
-
-
-def bit_walk_face_colors(cx, kappa):
-    """(color mask of every face aligned with cx._masks, first face mask that
-    repeats a color or None), by walking every vertex bit of every face."""
-    color_bit = [1 << (kappa[v] - 1) for v in cx.vertices]
-    colors, witness = [], None
-    for m in cx._masks:
-        c = 0
-        for i in _bits(m):
-            c |= color_bit[i]
-        if witness is None and c.bit_count() != m.bit_count():
-            witness = m
-        colors.append(c)
-    return tuple(colors), witness
-
-
-# --- mask-keyed kernels, replaced in the package by passes over face positions ---
-
-def mask_keyed_link_euler(cx):
-    """χ̃(lk F) for every face, keyed by face bitmask in ``_masks`` order, by
-    the signed superset transform with the faces of each vertex bit held in a
-    dict keyed by power-of-two ints and the accumulator keyed by mask."""
-    acc = dict.fromkeys(cx._masks, -1)
-    with_bit = {}  # vertex bit -> the faces containing it
-    for h in cx._masks:
-        m = h
-        while m:
-            low = m & -m
-            with_bit.setdefault(low, []).append(h)
-            m ^= low
-    for bit, faces in with_bit.items():
-        for h in faces:
-            acc[h ^ bit] -= acc[h]
-    return acc
-
-
-def set_closure_facets(vertices, masks):
-    """(facet masks, dim, pure) of a family of face masks, bit i standing for
-    vertices[i], by set membership: in increasing mask order, every
-    one-bit-removed submask must be in the family (else InternalError naming
-    the face), and the facets are the faces no such submask reaches."""
-    mask_set = set(masks)
-    covered = set()
-    for m in sorted(mask_set):
-        rest = m
-        while rest:
-            low = rest & -rest
-            sub = m ^ low
-            if sub not in mask_set:
-                face = {vertices[i] for i in _bits(m)}
-                raise InternalError(f"family not closed under inclusion at {face}")
-            covered.add(sub)
-            rest ^= low
-    facet_masks = sorted(mask_set - covered)
-    dim = max(m.bit_count() for m in facet_masks) - 1
-    return facet_masks, dim, all(m.bit_count() == dim + 1 for m in facet_masks)
-
-
-# --- hashing kernels, replaced in the package by the face incidence of the closure pass ---
-
-def bucketed_link_euler(masks, n):
-    """χ̃(lk F) for every face of the sorted ``masks`` over ``n`` vertices, as a
-    list aligned with ``masks``, by the signed superset transform with its own
-    {mask: position} dict and the faces bucketed by vertex: each step looks
-    up the position of the face minus the vertex."""
-    position = {m: k for k, m in enumerate(masks)}
-    with_vertex = [[] for _ in range(n)]  # vertex -> positions of the faces containing it
-    for k, h in enumerate(masks):
-        for i in _bits(h):
-            with_vertex[i].append(k)
-    acc = [-1] * len(masks)
-    for i, faces in enumerate(with_vertex):
-        bit = 1 << i
-        for k in faces:
-            acc[position[masks[k] ^ bit]] -= acc[k]
-    return acc
-
-
-def brute_incidence(masks, n):
-    """(star, drop) of the sorted ``masks`` over ``n`` vertices by scanning
-    every face for every vertex: star[i] lists the positions of the faces
-    containing i in increasing order, drop[i] the positions of those faces
-    minus i, found with ``list.index``."""
-    star = [[k for k, m in enumerate(masks) if m >> i & 1] for i in range(n)]
-    drop = [[masks.index(masks[k] ^ (1 << i)) for k in star[i]] for i in range(n)]
-    return star, drop
-
-
-# --- hashing order-complex construction, replaced by one sort and a two-list walk ---
-
-def tuple_walk_chain_masks(P):
-    """(vertex labels in label order, the chain masks of O(P) sorted without
-    repeats, the rank of every vertex label) by walking the chains as
-    ``(mask, last element)`` tuples, one length at a time, and dropping the
-    repeats through a set before sorting."""
-    proper = list(_bits(_proper_mask(P)))
-    verts = sorted(proper, key=lambda i: label_sort_key(P.labels[i]))
-    bit = [0] * P.n
-    for k, i in enumerate(verts):
-        bit[i] = 1 << k
-    above = P._strict_up_lists()
-    steps = [[(bit[j], j) for j in above[i] if j != P.top_i] for i in range(P.n)]
-    masks = [0]
-    level = [(bit[i], i) for i in proper]  # the chains with one element
-    while level:
-        masks += [m for m, _ in level]
-        level = [(m | b, j) for m, i in level for b, j in steps[i]]
-    kappa = {P.labels[i]: P.rank_of[i] for i in proper}
-    return [P.labels[i] for i in verts], sorted(set(masks)), kappa
-
-
-# --- the vertex-major closure pass, replaced in the package by runs of faces by top vertex ---
-
-class VertexMajor(NamedTuple):
-    """What the vertex-major closure pass found: the used vertices, the sorted
-    masks over them, the facet masks, dim, purity and the face incidence."""
-
-    vertices: tuple
-    masks: list
-    facet_masks: list
-    dim: int
-    pure: bool
-    star: list  # star[i]: positions of the faces containing vertex i, as array("i")
-    drop: list  # drop[i]: positions of the same faces minus i, aligned with star[i]
-
-
-def vertex_major_closure(vertices, masks):
-    """The closure pass over face masks (bit i standing for vertices[i]) that
-    ``SimplicialComplex._set_masks`` made before it worked run by run: face by
-    face in mask order, one position lookup and two ``array.append`` calls per
-    (face, vertex) pair. Sorts and dedupes its input, drops unused vertices,
-    and raises InternalError naming the smallest face that is not closed."""
-    verts = tuple(vertices)
-    masks = sorted(set(masks))
-    if not masks:
-        raise EmptyInput("a complex has at least the empty face")
-    if masks[0]:
-        raise InternalError("the empty face is missing")
-    position = {m: k for k, m in enumerate(masks)}
-    star, drop = [array("i") for _ in verts], [array("i") for _ in verts]
-    covered = bytearray(len(masks))
-    for k, m in enumerate(masks):
-        rest = m
-        while rest:
-            low = rest & -rest
-            p = position.get(m ^ low)
-            if p is None:
-                face = {verts[i] for i in _bits(m)}
-                raise InternalError(f"family not closed under inclusion at {face}")
-            i = low.bit_length() - 1
-            star[i].append(k)
-            drop[i].append(p)
-            covered[p] = 1
-            rest ^= low
-    keep = [i for i, faces in enumerate(star) if faces]
-    if len(keep) < len(verts):
-        new_bits = [0] * len(verts)
-        for j, i in enumerate(keep):
-            new_bits[i] = 1 << j
-        verts = tuple(verts[i] for i in keep)
-        masks = _relabel(masks, new_bits)
-        star, drop = [star[i] for i in keep], [drop[i] for i in keep]
-    facet_masks = [m for m, c in zip(masks, covered) if not c]
-    dim = max(m.bit_count() for m in facet_masks) - 1
-    pure = all(m.bit_count() == dim + 1 for m in facet_masks)
-    return VertexMajor(verts, masks, facet_masks, dim, pure, star, drop)
-
-
-def vertex_major_link_euler(masks, star, drop):
-    """χ̃(lk F) for every face of the sorted ``masks``, aligned with them, by
-    the signed superset transform one vertex at a time over the face
-    incidence ``star``/``drop``: from each face H ∋ i to H∖i."""
-    acc = [-1] * len(masks)
-    for faces, subs in zip(star, drop):
-        for k, p in zip(faces, subs):
-            acc[p] -= acc[k]
-    return acc
-
-
-def star_walk_face_colors(masks, star, vertices, kappa):
-    """(color mask of every face aligned with ``masks``, the first face mask
-    that repeats a color or None), ORing each vertex's color into the faces of
-    its star."""
-    colors = [0] * len(masks)
-    for v, faces in zip(vertices, star):
-        bit = 1 << (kappa[v] - 1)
-        for k in faces:
-            colors[k] |= bit
-    witness = next((m for m, c in zip(masks, colors) if c.bit_count() != m.bit_count()), None)
-    return tuple(colors), witness
-
-
-def mask_of(cx, face):
-    """The bitmask of ``face`` over the vertices of ``cx``; a repeated vertex
-    counts once, and a vertex outside the complex raises FaceNotInComplex."""
-    m = 0
-    try:
-        for v in face:
-            m |= cx._bit[v]
-    except KeyError as exc:
-        raise FaceNotInComplex(f"unknown vertex in {set(face)}") from exc
-    return m
-
-
-# --- second forms that only tests read, kept here as references ---
-
-def rank_selected_subposet(P, S):
-    """P_S: elements with rank in S, always retaining 0̂ and 1̂, covers found by
-    testing every pair of adjacent kept ranks; a reference for α(S), the
-    maximal-chain count of P_S."""
-    d = P.rho - 1
-    keep_ranks = set(S) | {0, d + 1}
-    keep = [i for i in range(P.n) if P.rank_of[i] in keep_ranks]
-    labels = [P.labels[i] for i in keep]
-    covers = []
-    kept_ranks = sorted({P.rank_of[i] for i in keep})
-    succ = {r: kept_ranks[k + 1] for k, r in enumerate(kept_ranks[:-1])}
-    for a in keep:
-        nxt = succ.get(P.rank_of[a])
-        if nxt is None:
-            continue
-        for b in keep:
-            if P.rank_of[b] == nxt and P.leq_i(a, b):
-                covers.append((P.labels[a], P.labels[b]))
-    return build_poset(labels, covers)
-
-
-def balanced_text(bal):
-    """The balanced text format of ``bal``: a 'colors:' header in vertex order,
-    then its canonical facet list."""
-    colors = " ".join(f"{v}={bal.kappa[v]}" for v in bal.complex.vertices)
-    return f"colors: {colors}\n" + serialize_facets(bal.complex)
-
-
-# --- kernels replaced in the package, kept as references ---
-
 def rank_grouped_pull_toric(P):
     """(ĥ, ĝ) of every lower interval [0̂, q] as int tuples, lowest degree
     first, trailing zeros trimmed: for each q, the ĝ(u) of the u < q are
@@ -717,20 +578,3 @@ def rank_grouped_pull_toric(P):
         h[q] = hq
         g[q] = [b - a for a, b in zip([0] + hq, hq[:(rq - 1) // 2 + 1])]
     return [tuple(p_trim(p)) for p in h], [tuple(p_trim(p)) for p in g]
-
-
-def frozenset_singularity_profile(cx):
-    """The singularity profile of a pure complex with every error face built
-    as a label frozenset and sorted by ``face_sort_key``; min_singular_j,
-    eulerian and semi_eulerian are read from those sets."""
-    from dehnsom.complexes import FaceError, SingularityProfile, face_errors, face_sort_key
-
-    bad = sorted(((cx.face_of(m), e) for m, e in zip(cx._masks, face_errors(cx)) if e),
-                 key=lambda fe: face_sort_key(fe[0]))
-    min_j = max((len(f) - 1 for f, _ in bad), default=-2) + 1
-    return SingularityProfile(
-        eulerian=not bad,
-        semi_eulerian=all(f == frozenset() for f, _ in bad),
-        min_singular_j=min_j,
-        error_set=tuple(FaceError(f, e) for f, e in bad),
-    )

@@ -1,13 +1,11 @@
-"""The face incidence of the vertex-major closure pass, and what reads it.
+"""The face incidence of the closure pass, seen through what reads it.
 
-The per-vertex ``star``/``drop`` of ``oracles.vertex_major_closure`` (the
-closure pass the package made before it worked by top-vertex runs) are pinned
-to a brute-force scan, its vertex-major link sweep to the sweep that hashed
-masks itself, and the balanced coloring to a bit walk. The color-set masks of
-the flag vectors and rank selection OR repeated colors.
+A complex rebuilt from shuffled, padded and repeated masks has the same
+vertices and ``_masks``, and its χ̃(lk F), which the link sweep takes from the
+face incidence, equals the brute-force subset walk. The balanced coloring is
+pinned to a bit walk, and the color-set masks of the flag vectors and rank
+selection OR repeated colors.
 """
-
-from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,13 +22,7 @@ from dehnsom.errors import DehnsomError, NotBalanced
 from dehnsom.generators import random_graded_poset, random_pure_complex
 from dehnsom.posets import dual, order_complex, verify_flag_poset
 
-from oracles import (
-    bit_walk_face_colors,
-    brute_incidence,
-    bucketed_link_euler,
-    vertex_major_closure,
-    vertex_major_link_euler,
-)
+from oracles import bit_walk_face_colors, subset_walk_link_euler
 
 EXTRA = (-1, 10**6, "~unused")  # labels no tested complex uses
 
@@ -62,19 +54,9 @@ def test_incidence_matches_brute_force(seed):
         verts, fed = _fed(cx, seed)
         again = SimplicialComplex.from_masks(verts, fed)
         assert again.vertices == cx.vertices and again._masks == cx._masks
-        masks, n = list(again._masks), len(again.vertices)
-        star, drop = brute_incidence(masks, n)
-        oracle = vertex_major_closure(verts, fed)
-        for got in (vertex_major_closure(cx.vertices, cx._masks), oracle):
-            assert len(got.star) == len(got.drop) == n
-            assert all(isinstance(a, array) and a.typecode == "i"
-                       for a in got.star + got.drop)
-            assert [list(a) for a in got.star] == star
-            assert [list(a) for a in got.drop] == drop
-        chi = bucketed_link_euler(masks, n)
+        walked = subset_walk_link_euler(again)
+        chi = [walked[m] for m in again._masks]
         assert list(link_euler_values(again)) == chi
-        # the sweep reads positions only: masks serve for their count
-        assert vertex_major_link_euler([None] * len(masks), oracle.star, oracle.drop) == chi
 
 
 @settings(deadline=None, max_examples=25)

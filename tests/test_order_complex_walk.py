@@ -2,9 +2,10 @@
 
 ``posets.order_complex`` walks the chains as two parallel lists (masks and
 last elements) and ``SimplicialComplex.from_masks`` sorts its input once,
-dropping repeats only when a neighbour check finds one. These tests pin both
-to the tuple walk and the ``sorted(set(...))`` they replaced, and pin the
-constructor's contract on repeated, unsorted and one-pass inputs.
+dropping repeats only when a neighbour check finds one. These tests pin the
+walk to the chains of ``oracles.iter_chains`` put in label order by
+``sorted(set(...))``, and pin the constructor's contract on repeated,
+unsorted and one-pass inputs through its public values.
 """
 
 import random
@@ -13,30 +14,39 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dehnsom.balanced import BalancedComplex
-from dehnsom.complexes import SimplicialComplex
+from dehnsom.complexes import SimplicialComplex, label_sort_key, link_euler_values
 from dehnsom.errors import InternalError
 from dehnsom.generators import boolean_lattice, random_graded_poset, torus_7
 from dehnsom.posets import dual, order_complex
 
-from oracles import set_closure_facets, tuple_walk_chain_masks, vertex_major_closure
+from oracles import iter_chains, set_closure_facets
 
 
 def _state(cx):
-    """The complex's fields, with the face incidence of the vertex-major
-    closure pass over its masks."""
-    oracle = vertex_major_closure(cx.vertices, cx._masks)
-    return (cx.vertices, cx.dim, cx.pure, cx._masks, cx._facet_masks, cx._drop,
-            oracle.star, oracle.drop)
+    """The complex's public values: its fields, facets and χ̃(lk F)."""
+    return (cx.vertices, cx.dim, cx.pure, cx._masks, cx._facet_masks, cx.facets(),
+            link_euler_values(cx))
+
+
+def _chain_masks(P):
+    """(the proper elements' labels in label order, the chain masks of O(P)
+    sorted without repeats, the rank of every proper element's label)."""
+    proper = sorted({i for chain in iter_chains(P, max_size=1) for i in chain},
+                    key=lambda i: label_sort_key(P.labels[i]))
+    bit = {i: 1 << k for k, i in enumerate(proper)}
+    masks = sorted({sum(bit[i] for i in chain) for chain in iter_chains(P)})
+    return [P.labels[i] for i in proper], masks, {P.labels[i]: P.rank_of[i] for i in proper}
 
 
 @settings(deadline=None, max_examples=25)
 @given(seed=st.integers(min_value=0, max_value=10**9), n=st.integers(min_value=2, max_value=6))
 def test_two_list_walk_matches_tuple_walk(seed, n):
+    """The walk against the chains that ``iter_chains`` lists (the name is older)."""
     ranks = ((2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3, 2), (4, 1, 4))[seed % 5]
     P = random_graded_poset(ranks, 0.5, seed)
     for Q in (P, dual(P), boolean_lattice(n)):
         got = order_complex(Q)
-        labels, masks, kappa = tuple_walk_chain_masks(Q)
+        labels, masks, kappa = _chain_masks(Q)
         ref = SimplicialComplex.from_masks(labels, masks)
         assert got.complex._masks == tuple(masks)
         assert _state(got.complex) == _state(ref)

@@ -47,7 +47,6 @@ from oracles import (
     iter_chains,
     naive_toric,
     p_trim,
-    pairwise_toric,
     rank_grouped_pull_toric,
 )
 
@@ -63,6 +62,16 @@ def test_trivial_poset():
     pair = toric_pair(chain(0))
     assert pair.h_poly == ExactPolynomial.one()
     assert pair.g_poly == ExactPolynomial.one()
+
+
+@pytest.mark.parametrize("spec", [f"{family}({n})" for family in ("chain", "boolean_lattice")
+                                  for n in range(4)])
+def test_toric_pair_d_is_rank_minus_one(spec):
+    P = generate_from_string(spec)
+    pair = toric_pair(P)
+    assert pair.d == P.rho - 1 == len(pair.h_indexed) - 1
+    if P.rho:
+        assert pair.d == pair.h_poly.degree
 
 
 def test_b2_hand_unrolled_and_naive():
@@ -98,15 +107,13 @@ def test_toric_against_naive_recursion_on_random_posets(seed):
     _assert_toric_matches_naive(random_graded_poset(ranks, 0.5, seed))
 
 
-def _assert_table_matches_pairwise_and_naive(P):
+def _assert_table_matches_naive(P):
     table = toric_table(P)
     assert P._mu == {}  # the table reads no Möbius value
-    h, g = pairwise_toric(P)
-    assert [list(p) for p in table.h] == h
-    assert [list(p) for p in table.g] == g
     for q in range(P.n):
         lower = interval(P, P.bottom_i, q)
-        assert naive_toric(list(lower.labels), lower.covers()) == (h[q], g[q])
+        assert naive_toric(list(lower.labels), lower.covers()) == (list(table.h[q]),
+                                                                   list(table.g[q]))
 
 
 @pytest.mark.parametrize("maker", [
@@ -114,16 +121,17 @@ def _assert_table_matches_pairwise_and_naive(P):
     lambda: random_graded_poset((3,), 0.5, 4), lambda: dual(random_graded_poset((4,), 0.5, 5)),
 ])
 def test_horner_table_low_ranks(maker):
-    _assert_table_matches_pairwise_and_naive(maker())
+    _assert_table_matches_naive(maker())
 
 
 @settings(deadline=None, max_examples=20)
 @given(seed=st.integers(min_value=0, max_value=10**9))
 def test_horner_table_matches_pairwise_products(seed):
+    """The table against ``naive_toric`` of each lower interval (the name is older)."""
     ranks = ((2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3), (2, 3, 2, 3, 2))[seed % 5]
     P = random_graded_poset(ranks, 0.5, seed)
-    _assert_table_matches_pairwise_and_naive(P)
-    _assert_table_matches_pairwise_and_naive(dual(P))
+    _assert_table_matches_naive(P)
+    _assert_table_matches_naive(dual(P))
 
 
 def _assert_push_matches_pull(P):

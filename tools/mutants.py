@@ -1,0 +1,194 @@
+"""Mutation check of the kernels: every listed mutant must fail the tier-1 suite.
+
+    python3 tools/mutants.py [--root DIR]
+
+Each mutant is a textual edit ``(path, old, new, note)`` of one file under
+``src/``; ``old`` occurs exactly once in that file (tests/test_mutants.py
+checks this list against the tree). The script copies ``--root`` (default:
+the checkout this file is in) to a temporary directory once, without
+``.git`` and caches. For each mutant it writes the edit, runs the whole
+tier-1 suite there with ``pytest -x`` and a fixed hypothesis seed, and puts
+the file back. A mutant is killed when the suite fails or runs past the
+timeout. A mutant with an ``equivalent`` reason computes the same values as
+the kernel, so it is expected to survive. The exit status is 1 when a
+mutant survives that is not marked equivalent, or a mutant marked equivalent
+is killed. Standard library only; the test run needs pytest and hypothesis.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 300
+# this check reads the unmutated list, so a mutant of the tree fails it by design
+LIST_CHECK = "tests/test_mutants.py::test_every_mutant_applies_once"
+
+
+class Mutant(NamedTuple):
+    path: str
+    old: str
+    new: str
+    note: str
+    equivalent: str = ""  # why the mutant computes the same values, if it does
+
+
+CX, BAL, POS, TOR, SUITE = (f"src/dehnsom/{m}.py"
+                            for m in ("complexes", "balanced", "posets", "toric", "suite"))
+
+MUTANTS = (
+    # --- the closure pass (_set_masks) ---
+    Mutant(CX, "drop += [(*map(face_at, drop[p]), p) for p in run]",
+           "drop += [(p, *map(face_at, drop[p])) for p in run]",
+           "closure: the parent moved to the front of each drop tuple"),
+    Mutant(CX, "            for p in faces:\n                covered[p] = 1",
+           "            for p in faces[-1:]:\n                covered[p] = 1",
+           "closure: facets marked from the parent drop only"),
+    Mutant(CX, "covered[p] = 1", "covered[p] = 0",
+           "closure: no face marked covered"),
+    Mutant(CX, "used = [lo < hi for lo, hi in runs]", "used = [lo <= hi for lo, hi in runs]",
+           "closure: unused vertices kept"),
+    Mutant(CX, "zip(used, accumulate(used, initial=0))", "zip(used, accumulate(used))",
+           "closure: the kept vertices' new bits shifted by one"),
+    Mutant(CX, "if any(map(eq, masks, masks[1:])):", "if any(map(eq, masks, masks[2:])):",
+           "closure: the repeat test loosened to three in a row"),
+    Mutant(CX, "if m != n] + masks[-1:]", "if m != n]",
+           "closure: the repeat drop loses the largest mask"),
+    Mutant(CX, "m = next(m for m in masks if any(", "m = next(m for m in reversed(masks) if any(",
+           "closure: the rescan on KeyError names the largest unclosed face"),
+    # --- the link sweep ---
+    Mutant(CX, "acc[drop[k][-j]] -= acc[k]", "acc[drop[k][j - 1]] -= acc[k]",
+           "sweep: level j removes the j-th lowest vertex",
+           "the sweep with the j-th lowest vertex is the same sweep under the "
+           "order-reversing relabeling of the vertices, and the supersets-first "
+           "visit order holds for either; equal on every complex on <= 5 vertices"),
+    Mutant(CX, "for j in range(1, max(sizes) + 1):", "for j in range(1, max(sizes)):",
+           "sweep: the top level skipped"),
+    Mutant(CX, "acc = [-1] * len(drop)", "acc = [1] * len(drop)",
+           "sweep: the constant's sign flipped"),
+    # --- per-face sums ---
+    Mutant(CX, "sums[f[-1]] + value", "sums[f[0]] + value",
+           "face sums: read from the lowest drop, not the parent"),
+    Mutant(CX, "hi = bisect_left(masks, 2 << t)", "hi = bisect_left(masks, 1 << t)",
+           "face sums: the run bounds off by one vertex"),
+    # --- the balanced coloring ---
+    Mutant(BAL, "colors = _face_sums(cx, [1 << (kappa[v] - 1) for v in cx.vertices])",
+           "colors = _face_sums(cx, [1 << kappa[v] for v in cx.vertices])",
+           "coloring: color c on bit c"),
+    Mutant(BAL, "if c.bit_count() != m.bit_count():", "if c.bit_count() > m.bit_count():",
+           "coloring: a repeated color never found"),
+    Mutant(BAL, "for m, c in zip(cx._masks, colors):",
+           "for m, c in reversed(list(zip(cx._masks, colors))):",
+           "coloring: the witness scan reversed"),
+    Mutant(BAL, "mask |= 1 << (c - 1)", "mask += 1 << (c - 1)",
+           "coloring: `+=` for `|=` in _color_mask"),
+    Mutant(BAL, "if c < 1:", "if c < 0:",
+           "coloring: color 0 accepted by _color_mask"),
+    # --- the order-complex walk ---
+    Mutant(POS, "for m, i in zip(level, ends) for j in steps[i]]",
+           "for m, i in zip(level, ends) for j in steps[i][1:]]",
+           "order complex: each chain extended past its first step only"),
+    Mutant(POS, "ends = [j for i in ends for j in steps[i]]",
+           "ends = [i for i in ends for j in steps[i]]",
+           "order complex: the last elements not advanced"),
+    Mutant(POS, "verts = sorted(proper, key=lambda i: label_sort_key(P.labels[i]))",
+           "verts = proper",
+           "order complex: vertices in index order, not label order"),
+    # --- ToricTable ---
+    Mutant(TOR, "hq = [b - a for a, b in zip(hq + [0], [0] + hq)]",
+           "hq = [a - b for a, b in zip(hq + [0], [0] + hq)]",
+           "toric: Horner step by (1 - x)"),
+    Mutant(TOR, "for r in range(1, rq):", "for r in range(0, rq):",
+           "toric: one Horner step too many"),
+    Mutant(TOR, "hq[:(rq - 1) // 2 + 1]", "hq[:rq // 2 + 1]",
+           "toric: ĝ truncated one degree late"),
+    Mutant(TOR, "while gq and not gq[-1]:", "while False:",
+           "toric: ĝ's trailing zeros kept"),
+    Mutant(TOR, "for w in above[q]:", "for w in above[q][1:]:",
+           "toric: ĝ pushed past the first element above"),
+    Mutant(TOR, "            if c:\n                    for w", "            if c > 0:\n                    for w",
+           "toric: negative ĝ coefficients not pushed"),
+    Mutant(TOR, "[[0] * P.n for _ in range((r + 1) // 2)]", "[[0] * P.n for _ in range(r // 2)]",
+           "toric: one column too few for odd ranks"),
+    # --- refusals come before any table ---
+    Mutant(TOR, "    rhs = [lower_eulerian_defect(P, k) for k in range(d + 1)]  # refuses before any table\n"
+                "    seq = defect_sequence(P)",
+           "    seq = defect_sequence(P)\n"
+           "    rhs = [lower_eulerian_defect(P, k) for k in range(d + 1)]",
+           "refusal: lower-eulerian builds the defect before it refuses"),
+    Mutant(TOR, '    """A_k = (−1)^{d−k+1} C(d,k) e(0̂,1̂) on a semi-Eulerian poset, for all k."""\n',
+           '    """A_k = (−1)^{d−k+1} C(d,k) e(0̂,1̂) on a semi-Eulerian poset, for all k."""\n'
+           "    defect_sequence(P)\n",
+           "refusal: swartz builds the defect before it refuses"),
+    # --- the catalog run ---
+    Mutant(SUITE, "if spec not in objects:", "if True:",
+           "catalog: every entry generates its object again"),
+    Mutant(SUITE, "if last[spec] == i:", "if last[spec] >= i:",
+           "catalog: an object dropped after its first entry"),
+    Mutant(SUITE, "            del objects[spec]", "            pass",
+           "catalog: objects kept after their last entry",
+           "the object is only freed earlier; every report is the same"),
+)
+
+
+def _run(tree: Path) -> str:
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env.update(PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    shutil.rmtree(tree / ".hypothesis", ignore_errors=True)
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+           "--hypothesis-seed=0", "--deselect", LIST_CHECK, "tests"]
+    try:
+        proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "killed (timeout)"
+    return "survived" if proc.returncode == 0 else "killed"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=ROOT, help="the checkout to mutate")
+    args = parser.parse_args(argv)
+    counts = {"killed": 0, "survived": 0, "not applied": 0}
+    bad = 0
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(args.root, tree, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".hypothesis", ".pytest_cache", "out"))
+        start = time.perf_counter()
+        base = _run(tree)
+        print(f"unmutated: {base} ({time.perf_counter() - start:.0f} s)", flush=True)
+        if base != "survived":
+            print("the unmutated suite fails; no mutant can be judged")
+            return 1
+        for m in MUTANTS:
+            target = tree / m.path
+            text = target.read_text(encoding="utf-8")
+            if text.count(m.old) != 1:
+                print(f"{'not applied':16} {m.path}: {m.note}", flush=True)
+                counts["not applied"] += 1
+                bad += 1
+                continue
+            target.write_text(text.replace(m.old, m.new), encoding="utf-8")
+            try:
+                verdict = _run(tree)
+            finally:
+                target.write_text(text, encoding="utf-8")
+            counts[verdict.split()[0]] += 1
+            bad += verdict.startswith("survived") != bool(m.equivalent)
+            mark = f" [equivalent: {m.equivalent}]" if m.equivalent else ""
+            print(f"{verdict:16} {m.path}: {m.note}{mark}", flush=True)
+    print(f"{len(MUTANTS)} mutants: " + ", ".join(f"{n} {k}" for k, n in counts.items())
+          + f"; {bad} unexpected", flush=True)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
