@@ -104,7 +104,10 @@ class FlagVector(NamedTuple):
     values: Mapping[int, int]
 
     def __getitem__(self, colors) -> int:
-        return self.values.get(_color_mask(colors), 0)
+        mask = _color_mask(colors)
+        if mask >> self.d:
+            raise NotBalanced(f"colors are numbered 1..{self.d}, got {mask.bit_length()}")
+        return self.values.get(mask, 0)
 
     def by_mask(self, mask: int) -> int:
         return self.values.get(mask, 0)

@@ -11,7 +11,7 @@ reads the face layout of the closure pass, so that layout can change inside
 complexes.py alone. ``frozenset_singularity_profile`` is partial: it takes ε
 from ``face_errors`` and the order from ``face_sort_key``, so it checks only
 how ``singularity_profile`` sorts and aggregates (ε is checked against the
-link walk in test_face_positions.py).
+link walk in test_face_kernels.py).
 
 The quantities, each with its definition-level reference, then its fast one:
 

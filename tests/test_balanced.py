@@ -17,8 +17,9 @@ from dehnsom.complexes import (
     f_vector,
     face_error_table,
     h_vector,
+    subset_label,
 )
-from dehnsom.errors import ColorInS, NotBalanced, NotPure
+from dehnsom.errors import ColorInS, DehnsomError, NotBalanced, NotPure
 from dehnsom.generators import (
     boolean_lattice,
     cross_polytope,
@@ -27,7 +28,7 @@ from dehnsom.generators import (
     random_graded_poset,
 )
 from dehnsom.polynomial import binom, sign
-from dehnsom.posets import order_complex
+from dehnsom.posets import order_complex, verify_flag_poset
 
 from oracles import (
     balanced_text,
@@ -68,15 +69,6 @@ def test_order_complex_is_valid_balanced(torus_poset):
     oc = order_complex(torus_poset)
     assert isinstance(oc, BalancedComplex)
     BalancedComplex(oc.complex, oc.kappa)  # re-validation passes
-
-
-def test_face_colors_match_bit_walk(torus_poset):
-    posets = [torus_poset, boolean_lattice(4)]
-    posets += [random_graded_poset(((2, 3, 2), (3, 3), (2, 2, 2, 2))[seed % 3], 0.5, seed)
-               for seed in range(6)]
-    for p in posets:
-        bal = order_complex(p)
-        assert (bal.face_colors, None) == bit_walk_face_colors(bal.complex, bal.kappa)
 
 
 def test_repeated_color_witness_matches_bit_walk():
@@ -259,3 +251,37 @@ def test_flag_ds_on_random_rank_selected_order_complexes():
                 continue
             bal = order_complex(sub)
             assert verify_flag_ds(bal).passed
+
+
+def test_color_sets_or_repeated_colors():
+    bal = order_complex(random_graded_poset((2, 4, 3), 0.5, 3))
+    assert f_vector(rank_selected(bal, [1, 1])).entries == (1, 2)
+    assert rank_selected(bal, [1, 1]) == rank_selected(bal, [1])
+    h = flag_h_vector(bal)
+    assert h[[1, 1]] == h[[1]] == h.by_mask(1)
+    assert h[[2, 1, 2]] == h.by_mask(0b11)
+
+
+def test_colors_outside_one_to_d_are_refused():
+    bal = order_complex(random_graded_poset((2, 4, 3), 0.5, 3))
+    h = flag_h_vector(bal)
+    for colors in ([0], [1, 0], [-2]):
+        with pytest.raises(DehnsomError):
+            h[colors]
+        with pytest.raises(DehnsomError):
+            rank_selected(bal, colors)
+    # a color above d: the defining sum Σ_{T ⊆ S} (−1)^{|S∖T|} f_T is not 0 there
+    for fv in (h, flag_f_vector(bal)):
+        for colors in ([bal.d + 1], [1, bal.d + 1]):
+            with pytest.raises(NotBalanced):
+                fv[colors]
+
+
+def test_one_subset_label_for_color_and_rank_sets():
+    assert [subset_label(m) for m in (0, 1, 0b101, 0b1110)] == ["{}", "{1}", "{1,3}",
+                                                                  "{2,3,4}"]
+    P = random_graded_poset((2, 3, 2), 0.5, 7)
+    d = P.rho - 1
+    poset_rows = [r.index for r in verify_flag_poset(P).rows]
+    complex_rows = [r.index for r in verify_flag_ds(order_complex(P)).rows][: 1 << d]
+    assert poset_rows == complex_rows == [f"S={subset_label(m)}" for m in range(1 << d)]

@@ -15,7 +15,6 @@ from dehnsom.complexes import (
     join_with_mapping,
     label_sort_key,
     link,
-    link_euler_table,
     parse_facets,
     reduced_euler_characteristic,
     serialize_facets,
@@ -50,7 +49,6 @@ from oracles import (
     mask_of,
     short_h_by_links,
     submask_sum,
-    subset_walk_link_euler,
 )
 
 
@@ -400,22 +398,6 @@ def test_short_h_matches_link_oracle(spec):
     from dehnsom.generators import generate_from_string
     cx = generate_from_string(spec)
     assert short_h_vector(cx) == short_h_by_links(cx)
-
-
-@settings(deadline=None, max_examples=25)
-@given(seed=st.integers(min_value=0, max_value=10**9))
-def test_link_euler_table_matches_subset_walk(seed):
-    from dehnsom.posets import order_complex
-    # unions of two seeded pure complexes, often impure, and seeded order complexes
-    n = 6 + seed % 4
-    a = random_pure_complex(2 + seed % 3, n, 0.3, seed)
-    b = random_pure_complex(1 + seed % 4, n, 0.2, seed + 1)
-    ranks = ((2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3, 2))[seed % 4]
-    for cx in (SimplicialComplex(a.faces | b.faces),
-               order_complex(random_graded_poset(ranks, 0.5, seed)).complex):
-        expected = subset_walk_link_euler(cx)
-        got = link_euler_table(cx)
-        assert got == expected and list(got) == list(expected)
 
 
 def test_from_masks_rejects_bad_families():

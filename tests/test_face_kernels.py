@@ -1,0 +1,361 @@
+"""The face kernels of complexes and order complexes, each held once to its reference.
+
+The seeded tests share one corpus, ``_complexes(seed)`` over ``_poset(seed)``,
+and one input builder, ``_fed(cx, seed)``; a fixed case sits beside a seeded
+test only where both call the same assert helper. Each (kernel, reference)
+pair is compared in one place, through public values only, so the face
+layout of the closure pass can change inside complexes.py alone:
+
+- ``from_masks`` (vertices, ``_masks``, ``_facet_masks``, ``facets()``, dim,
+  purity) against ``oracles.set_closure_facets``; χ̃(lk F)
+  (``link_euler_values``, ``link_euler_table``), ε(F) (``face_errors``,
+  ``face_error_table``) and ``NotPure`` against ``subset_walk_link_euler``:
+  ``_assert_same``, in ``test_runs_match_set_closure`` and
+  ``test_smallest_complexes``, on clean, shuffled, rotated, repeated,
+  one-pass and padded input
+- ``_face_sums`` against ``_relabel``: ``test_runs_match_set_closure``
+- the closure error text against ``set_closure_facets``:
+  ``_assert_same_refusal``, in ``test_broken_families_name_the_same_face``
+  and the fixed cases after it
+- the face colors and the repeated-color witness against
+  ``bit_walk_face_colors``: ``test_colors_by_parent_match_bit_walk``, on the
+  seeded poset, its dual and two fixed posets
+- the two-list walk of ``order_complex`` against ``iter_chains``:
+  ``test_two_list_walk_matches_iter_chains``
+
+The rest pin the ``from_masks`` input contract, that the verify path sweeps
+once per complex and never reads the mask-keyed dict wrappers, and the
+``mask_of`` oracle.
+"""
+
+import random
+import sys
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dehnsom import complexes, suite
+from dehnsom.balanced import BalancedComplex, parse_balanced
+from dehnsom.complexes import (
+    SimplicialComplex,
+    _bits,
+    _face_sums,
+    build_complex,
+    face_error_table,
+    face_errors,
+    face_sort_key,
+    label_sort_key,
+    link_euler_table,
+    link_euler_values,
+    singularity_profile,
+    verify_pure_ds,
+)
+from dehnsom.errors import InternalError, NotBalanced, NotPure
+from dehnsom.generators import (
+    boolean_lattice,
+    face_poset,
+    random_graded_poset,
+    random_pure_complex,
+    torus_7,
+)
+from dehnsom.posets import classify_poset, dual, order_complex
+
+from oracles import (
+    _relabel,
+    balanced_text,
+    bit_walk_face_colors,
+    iter_chains,
+    mask_of,
+    set_closure_facets,
+    subset_walk_link_euler,
+)
+
+EXTRA = (-7, 10**6, "~unused")  # labels no tested complex uses
+RANKS = ((2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3, 2), (4, 1, 4))
+
+
+def _poset(seed):
+    return random_graded_poset(RANKS[seed % len(RANKS)], 0.5, seed)
+
+
+def _complexes(seed):
+    """A union of two seeded pure complexes on 5..9 vertices (often impure),
+    and the order complexes of a seeded graded poset and of its dual."""
+    n = 5 + seed % 5
+    a = random_pure_complex(2 + seed % 3, n, 0.4, seed)
+    b = random_pure_complex(1 + seed % 4, n, 0.25, seed + 1)
+    P = _poset(seed)
+    return [SimplicialComplex(a.faces | b.faces), order_complex(P).complex,
+            order_complex(dual(P)).complex]
+
+
+def _fed(cx, seed):
+    """The vertices of ``cx`` with EXTRA mixed in, and three mask lists over
+    them that give ``cx`` back through ``from_masks``: shuffled with every
+    third mask repeated, rotated with every other mask repeated, and every
+    mask given twice, shuffled."""
+    verts = sorted(set(cx.vertices) | set(EXTRA), key=label_sort_key)
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    masks = [sum(bit[v] for v in cx.face_of(m)) for m in cx._masks]
+    rng = random.Random(seed)
+    shuffled, twice = masks + masks[seed % 3::3], masks * 2
+    rng.shuffle(shuffled)
+    rng.shuffle(twice)
+    cut = seed % len(masks)
+    return verts, [shuffled, masks[cut:] + masks[:cut] + masks[::2], twice]
+
+
+def _assert_same(got, verts, fed):
+    """``got`` is the complex of the face masks ``fed`` over ``verts``: its
+    facets, dim and purity by set membership, its unused vertices dropped by
+    a bit walk, and its χ̃(lk F) and ε(F), in ``_masks`` order, by subset
+    enumeration."""
+    facet_masks, dim, pure = set_closure_facets(verts, fed)
+    used = [i for i in range(len(verts)) if any(m >> i & 1 for m in facet_masks)]
+    new_bits = [0] * len(verts)
+    for j, i in enumerate(used):
+        new_bits[i] = 1 << j
+    assert got.vertices == tuple(verts[i] for i in used)
+    assert got._masks == tuple(sorted(set(_relabel(fed, new_bits))))
+    assert (got.dim, got.pure) == (dim, pure)
+    assert got._facet_masks == tuple(_relabel(facet_masks, new_bits))
+    assert got.facets() == sorted((frozenset(verts[i] for i in _bits(m)) for m in facet_masks),
+                                  key=face_sort_key)
+    walked = subset_walk_link_euler(got)
+    assert link_euler_values(got) == tuple(walked[m] for m in got._masks)
+    assert list(link_euler_table(got).items()) == list(walked.items())
+    if not pure:
+        with pytest.raises(NotPure):
+            face_errors(got)
+        return
+    errors = [walked[m] - (-1) ** (dim - m.bit_count()) for m in got._masks]
+    assert face_errors(got) == errors
+    assert list(face_error_table(got).items()) == list(zip(map(got.face_of, got._masks), errors))
+
+
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_runs_match_set_closure(seed):
+    rng = random.Random(seed)
+    for cx in _complexes(seed):
+        _assert_same(cx, cx.vertices, cx._masks)
+        verts, inputs = _fed(cx, seed)
+        for fed in inputs:
+            again = SimplicialComplex.from_masks(verts, fed)
+            _assert_same(again, verts, fed)
+            assert (again.vertices, again._masks) == (cx.vertices, cx._masks)
+        _assert_same(SimplicialComplex.from_masks(verts, iter(inputs[0])), verts, inputs[0])
+        # per-face sums of a random bit map: zeros, single bits and wide values
+        # (the padded call in _set_masks is held to _relabel by _assert_same)
+        bits = [rng.choice((0, 1 << rng.randrange(80), rng.randrange(1 << 80)))
+                for _ in cx.vertices]
+        assert _face_sums(cx, bits) == _relabel(cx._masks, bits)
+
+
+def test_smallest_complexes():
+    # only the empty face, repeated: no run, no level
+    empty = SimplicialComplex.from_masks(EXTRA, [0, 0])
+    _assert_same(empty, EXTRA, [0])
+    assert empty._masks == (0,) and link_euler_values(empty) == (-1,)
+    # three points, one of them unused
+    points = SimplicialComplex.from_masks(("a", "b", "c", "d"), [8, 0, 1, 4])
+    _assert_same(points, ("a", "b", "c", "d"), [0, 1, 4, 8])
+    assert points.vertices == ("a", "c", "d") and points._masks == (0, 1, 2, 4)
+    assert link_euler_values(points) == (2, -1, -1, -1)
+    assert _face_sums(points, [1, 10, 100]) == [0, 1, 10, 100]
+
+
+# --- the closure error text ------------------------------------------------------
+
+def _assert_same_refusal(verts, broken):
+    """``from_masks`` refuses ``broken`` with the text of the set-membership
+    closure, and returns that text."""
+    with pytest.raises(InternalError) as oracle:
+        set_closure_facets(verts, broken)
+    with pytest.raises(InternalError) as got:
+        SimplicialComplex.from_masks(verts, broken)
+    assert str(got.value) == str(oracle.value)
+    return str(got.value)
+
+
+def _smallest_unclosed(masks):
+    family = set(masks)
+    return min(m for m in family if any(m ^ (1 << i) not in family for i in _bits(m)))
+
+
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(min_value=0, max_value=10**9), cut=st.integers(1, 3))
+def test_broken_families_name_the_same_face(seed, cut):
+    for cx in _complexes(seed):
+        verts, (fed, *_) = _fed(cx, seed)
+        family = set(fed)
+        covered = sorted(m for m in family if m and any(
+            m | 1 << i in family for i in range(len(verts)) if not m >> i & 1))
+        if not covered:
+            continue
+        gone = set(random.Random(seed).sample(covered, min(cut, len(covered))))
+        broken = [m for m in fed if m not in gone]
+        face = {verts[i] for i in _bits(_smallest_unclosed(broken))}
+        assert (_assert_same_refusal(verts, broken)
+                == f"family not closed under inclusion at {face}")
+
+
+@pytest.mark.parametrize("gone, named", [
+    (0b011, "{0, 1, 2}"),  # {0, 1, 2} lacks its parent {0, 1}
+    (0b110, "{0, 1, 2}"),  # {0, 1, 2} has its parent but lacks {1, 2}
+    (0b100, "{0, 2}"),  # {0, 2} has its parent {0} but lacks {2}
+])
+def test_missing_parent_and_missing_face_below(gone, named):
+    broken = [m for m in range(8) if m != gone]
+    assert (_assert_same_refusal((0, 1, 2), broken)
+            == f"family not closed under inclusion at {named}")
+
+
+def test_repeats_before_the_first_unclosed_face():
+    # {0, 1, 2} lacks its edge {1, 2}; every face before it comes twice
+    fed = [7, 3, 0, 4, 2, 1, 5, 3, 0, 1, 2, 4, 5]
+    assert (_assert_same_refusal((0, 1, 2), fed)
+            == "family not closed under inclusion at {0, 1, 2}")
+
+
+# --- the from_masks input contract -----------------------------------------------
+
+def _state(cx):
+    """The complex's public values: its fields, facets and χ̃(lk F)."""
+    return (cx.vertices, cx.dim, cx.pure, cx._masks, cx._facet_masks, cx.facets(),
+            link_euler_values(cx))
+
+
+def test_largest_mask_repeated():
+    # the repeat is the last adjacent pair of the sorted input
+    verts = ("a", "b")
+    got = SimplicialComplex.from_masks(verts, [3, 0, 1, 3, 2])
+    assert _state(got) == _state(SimplicialComplex.from_masks(verts, [0, 1, 2, 3]))
+    assert got._masks == (0, 1, 2, 3)
+
+
+def test_caller_list_is_left_as_given():
+    torus = torus_7()
+    masks = list(torus._masks)
+    fed = masks[::-1] + masks[:9]
+    before = list(fed)
+    SimplicialComplex.from_masks(torus.vertices, fed)
+    assert fed == before
+
+
+# --- the balanced coloring ---------------------------------------------------------
+
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_colors_by_parent_match_bit_walk(torus_poset, seed):
+    P = _poset(seed)
+    for Q in (P, dual(P), torus_poset, boolean_lattice(4)):
+        bal = order_complex(Q)
+        cx, d = bal.complex, bal.d
+        # the rank coloring, rotated (proper), then seeded colorings (most often improper)
+        kappas = [bal.kappa, {v: 1 + (c + seed) % d for v, c in bal.kappa.items()}]
+        kappas += [{v: 1 + (seed // (k + 1) + t * k) % d for k, v in enumerate(cx.vertices)}
+                   for t in range(3)]
+        for kappa in kappas:
+            colors, witness = bit_walk_face_colors(cx, kappa)
+            if witness is None:
+                assert BalancedComplex(cx, kappa).face_colors == colors
+                continue
+            with pytest.raises(NotBalanced) as exc:
+                BalancedComplex(cx, kappa)
+            assert exc.value.witness == cx.face_of(witness)
+            assert str(exc.value) == f"face {set(cx.face_of(witness))} repeats a color"
+
+
+# --- the order-complex walk ----------------------------------------------------------
+
+def _chain_masks(P):
+    """(the proper elements' labels in label order, the chain masks of O(P)
+    sorted without repeats, the rank of every proper element's label)."""
+    proper = sorted({i for chain in iter_chains(P, max_size=1) for i in chain},
+                    key=lambda i: label_sort_key(P.labels[i]))
+    bit = {i: 1 << k for k, i in enumerate(proper)}
+    masks = sorted({sum(bit[i] for i in chain) for chain in iter_chains(P)})
+    return [P.labels[i] for i in proper], masks, {P.labels[i]: P.rank_of[i] for i in proper}
+
+
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(min_value=0, max_value=10**9), n=st.integers(min_value=2, max_value=6))
+def test_two_list_walk_matches_iter_chains(seed, n):
+    P = _poset(seed)
+    for Q in (P, dual(P), boolean_lattice(n)):
+        got = order_complex(Q)
+        labels, masks, kappa = _chain_masks(Q)
+        ref = SimplicialComplex.from_masks(labels, masks)
+        assert got.complex._masks == tuple(masks)
+        assert _state(got.complex) == _state(ref)
+        assert got.kappa == kappa
+        assert got.face_colors == BalancedComplex(ref, kappa).face_colors
+
+
+# --- the verify path -------------------------------------------------------------------
+
+def _count_sweeps(monkeypatch):
+    calls = []
+    kernel = complexes._link_euler_sweep
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(complexes, "_link_euler_sweep", counted)
+    return calls
+
+
+def test_verify_all_sweeps_a_balanced_complex_once(monkeypatch, tmp_path):
+    calls = _count_sweeps(monkeypatch)
+    bal = order_complex(face_poset(torus_7(), True))
+    reports = suite.verify_all(bal, "O(torus)")
+    assert [r.identity for r in reports] == ["ds", "flag-ds"]
+    assert all(r.passed for r in reports)
+    assert len(calls) == 1
+
+    path = tmp_path / "sd_torus.txt"
+    path.write_text(balanced_text(bal))
+    calls.clear()
+    from_file = parse_balanced(path.read_text())
+    again = suite.verify_all(from_file, "O(torus)")
+    assert [r.to_dict() for r in again] == [r.to_dict() for r in reports]
+    assert len(calls) == 1
+
+
+def _results(seed):
+    P = random_graded_poset((3, 2, 3), 0.5, seed)
+    torus = torus_7()
+    prof = singularity_profile(torus)
+    return {
+        "verify_all": [r.to_dict() for r in suite.verify_all(order_complex(P), "O(P)")],
+        "ds": verify_pure_ds(torus, "torus").to_dict(),
+        "profile": (prof.eulerian, prof.semi_eulerian, prof.min_singular_j, prof.error_set),
+        "classify": classify_poset(P, cross_check=True),
+    }
+
+
+def test_verify_path_skips_mask_keyed_tables(monkeypatch):
+    expected = _results(11)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verify path read a mask-keyed table")
+
+    wrappers = (link_euler_table, face_error_table)
+    patched = 0
+    for name, module in list(sys.modules.items()):
+        if name != "dehnsom" and not name.startswith("dehnsom."):
+            continue
+        for attr, value in list(vars(module).items()):
+            if any(value is fn for fn in wrappers):
+                monkeypatch.setattr(module, attr, refuse)
+                patched += 1
+    assert patched >= len(wrappers)
+    assert _results(11) == expected
+
+
+def test_mask_of_ors_repeated_vertices():
+    cx = build_complex([(1, 2)])
+    assert mask_of(cx, [1, 1]) == mask_of(cx, [1]) == 1
+    assert cx.face_of(mask_of(cx, [2, 1, 2])) == frozenset({1, 2})

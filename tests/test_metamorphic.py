@@ -10,13 +10,16 @@ asserts equal (index, lhs, rhs) rows for every identity that
 HKUST-CS98-01, 1998).
 """
 
+import contextlib
+import io
 import json
 import random
 
 from hypothesis import given, settings, strategies as st
 
+from dehnsom import cli
 from dehnsom.balanced import BalancedComplex
-from dehnsom.complexes import parse_facets
+from dehnsom.complexes import parse_facets, serialize_facets
 from dehnsom.generators import face_poset, generate_from_string, random_graded_poset, torus_7
 from dehnsom.posets import classify_poset, dual, order_complex, parse_poset_json, serialize_poset_json
 from dehnsom.suite import verify_all
@@ -49,19 +52,36 @@ def _poset(seed):
     return random_graded_poset(RANKS[seed % len(RANKS)], 0.5, seed)
 
 
+def _renamed_facets(cx, kind, rng):
+    """The facet text of ``cx`` under a ``_renaming`` of its vertices, with the
+    lines and the labels in each line shuffled."""
+    new = _renaming(cx.vertices, kind, rng)
+    lines = [[str(new[v]) for v in facet] for facet in cx.facets()]
+    for line in lines:
+        rng.shuffle(line)
+    rng.shuffle(lines)
+    return "".join(" ".join(line) + "\n" for line in lines)
+
+
+def _shuffled_json(P, kind, rng):
+    """The poset JSON of ``P`` with its elements renamed by a ``_renaming``
+    (kept as they are for "none"), and the element and cover lists shuffled."""
+    data = json.loads(serialize_poset_json(P))
+    new = {v: v for v in P.labels} if kind == "none" else _renaming(P.labels, kind, rng)
+    elements = [new[v] for v in data["elements"]]
+    covers = [[new[a], new[b]] for a, b in data["covers"]]
+    rng.shuffle(elements)
+    rng.shuffle(covers)
+    return json.dumps({"elements": elements, "covers": covers})
+
+
 @settings(deadline=None, max_examples=30)
 @given(seed=st.integers(min_value=0, max_value=10**9),
        spec=st.sampled_from(COMPLEX_SPECS),
        kind=st.sampled_from(("shuffle", "reverse", "str", "mixed")))
 def test_renamed_vertices_give_the_same_rows(seed, spec, kind):
     cx = generate_from_string(spec)
-    rng = random.Random(seed)
-    new = _renaming(cx.vertices, kind, rng)
-    lines = [[str(new[v]) for v in facet] for facet in cx.facets()]
-    for line in lines:
-        rng.shuffle(line)
-    rng.shuffle(lines)
-    renamed = parse_facets("".join(" ".join(line) + "\n" for line in lines))
+    renamed = parse_facets(_renamed_facets(cx, kind, random.Random(seed)))
     assert len(renamed.vertices) == len(cx.vertices)
     assert _rows(renamed) == _rows(cx)
 
@@ -70,15 +90,8 @@ def test_renamed_vertices_give_the_same_rows(seed, spec, kind):
 @given(seed=st.integers(min_value=0, max_value=10**9),
        kind=st.sampled_from(("none", "shuffle", "reverse", "str", "mixed")))
 def test_shuffled_poset_json_gives_the_same_rows(seed, kind):
-    rng = random.Random(seed)
     P = face_poset(torus_7(), True) if seed % 4 == 0 else _poset(seed)
-    data = json.loads(serialize_poset_json(P))
-    new = {v: v for v in P.labels} if kind == "none" else _renaming(P.labels, kind, rng)
-    elements = [new[v] for v in data["elements"]]
-    covers = [[new[a], new[b]] for a, b in data["covers"]]
-    rng.shuffle(elements)
-    rng.shuffle(covers)
-    Q = parse_poset_json(json.dumps({"elements": elements, "covers": covers}))
+    Q = parse_poset_json(_shuffled_json(P, kind, random.Random(seed)))
     assert _rows(Q) == _rows(P)
     assert classify_poset(Q) == classify_poset(P)
 
@@ -114,3 +127,30 @@ def test_permuted_colors_move_the_flag_rows(seed):
     assert got.keys() == want.keys() == {"ds", "flag-ds"}
     assert got["ds"] == want["ds"]
     assert sorted(got["flag-ds"]) == _moved(want["flag-ds"], perm)
+
+
+def _cli_verify_all(path):
+    """(exit code, stdout) of ``verify all PATH --json``, with the object's
+    name masked: the path, which flag-ds writes as O(PATH) for a poset."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", "all", str(path), "--json"])
+    return code, out.getvalue().replace(str(path), "X")
+
+
+@settings(deadline=None, max_examples=15)
+@given(seed=st.integers(min_value=0, max_value=10**9),
+       kind=st.sampled_from(("shuffle", "reverse", "str", "mixed")))
+def test_cli_gives_the_same_output_for_renamed_inputs(tmp_path_factory, seed, kind):
+    rng = random.Random(seed)
+    torus, P = torus_7(), _poset(seed)
+    pairs = [(serialize_facets(torus), _renamed_facets(torus, kind, rng)),
+             (serialize_poset_json(P), _shuffled_json(P, kind, rng))]
+    folder = tmp_path_factory.mktemp("renamed")
+    for k, (text, renamed) in enumerate(pairs):
+        given_path, renamed_path = folder / f"given-{k}", folder / f"renamed-{k}"
+        given_path.write_text(text)
+        renamed_path.write_text(renamed)
+        code, out = _cli_verify_all(given_path)
+        assert out.startswith("[")
+        assert _cli_verify_all(renamed_path) == (code, out)

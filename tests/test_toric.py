@@ -51,13 +51,6 @@ from oracles import (
 )
 
 
-def _assert_toric_matches_naive(p):
-    pair = toric_pair(p)
-    naive_h, naive_g = naive_toric(list(p.labels), p.covers())
-    assert list(pair.h_poly.coeffs) == naive_h
-    assert list(pair.g_poly.coeffs) == naive_g
-
-
 def test_trivial_poset():
     pair = toric_pair(chain(0))
     assert pair.h_poly == ExactPolynomial.one()
@@ -84,27 +77,12 @@ def test_b2_hand_unrolled_and_naive():
     assert list(pair.g_poly.coeffs) == naive_g
 
 
-@pytest.mark.parametrize("maker", [
-    lambda: boolean_lattice(3), lambda: chain(3), lambda: polygon_lattice(4),
-    lambda: chain(4),
-])
-def test_toric_against_naive_recursion(maker):
-    _assert_toric_matches_naive(maker())
-
-
 @pytest.mark.parametrize("spec", POSET_SPECS)
 def test_toric_coefficients_are_ints(spec):
     P = generate_from_string(spec)
     for Q in (P, dual(P)):
         table = toric_table(Q)
         assert all(type(c) is int for coeffs in table.h + table.g for c in coeffs)
-
-
-@settings(deadline=None, max_examples=20)
-@given(seed=st.integers(min_value=0, max_value=10**9))
-def test_toric_against_naive_recursion_on_random_posets(seed):
-    ranks = ((2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3))[seed % 4]
-    _assert_toric_matches_naive(random_graded_poset(ranks, 0.5, seed))
 
 
 def _assert_table_matches_naive(P):
@@ -119,6 +97,7 @@ def _assert_table_matches_naive(P):
 @pytest.mark.parametrize("maker", [
     lambda: chain(0), lambda: chain(1), lambda: chain(2), lambda: boolean_lattice(2),
     lambda: random_graded_poset((3,), 0.5, 4), lambda: dual(random_graded_poset((4,), 0.5, 5)),
+    lambda: boolean_lattice(3), lambda: chain(3), lambda: chain(4), lambda: polygon_lattice(4),
 ])
 def test_horner_table_low_ranks(maker):
     _assert_table_matches_naive(maker())
@@ -126,8 +105,8 @@ def test_horner_table_low_ranks(maker):
 
 @settings(deadline=None, max_examples=20)
 @given(seed=st.integers(min_value=0, max_value=10**9))
-def test_horner_table_matches_pairwise_products(seed):
-    """The table against ``naive_toric`` of each lower interval (the name is older)."""
+def test_horner_table_matches_naive(seed):
+    """The table against ``naive_toric`` of each lower interval."""
     ranks = ((2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3), (2, 3, 2, 3, 2))[seed % 5]
     P = random_graded_poset(ranks, 0.5, seed)
     _assert_table_matches_naive(P)

@@ -41,8 +41,9 @@ class Mutant(NamedTuple):
     equivalent: str = ""  # why the mutant computes the same values, if it does
 
 
-CX, BAL, POS, TOR, SUITE = (f"src/dehnsom/{m}.py"
-                            for m in ("complexes", "balanced", "posets", "toric", "suite"))
+CX, BAL, POS, TOR, SUITE, POLY = (
+    f"src/dehnsom/{m}.py"
+    for m in ("complexes", "balanced", "posets", "toric", "suite", "polynomial"))
 
 MUTANTS = (
     # --- the closure pass (_set_masks) ---
@@ -102,6 +103,34 @@ MUTANTS = (
     Mutant(POS, "verts = sorted(proper, key=lambda i: label_sort_key(P.labels[i]))",
            "verts = proper",
            "order complex: vertices in index order, not label order"),
+    # --- Möbius rows, the μ(·, 1̂) column and interval errors ---
+    Mutant(POS, "acc[u] -= val", "acc[u] += val",
+           "mobius rows: the push adds μ(s, w) instead of subtracting it"),
+    Mutant(POS, "ups = [s, *above[s]]", "ups = [*above[s]]",
+           "mobius rows: the push starts above s"),
+    Mutant(POS, "if above[q] else 1", "if above[q] else -1",
+           "mobius to top: μ(1̂, 1̂) = −1"),
+    Mutant(POS, "e = mu + 1 if (rank[t] ^ rs) & 1 else mu - 1",
+           "e = mu + 1 if not (rank[t] ^ rs) & 1 else mu - 1",
+           "interval errors: the parity test inverted"),
+    # --- flag and chain tables ---
+    Mutant(POS, "counts[rm | bit] = counts.get(rm | bit, 0) + c",
+           "counts[rm] = counts.get(rm, 0) + c",
+           "alpha: an extended chain keeps the rank set of its prefix"),
+    Mutant(POS, "entry = target.setdefault(rm | bit, [0, 0])",
+           "entry = target.setdefault(rm, [0, 0])",
+           "chain errors: an extended chain keeps the rank set of its prefix"),
+    Mutant(POS, "eps = sign(rm.bit_count())", "eps = sign(rm.bit_count() + 1)",
+           "chain errors: the chain-length sign flipped"),
+    Mutant(CX, "out[m] - out[m ^ bit] if signed", "out[m] + out[m ^ bit] if signed",
+           "subset transform: the signed branch adds"),
+    Mutant(CX, "full = (1 << d) - 1", "full = (1 << (d - 1)) - 1",
+           "flag rows: S^c taken in [d−1]"),
+    # --- f to h ---
+    Mutant(POLY, "(-1) ** (n - k)", "(-1) ** k",
+           "(x − 1)^n: the sign taken from k, not n − k"),
+    Mutant(CX, "poly.coeff(d - i) for i in range(d + 1)", "poly.coeff(i) for i in range(d + 1)",
+           "h from f: the coefficients read in reverse"),
     # --- ToricTable ---
     Mutant(TOR, "hq = [b - a for a, b in zip(hq + [0], [0] + hq)]",
            "hq = [a - b for a, b in zip(hq + [0], [0] + hq)]",
