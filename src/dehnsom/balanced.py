@@ -4,6 +4,8 @@ and the flag Dehn-Sommerville verification."""
 from __future__ import annotations
 
 from collections import Counter
+from itertools import compress
+from operator import ne
 from typing import Iterable, Mapping, NamedTuple
 
 from .complexes import (
@@ -56,12 +58,13 @@ class BalancedComplex:
         if bad_range:
             raise NotBalanced(f"colors outside 1..{d} at {bad_range}")
         # a face's colors are its vertices' colors; it repeats one exactly when
-        # the sum of its color bits carries, to fewer set bits than vertices
+        # the sum of its color bits carries, to fewer set bits than vertices,
+        # and a scan in mask order names the smallest such face
         colors = _face_sums(cx, [1 << (kappa[v] - 1) for v in cx.vertices])
-        for m, c in zip(cx._masks, colors):  # in mask order: the smallest such face
-            if c.bit_count() != m.bit_count():
-                f = cx.face_of(m)
-                raise NotBalanced(f"face {set(f)} repeats a color", witness=f)
+        if any(map(ne, map(int.bit_count, colors), cx._sizes)):
+            m = next(m for m, c, k in zip(cx._masks, colors, cx._sizes) if c.bit_count() != k)
+            f = cx.face_of(m)
+            raise NotBalanced(f"face {set(f)} repeats a color", witness=f)
         object.__setattr__(self, "complex", cx)
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "color_relabeling", color_relabeling)
@@ -147,7 +150,8 @@ def verify_flag_ds(bal: BalancedComplex, name: str = "") -> VerificationReport:
     d = bal.d
     h = flag_h_vector(bal)
     err_by_mask = [0] * (1 << d)
-    for c, e in zip(bal.face_colors, face_errors(bal.complex)):
+    errors = face_errors(bal.complex)
+    for c, e in compress(zip(bal.face_colors, errors), errors):  # most faces have ε = 0
         err_by_mask[c] += e
     err_by_size = [0] * (d + 1)  # a face has as many colors as vertices
     for c, e in enumerate(err_by_mask):

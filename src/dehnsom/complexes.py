@@ -5,23 +5,24 @@ over them (bit i is ``vertices[i]``). Every construction ends in one pass
 over the masks (``SimplicialComplex.from_masks``, called directly by
 ``build_complex``, ``link``, ``join``, ``balanced.rank_selected`` and
 ``posets.order_complex``) that sorts them once, checks closure run by run of
-faces with the same top vertex, finds purity and the facets, and keeps each
-face's one-vertex-removed faces (``_drop``). Only that pass hashes masks,
-into transient position tables; every later per-face pass addresses a face
-by its position in the sorted ``_masks``, so χ̃(lk F), ε(F) and
-``BalancedComplex.face_colors`` are lists aligned with ``_masks``. Only that
-pass and ``_vertex_sums`` (per-face sums of vertex values: relabeled masks,
-color sets) read the run layout. Frozensets of opaque vertex labels are the
-boundary form: the label constructor takes them, the public ``faces`` set is
-built from the masks on first read, and ``facets()`` and error records give
-labels. The empty face is always a member, so f_{-1} = 1.
+faces with the same top vertex, finds purity and the facets, and keeps the
+face sizes (``_sizes``, which every per-size count reads) and the drop
+columns (``_cols``). Only that pass hashes masks, into transient position
+tables; every later per-face pass addresses a face by its position in the
+sorted ``_masks``, so χ̃(lk F), ε(F) and ``BalancedComplex.face_colors``
+are lists aligned with ``_masks``. Only that pass and ``_vertex_sums``
+(per-face sums of vertex values: relabeled masks, color sets) read the run
+layout. Frozensets of opaque vertex labels are the boundary form: the label
+constructor takes them, the public ``faces`` set is built from the masks on
+first read, and ``facets()`` and error records give labels. The empty face
+is always a member, so f_{-1} = 1.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate, compress, islice, repeat
-from operator import eq, ge, xor
+from itertools import accumulate, compress, repeat
+from operator import eq, sub, xor
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyInput, FaceNotInComplex, InternalError, NotPure, ParseError
@@ -29,6 +30,7 @@ from .polynomial import ExactPolynomial, binom, sign
 from .reports import Row, VerificationReport
 
 Face = frozenset
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"  # bytes.translate table: a face size plus one
 
 
 def label_sort_key(v):
@@ -50,23 +52,23 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _vertex_sums(masks: Sequence[int], drop: Sequence[tuple], values: Sequence[int]) -> list[int]:
+def _vertex_sums(masks: Sequence[int], cols: Sequence[list], values: Sequence[int]) -> list[int]:
     """Σ values[i] over the vertices i of every face of the sorted ``masks``
-    (per-face drops ``drop``), aligned with them. The faces with top vertex t
-    are one run of the masks, each its parent ``drop[k][-1]`` plus t, so a
+    (drop columns ``cols``), aligned with them. The faces with top vertex t
+    are one run of the masks, each its parent ``cols[0][k]`` plus t, so a
     face takes one addition."""
     sums, lo = [0] * len(masks), 1
-    faces = islice(drop, 1, None)  # one pass over the drops, run by run
     for t, value in enumerate(values):
         hi = bisect_left(masks, 2 << t)
-        sums[lo:hi] = [sums[f[-1]] + value for f in islice(faces, hi - lo)]
+        if lo < hi:  # an empty run reads no column: only-∅ has none
+            sums[lo:hi] = map(value.__add__, map(sums.__getitem__, cols[0][lo:hi]))
         lo = hi
     return sums
 
 
 def _face_sums(cx: "SimplicialComplex", values: Sequence[int]) -> list[int]:
     """Σ values[i] over the vertices i of every face of ``cx``, aligned with ``cx._masks``."""
-    return _vertex_sums(cx._masks, cx._drop, values)
+    return _vertex_sums(cx._masks, cx._cols, values)
 
 
 class SimplicialComplex:
@@ -74,16 +76,17 @@ class SimplicialComplex:
 
     Downward closure is checked on every construction: removing any single
     vertex from a face must give a face. The faces live as sorted bitmasks in
-    ``_masks``; the check keeps, for the face at each position, the positions
-    of its one-vertex-removed faces in ascending vertex order (``_drop``, a
-    list of tuples aligned with ``_masks``), so the last is its parent, the
-    face minus its top vertex. The frozenset form ``faces`` and the link-Euler
-    values (``link_euler_values``) are built on first read. Instances are
-    immutable and safe to share.
+    ``_masks``, and n = len(_masks). The check keeps, aligned with
+    ``_masks``, the vertex count of every face (``_sizes``, bytes) and one
+    drop column per level (``_cols``, lists): ``_cols[j][k]`` is the position
+    of face k minus its (j+1)-th highest vertex, or n when face k has j or
+    fewer vertices, so ``_cols[0]`` holds the parents. The frozenset form
+    ``faces`` and the link-Euler values (``link_euler_values``) are built on
+    first read. Instances are immutable and safe to share.
     """
 
-    __slots__ = ("vertices", "dim", "pure", "_bit", "_masks", "_facet_masks", "_drop",
-                 "_faces", "_link_chi")
+    __slots__ = ("vertices", "dim", "pure", "_bit", "_masks", "_facet_masks", "_sizes",
+                 "_cols", "_faces", "_link_chi")
 
     def __init__(self, faces: Iterable[Iterable]):
         fam = {Face(f) for f in faces}
@@ -121,7 +124,8 @@ class SimplicialComplex:
                                 f"past the {len(verts)} vertices")
         # the faces with top vertex t are one run of the sorted masks, each its
         # parent (the face minus t) plus t; a missing parent or drop is a KeyError
-        ids = list(range(len(masks)))  # one int object per position, shared
+        n = len(masks)
+        ids = list(range(n))  # one int object per position, shared by the columns
         bounds = [bisect_left(masks, 1 << t) for t in range(len(verts) + 1)]
         runs = list(zip(bounds, bounds[1:]))
         position = dict(zip(masks, ids))
@@ -129,37 +133,45 @@ class SimplicialComplex:
             parents = [list(map(position.__getitem__, map(xor, masks[lo:hi], repeat(1 << t))))
                        for t, (lo, hi) in enumerate(runs)]
             del position
-            # F's drops in ascending vertex order: each drop of its parent with
-            # t added (the run's face above that drop), then the parent
-            drop = [()]
+            # column 0 of F = p + t is p; column j is column j−1 of p with t
+            # added (the run's face above it), or n where that is n
+            cols, sizes = [], bytearray(n)
             for run, (lo, hi) in zip(parents, runs):
-                face_at = dict(zip(run, ids[lo:hi])).__getitem__
-                drop += [(*map(face_at, drop[p]), p) for p in run]
+                sizes[lo:hi] = grown = bytes(map(sizes.__getitem__, run)).translate(_PLUS_ONE)
+                face_at = dict(zip(run, ids[lo:hi]))
+                face_at[n] = n
+                level = run
+                for j in range(max(grown, default=0)):
+                    if j == len(cols):
+                        cols.append([n] * n)
+                    cols[j][lo:hi] = level
+                    level = map(face_at.__getitem__, map(cols[j].__getitem__, run))
         except KeyError:  # name the smallest face that lacks a one-vertex-removed face
             family = set(masks)
             m = next(m for m in masks if any(m ^ (1 << i) not in family for i in _bits(m)))
             face = {verts[i] for i in _bits(m)}
             raise InternalError(f"family not closed under inclusion at {face}") from None
-        covered = bytearray(len(masks))
-        for faces in drop:
-            for p in faces:
+        covered = bytearray(n + 1)  # slot n takes the "none" entries
+        for col in cols:
+            for p in col:
                 covered[p] = 1
         used = [lo < hi for lo, hi in runs]
         if not all(used):
             # drop the unused vertices; the bit map keeps order, so positions hold
             new_bits = [u << below for u, below in zip(used, accumulate(used, initial=0))]
-            masks = _vertex_sums(masks, drop, new_bits)
+            masks = _vertex_sums(masks, cols, new_bits)
             verts = tuple(compress(verts, used))
-        # the submasks reached are exactly the non-maximal faces
+        # the faces some column reaches are exactly the non-maximal faces
         facet_masks = [m for m, c in zip(masks, covered) if not c]
-        dim = max(m.bit_count() for m in facet_masks) - 1
+        dim = max(sizes) - 1
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "pure", all(m.bit_count() == dim + 1 for m in facet_masks))
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "_bit", {v: 1 << i for i, v in enumerate(verts)})
         object.__setattr__(self, "_masks", tuple(masks))
         object.__setattr__(self, "_facet_masks", tuple(facet_masks))
-        object.__setattr__(self, "_drop", drop)
+        object.__setattr__(self, "_sizes", bytes(sizes))
+        object.__setattr__(self, "_cols", cols)
         object.__setattr__(self, "_faces", None)
         object.__setattr__(self, "_link_chi", None)
 
@@ -269,10 +281,7 @@ def build_complex(facets: Iterable[Iterable]) -> SimplicialComplex:
 
 
 def f_vector(cx: SimplicialComplex) -> FVector:
-    counts = [0] * (cx.dim + 2)
-    for m in cx._masks:
-        counts[m.bit_count()] += 1
-    return FVector(tuple(counts))
+    return FVector(tuple(map(cx._sizes.count, range(cx.dim + 2))))
 
 
 def h_from_f(f: Sequence[int], d: int) -> tuple[int, ...]:
@@ -326,7 +335,7 @@ def subset_label(mask: int) -> str:
 
 
 def reduced_euler_characteristic(cx: SimplicialComplex) -> int:
-    return sum(sign(m.bit_count() - 1) for m in cx._masks)
+    return sum(sign(k - 1) * f for k, f in enumerate(f_vector(cx).entries))
 
 
 def link(cx: SimplicialComplex, face: Iterable) -> SimplicialComplex:
@@ -363,30 +372,31 @@ def face_error(cx: SimplicialComplex, face: Iterable) -> int:
     return reduced_euler_characteristic(link(cx, f)) - sign(d - 1 - len(f))
 
 
-def _link_euler_sweep(drop: Sequence[tuple]) -> list[int]:
-    """χ̃(lk F) for every face of a complex, as a list aligned with its sorted
-    masks, from the per-face drops ``drop`` of the complex.
+def _link_euler_sweep(n: int, cols: Sequence[list]) -> list[int]:
+    """χ̃(lk F) for every face of a complex with n faces, as a list aligned
+    with its sorted masks, from the drop columns ``cols`` of the complex.
 
     χ̃(lk F) = Σ_{H ⊇ F, H a face} (−1)^{|H∖F|−1}: the signed superset
-    (Yates) transform of the constant −1. Level j visits every face with at
-    least j vertices, supersets first, and moves its value to the face minus
-    its j-th highest vertex, so each pair H ⊇ G is joined by exactly one path:
-    H∖G removed from the top down, level by level. It runs on the faces alone,
-    since a set that is not a face has no face above it, in Σ |H| steps.
+    (Yates) transform of the constant −1. Level j visits every face,
+    supersets first, and moves its value to the face minus its j-th highest
+    vertex, so each pair H ⊇ G is joined by exactly one path: H∖G removed
+    from the top down, level by level. A face with fewer than j vertices
+    moves its value to slot n, which is dropped at the end. It runs on the
+    faces alone, since a set that is not a face has no face above it.
     """
-    acc = [-1] * len(drop)
-    sizes = list(map(len, drop))
-    down = range(len(drop) - 1, -1, -1)
-    for j in range(1, max(sizes) + 1):
-        for k in compress(down, map(ge, reversed(sizes), repeat(j))):
-            acc[drop[k][-j]] -= acc[k]
+    acc = [-1] * (n + 1)
+    down = range(n - 1, -1, -1)
+    for col in cols:
+        for k, t in zip(down, reversed(col)):
+            acc[t] -= acc[k]
+    del acc[n]
     return acc
 
 
 def link_euler_values(cx: SimplicialComplex) -> tuple[int, ...]:
     """χ̃(lk F) for every face, aligned with ``cx._masks``; swept once per complex."""
     if cx._link_chi is None:
-        object.__setattr__(cx, "_link_chi", tuple(_link_euler_sweep(cx._drop)))
+        object.__setattr__(cx, "_link_chi", tuple(_link_euler_sweep(len(cx._masks), cx._cols)))
     return cx._link_chi
 
 
@@ -397,7 +407,7 @@ def face_errors(cx: SimplicialComplex) -> list[int]:
         raise NotPure("face errors are defined for pure complexes")
     d = cx.dim + 1
     sphere = [sign(d - 1 - k) for k in range(d + 1)]  # χ̃ of a sphere link, by |F|
-    return [c - sphere[m.bit_count()] for m, c in zip(cx._masks, link_euler_values(cx))]
+    return list(map(sub, link_euler_values(cx), map(sphere.__getitem__, cx._sizes)))
 
 
 def link_euler_table(cx: SimplicialComplex) -> dict[int, int]:
@@ -430,8 +440,9 @@ def _singular_faces(cx: SimplicialComplex) -> tuple[list[tuple[int, int]], bool,
     """The (mask, ε) pairs of the faces of a pure complex with ε ≠ 0, in mask
     order, and (eulerian, semi_eulerian, min_singular_j) read from their
     sizes; no face set is built."""
-    bad = [(m, e) for m, e in zip(cx._masks, face_errors(cx)) if e]
-    sizes = [m.bit_count() for m, _ in bad]
+    errors = face_errors(cx)
+    bad = list(compress(zip(cx._masks, errors), errors))
+    sizes = bytes(compress(cx._sizes, errors))
     return bad, not bad, not any(sizes), max(sizes, default=-1)
 
 
@@ -458,8 +469,8 @@ def verify_pure_ds(cx: SimplicialComplex, name: str = "") -> VerificationReport:
     d = cx.dim + 1
     h = h_vector(cx).entries
     eps = [0] * (d + 1)  # Σ ε(F) over the faces F of each size
-    for m, e in zip(cx._masks, face_errors(cx)):
-        eps[m.bit_count()] += e
+    for k, e in zip(cx._sizes, face_errors(cx)):
+        eps[k] += e
     return VerificationReport(
         identity="ds",
         parameters={"object": name or repr(cx), "d": d, "h": list(h)},

@@ -9,11 +9,13 @@ layout of the closure pass can change inside complexes.py alone:
 - ``from_masks`` (vertices, ``_masks``, ``_facet_masks``, ``facets()``, dim,
   purity) against ``oracles.set_closure_facets``; χ̃(lk F)
   (``link_euler_values``, ``link_euler_table``), ε(F) (``face_errors``,
-  ``face_error_table``) and ``NotPure`` against ``subset_walk_link_euler``:
-  ``_assert_same``, in ``test_runs_match_set_closure`` and
-  ``test_smallest_complexes``, on clean, shuffled, rotated, repeated,
-  one-pass and padded input
-- ``_face_sums`` against ``_relabel``: ``test_runs_match_set_closure``
+  ``face_error_table``) and ``NotPure`` against ``subset_walk_link_euler``;
+  ``f_vector``, ``h_vector`` and ``reduced_euler_characteristic`` against
+  the set bits of the fed masks and ``h_closed_form``: ``_assert_same``,
+  in ``test_runs_match_set_closure`` and ``test_smallest_complexes``, on
+  clean, shuffled, rotated, repeated, one-pass and padded input
+- ``_face_sums`` against ``_relabel``: ``test_runs_match_set_closure``, and
+  by hand on the only-∅ and three-point cases of ``test_smallest_complexes``
 - the closure error text against ``set_closure_facets``:
   ``_assert_same_refusal``, in ``test_broken_families_name_the_same_face``
   and the fixed cases after it
@@ -41,12 +43,15 @@ from dehnsom.complexes import (
     _bits,
     _face_sums,
     build_complex,
+    f_vector,
     face_error_table,
     face_errors,
     face_sort_key,
+    h_vector,
     label_sort_key,
     link_euler_table,
     link_euler_values,
+    reduced_euler_characteristic,
     singularity_profile,
     verify_pure_ds,
 )
@@ -64,6 +69,7 @@ from oracles import (
     _relabel,
     balanced_text,
     bit_walk_face_colors,
+    h_closed_form,
     iter_chains,
     mask_of,
     set_closure_facets,
@@ -108,7 +114,8 @@ def _fed(cx, seed):
 def _assert_same(got, verts, fed):
     """``got`` is the complex of the face masks ``fed`` over ``verts``: its
     facets, dim and purity by set membership, its unused vertices dropped by
-    a bit walk, and its χ̃(lk F) and ε(F), in ``_masks`` order, by subset
+    a bit walk, its f-vector, h-vector and χ̃ from the set bits of the fed
+    masks, and its χ̃(lk F) and ε(F), in ``_masks`` order, by subset
     enumeration."""
     facet_masks, dim, pure = set_closure_facets(verts, fed)
     used = [i for i in range(len(verts)) if any(m >> i & 1 for m in facet_masks)]
@@ -118,6 +125,11 @@ def _assert_same(got, verts, fed):
     assert got.vertices == tuple(verts[i] for i in used)
     assert got._masks == tuple(sorted(set(_relabel(fed, new_bits))))
     assert (got.dim, got.pure) == (dim, pure)
+    sizes = [m.bit_count() for m in set(fed)]
+    f = tuple(map(sizes.count, range(dim + 2)))
+    assert f_vector(got).entries == f
+    assert h_vector(got) == (h_closed_form(f, dim + 1), not pure)
+    assert reduced_euler_characteristic(got) == -sum((-1) ** k * fk for k, fk in enumerate(f))
     assert got._facet_masks == tuple(_relabel(facet_masks, new_bits))
     assert got.facets() == sorted((frozenset(verts[i] for i in _bits(m)) for m in facet_masks),
                                   key=face_sort_key)
@@ -157,6 +169,7 @@ def test_smallest_complexes():
     empty = SimplicialComplex.from_masks(EXTRA, [0, 0])
     _assert_same(empty, EXTRA, [0])
     assert empty._masks == (0,) and link_euler_values(empty) == (-1,)
+    assert _face_sums(empty, []) == [0]  # no vertex: no column is read
     # three points, one of them unused
     points = SimplicialComplex.from_masks(("a", "b", "c", "d"), [8, 0, 1, 4])
     _assert_same(points, ("a", "b", "c", "d"), [0, 1, 4, 8])

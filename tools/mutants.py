@@ -47,12 +47,20 @@ CX, BAL, POS, TOR, SUITE, POLY = (
 
 MUTANTS = (
     # --- the closure pass (_set_masks) ---
-    Mutant(CX, "drop += [(*map(face_at, drop[p]), p) for p in run]",
-           "drop += [(p, *map(face_at, drop[p])) for p in run]",
-           "closure: the parent moved to the front of each drop tuple"),
-    Mutant(CX, "            for p in faces:\n                covered[p] = 1",
-           "            for p in faces[-1:]:\n                covered[p] = 1",
-           "closure: facets marked from the parent drop only"),
+    Mutant(CX, "map(face_at.__getitem__, map(cols[j].__getitem__, run))",
+           "map(face_at.__getitem__, map(cols[0].__getitem__, run))",
+           "closure: every level built from the parents' parent column"),
+    Mutant(CX, "face_at[n] = n", "pass",
+           "closure: no \"none\" entry in the run's parent-to-face dict"),
+    Mutant(CX, "bytes(map(sizes.__getitem__, run)).translate(_PLUS_ONE)",
+           "bytes(map(sizes.__getitem__, run))",
+           "closure: a face's size is its parent's, not one more"),
+    Mutant(CX, "for j in range(max(grown, default=0)):",
+           "for j in range(max(grown, default=0) - 1):",
+           "closure: the level loop stops one short"),
+    Mutant(CX, "for col in cols:\n            for p in col:",
+           "for col in cols[:1]:\n            for p in col:",
+           "closure: facets marked from the parent column only"),
     Mutant(CX, "covered[p] = 1", "covered[p] = 0",
            "closure: no face marked covered"),
     Mutant(CX, "used = [lo < hi for lo, hi in runs]", "used = [lo <= hi for lo, hi in runs]",
@@ -66,28 +74,30 @@ MUTANTS = (
     Mutant(CX, "m = next(m for m in masks if any(", "m = next(m for m in reversed(masks) if any(",
            "closure: the rescan on KeyError names the largest unclosed face"),
     # --- the link sweep ---
-    Mutant(CX, "acc[drop[k][-j]] -= acc[k]", "acc[drop[k][j - 1]] -= acc[k]",
-           "sweep: level j removes the j-th lowest vertex",
-           "the sweep with the j-th lowest vertex is the same sweep under the "
-           "order-reversing relabeling of the vertices, and the supersets-first "
-           "visit order holds for either; equal on every complex on <= 5 vertices"),
-    Mutant(CX, "for j in range(1, max(sizes) + 1):", "for j in range(1, max(sizes)):",
+    Mutant(CX, "    for col in cols:\n        for k, t in zip(",
+           "    for col in cols[:-1]:\n        for k, t in zip(",
            "sweep: the top level skipped"),
-    Mutant(CX, "acc = [-1] * len(drop)", "acc = [1] * len(drop)",
+    Mutant(CX, "    for col in cols:\n        for k, t in zip(",
+           "    for col in reversed(cols):\n        for k, t in zip(",
+           "sweep: the levels in reverse order (the deepest vertex removed first)"),
+    Mutant(CX, "acc = [-1] * (n + 1)", "acc = [1] * (n + 1)",
            "sweep: the constant's sign flipped"),
+    Mutant(CX, "zip(down, reversed(col))", "zip(down, col)",
+           "sweep: each face pushes along another face's column entry"),
     # --- per-face sums ---
-    Mutant(CX, "sums[f[-1]] + value", "sums[f[0]] + value",
-           "face sums: read from the lowest drop, not the parent"),
+    Mutant(CX, "map(sums.__getitem__, cols[0][lo:hi])", "map(sums.__getitem__, cols[-1][lo:hi])",
+           "face sums: read from the deepest column, not the parents"),
     Mutant(CX, "hi = bisect_left(masks, 2 << t)", "hi = bisect_left(masks, 1 << t)",
            "face sums: the run bounds off by one vertex"),
     # --- the balanced coloring ---
     Mutant(BAL, "colors = _face_sums(cx, [1 << (kappa[v] - 1) for v in cx.vertices])",
            "colors = _face_sums(cx, [1 << kappa[v] for v in cx.vertices])",
            "coloring: color c on bit c"),
-    Mutant(BAL, "if c.bit_count() != m.bit_count():", "if c.bit_count() > m.bit_count():",
+    Mutant(BAL, "if any(map(ne, map(int.bit_count, colors), cx._sizes)):",
+           "if any(map(int.__gt__, map(int.bit_count, colors), cx._sizes)):",
            "coloring: a repeated color never found"),
-    Mutant(BAL, "for m, c in zip(cx._masks, colors):",
-           "for m, c in reversed(list(zip(cx._masks, colors))):",
+    Mutant(BAL, "for m, c, k in zip(cx._masks, colors, cx._sizes)",
+           "for m, c, k in reversed(list(zip(cx._masks, colors, cx._sizes)))",
            "coloring: the witness scan reversed"),
     Mutant(BAL, "mask |= 1 << (c - 1)", "mask += 1 << (c - 1)",
            "coloring: `+=` for `|=` in _color_mask"),
