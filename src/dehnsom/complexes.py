@@ -1,28 +1,26 @@
 """Simplicial complexes and their exact invariants.
 
-Vertices are interned in label order and every face is an integer bitmask
-over them (bit i is ``vertices[i]``). Every construction ends in one pass
-over the masks (``SimplicialComplex.from_masks``, called directly by
-``build_complex``, ``link``, ``join``, ``balanced.rank_selected`` and
-``posets.order_complex``) that sorts them once, checks closure run by run of
-faces with the same top vertex, finds purity and the facets, and keeps the
-face sizes (``_sizes``, which every per-size count reads) and the drop
-columns (``_cols``). Only that pass hashes masks, into transient position
-tables; every later per-face pass addresses a face by its position in the
-sorted ``_masks``, so χ̃(lk F), ε(F) and ``BalancedComplex.face_colors``
-are lists aligned with ``_masks``. Only that pass and ``_vertex_sums``
-(per-face sums of vertex values: relabeled masks, color sets) read the run
-layout. Frozensets of opaque vertex labels are the boundary form: the label
-constructor takes them, the public ``faces`` set is built from the masks on
-first read, and ``facets()`` and error records give labels. The empty face
-is always a member, so f_{-1} = 1.
+Every face is an integer bitmask (bit i is ``vertices[i]``) over vertices in
+the order their constructor chooses: label order for labels, facet lists and
+joins, P's index order for O(P), the parent's order for ``link`` and
+``rank_selected``. Every construction ends in one pass, run by run of faces
+with the same top vertex, that checks closure, finds purity and the facets,
+and keeps the face sizes (``_sizes``) and the drop columns (``_cols``).
+``from_masks`` sorts the masks and finds each face's parent (the face minus
+its top vertex) in a transient position table, the only place a mask is
+hashed; ``from_runs`` (for O(P)) is given the parents and makes the masks.
+Later per-face passes address a face by its position in ``_masks``, so
+χ̃(lk F), ε(F) and ``BalancedComplex.face_colors`` are lists aligned with
+it. Frozensets of labels are the boundary form: ``faces`` is built on first
+read, and ``facets()``, error records and the facet text list labels in
+label order, whatever the vertex order. f_{-1} = 1: ∅ is always a face.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate, compress, repeat
-from operator import eq, sub, xor
+from operator import eq, lt, sub, xor
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyInput, FaceNotInComplex, InternalError, NotPure, ParseError
@@ -98,14 +96,37 @@ class SimplicialComplex:
     def from_masks(cls, vertices: Sequence, masks: Iterable[int]) -> "SimplicialComplex":
         """The complex whose faces are ``masks``, bit i standing for vertices[i].
 
-        ``vertices`` must be distinct and sorted by ``label_sort_key``, which
-        keeps the masks canonical; vertices that no face uses are dropped.
-        ``masks`` may be any iterable, unsorted and with repeats: it is sorted
-        once into a new list (a caller's list is never changed), and repeats
-        are dropped only when a check of adjacent masks finds one.
+        ``vertices`` must be distinct, in any order: it is the complex's
+        vertex order, and vertices that no face uses are dropped. ``masks``
+        may be any iterable, unsorted and with repeats: it is sorted once
+        into a new list (a caller's list is never changed), and repeats are
+        dropped only when a check of adjacent masks finds one.
         """
         cx = cls.__new__(cls)
         cx._set_masks(tuple(vertices), masks)
+        return cx
+
+    @classmethod
+    def from_runs(cls, vertices: Sequence, runs: Iterable[Iterable[int]]) -> "SimplicialComplex":
+        """The complex whose faces with top vertex t are the faces at the
+        positions ``runs[t]`` plus t. Position 0 is ∅ and the faces are
+        numbered run by run, so each run must increase and name only faces
+        already made; the masks come out sorted. ``runs`` (one per vertex,
+        distinct vertices in any order) is read one run at a time."""
+        verts = tuple(vertices)
+        masks, ids, parents = [0], [0], []
+        for t, run in enumerate(runs):
+            run, made = list(run), len(masks)
+            if not all(map(lt, run, run[1:])) or run and (run[0] < 0 or run[-1] >= made):
+                raise InternalError(f"run {t} is not an increasing list of positions below {made}")
+            run = list(map(ids.__getitem__, run))  # one int object per position
+            masks += map((1 << t).__or__, map(masks.__getitem__, run))
+            ids += range(made, len(masks))
+            parents.append(run)
+        if len(parents) != len(verts):
+            raise InternalError(f"{len(parents)} runs for {len(verts)} vertices")
+        cx = cls.__new__(cls)
+        cx._set_runs(verts, masks, ids, parents)
         return cx
 
     def _set_masks(self, verts: tuple, masks: Iterable[int]) -> None:
@@ -116,27 +137,34 @@ class SimplicialComplex:
             raise EmptyInput("a complex has at least the empty face")
         if masks[0]:
             raise InternalError("the empty face is missing")
-        keys = [label_sort_key(v) for v in verts]
-        if any(a > b for a, b in zip(keys, keys[1:])):
-            raise InternalError("vertices are not in label order")
         if masks[-1].bit_length() > len(verts):
             raise InternalError(f"a face uses bit {masks[-1].bit_length() - 1}, "
                                 f"past the {len(verts)} vertices")
         # the faces with top vertex t are one run of the sorted masks, each its
-        # parent (the face minus t) plus t; a missing parent or drop is a KeyError
+        # parent (the face minus t) plus t; a missing parent is position n
         n = len(masks)
         ids = list(range(n))  # one int object per position, shared by the columns
         bounds = [bisect_left(masks, 1 << t) for t in range(len(verts) + 1)]
-        runs = list(zip(bounds, bounds[1:]))
         position = dict(zip(masks, ids))
+        parents = [list(map(position.get, map(xor, masks[lo:hi], repeat(1 << t)), repeat(n)))
+                   for t, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+        del position
+        self._set_runs(verts, masks, ids, parents)
+
+    def _set_runs(self, verts: tuple, masks: list, ids: list, parents: list) -> None:
+        """The pass both constructors end in: ``masks`` sorted and distinct,
+        ``parents[t]`` the positions (ints of ``ids``) of run t minus t."""
+        bit = {v: 1 << i for i, v in enumerate(verts)}
+        if len(bit) != len(verts):
+            raise InternalError("a vertex is repeated")
+        # column 0 of F = p + t is p; column j is column j−1 of p with t added
+        # (the run's face above it), or n where that is n. A missing parent (n)
+        # is an IndexError of sizes, a missing face below a KeyError of face_at
+        n = len(masks)
+        cols, sizes = [], bytearray(n)
+        starts = list(accumulate(map(len, parents), initial=1))
         try:
-            parents = [list(map(position.__getitem__, map(xor, masks[lo:hi], repeat(1 << t))))
-                       for t, (lo, hi) in enumerate(runs)]
-            del position
-            # column 0 of F = p + t is p; column j is column j−1 of p with t
-            # added (the run's face above it), or n where that is n
-            cols, sizes = [], bytearray(n)
-            for run, (lo, hi) in zip(parents, runs):
+            for run, lo, hi in zip(parents, starts, starts[1:]):
                 sizes[lo:hi] = grown = bytes(map(sizes.__getitem__, run)).translate(_PLUS_ONE)
                 face_at = dict(zip(run, ids[lo:hi]))
                 face_at[n] = n
@@ -146,7 +174,7 @@ class SimplicialComplex:
                         cols.append([n] * n)
                     cols[j][lo:hi] = level
                     level = map(face_at.__getitem__, map(cols[j].__getitem__, run))
-        except KeyError:  # name the smallest face that lacks a one-vertex-removed face
+        except (IndexError, KeyError):  # name the smallest face lacking a face below
             family = set(masks)
             m = next(m for m in masks if any(m ^ (1 << i) not in family for i in _bits(m)))
             face = {verts[i] for i in _bits(m)}
@@ -155,19 +183,20 @@ class SimplicialComplex:
         for col in cols:
             for p in col:
                 covered[p] = 1
-        used = [lo < hi for lo, hi in runs]
+        used = list(map(bool, parents))
         if not all(used):
             # drop the unused vertices; the bit map keeps order, so positions hold
             new_bits = [u << below for u, below in zip(used, accumulate(used, initial=0))]
             masks = _vertex_sums(masks, cols, new_bits)
             verts = tuple(compress(verts, used))
+            bit = {v: 1 << i for i, v in enumerate(verts)}
         # the faces some column reaches are exactly the non-maximal faces
         facet_masks = [m for m, c in zip(masks, covered) if not c]
         dim = max(sizes) - 1
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "pure", all(m.bit_count() == dim + 1 for m in facet_masks))
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "_bit", {v: 1 << i for i, v in enumerate(verts)})
+        object.__setattr__(self, "_bit", bit)
         object.__setattr__(self, "_masks", tuple(masks))
         object.__setattr__(self, "_facet_masks", tuple(facet_masks))
         object.__setattr__(self, "_sizes", bytes(sizes))
@@ -204,8 +233,8 @@ class SimplicialComplex:
             return False
         if self.vertices == other.vertices:
             return self._masks == other._masks
-        # equal vertex sets come in different orders only where labels tie
-        # under label_sort_key (True and "True", say)
+        # equal vertex sets come in different orders when their constructors
+        # chose different ones (O(P) in P's index order against label order)
         return set(self.vertices) == set(other.vertices) and self.faces == other.faces
 
     def __hash__(self) -> int:
@@ -448,12 +477,11 @@ def _singular_faces(cx: SimplicialComplex) -> tuple[list[tuple[int, int]], bool,
 
 def singularity_profile(cx: SimplicialComplex) -> SingularityProfile:
     bad, eulerian, semi_eulerian, min_j = _singular_faces(cx)
-    # the vertices are in label_sort_key order, so listing a face's keys by
-    # vertex index lists them sorted, as face_sort_key does
+    # each face's label keys sorted, as face_sort_key does, whatever the vertex order
     verts = cx.vertices
     keys = list(map(label_sort_key, verts))
     faces = [(list(_bits(m)), e) for m, e in bad]
-    faces.sort(key=lambda fe: (len(fe[0]), list(map(keys.__getitem__, fe[0]))))
+    faces.sort(key=lambda fe: (len(fe[0]), sorted(map(keys.__getitem__, fe[0]))))
     return SingularityProfile(eulerian, semi_eulerian, min_j, tuple(
         FaceError(Face(map(verts.__getitem__, ix)), e) for ix, e in faces))
 
@@ -504,7 +532,7 @@ def parse_facets(text: str) -> SimplicialComplex:
 
 
 def serialize_facets(cx: SimplicialComplex) -> str:
-    """Canonical form: facets sorted lexicographically by interned vertex index.
+    """Canonical form: facets as rows of labels in label order, rows sorted by label.
 
     A label that ``parse_facets`` would read back as another label, or that
     would make the CLI read the text as another format, is a ParseError.
@@ -514,5 +542,6 @@ def serialize_facets(cx: SimplicialComplex) -> str:
         if (text.split() != [text] or "#" in text or text.startswith(("{", "colors:"))
                 or _parse_label(text) != v):
             raise ParseError(f"label {v!r} does not read back as itself in the facet format")
-    rows = sorted(tuple(_bits(m)) for m in cx._facet_masks)
-    return "".join(" ".join(str(cx.vertices[i]) for i in row) + "\n" for row in rows)
+    rows = [sorted(cx.face_of(m), key=label_sort_key) for m in cx._facet_masks]
+    rows.sort(key=lambda row: list(map(label_sort_key, row)))
+    return "".join(" ".join(map(str, row)) + "\n" for row in rows)

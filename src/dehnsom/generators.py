@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .complexes import SimplicialComplex, _bits, build_complex, join
+from .complexes import SimplicialComplex, _bits, _face_sums, build_complex, join, label_sort_key
 from .errors import BadParams, ParseError, UnknownGenerator
 from .posets import GradedPoset, build_poset, dual
 
@@ -122,10 +122,13 @@ def chain(n: int) -> GradedPoset:
 def face_poset(x: SimplicialComplex, with_top: bool = True) -> GradedPoset:
     """Faces of x ordered by inclusion, 0̂ = ∅; adjoins 1̂ when with_top.
 
-    A face is labeled by its vertices in label order, e.g. "(0,1,3)".
+    A face is labeled by its vertices in label order, e.g. "(0,1,3)",
+    whatever the vertex order of x.
     """
-    verts = x.vertices
-    label = {m: "(" + ",".join(str(verts[i]) for i in _bits(m)) + ")" for m in x._masks}
+    verts = sorted(x.vertices, key=label_sort_key)
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    label = {m: "(" + ",".join(str(verts[i]) for i in _bits(r)) + ")"
+             for m, r in zip(x._masks, _face_sums(x, [bit[v] for v in x.vertices]))}
     covers = [(label[m ^ (1 << i)], name) for m, name in label.items() for i in _bits(m)]
     elements = list(label.values())
     if with_top:

@@ -374,28 +374,26 @@ def _proper_mask(P: GradedPoset) -> int:
 def order_complex(P: GradedPoset):
     """O(P): vertices P∖{0̂,1̂}, faces the chains, colored by rank (a balanced complex).
 
-    Each proper element gets the bit of its place in label order, and the
-    chains are walked straight to bitmasks, one length at a time: every
-    chain ending at i is extended by each proper element above i.
+    The vertices follow P's index order (rank, then label), so a chain's top
+    vertex is its last element. The chains ending at t are t added to ∅ and
+    to the chains ending below t, whole earlier runs, so the run of t handed
+    to ``SimplicialComplex.from_runs`` is ∅ and the spans of those runs.
     """
     need_rank(P, 1, "order complex")
-    proper = list(_bits(_proper_mask(P)))
-    verts = sorted(proper, key=lambda i: label_sort_key(P.labels[i]))
-    bit = [0] * P.n
-    for k, i in enumerate(verts):
-        bit[i] = 1 << k
-    above = P._strict_up_lists()
-    steps = [[j for j in above[i] if j != P.top_i] for i in range(P.n)]
-    masks = [0]
-    # the chains of one length as two parallel lists: masks and last elements
-    level, ends = [bit[i] for i in proper], proper
-    while level:
-        masks += level
-        level = [m | bit[j] for m, i in zip(level, ends) for j in steps[i]]
-        ends = [j for i in ends for j in steps[i]]
-    cx = SimplicialComplex.from_masks([P.labels[i] for i in verts], masks)
-    kappa = {P.labels[i]: P.rank_of[i] for i in proper}
-    return BalancedComplex(cx, kappa)
+    top, down = P.top_i, P._down
+
+    def runs():
+        starts = [1]  # run s holds positions starts[s] .. starts[s + 1] − 1
+        for t in range(top - 1):  # vertex t is element t + 1
+            run = [0]
+            for s in _bits(down[t + 1] >> 1 & ((1 << t) - 1)):
+                run += range(starts[s], starts[s + 1])
+            starts.append(starts[t] + len(run))
+            yield run
+
+    labels = P.labels[1:top]
+    cx = SimplicialComplex.from_runs(labels, runs())
+    return BalancedComplex(cx, dict(zip(labels, P.rank_of[1:top])))
 
 
 # --- flag alpha/beta and the flag poset identity ---------------------------------

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dehnsom.balanced import BalancedComplex, rank_selected
 from dehnsom.complexes import (
     SimplicialComplex,
     build_complex,
@@ -27,6 +28,7 @@ from dehnsom.errors import EmptyInput, FaceNotInComplex, InternalError, NotPure,
 from dehnsom.generators import (
     cross_polytope,
     cycle,
+    face_poset,
     generate_from_string,
     random_graded_poset,
     random_pure_complex,
@@ -36,6 +38,7 @@ from dehnsom.generators import (
     torus_7,
 )
 from dehnsom.polynomial import binom, sign
+from dehnsom.posets import dual, order_complex, serialize_poset_json
 from dehnsom.suite import CATALOG, COMPLEX_DS_SPECS
 
 from oracles import (
@@ -241,13 +244,59 @@ def test_singularity_profile_orders_mixed_labels_like_face_sort_key():
 @settings(deadline=None, max_examples=15)
 @given(seed=st.integers(min_value=0, max_value=10**9))
 def test_singularity_profile_matches_frozenset_reference_on_order_complexes(seed):
-    from dehnsom.posets import dual, order_complex
-
     ranks = ((2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3, 2))[seed % 4]
     P = random_graded_poset(ranks, 0.5, seed)
     for Q in (P, dual(P)):
         cx = order_complex(Q).complex
         assert singularity_profile(cx) == frozenset_singularity_profile(cx)
+
+
+def _off_label_order(seed):
+    """Complexes whose vertices are not in label order: a pure complex over
+    reversed label order (through from_masks), and in P's index order the
+    order complexes of its face poset and of a seeded poset's dual."""
+    cx = random_pure_complex(2 + seed % 2, 6 + seed % 3, 0.5, seed)
+    rev = cx.vertices[::-1]
+    bit = {v: 1 << i for i, v in enumerate(rev)}
+    P = random_graded_poset(((2, 3, 2), (3, 3), (2, 2, 2, 2))[seed % 3], 0.5, seed)
+    return [SimplicialComplex.from_masks(rev, [sum(bit[v] for v in f) for f in cx.faces]),
+            order_complex(face_poset(cx)).complex, order_complex(dual(P)).complex]
+
+
+@settings(deadline=None, max_examples=15)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_outputs_ignore_the_vertex_order(seed):
+    for cx in _off_label_order(seed):
+        twin = SimplicialComplex(cx.faces)
+        assert twin.vertices == tuple(sorted(cx.vertices, key=label_sort_key))
+        assert cx.vertices != twin.vertices
+        assert singularity_profile(cx) == singularity_profile(twin)
+        assert serialize_facets(cx) == serialize_facets(twin)
+        assert (serialize_poset_json(face_poset(cx))
+                == serialize_poset_json(face_poset(twin)))
+
+
+@settings(deadline=None, max_examples=15)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_order_complex_equals_its_label_built_twin(seed):
+    P = random_graded_poset(((2, 3, 2), (3, 3), (2, 2, 2, 2))[seed % 3], 0.5, seed)
+    rng = random.Random(seed)
+    for Q in (P, dual(P)):
+        bal = order_complex(Q)
+        cx = bal.complex
+        twin = SimplicialComplex(cx.faces)
+        assert cx.vertices == Q.labels[1:-1]  # P's index order
+        assert cx == twin and f_vector(cx) == f_vector(twin)
+        twin_bal = BalancedComplex(twin, bal.kappa)
+        for k in range(1 << bal.d):
+            S = [c + 1 for c in range(bal.d) if k >> c & 1]
+            sub = rank_selected(bal, S)
+            assert sub == rank_selected(twin_bal, S)
+            assert sub.vertices == tuple(v for v in cx.vertices if v in set(sub.vertices))
+        for face in rng.sample(sorted(cx.faces, key=face_sort_key), 5):
+            lk = link(cx, face)
+            assert lk == link(twin, face)
+            assert lk.vertices == tuple(v for v in cx.vertices if v in set(lk.vertices))
 
 
 def test_verify_pure_ds_sphere_and_torus(torus):
@@ -411,7 +460,10 @@ def test_from_masks_rejects_bad_families():
         SimplicialComplex.from_masks(verts, [1])
     with pytest.raises(InternalError, match="past the 3 vertices"):
         SimplicialComplex.from_masks(verts, [0, 0b1000])
-    with pytest.raises(InternalError, match="label order"):
-        SimplicialComplex.from_masks(("b", "a"), [0, 1, 2])
+    with pytest.raises(InternalError, match="a vertex is repeated"):
+        SimplicialComplex.from_masks(("a", "b", "a"), [0, 1, 2])
+    swapped = SimplicialComplex.from_masks(("b", "a"), [0, 1, 2])  # any vertex order
+    assert swapped.vertices == ("b", "a")
+    assert swapped == SimplicialComplex(swapped.faces)
     with pytest.raises(EmptyInput):
         SimplicialComplex.from_masks(verts, [])

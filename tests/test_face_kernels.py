@@ -22,12 +22,15 @@ layout of the closure pass can change inside complexes.py alone:
 - the face colors and the repeated-color witness against
   ``bit_walk_face_colors``: ``test_colors_by_parent_match_bit_walk``, on the
   seeded poset, its dual and two fixed posets
-- the two-list walk of ``order_complex`` against ``iter_chains``:
-  ``test_two_list_walk_matches_iter_chains``
+- ``from_runs`` against ``from_masks`` on the runs read from the sorted
+  masks, and its closure error text against ``set_closure_facets``:
+  ``test_from_runs_matches_from_masks`` and the fixed case after it
+- the chain runs of ``order_complex`` against ``iter_chains``:
+  ``test_chain_runs_match_iter_chains``
 
-The rest pin the ``from_masks`` input contract, that the verify path sweeps
-once per complex and never reads the mask-keyed dict wrappers, and the
-``mask_of`` oracle.
+The rest pin the ``from_masks`` input contract, the ``from_runs`` refusals,
+that the verify path sweeps once per complex and never reads the mask-keyed
+dict wrappers, and the ``mask_of`` oracle.
 """
 
 import random
@@ -48,7 +51,6 @@ from dehnsom.complexes import (
     face_errors,
     face_sort_key,
     h_vector,
-    label_sort_key,
     link_euler_table,
     link_euler_values,
     reduced_euler_characteristic,
@@ -96,11 +98,13 @@ def _complexes(seed):
 
 
 def _fed(cx, seed):
-    """The vertices of ``cx`` with EXTRA mixed in, and three mask lists over
-    them that give ``cx`` back through ``from_masks``: shuffled with every
-    third mask repeated, rotated with every other mask repeated, and every
-    mask given twice, shuffled."""
-    verts = sorted(set(cx.vertices) | set(EXTRA), key=label_sort_key)
+    """The vertices of ``cx`` in its own order with EXTRA mixed in, and three
+    mask lists over them that give ``cx`` back through ``from_masks``:
+    shuffled with every third mask repeated, rotated with every other mask
+    repeated, and every mask given twice, shuffled."""
+    verts = list(cx.vertices)
+    for k, v in enumerate(EXTRA):
+        verts.insert((seed + k) % (len(verts) + 1), v)
     bit = {v: 1 << i for i, v in enumerate(verts)}
     masks = [sum(bit[v] for v in cx.face_of(m)) for m in cx._masks]
     rng = random.Random(seed)
@@ -280,13 +284,76 @@ def test_colors_by_parent_match_bit_walk(torus_poset, seed):
             assert str(exc.value) == f"face {set(cx.face_of(witness))} repeats a color"
 
 
-# --- the order-complex walk ----------------------------------------------------------
+# --- the runs of from_runs and order_complex ------------------------------------------
+
+def _runs(masks):
+    """The runs of a family of face masks that holds every face's parent (the
+    face minus its top vertex): for each top vertex t, the positions in the
+    sorted family of the parents of the faces with top vertex t."""
+    family = sorted(set(masks))
+    position = {m: k for k, m in enumerate(family)}
+    runs = [[] for _ in range(family[-1].bit_length())]
+    for m in family[1:]:
+        t = m.bit_length() - 1
+        runs[t].append(position[m ^ 1 << t])
+    return runs
+
+
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_from_runs_matches_from_masks(seed):
+    for cx in _complexes(seed):
+        got = SimplicialComplex.from_runs(cx.vertices, iter(_runs(cx._masks)))
+        assert _state(got) == _state(cx)
+        # a face F taken out with every face it is the lower part of: its
+        # parent chain (the face minus top vertices) still holds, deeper
+        # drops may not
+        rng = random.Random(seed)
+        gone = rng.choice(cx._masks[1:])
+        low = (2 << gone.bit_length() - 1) - 1
+        fed = [m for m in cx._masks if m & low != gone]
+        runs = _runs(fed)
+        runs += [[]] * (len(cx.vertices) - len(runs))
+        try:
+            facet_masks, dim, pure = set_closure_facets(cx.vertices, fed)
+        except InternalError as exc:
+            with pytest.raises(InternalError) as got:
+                SimplicialComplex.from_runs(cx.vertices, runs)
+            assert str(got.value) == str(exc)
+            continue
+        _assert_same(SimplicialComplex.from_runs(cx.vertices, runs), cx.vertices, fed)
+
+
+def test_from_runs_names_the_smallest_unclosed_face():
+    # positions: 0 ∅, 1 {0}, 2 {1}, 3 {0, 1}, then run 2 makes {0, 2} and
+    # {0, 1, 2}; {2} is missing, so both lack a face below their parent
+    runs = [[0], [0, 1], [1, 3]]
+    with pytest.raises(InternalError) as oracle:
+        set_closure_facets((0, 1, 2), [0, 1, 2, 3, 5, 7])
+    with pytest.raises(InternalError) as got:
+        SimplicialComplex.from_runs((0, 1, 2), runs)
+    assert str(got.value) == str(oracle.value) == "family not closed under inclusion at {0, 2}"
+
+
+@pytest.mark.parametrize("verts, runs, text", [
+    (("a", "b", "a"), [[0], [0], [0]], "a vertex is repeated"),
+    (("a", "b"), [[0], [1, 0]], "run 1 is not an increasing list of positions below 2"),
+    (("a", "b"), [[0], [0, 0]], "run 1 is not an increasing list of positions below 2"),
+    (("a", "b"), [[0], [0, 2]], "run 1 is not an increasing list of positions below 2"),
+    (("a", "b"), [[0], [-1]], "run 1 is not an increasing list of positions below 2"),
+    (("a", "b"), [[0], [0], [0]], "3 runs for 2 vertices"),
+    (("a", "b", "c"), [[0], [0]], "2 runs for 3 vertices"),
+])
+def test_from_runs_refusals(verts, runs, text):
+    with pytest.raises(InternalError) as exc:
+        SimplicialComplex.from_runs(verts, runs)
+    assert str(exc.value) == text
+
 
 def _chain_masks(P):
-    """(the proper elements' labels in label order, the chain masks of O(P)
+    """(the proper elements' labels in index order, the chain masks of O(P)
     sorted without repeats, the rank of every proper element's label)."""
-    proper = sorted({i for chain in iter_chains(P, max_size=1) for i in chain},
-                    key=lambda i: label_sort_key(P.labels[i]))
+    proper = sorted({i for chain in iter_chains(P, max_size=1) for i in chain})
     bit = {i: 1 << k for k, i in enumerate(proper)}
     masks = sorted({sum(bit[i] for i in chain) for chain in iter_chains(P)})
     return [P.labels[i] for i in proper], masks, {P.labels[i]: P.rank_of[i] for i in proper}
@@ -294,7 +361,7 @@ def _chain_masks(P):
 
 @settings(deadline=None, max_examples=25)
 @given(seed=st.integers(min_value=0, max_value=10**9), n=st.integers(min_value=2, max_value=6))
-def test_two_list_walk_matches_iter_chains(seed, n):
+def test_chain_runs_match_iter_chains(seed, n):
     P = _poset(seed)
     for Q in (P, dual(P), boolean_lattice(n)):
         got = order_complex(Q)

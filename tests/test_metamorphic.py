@@ -1,8 +1,9 @@
 """Metamorphic relations: the same object under other names gives the same rows.
 
 Every kernel depends on an order that the mathematics ignores: the closure
-pass runs by top vertex in label order, the vertices of O(P) follow the label
-order, poset indices follow rank and label order, and colors are numbered.
+pass runs by top vertex in the vertex order, the vertices of O(P) follow P's
+index order, poset indices follow rank and label order, and colors are
+numbered.
 Each test renames or reorders an input through public entry points only and
 asserts equal (index, lhs, rhs) rows for every identity that
 ``suite.verify_all`` runs (T. Y. Chen, S. C. Cheung and S. M. Yiu,

@@ -512,7 +512,7 @@ def test_order_complex_matches_frozenset_path(seed):
                   for c in chains}
         faces = set(colors)
         dim, pure, facets = frozenset_complex(faces)
-        verts = tuple(sorted({v for f in faces for v in f}, key=label_sort_key))
+        verts = tuple(Q.labels[i] for i in sorted({i for c in chains for i in c}))  # index order
         bit = {v: 1 << i for i, v in enumerate(verts)}
         bal = order_complex(Q)
         cx = bal.complex

@@ -52,6 +52,10 @@ MUTANTS = (
            "closure: every level built from the parents' parent column"),
     Mutant(CX, "face_at[n] = n", "pass",
            "closure: no \"none\" entry in the run's parent-to-face dict"),
+    Mutant(CX, "repeat(1 << t)), repeat(n))", "repeat(1 << t)), repeat(0))",
+           "closure: a missing parent read as the empty face"),
+    Mutant(CX, "except (IndexError, KeyError):", "except KeyError:",
+           "closure: a missing parent escapes as an IndexError"),
     Mutant(CX, "bytes(map(sizes.__getitem__, run)).translate(_PLUS_ONE)",
            "bytes(map(sizes.__getitem__, run))",
            "closure: a face's size is its parent's, not one more"),
@@ -63,8 +67,10 @@ MUTANTS = (
            "closure: facets marked from the parent column only"),
     Mutant(CX, "covered[p] = 1", "covered[p] = 0",
            "closure: no face marked covered"),
-    Mutant(CX, "used = [lo < hi for lo, hi in runs]", "used = [lo <= hi for lo, hi in runs]",
+    Mutant(CX, "used = list(map(bool, parents))", "used = [True] * len(parents)",
            "closure: unused vertices kept"),
+    Mutant(CX, "if len(bit) != len(verts):", "if len(bit) > len(verts):",
+           "closure: a repeated vertex accepted"),
     Mutant(CX, "zip(used, accumulate(used, initial=0))", "zip(used, accumulate(used))",
            "closure: the kept vertices' new bits shifted by one"),
     Mutant(CX, "if any(map(eq, masks, masks[1:])):", "if any(map(eq, masks, masks[2:])):",
@@ -103,16 +109,25 @@ MUTANTS = (
            "coloring: `+=` for `|=` in _color_mask"),
     Mutant(BAL, "if c < 1:", "if c < 0:",
            "coloring: color 0 accepted by _color_mask"),
-    # --- the order-complex walk ---
-    Mutant(POS, "for m, i in zip(level, ends) for j in steps[i]]",
-           "for m, i in zip(level, ends) for j in steps[i][1:]]",
-           "order complex: each chain extended past its first step only"),
-    Mutant(POS, "ends = [j for i in ends for j in steps[i]]",
-           "ends = [i for i in ends for j in steps[i]]",
-           "order complex: the last elements not advanced"),
-    Mutant(POS, "verts = sorted(proper, key=lambda i: label_sort_key(P.labels[i]))",
-           "verts = proper",
-           "order complex: vertices in index order, not label order"),
+    # --- the runs (from_runs and order_complex) ---
+    # (the walk's mutants went with it: the vertices of O(P) are now in P's
+    # index order by design, not in label order)
+    Mutant(CX, "masks += map((1 << t).__or__,", "masks += map((1 << (t + 1)).__or__,",
+           "runs: vertex t added on bit t + 1"),
+    Mutant(CX, "all(map(lt, run, run[1:]))", "all(map(int.__le__, run, run[1:]))",
+           "runs: a repeated position accepted as increasing"),
+    Mutant(CX, "run[-1] >= made", "run[-1] > made",
+           "runs: the position past the last one made accepted"),
+    Mutant(CX, "if len(parents) != len(verts):", "if len(parents) > len(verts):",
+           "runs: fewer runs than vertices accepted"),
+    Mutant(POS, "            run = [0]\n", "            run = []\n",
+           "order complex: a run without ∅"),
+    Mutant(POS, "_bits(down[t + 1] >> 1 & ((1 << t) - 1))", "_bits(down[t + 1] >> 1 & ((2 << t) - 1))",
+           "order complex: t counted in its own down-set"),
+    Mutant(POS, "_bits(down[t + 1] >> 1 & ((1 << t) - 1))", "_bits(down[t + 1] & ((1 << t) - 1))",
+           "order complex: the down-set read one element off"),
+    Mutant(POS, "starts.append(starts[t] + len(run))", "starts.append(starts[t] + len(run) - 1)",
+           "order complex: each run's span ends one short"),
     # --- Möbius rows, the μ(·, 1̂) column and interval errors ---
     Mutant(POS, "acc[u] -= val", "acc[u] += val",
            "mobius rows: the push adds μ(s, w) instead of subtracting it"),
