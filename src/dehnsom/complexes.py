@@ -1,25 +1,29 @@
 """Simplicial complexes and their exact invariants.
 
-Every face is an integer bitmask (bit i is ``vertices[i]``) over vertices in
-the order their constructor chooses: label order for labels, facet lists and
-joins, P's index order for O(P), the parent's order for ``link`` and
+A face is addressed by its position in the order of the sorted face
+bitmasks (bit i is ``vertices[i]``), over vertices in the order their
+constructor chooses: label order for labels, facet lists and joins, P's
+index order for O(P), the parent's order for ``link`` and
 ``rank_selected``. Every construction ends in one pass, run by run of faces
-with the same top vertex, that checks closure, finds purity and the facets,
-and keeps the face sizes (``_sizes``) and the drop columns (``_cols``).
-``from_masks`` sorts the masks and finds each face's parent (the face minus
-its top vertex) in a transient position table, the only place a mask is
-hashed; ``from_runs`` (for O(P)) is given the parents and makes the masks.
-Later per-face passes address a face by its position in ``_masks``, so
-χ̃(lk F), ε(F) and ``BalancedComplex.face_colors`` are lists aligned with
-it. Frozensets of labels are the boundary form: ``faces`` is built on first
-read, and ``facets()``, error records and the facet text list labels in
-label order, whatever the vertex order. f_{-1} = 1: ∅ is always a face.
+with the same top vertex, that checks closure, finds purity and the facet
+positions, and keeps the run starts (``_starts``), the face sizes
+(``_sizes``) and the drop columns (``_cols``). ``from_masks`` sorts the masks
+and finds each face's parent (the face minus its top vertex) in a transient
+position table, the only place a mask is hashed, and keeps its masks;
+``from_runs`` (for O(P)) is given the parents and makes no mask. Per-face
+passes read positions only, so χ̃(lk F), ε(F) and
+``BalancedComplex.face_colors`` are lists aligned with them, and the masks
+(``_masks``) are built from the runs on first read, a face's mask the sum
+of its vertex bits. Frozensets of labels are the boundary form: ``faces`` is
+built on first read, and ``facets()``, error records and the facet text
+list labels in label order, whatever the vertex order. f_{-1} = 1: ∅ is
+always a face.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import eq, lt, sub, xor
 from typing import Iterable, NamedTuple, Sequence
 
@@ -50,41 +54,43 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _vertex_sums(masks: Sequence[int], cols: Sequence[list], values: Sequence[int]) -> list[int]:
-    """Σ values[i] over the vertices i of every face of the sorted ``masks``
-    (drop columns ``cols``), aligned with them. The faces with top vertex t
-    are one run of the masks, each its parent ``cols[0][k]`` plus t, so a
-    face takes one addition."""
-    sums, lo = [0] * len(masks), 1
-    for t, value in enumerate(values):
-        hi = bisect_left(masks, 2 << t)
+def _vertex_sums(starts: Sequence[int], cols: Sequence[list], values: Sequence[int]) -> list[int]:
+    """Σ values[i] over the vertices i of every face, in position order, of
+    the faces with run starts ``starts`` and drop columns ``cols``. The faces
+    with top vertex t are positions starts[t] .. starts[t + 1] − 1, each its
+    parent ``cols[0][k]`` plus t, so a face takes one addition."""
+    sums = [0] * starts[-1]
+    for value, lo, hi in zip(values, starts, starts[1:]):
         if lo < hi:  # an empty run reads no column: only-∅ has none
             sums[lo:hi] = map(value.__add__, map(sums.__getitem__, cols[0][lo:hi]))
-        lo = hi
     return sums
 
 
 def _face_sums(cx: "SimplicialComplex", values: Sequence[int]) -> list[int]:
-    """Σ values[i] over the vertices i of every face of ``cx``, aligned with ``cx._masks``."""
-    return _vertex_sums(cx._masks, cx._cols, values)
+    """Σ values[i] over the vertices i of every face of ``cx``, in position order."""
+    return _vertex_sums(cx._starts, cx._cols, values)
 
 
 class SimplicialComplex:
     """An inclusion-closed family of vertex subsets.
 
     Downward closure is checked on every construction: removing any single
-    vertex from a face must give a face. The faces live as sorted bitmasks in
-    ``_masks``, and n = len(_masks). The check keeps, aligned with
-    ``_masks``, the vertex count of every face (``_sizes``, bytes) and one
-    drop column per level (``_cols``, lists): ``_cols[j][k]`` is the position
-    of face k minus its (j+1)-th highest vertex, or n when face k has j or
-    fewer vertices, so ``_cols[0]`` holds the parents. The frozenset form
-    ``faces`` and the link-Euler values (``link_euler_values``) are built on
-    first read. Instances are immutable and safe to share.
+    vertex from a face must give a face. A face is addressed by its position
+    k < n, in the order of the sorted face bitmasks (bit i is vertices[i]).
+    The faces with top vertex t are positions ``_starts[t]`` up to
+    ``_starts[t + 1]``, after ∅ at position 0. Aligned with the positions are
+    the vertex count of every face (``_sizes``, bytes, so n = len(_sizes))
+    and one drop column per level (``_cols``, lists): ``_cols[j][k]`` is the
+    position of face k minus its (j+1)-th highest vertex, or n when face k
+    has j or fewer vertices, so ``_cols[0]`` holds the parents. With the
+    facet positions (``_facets``) that is all a complex keeps: the bitmasks
+    (``_masks``, ``_facet_masks``), the frozenset form ``faces`` and the
+    link-Euler values (``link_euler_values``) are built on first read.
+    Instances are immutable and safe to share.
     """
 
-    __slots__ = ("vertices", "dim", "pure", "_bit", "_masks", "_facet_masks", "_sizes",
-                 "_cols", "_faces", "_link_chi")
+    __slots__ = ("vertices", "dim", "pure", "_bit", "_starts", "_sizes", "_cols", "_facets",
+                 "_mask_tuple", "_faces", "_link_chi")
 
     def __init__(self, faces: Iterable[Iterable]):
         fam = {Face(f) for f in faces}
@@ -111,22 +117,21 @@ class SimplicialComplex:
         """The complex whose faces with top vertex t are the faces at the
         positions ``runs[t]`` plus t. Position 0 is ∅ and the faces are
         numbered run by run, so each run must increase and name only faces
-        already made; the masks come out sorted. ``runs`` (one per vertex,
-        distinct vertices in any order) is read one run at a time."""
+        already made; the positions come out in sorted mask order, and no
+        mask is made. ``runs`` (one per vertex, distinct vertices in any
+        order) is read one run at a time."""
         verts = tuple(vertices)
-        masks, ids, parents = [0], [0], []
+        ids, parents = [0], []
         for t, run in enumerate(runs):
-            run, made = list(run), len(masks)
+            run, made = list(run), len(ids)
             if not all(map(lt, run, run[1:])) or run and (run[0] < 0 or run[-1] >= made):
                 raise InternalError(f"run {t} is not an increasing list of positions below {made}")
-            run = list(map(ids.__getitem__, run))  # one int object per position
-            masks += map((1 << t).__or__, map(masks.__getitem__, run))
-            ids += range(made, len(masks))
-            parents.append(run)
+            parents.append(list(map(ids.__getitem__, run)))  # one int object per position
+            ids += range(made, made + len(run))
         if len(parents) != len(verts):
             raise InternalError(f"{len(parents)} runs for {len(verts)} vertices")
         cx = cls.__new__(cls)
-        cx._set_runs(verts, masks, ids, parents)
+        cx._set_runs(verts, ids, parents)
         return cx
 
     def _set_masks(self, verts: tuple, masks: Iterable[int]) -> None:
@@ -149,18 +154,19 @@ class SimplicialComplex:
         parents = [list(map(position.get, map(xor, masks[lo:hi], repeat(1 << t)), repeat(n)))
                    for t, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
         del position
-        self._set_runs(verts, masks, ids, parents)
+        self._set_runs(verts, ids, parents, masks)
 
-    def _set_runs(self, verts: tuple, masks: list, ids: list, parents: list) -> None:
-        """The pass both constructors end in: ``masks`` sorted and distinct,
-        ``parents[t]`` the positions (ints of ``ids``) of run t minus t."""
+    def _set_runs(self, verts: tuple, ids: list, parents: list, masks: list | None = None) -> None:
+        """The pass both constructors end in: ``parents[t]`` the positions
+        (ints of ``ids``) of run t minus t, and ``masks``, when the caller
+        has them, the faces' sorted distinct masks."""
         bit = {v: 1 << i for i, v in enumerate(verts)}
         if len(bit) != len(verts):
             raise InternalError("a vertex is repeated")
         # column 0 of F = p + t is p; column j is column j−1 of p with t added
         # (the run's face above it), or n where that is n. A missing parent (n)
         # is an IndexError of sizes, a missing face below a KeyError of face_at
-        n = len(masks)
+        n = len(ids)
         cols, sizes = [], bytearray(n)
         starts = list(accumulate(map(len, parents), initial=1))
         try:
@@ -175,6 +181,9 @@ class SimplicialComplex:
                     cols[j][lo:hi] = level
                     level = map(face_at.__getitem__, map(cols[j].__getitem__, run))
         except (IndexError, KeyError):  # name the smallest face lacking a face below
+            if masks is None:  # the runs' masks, sorted: a run's parents increase
+                masks = _vertex_sums(starts, [[0, *chain.from_iterable(parents)]],
+                                     [1 << i for i in range(len(verts))])
             family = set(masks)
             m = next(m for m in masks if any(m ^ (1 << i) not in family for i in _bits(m)))
             face = {verts[i] for i in _bits(m)}
@@ -185,24 +194,43 @@ class SimplicialComplex:
                 covered[p] = 1
         used = list(map(bool, parents))
         if not all(used):
-            # drop the unused vertices; the bit map keeps order, so positions hold
-            new_bits = [u << below for u, below in zip(used, accumulate(used, initial=0))]
-            masks = _vertex_sums(masks, cols, new_bits)
+            # drop the unused vertices with their empty runs; positions and
+            # columns hold, and masks over the old bits are rebuilt on demand
+            starts = [*compress(starts, used), n]
             verts = tuple(compress(verts, used))
             bit = {v: 1 << i for i, v in enumerate(verts)}
+            masks = None
         # the faces some column reaches are exactly the non-maximal faces
-        facet_masks = [m for m, c in zip(masks, covered) if not c]
+        facets = tuple(k for k, c in zip(ids, covered) if not c)
         dim = max(sizes) - 1
+        pure = all(map((dim + 1).__eq__, map(sizes.__getitem__, facets)))
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "pure", all(m.bit_count() == dim + 1 for m in facet_masks))
+        object.__setattr__(self, "pure", pure)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "_bit", bit)
-        object.__setattr__(self, "_masks", tuple(masks))
-        object.__setattr__(self, "_facet_masks", tuple(facet_masks))
+        object.__setattr__(self, "_starts", starts)
         object.__setattr__(self, "_sizes", bytes(sizes))
         object.__setattr__(self, "_cols", cols)
+        object.__setattr__(self, "_facets", facets)
+        object.__setattr__(self, "_mask_tuple", None if masks is None else tuple(masks))
         object.__setattr__(self, "_faces", None)
         object.__setattr__(self, "_link_chi", None)
+
+    @property
+    def _masks(self) -> tuple[int, ...]:
+        """Every face as a bitmask, in position order: a face's mask is the
+        sum of its vertex bits. Kept from ``from_masks``, else built on first
+        read."""
+        if self._mask_tuple is None:
+            bits = [1 << i for i in range(len(self.vertices))]
+            object.__setattr__(self, "_mask_tuple",
+                               tuple(_vertex_sums(self._starts, self._cols, bits)))
+        return self._mask_tuple
+
+    @property
+    def _facet_masks(self) -> tuple[int, ...]:
+        """The facets' bitmasks, in position order."""
+        return tuple(map(self._masks.__getitem__, self._facets))
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
@@ -222,8 +250,9 @@ class SimplicialComplex:
             if b is None:
                 return None
             m |= b
-        k = bisect_left(self._masks, m)
-        return m if k < len(self._masks) and self._masks[k] == m else None
+        masks = self._masks
+        k = bisect_left(masks, m)
+        return m if k < len(masks) and masks[k] == m else None
 
     def __contains__(self, face: Iterable) -> bool:
         return self._face_mask(face) is not None
@@ -238,7 +267,7 @@ class SimplicialComplex:
         return set(self.vertices) == set(other.vertices) and self.faces == other.faces
 
     def __hash__(self) -> int:
-        return hash((frozenset(self.vertices), len(self._masks)))
+        return hash((frozenset(self.vertices), len(self._sizes)))
 
     def __repr__(self) -> str:
         return f"SimplicialComplex(dim={self.dim}, f={f_vector(self).entries})"
@@ -425,7 +454,7 @@ def _link_euler_sweep(n: int, cols: Sequence[list]) -> list[int]:
 def link_euler_values(cx: SimplicialComplex) -> tuple[int, ...]:
     """χ̃(lk F) for every face, aligned with ``cx._masks``; swept once per complex."""
     if cx._link_chi is None:
-        object.__setattr__(cx, "_link_chi", tuple(_link_euler_sweep(len(cx._masks), cx._cols)))
+        object.__setattr__(cx, "_link_chi", tuple(_link_euler_sweep(len(cx._sizes), cx._cols)))
     return cx._link_chi
 
 

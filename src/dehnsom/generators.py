@@ -220,9 +220,11 @@ _CATALOG = {
 }
 
 
-def generate(spec: GeneratorSpec):
+def generate(spec: GeneratorSpec, memo: dict | None = None):
     """Build a catalog object; the same (name, params) always gives the same object.
-    A random family's seed is its last parameter."""
+    A random family's seed is its last parameter. Nested specs are built
+    through ``built`` with ``memo`` (a new dict when none is given), so a
+    memo passed to several calls shares their inner objects."""
     if spec.name not in _CATALOG:
         raise UnknownGenerator(spec.name)
     fn, sig, required = _CATALOG[spec.name]
@@ -230,9 +232,10 @@ def generate(spec: GeneratorSpec):
         raise BadParams(f"{spec.name} takes {required}..{len(sig)} parameters, "
                         f"got {len(spec.params)}")
     args = []
+    memo = {} if memo is None else memo
     for value, want in zip(spec.params, sig):
         if isinstance(value, GeneratorSpec):
-            value = generate(value)
+            value = built(value, memo)
         if want in (SimplicialComplex, GradedPoset):
             if not isinstance(value, want):
                 raise BadParams(f"{spec.name} wants a {want.__name__} argument")
@@ -250,6 +253,16 @@ def generate(spec: GeneratorSpec):
             value = tuple(value)
         args.append(value)
     return fn(*args)
+
+
+def built(spec: GeneratorSpec, memo: dict):
+    """``generate(spec)``, kept in ``memo`` under ``repr(spec)`` (so that
+    ``1`` and ``true``, equal as values, stay apart) and generated only when
+    it is not there yet."""
+    key = repr(spec)
+    if key not in memo:
+        memo[key] = generate(spec, memo)
+    return memo[key]
 
 
 # deepest nesting of generator calls and lists parse_spec accepts; the parser

@@ -15,7 +15,7 @@ from . import complexes as cx
 from . import posets as ps
 from . import toric as tc
 from .errors import Inapplicable, ParseError
-from .generators import generate_from_string
+from .generators import GeneratorSpec, built, parse_spec
 from .reports import VerificationReport
 
 
@@ -152,15 +152,23 @@ CATALOG = (
 )
 
 
+def _nested(spec: GeneratorSpec):
+    """``spec`` and every generator spec among its parameters, at any depth."""
+    yield spec
+    for value in spec.params:
+        if isinstance(value, GeneratorSpec):
+            yield from _nested(value)
+
+
 def run_catalog() -> list[VerificationReport]:
     """The reports of `dehnsom verify all` without an input: the whole catalog.
-    Each distinct spec is generated once and dropped after its last entry."""
-    last = {spec: i for i, (spec, _) in enumerate(CATALOG)}
-    objects, reports = {}, []
-    for i, (spec, identities) in enumerate(CATALOG):
-        if spec not in objects:
-            objects[spec] = generate_from_string(spec)
-        reports += verify_all(objects[spec], spec, identities)
-        if last[spec] == i:
-            del objects[spec]
+    Every distinct spec, nested ones included, is generated once into one
+    memo, and dropped after the last entry whose spec holds it."""
+    specs = [parse_spec(text) for text, _ in CATALOG]
+    last = {repr(sub): i for i, spec in enumerate(specs) for sub in _nested(spec)}
+    memo, reports = {}, []
+    for i, ((text, identities), spec) in enumerate(zip(CATALOG, specs)):
+        reports += verify_all(built(spec, memo), text, identities)
+        for key in [key for key in memo if last[key] == i]:
+            del memo[key]
     return reports

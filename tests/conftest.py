@@ -1,12 +1,38 @@
 from __future__ import annotations
 
 import itertools
+import sys
 
 import pytest
 
 from dehnsom.generators import cross_polytope, face_poset, rp2_6, suspension, torus_7
 from dehnsom.complexes import build_complex
 from dehnsom.posets import build_poset
+
+
+@pytest.fixture
+def tripwire(monkeypatch):
+    """``tripwire(error, names, owner=None)`` makes ``names`` raise ``error``
+    for the rest of the test: the attributes of the class ``owner`` (a
+    property stays a property, so a read raises), or, without one, every
+    binding of each name in a dehnsom module. It returns how many bindings
+    it replaced."""
+    def arm(error, names, owner=None):
+        def trip(*args, **kwargs):
+            raise error
+
+        scopes = [owner] if owner is not None else [
+            m for n, m in sys.modules.items() if n.split(".")[0] == "dehnsom"]
+        patched = 0
+        for scope in scopes:
+            for name in names:
+                if name in vars(scope):
+                    stub = property(trip) if isinstance(vars(scope)[name], property) else trip
+                    monkeypatch.setattr(scope, name, stub)
+                    patched += 1
+        return patched
+
+    return arm
 
 
 @pytest.fixture(scope="session")

@@ -14,8 +14,9 @@ layout of the closure pass can change inside complexes.py alone:
   the set bits of the fed masks and ``h_closed_form``: ``_assert_same``,
   in ``test_runs_match_set_closure`` and ``test_smallest_complexes``, on
   clean, shuffled, rotated, repeated, one-pass and padded input
-- ``_face_sums`` against ``_relabel``: ``test_runs_match_set_closure``, and
-  by hand on the only-∅ and three-point cases of ``test_smallest_complexes``
+- ``_face_sums`` against ``_relabel``: ``_assert_same``,
+  ``test_runs_match_set_closure``, and by hand on the only-∅ and
+  three-point cases of ``test_smallest_complexes``
 - the closure error text against ``set_closure_facets``:
   ``_assert_same_refusal``, in ``test_broken_families_name_the_same_face``
   and the fixed cases after it
@@ -23,18 +24,19 @@ layout of the closure pass can change inside complexes.py alone:
   ``bit_walk_face_colors``: ``test_colors_by_parent_match_bit_walk``, on the
   seeded poset, its dual and two fixed posets
 - ``from_runs`` against ``from_masks`` on the runs read from the sorted
-  masks, and its closure error text against ``set_closure_facets``:
-  ``test_from_runs_matches_from_masks`` and the fixed case after it
+  masks, and (with empty runs for EXTRA, and on broken runs) against
+  ``_assert_same``, and its closure error text against
+  ``set_closure_facets``: ``test_from_runs_matches_from_masks`` and the
+  fixed case after it
 - the chain runs of ``order_complex`` against ``iter_chains``:
   ``test_chain_runs_match_iter_chains``
 
 The rest pin the ``from_masks`` input contract, the ``from_runs`` refusals,
 that the verify path sweeps once per complex and never reads the mask-keyed
-dict wrappers, and the ``mask_of`` oracle.
+dict wrappers or a face mask at all, and the ``mask_of`` oracle.
 """
 
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,16 +120,19 @@ def _fed(cx, seed):
 def _assert_same(got, verts, fed):
     """``got`` is the complex of the face masks ``fed`` over ``verts``: its
     facets, dim and purity by set membership, its unused vertices dropped by
-    a bit walk, its f-vector, h-vector and χ̃ from the set bits of the fed
-    masks, and its χ̃(lk F) and ε(F), in ``_masks`` order, by subset
-    enumeration."""
+    a bit walk, its masks (built on demand when ``got`` came from runs or
+    dropped a vertex) and per-face sums by relabeling the fed masks, its
+    f-vector, h-vector and χ̃ from their set bits, and its χ̃(lk F) and ε(F),
+    in ``_masks`` order, by subset enumeration."""
     facet_masks, dim, pure = set_closure_facets(verts, fed)
     used = [i for i in range(len(verts)) if any(m >> i & 1 for m in facet_masks)]
-    new_bits = [0] * len(verts)
+    new_bits, values = [0] * len(verts), [0] * len(verts)
     for j, i in enumerate(used):
-        new_bits[i] = 1 << j
+        new_bits[i], values[i] = 1 << j, 3 ** j + 5 ** (j + 30)
     assert got.vertices == tuple(verts[i] for i in used)
     assert got._masks == tuple(sorted(set(_relabel(fed, new_bits))))
+    # dropping unused bits keeps the mask order, so positions follow the fed masks
+    assert _face_sums(got, [values[i] for i in used]) == _relabel(sorted(set(fed)), values)
     assert (got.dim, got.pure) == (dim, pure)
     sizes = [m.bit_count() for m in set(fed)]
     f = tuple(map(sizes.count, range(dim + 2)))
@@ -304,7 +309,13 @@ def _runs(masks):
 def test_from_runs_matches_from_masks(seed):
     for cx in _complexes(seed):
         got = SimplicialComplex.from_runs(cx.vertices, iter(_runs(cx._masks)))
+        _assert_same(got, cx.vertices, cx._masks)
         assert _state(got) == _state(cx)
+        # EXTRA mixed in with empty runs: dropped, and no position moves
+        verts, (fed, *_) = _fed(cx, seed)
+        runs = iter(_runs(cx._masks))
+        padded = [[] if v in EXTRA else next(runs) for v in verts]
+        _assert_same(SimplicialComplex.from_runs(verts, padded), verts, fed)
         # a face F taken out with every face it is the lower part of: its
         # parent chain (the face minus top vertices) still holds, deeper
         # drops may not
@@ -416,23 +427,28 @@ def _results(seed):
     }
 
 
-def test_verify_path_skips_mask_keyed_tables(monkeypatch):
+def test_verify_path_skips_mask_keyed_tables(tripwire):
     expected = _results(11)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the verify path read a mask-keyed table")
-
-    wrappers = (link_euler_table, face_error_table)
-    patched = 0
-    for name, module in list(sys.modules.items()):
-        if name != "dehnsom" and not name.startswith("dehnsom."):
-            continue
-        for attr, value in list(vars(module).items()):
-            if any(value is fn for fn in wrappers):
-                monkeypatch.setattr(module, attr, refuse)
-                patched += 1
-    assert patched >= len(wrappers)
+    assert tripwire(AssertionError("the verify path read a mask-keyed table"),
+                    ["link_euler_table", "face_error_table"]) >= 2
     assert _results(11) == expected
+
+
+def test_verify_path_reads_no_face_mask(torus_poset, tripwire):
+    """O(P) is built, colored and verified without a face bitmask: the
+    reports of a poset and of its order complex are the same while every
+    read of ``_masks`` raises."""
+    def posets():
+        return [Q for seed in range(len(RANKS)) for Q in (_poset(seed), dual(_poset(seed)))]
+
+    def reports(Q):
+        return [r.to_dict() for X in (Q, order_complex(Q)) for r in suite.verify_all(X, "P")]
+
+    expected = list(map(reports, [*posets(), torus_poset, boolean_lattice(4)]))
+    fresh = [*posets(), face_poset(torus_7(), True), boolean_lattice(4)]
+    assert tripwire(AssertionError("the verify path read a face mask"), ["_masks"],
+                    SimplicialComplex) == 1
+    assert list(map(reports, fresh)) == expected
 
 
 def test_mask_of_ors_repeated_vertices():

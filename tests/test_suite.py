@@ -6,17 +6,16 @@ runs exactly the identities that do not refuse."""
 import functools
 import itertools
 import json
-import sys
 
 import pytest
 
 from dehnsom.cli import main
 from dehnsom.complexes import SimplicialComplex
-from dehnsom import suite
+from dehnsom import generators, suite
 from dehnsom import toric as tc
 from dehnsom.errors import Inapplicable, InternalError, ParseError, RangeViolation
-from dehnsom.generators import (boolean_lattice, chain, generate_from_string,
-                                random_graded_poset, torus_7)
+from dehnsom.generators import (GeneratorSpec, boolean_lattice, chain, generate_from_string,
+                                parse_spec, random_graded_poset, torus_7)
 from dehnsom.posets import (classify_poset, dual, flag_alpha_beta, order_complex,
                             verify_flag_poset)
 from dehnsom.reports import VerificationReport
@@ -84,21 +83,14 @@ def test_verify_all_skips_exactly_the_refusals(corpus):
 
 
 @pytest.mark.parametrize("corpus", CORPORA)
-def test_refusals_come_before_any_table(corpus, monkeypatch):
+def test_refusals_come_before_any_table(corpus, tripwire):
     expected = [[(name, o) for name, o in zip(ON_POSETS, outcomes)
                  if not isinstance(o, VerificationReport)] for outcomes in _outcomes(corpus)]
     for P in CORPORA[corpus]:
         classify_poset(P)  # cached before the Möbius rows it reads stop working
 
-    def build(*args, **kwargs):
-        raise Built
-
-    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "dehnsom"]
-    for name in BUILDERS:
-        for module in modules:
-            if name in vars(module):
-                monkeypatch.setattr(module, name, build)
-    monkeypatch.setattr(SimplicialComplex, "from_masks", build)
+    assert tripwire(Built, BUILDERS) >= len(BUILDERS)
+    assert tripwire(Built, ["from_masks"], SimplicialComplex) == 1
     for P, refusals in zip(CORPORA[corpus], expected):
         assert [(name, _outcome(name, P)) for name, _ in refusals] == refusals
 
@@ -129,22 +121,36 @@ def test_verify_all_lets_other_errors_through(monkeypatch):
         verify_all(chain(2), "P")
 
 
+def _nested_specs(text):
+    """The spec strings of ``text`` and of every generator call inside it."""
+    stack, found = [parse_spec(text)], []
+    while stack:
+        spec = stack.pop()
+        found.append(repr(spec))
+        stack += [p for p in spec.params if isinstance(p, GeneratorSpec)]
+    return found
+
+
 def test_run_catalog_builds_each_spec_once(monkeypatch):
     built, served = [], []
+    generate = generators.generate
 
-    def counting_generate(spec):
-        built.append(spec)
-        return generate_from_string(spec)
+    def counting_generate(spec, memo=None):
+        built.append(repr(spec))
+        return generate(spec, memo)
 
     def recording_verify_all(obj, name, identities=IDENTITIES):
         served.append((obj, name))  # holds every object, so no id is reused
         return verify_all(obj, name, identities)
 
-    monkeypatch.setattr(suite, "generate_from_string", counting_generate)
+    monkeypatch.setattr(generators, "generate", counting_generate)
     monkeypatch.setattr(suite, "verify_all", recording_verify_all)
     suite.run_catalog()
     assert len(CATALOG) == len(served) == 44
+    # nested specs are shared too: one generate call per distinct spec at any
+    # depth (56 calls when each entry built its own inner objects)
     assert len(built) == len(set(built)) == 32
+    assert set(built) == {s for text, _ in CATALOG for s in _nested_specs(text)}
     assert [name for _, name in served] == [spec for spec, _ in CATALOG]
     # one object per spec string, and never one object for two of them
     spec_of = {}

@@ -41,12 +41,12 @@ class Mutant(NamedTuple):
     equivalent: str = ""  # why the mutant computes the same values, if it does
 
 
-CX, BAL, POS, TOR, SUITE, POLY = (
+CX, BAL, POS, TOR, SUITE, GEN, POLY = (
     f"src/dehnsom/{m}.py"
-    for m in ("complexes", "balanced", "posets", "toric", "suite", "polynomial"))
+    for m in ("complexes", "balanced", "posets", "toric", "suite", "generators", "polynomial"))
 
 MUTANTS = (
-    # --- the closure pass (_set_masks) ---
+    # --- the closure pass (_set_runs) ---
     Mutant(CX, "map(face_at.__getitem__, map(cols[j].__getitem__, run))",
            "map(face_at.__getitem__, map(cols[0].__getitem__, run))",
            "closure: every level built from the parents' parent column"),
@@ -71,8 +71,13 @@ MUTANTS = (
            "closure: unused vertices kept"),
     Mutant(CX, "if len(bit) != len(verts):", "if len(bit) > len(verts):",
            "closure: a repeated vertex accepted"),
-    Mutant(CX, "zip(used, accumulate(used, initial=0))", "zip(used, accumulate(used))",
-           "closure: the kept vertices' new bits shifted by one"),
+    Mutant(CX, "starts = [*compress(starts, used), n]",
+           "starts = [*compress(starts[1:], used), n]",
+           "closure: the kept vertices' runs shifted by one"),
+    Mutant(CX, "all(map((dim + 1).__eq__,", "all(map(dim.__eq__,",
+           "closure: purity read from dim, not dim + 1"),
+    Mutant(CX, "for k, c in zip(ids, covered) if not c)", "for k, c in zip(ids, covered) if c)",
+           "closure: the facet positions taken from the covered faces"),
     Mutant(CX, "if any(map(eq, masks, masks[1:])):", "if any(map(eq, masks, masks[2:])):",
            "closure: the repeat test loosened to three in a row"),
     Mutant(CX, "if m != n] + masks[-1:]", "if m != n]",
@@ -93,8 +98,16 @@ MUTANTS = (
     # --- per-face sums ---
     Mutant(CX, "map(sums.__getitem__, cols[0][lo:hi])", "map(sums.__getitem__, cols[-1][lo:hi])",
            "face sums: read from the deepest column, not the parents"),
-    Mutant(CX, "hi = bisect_left(masks, 2 << t)", "hi = bisect_left(masks, 1 << t)",
-           "face sums: the run bounds off by one vertex"),
+    Mutant(CX, "zip(values, starts, starts[1:])", "zip(values[1:], starts, starts[1:])",
+           "face sums: each run adds the next vertex's value"),
+    Mutant(CX, "zip(values, starts, starts[1:])", "zip(values, starts[1:], starts[2:])",
+           "face sums: each run read one start late"),
+    # --- the masks, built on demand ---
+    Mutant(CX, "bits = [1 << i for i in range(len(self.vertices))]",
+           "bits = [2 << i for i in range(len(self.vertices))]",
+           "masks: vertex i on bit i + 1"),
+    Mutant(CX, "[[0, *chain.from_iterable(parents)]]", "[[*chain.from_iterable(parents), 0]]",
+           "masks: the rescan's parent column shifted by one position"),
     # --- the balanced coloring ---
     Mutant(BAL, "colors = _face_sums(cx, [1 << (kappa[v] - 1) for v in cx.vertices])",
            "colors = _face_sums(cx, [1 << kappa[v] for v in cx.vertices])",
@@ -112,8 +125,6 @@ MUTANTS = (
     # --- the runs (from_runs and order_complex) ---
     # (the walk's mutants went with it: the vertices of O(P) are now in P's
     # index order by design, not in label order)
-    Mutant(CX, "masks += map((1 << t).__or__,", "masks += map((1 << (t + 1)).__or__,",
-           "runs: vertex t added on bit t + 1"),
     Mutant(CX, "all(map(lt, run, run[1:]))", "all(map(int.__le__, run, run[1:]))",
            "runs: a repeated position accepted as increasing"),
     Mutant(CX, "run[-1] >= made", "run[-1] > made",
@@ -183,11 +194,13 @@ MUTANTS = (
            "    defect_sequence(P)\n",
            "refusal: swartz builds the defect before it refuses"),
     # --- the catalog run ---
-    Mutant(SUITE, "if spec not in objects:", "if True:",
-           "catalog: every entry generates its object again"),
-    Mutant(SUITE, "if last[spec] == i:", "if last[spec] >= i:",
+    Mutant(GEN, "if key not in memo:", "if True:",
+           "catalog: every spec generates its object again"),
+    Mutant(GEN, "value = built(value, memo)", "value = generate(value)",
+           "catalog: nested specs not shared through the memo"),
+    Mutant(SUITE, "if last[key] == i]:", "if last[key] >= i]:",
            "catalog: an object dropped after its first entry"),
-    Mutant(SUITE, "            del objects[spec]", "            pass",
+    Mutant(SUITE, "            del memo[key]", "            pass",
            "catalog: objects kept after their last entry",
            "the object is only freed earlier; every report is the same"),
 )
