@@ -115,6 +115,8 @@ def cmd_classify(args) -> int:
                    "max_lower_simplicial_k": c.max_lower_simplicial_k}
         human = "\n".join(f"{k} = {v}" for k, v in payload.items())
     else:
+        if args.check:
+            as_kind(obj, POSET, "--check")  # refuses: --check cross-checks a poset only
         p = cx.singularity_profile(as_kind(obj, COMPLEX, "classify")[0])
         payload = {"eulerian": p.eulerian, "semi_eulerian": p.semi_eulerian,
                    "min_singular_j": p.min_singular_j,
@@ -244,12 +246,20 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         return args.fn(args)
     except DehnsomError as exc:
-        diag = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(diag), file=sys.stderr)
-        return 2
+        return _diagnose(type(exc).__name__, exc)
     except OSError as exc:
-        print(json.dumps({"error": "OSError", "message": str(exc)}), file=sys.stderr)
-        return 2
+        return _diagnose("OSError", exc)
+
+
+def _diagnose(error: str, exc: Exception) -> int:
+    """Write the error to stderr as JSON and return exit code 2. The write is
+    best-effort: stderr may be the closed pipe that raised ``exc``, and exit
+    code 1 means only that a verification failed."""
+    try:
+        print(json.dumps({"error": error, "message": str(exc)}), file=sys.stderr)
+    except OSError:
+        pass
+    return 2
 
 
 if __name__ == "__main__":

@@ -43,7 +43,8 @@ def label_sort_key(v):
 
 
 def face_sort_key(face: Iterable) -> tuple:
-    return (len(tuple(face)), tuple(sorted((label_sort_key(v) for v in face))))
+    keys = tuple(sorted(map(label_sort_key, face)))
+    return (len(keys), keys)
 
 
 def _bits(mask: int):

@@ -362,8 +362,8 @@ def chain_mobius_product(P: GradedPoset, chain: Sequence) -> int:
 
 def chain_error(P: GradedPoset, chain: Sequence) -> int:
     """ε(C) = (−1)^{|C|} [μ(C) − (−1)^{d+1}] with d+1 = ρ(P)."""
-    prod = chain_mobius_product(P, chain)
-    return sign(len(tuple(chain))) * (prod - sign(P.rho))
+    chain = tuple(chain)  # an iterator is read once
+    return sign(len(chain)) * (chain_mobius_product(P, chain) - sign(P.rho))
 
 
 def _proper_mask(P: GradedPoset) -> int:

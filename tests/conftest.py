@@ -5,9 +5,20 @@ import sys
 
 import pytest
 
-from dehnsom.generators import cross_polytope, face_poset, rp2_6, suspension, torus_7
+from dehnsom.generators import (cross_polytope, face_poset, random_graded_poset, rp2_6,
+                                suspension, torus_7)
 from dehnsom.complexes import build_complex
 from dehnsom.posets import build_poset
+
+# the shapes (elements per proper rank) of the seeded graded posets
+RANKS = ((2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3, 2), (4, 1, 4), (1, 3, 1, 3, 1),
+         (3, 2, 3), (2, 3, 3, 2, 2), (2, 3, 2, 3, 2))
+
+
+def seeded_poset(seed, density=0.5):
+    """The seeded graded poset of shape ``RANKS[seed % len(RANKS)]``, the one
+    corpus of every seeded poset test."""
+    return random_graded_poset(RANKS[seed % len(RANKS)], density, seed)
 
 
 @pytest.fixture

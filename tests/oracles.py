@@ -13,23 +13,42 @@ from ``face_errors`` and the order from ``face_sort_key``, so it checks only
 how ``singularity_profile`` sorts and aggregates (ε is checked against the
 link walk in test_face_kernels.py).
 
-The quantities, each with its definition-level reference, then its fast one:
+The quantities, each with its definition-level reference, then its fast
+one, and (in brackets) the tests that make each comparison:
 
 - faces, closure, facets, dim, purity and the smallest unclosed face named:
-  ``closure_of_facets`` and ``frozenset_complex``; ``set_closure_facets``
-- χ̃(lk F): ``link_faces`` with ``euler_from_faces``; ``subset_walk_link_euler``
+  ``closure_of_facets`` (test_complexes.py ``test_build_complex_*``) and
+  ``frozenset_complex`` (test_face_kernels.py ``test_runs_match_set_closure``);
+  ``set_closure_facets`` (test_face_kernels.py ``_assert_same`` and
+  ``_assert_same_refusal``)
+- χ̃(lk F): ``link_faces`` with ``euler_from_faces`` (test_complexes.py
+  ``test_link_examples``, ``test_join_euler_identity``);
+  ``subset_walk_link_euler`` (``_assert_same``)
 - per-face sums of vertex values (``complexes._face_sums``): ``_relabel``
+  (``_assert_same``, ``test_runs_match_set_closure``)
 - face colors and the face that repeats a color: ``bit_walk_face_colors``
-- face bitmasks: ``mask_of``; h from f: ``h_closed_form``; the short
-  h-vector: ``short_h_by_links``; the profile: ``frozenset_singularity_profile``
-- subset sums (``complexes.subset_transform``): ``submask_sum``; short flag
-  sums: ``short_flag_sum_by_vertices``
-- chains of P∖{0̂,1̂}, the faces of O(P): ``member_scan_chains``; ``iter_chains``
-- Möbius values: ``naive_mobius``; ``interval_walk_mobius``
-- α(S): ``rank_selected_subposet``; ``rank_set_pass_alpha``
+  (``test_colors_by_parent_match_bit_walk``; fixed cases in test_balanced.py)
+- face bitmasks: ``mask_of`` (``test_runs_match_set_closure``); h from f:
+  ``h_closed_form`` (``_assert_same``); the short h-vector:
+  ``short_h_by_links`` (``test_short_h_matches_link_oracle``); the profile:
+  ``frozenset_singularity_profile`` (test_complexes.py
+  ``test_singularity_profile_*``)
+- subset sums (``complexes.subset_transform``): ``submask_sum``
+  (``test_subset_transform_matches_submask_loop``); short flag sums:
+  ``short_flag_sum_by_vertices`` (``test_short_flag_sum_matches_vertex_scan``)
+- chains of P∖{0̂,1̂}, the faces of O(P): ``iter_chains``
+  (``test_chain_runs_match_iter_chains``); networkx counts them as cliques
+- Möbius values: ``naive_mobius`` (``test_mobius_boolean_lattice_against_naive``);
+  ``interval_walk_mobius`` (``test_mobius_rows_match_interval_walk``)
+- α(S): ``rank_selected_subposet`` (``test_rank_selected_subposet_matches_order_complex``);
+  ``rank_set_pass_alpha`` (``test_alpha_table_matches_rank_set_passes``)
 - chain errors by rank set: ``member_scan_error_buckets``
-- Boolean lower intervals: ``atom_scan_is_boolean_interval``; P*: ``rebuilt_dual``
-- toric ĥ/ĝ: ``naive_toric``; ``rank_grouped_pull_toric``
+  (``test_chain_walks_match_member_scan``)
+- Boolean lower intervals: ``atom_scan_is_boolean_interval``
+  (``test_boolean_interval_matches_atom_scan*``); P*: ``rebuilt_dual``
+  (``test_dual_matches_rebuilt_dual``, ``test_dual_keeps_label_ties_in_input_order``)
+- toric ĥ/ĝ: ``naive_toric`` (``test_horner_table_matches_naive``);
+  ``rank_grouped_pull_toric`` (``test_push_table_matches_rank_grouped_pull``)
 
 ``face_masks``, ``interval`` and ``balanced_text`` build inputs, and the
 ``p_*`` helpers are the hand-rolled polynomials of ``naive_toric``.
@@ -247,26 +266,6 @@ def balanced_text(bal):
 
 def _proper(P):
     return [i for i in range(P.n) if i not in (P.bottom_i, P.top_i)]
-
-
-def member_scan_chains(P, allowed_ranks=None, max_size=None):
-    """Chains of P∖{0̂,1̂} as index tuples, extending each chain by testing
-    every proper element with leq_i; the empty chain comes first."""
-    members = [i for i in _proper(P)
-               if allowed_ranks is None or P.rank_of[i] in allowed_ranks]
-    yield ()
-    if max_size is not None and max_size < 1:
-        return
-    stack = [(i,) for i in reversed(members)]
-    while stack:
-        chain = stack.pop()
-        yield chain
-        if max_size is not None and len(chain) >= max_size:
-            continue
-        last = chain[-1]
-        for j in members:
-            if j > last and P.leq_i(last, j):
-                stack.append(chain + (j,))
 
 
 def iter_chains(P, allowed_ranks=None, max_size=None):

@@ -30,6 +30,7 @@ from dehnsom.generators import (
 from dehnsom.polynomial import binom, sign
 from dehnsom.posets import order_complex, verify_flag_poset
 
+from conftest import seeded_poset
 from oracles import (
     balanced_text,
     bit_walk_face_colors,
@@ -216,8 +217,7 @@ def test_trivial_short_flag_unwinding(sd_torus):
 
 
 def test_short_flag_sum_matches_vertex_scan(sd_torus):
-    seeded = [order_complex(random_graded_poset(ranks, 0.5, seed))
-              for seed, ranks in enumerate([(2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3, 2)])]
+    seeded = [order_complex(seeded_poset(seed)) for seed in range(4)]
     for bal in [sd_torus] + seeded:
         for i in range(1, bal.d + 1):
             rest = [c for c in range(1, bal.d + 1) if c != i]

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -421,8 +422,9 @@ def test_report_value_too_long_to_print_is_parse_error(tmp_path, text, as_json, 
     (["verify", "all", "--colors", "POSET"], "provide a file path or --gen SPEC"),
     (["compute", "h", "--gen", "", "POSET"], "give a file path or --gen SPEC, not both"),
     (["verify", "all", "--gen", ""], "expected a name at position 0 in ''"),
+    (["classify", "--gen", "torus_7", "--check"], "--check needs a poset input, got a complex"),
 ], ids=["file-with-gen", "colors-with-catalog",
-        "file-with-empty-gen", "empty-gen"])
+        "file-with-empty-gen", "empty-gen", "check-with-complex"])
 def test_ignored_input_is_refused(tmp_path, argv, message, capsys):
     poset = tmp_path / "poset.json"
     poset.write_text(json.dumps({"elements": ["a", "b"], "covers": [["a", "b"]]}))
@@ -430,6 +432,19 @@ def test_ignored_input_is_refused(tmp_path, argv, message, capsys):
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1
     assert json.loads(err) == {"error": "ParseError", "message": message}
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_pipes_exit_2(monkeypatch):
+    # stdout and stderr both closed, as by `2>&1 | head`: the report and then
+    # the diagnostic fail to write, and exit 1 stays for a failed verification
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    monkeypatch.setattr(sys, "stderr", _ClosedPipe())
+    assert main(["verify", "all", "--gen", "chain(1)", "--json"]) == 2
 
 
 @pytest.mark.parametrize("as_json", [False, True], ids=["table", "json"])

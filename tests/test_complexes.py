@@ -3,7 +3,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dehnsom.balanced import BalancedComplex, rank_selected
 from dehnsom.complexes import (
     SimplicialComplex,
     build_complex,
@@ -30,7 +29,6 @@ from dehnsom.generators import (
     cycle,
     face_poset,
     generate_from_string,
-    random_graded_poset,
     random_pure_complex,
     rp2_6,
     simplex_boundary,
@@ -41,15 +39,13 @@ from dehnsom.polynomial import binom, sign
 from dehnsom.posets import dual, order_complex, serialize_poset_json
 from dehnsom.suite import CATALOG, COMPLEX_DS_SPECS
 
+from conftest import seeded_poset
 from oracles import (
     closure_of_facets,
     euler_from_faces,
-    face_masks,
-    frozenset_complex,
     frozenset_singularity_profile,
     h_closed_form,
     link_faces,
-    mask_of,
     short_h_by_links,
     submask_sum,
 )
@@ -239,13 +235,13 @@ def test_singularity_profile_orders_mixed_labels_like_face_sort_key():
     prof = singularity_profile(cx)
     assert len(prof.error_set) > 1
     assert prof == frozenset_singularity_profile(cx)
+    assert face_sort_key(iter([10, "a", 2])) == face_sort_key([2, 10, "a"])  # read once
 
 
 @settings(deadline=None, max_examples=15)
 @given(seed=st.integers(min_value=0, max_value=10**9))
 def test_singularity_profile_matches_frozenset_reference_on_order_complexes(seed):
-    ranks = ((2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3, 2))[seed % 4]
-    P = random_graded_poset(ranks, 0.5, seed)
+    P = seeded_poset(seed)
     for Q in (P, dual(P)):
         cx = order_complex(Q).complex
         assert singularity_profile(cx) == frozenset_singularity_profile(cx)
@@ -258,7 +254,7 @@ def _off_label_order(seed):
     cx = random_pure_complex(2 + seed % 2, 6 + seed % 3, 0.5, seed)
     rev = cx.vertices[::-1]
     bit = {v: 1 << i for i, v in enumerate(rev)}
-    P = random_graded_poset(((2, 3, 2), (3, 3), (2, 2, 2, 2))[seed % 3], 0.5, seed)
+    P = seeded_poset(seed)
     return [SimplicialComplex.from_masks(rev, [sum(bit[v] for v in f) for f in cx.faces]),
             order_complex(face_poset(cx)).complex, order_complex(dual(P)).complex]
 
@@ -274,29 +270,6 @@ def test_outputs_ignore_the_vertex_order(seed):
         assert serialize_facets(cx) == serialize_facets(twin)
         assert (serialize_poset_json(face_poset(cx))
                 == serialize_poset_json(face_poset(twin)))
-
-
-@settings(deadline=None, max_examples=15)
-@given(seed=st.integers(min_value=0, max_value=10**9))
-def test_order_complex_equals_its_label_built_twin(seed):
-    P = random_graded_poset(((2, 3, 2), (3, 3), (2, 2, 2, 2))[seed % 3], 0.5, seed)
-    rng = random.Random(seed)
-    for Q in (P, dual(P)):
-        bal = order_complex(Q)
-        cx = bal.complex
-        twin = SimplicialComplex(cx.faces)
-        assert cx.vertices == Q.labels[1:-1]  # P's index order
-        assert cx == twin and f_vector(cx) == f_vector(twin)
-        twin_bal = BalancedComplex(twin, bal.kappa)
-        for k in range(1 << bal.d):
-            S = [c + 1 for c in range(bal.d) if k >> c & 1]
-            sub = rank_selected(bal, S)
-            assert sub == rank_selected(twin_bal, S)
-            assert sub.vertices == tuple(v for v in cx.vertices if v in set(sub.vertices))
-        for face in rng.sample(sorted(cx.faces, key=face_sort_key), 5):
-            lk = link(cx, face)
-            assert lk == link(twin, face)
-            assert lk.vertices == tuple(v for v in cx.vertices if v in set(lk.vertices))
 
 
 def test_verify_pure_ds_sphere_and_torus(torus):
@@ -417,53 +390,9 @@ def test_subset_transform_matches_submask_loop(d, signed):
         assert subset_transform(table, d, signed) == expected
 
 
-@settings(deadline=None, max_examples=25)
-@given(seed=st.integers(min_value=0, max_value=10**9))
-def test_mask_construction_matches_frozenset_oracle(seed):
-    # the union of two closed families is closed; with two facet sizes it is
-    # often impure
-    n = 6 + seed % 4
-    a = random_pure_complex(2 + seed % 3, n, 0.3, seed)
-    b = random_pure_complex(1 + seed % 4, n, 0.2, seed + 1)
-    fam = a.faces | b.faces
-    cx = SimplicialComplex(fam)
-    dim, pure, facets = frozenset_complex(fam)
-    assert (cx.dim, cx.pure) == (dim, pure)
-    assert cx.facets() == sorted(facets, key=face_sort_key)
-    assert cx.vertices == tuple(sorted({v for f in fam for v in f}, key=label_sort_key))
-    assert cx._masks == face_masks(fam, cx.vertices)
-    assert all(cx.face_of(mask_of(cx, f)) == f for f in fam)
-    # dropping a face some other face covers leaves a family that is not closed
-    covered = sorted(fam - facets, key=face_sort_key)[1:]  # not the empty face
-    dropped = covered[seed % len(covered)]
-    with pytest.raises(ValueError):
-        frozenset_complex(fam - {dropped})
-    with pytest.raises(InternalError, match="not closed under inclusion"):
-        SimplicialComplex(fam - {dropped})
-
-
 @pytest.mark.parametrize("spec", COMPLEX_DS_SPECS)
 def test_short_h_matches_link_oracle(spec):
     from dehnsom.generators import generate_from_string
     cx = generate_from_string(spec)
     assert short_h_vector(cx) == short_h_by_links(cx)
 
-
-def test_from_masks_rejects_bad_families():
-    verts = ("a", "b", "c")
-    assert SimplicialComplex.from_masks(verts, [0, 1, 2, 3]).vertices == ("a", "b")
-    with pytest.raises(InternalError, match="not closed under inclusion"):
-        SimplicialComplex.from_masks(verts, [0, 1, 2, 0b111])
-    with pytest.raises(InternalError, match="not closed under inclusion"):
-        SimplicialComplex.from_masks(verts, [0, 1, 0b11])
-    with pytest.raises(InternalError, match="empty face"):
-        SimplicialComplex.from_masks(verts, [1])
-    with pytest.raises(InternalError, match="past the 3 vertices"):
-        SimplicialComplex.from_masks(verts, [0, 0b1000])
-    with pytest.raises(InternalError, match="a vertex is repeated"):
-        SimplicialComplex.from_masks(("a", "b", "a"), [0, 1, 2])
-    swapped = SimplicialComplex.from_masks(("b", "a"), [0, 1, 2])  # any vertex order
-    assert swapped.vertices == ("b", "a")
-    assert swapped == SimplicialComplex(swapped.faces)
-    with pytest.raises(EmptyInput):
-        SimplicialComplex.from_masks(verts, [])

@@ -1,10 +1,11 @@
 """The face kernels of complexes and order complexes, each held once to its reference.
 
-The seeded tests share one corpus, ``_complexes(seed)`` over ``_poset(seed)``,
-and one input builder, ``_fed(cx, seed)``; a fixed case sits beside a seeded
-test only where both call the same assert helper. Each (kernel, reference)
-pair is compared in one place, through public values only, so the face
-layout of the closure pass can change inside complexes.py alone:
+The seeded tests share one corpus, ``_complexes(seed)`` over ``_union(seed)``
+and conftest's ``seeded_poset(seed)``, and one input builder,
+``_fed(cx, seed)``; a fixed case sits beside a seeded test only where both
+call the same assert helper. Each (kernel, reference) pair is compared in
+one place, through public values only, so the face layout of the closure
+pass can change inside complexes.py alone:
 
 - ``from_masks`` (vertices, ``_masks``, ``_facet_masks``, ``facets()``, dim,
   purity) against ``oracles.set_closure_facets``; χ̃(lk F)
@@ -14,6 +15,10 @@ layout of the closure pass can change inside complexes.py alone:
   the set bits of the fed masks and ``h_closed_form``: ``_assert_same``,
   in ``test_runs_match_set_closure`` and ``test_smallest_complexes``, on
   clean, shuffled, rotated, repeated, one-pass and padded input
+- the complex of a label family (``SimplicialComplex(faces)``: vertices in
+  label order, ``_masks``, ``facets()``, dim, purity, ``mask_of`` round
+  trips) against ``frozenset_complex`` and ``face_masks``, and its refusal of
+  the family without one covered face: ``test_runs_match_set_closure``
 - ``_face_sums`` against ``_relabel``: ``_assert_same``,
   ``test_runs_match_set_closure``, and by hand on the only-∅ and
   three-point cases of ``test_smallest_complexes``
@@ -28,12 +33,15 @@ layout of the closure pass can change inside complexes.py alone:
   ``_assert_same``, and its closure error text against
   ``set_closure_facets``: ``test_from_runs_matches_from_masks`` and the
   fixed case after it
-- the chain runs of ``order_complex`` against ``iter_chains``:
-  ``test_chain_runs_match_iter_chains``
+- the chain runs of ``order_complex`` against ``iter_chains``: its faces
+  (label sets built only when read), masks, κ by rank and colors, equality
+  and hash with its twin built from labels, and the vertex order of its rank
+  selections and links: ``test_chain_runs_match_iter_chains``
 
-The rest pin the ``from_masks`` input contract, the ``from_runs`` refusals,
-that the verify path sweeps once per complex and never reads the mask-keyed
-dict wrappers or a face mask at all, and the ``mask_of`` oracle.
+The rest pin the ``from_masks`` input contract, the ``from_runs`` and
+``from_masks`` refusals, that the verify path sweeps once per complex,
+builds no label set and never reads the mask-keyed dict wrappers or a face
+mask at all, and the ``mask_of`` oracle.
 """
 
 import random
@@ -42,7 +50,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dehnsom import complexes, suite
-from dehnsom.balanced import BalancedComplex, parse_balanced
+from dehnsom.balanced import BalancedComplex, parse_balanced, rank_selected
 from dehnsom.complexes import (
     SimplicialComplex,
     _bits,
@@ -53,13 +61,15 @@ from dehnsom.complexes import (
     face_errors,
     face_sort_key,
     h_vector,
+    label_sort_key,
+    link,
     link_euler_table,
     link_euler_values,
     reduced_euler_characteristic,
     singularity_profile,
     verify_pure_ds,
 )
-from dehnsom.errors import InternalError, NotBalanced, NotPure
+from dehnsom.errors import EmptyInput, InternalError, NotBalanced, NotPure
 from dehnsom.generators import (
     boolean_lattice,
     face_poset,
@@ -69,10 +79,13 @@ from dehnsom.generators import (
 )
 from dehnsom.posets import classify_poset, dual, order_complex
 
+from conftest import seeded_poset
 from oracles import (
     _relabel,
     balanced_text,
     bit_walk_face_colors,
+    face_masks,
+    frozenset_complex,
     h_closed_form,
     iter_chains,
     mask_of,
@@ -81,21 +94,21 @@ from oracles import (
 )
 
 EXTRA = (-7, 10**6, "~unused")  # labels no tested complex uses
-RANKS = ((2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3, 2), (4, 1, 4))
 
 
-def _poset(seed):
-    return random_graded_poset(RANKS[seed % len(RANKS)], 0.5, seed)
+def _union(seed):
+    """The faces of two seeded pure complexes of two sizes on 5..9 vertices:
+    a closed family, often impure."""
+    n = 5 + seed % 5
+    return (random_pure_complex(2 + seed % 3, n, 0.4, seed).faces
+            | random_pure_complex(1 + seed % 4, n, 0.25, seed + 1).faces)
 
 
 def _complexes(seed):
-    """A union of two seeded pure complexes on 5..9 vertices (often impure),
-    and the order complexes of a seeded graded poset and of its dual."""
-    n = 5 + seed % 5
-    a = random_pure_complex(2 + seed % 3, n, 0.4, seed)
-    b = random_pure_complex(1 + seed % 4, n, 0.25, seed + 1)
-    P = _poset(seed)
-    return [SimplicialComplex(a.faces | b.faces), order_complex(P).complex,
+    """The complex of ``_union(seed)``, and the order complexes of a seeded
+    graded poset and of its dual."""
+    P = seeded_poset(seed)
+    return [SimplicialComplex(_union(seed)), order_complex(P).complex,
             order_complex(dual(P)).complex]
 
 
@@ -158,6 +171,22 @@ def _assert_same(got, verts, fed):
 @given(seed=st.integers(min_value=0, max_value=10**9))
 def test_runs_match_set_closure(seed):
     rng = random.Random(seed)
+    # the complex of a label family holds it, over its labels in label order,
+    # by the frozenset checks; without a face that another face covers the
+    # family is refused
+    fam = _union(seed)
+    cx = SimplicialComplex(fam)
+    dim, pure, facets = frozenset_complex(fam)
+    assert cx.vertices == tuple(sorted({v for f in fam for v in f}, key=label_sort_key))
+    assert cx._masks == face_masks(fam, cx.vertices)
+    assert all(cx.face_of(mask_of(cx, f)) == f for f in fam)
+    assert (cx.dim, cx.pure, cx.facets()) == (dim, pure, sorted(facets, key=face_sort_key))
+    covered = sorted(fam - facets, key=face_sort_key)[1:]  # not the empty face
+    dropped = covered[seed % len(covered)]
+    with pytest.raises(ValueError):
+        frozenset_complex(fam - {dropped})
+    with pytest.raises(InternalError, match="not closed under inclusion"):
+        SimplicialComplex(fam - {dropped})
     for cx in _complexes(seed):
         _assert_same(cx, cx.vertices, cx._masks)
         verts, inputs = _fed(cx, seed)
@@ -174,6 +203,8 @@ def test_runs_match_set_closure(seed):
 
 
 def test_smallest_complexes():
+    with pytest.raises(EmptyInput):
+        SimplicialComplex.from_masks(EXTRA, [])
     # only the empty face, repeated: no run, no level
     empty = SimplicialComplex.from_masks(EXTRA, [0, 0])
     _assert_same(empty, EXTRA, [0])
@@ -270,7 +301,7 @@ def test_caller_list_is_left_as_given():
 @settings(deadline=None, max_examples=25)
 @given(seed=st.integers(min_value=0, max_value=10**9))
 def test_colors_by_parent_match_bit_walk(torus_poset, seed):
-    P = _poset(seed)
+    P = seeded_poset(seed)
     for Q in (P, dual(P), torus_poset, boolean_lattice(4)):
         bal = order_complex(Q)
         cx, d = bal.complex, bal.d
@@ -354,34 +385,59 @@ def test_from_runs_names_the_smallest_unclosed_face():
     (("a", "b"), [[0], [-1]], "run 1 is not an increasing list of positions below 2"),
     (("a", "b"), [[0], [0], [0]], "3 runs for 2 vertices"),
     (("a", "b", "c"), [[0], [0]], "2 runs for 3 vertices"),
+    # a set is a family of masks for from_masks
+    (("a", "b", "a"), {0, 1, 2}, "a vertex is repeated"),
+    (("a", "b", "c"), {1}, "the empty face is missing"),
+    (("a", "b", "c"), {0, 0b1000}, "a face uses bit 3, past the 3 vertices"),
 ])
 def test_from_runs_refusals(verts, runs, text):
+    build = SimplicialComplex.from_masks if isinstance(runs, set) else SimplicialComplex.from_runs
     with pytest.raises(InternalError) as exc:
-        SimplicialComplex.from_runs(verts, runs)
+        build(verts, runs)
     assert str(exc.value) == text
 
 
-def _chain_masks(P):
-    """(the proper elements' labels in index order, the chain masks of O(P)
-    sorted without repeats, the rank of every proper element's label)."""
+def _chains(P):
+    """(the proper elements' labels in index order, the chains of P∖{0̂,1̂} as
+    label sets, the rank of every proper element's label)."""
     proper = sorted({i for chain in iter_chains(P, max_size=1) for i in chain})
-    bit = {i: 1 << k for k, i in enumerate(proper)}
-    masks = sorted({sum(bit[i] for i in chain) for chain in iter_chains(P)})
-    return [P.labels[i] for i in proper], masks, {P.labels[i]: P.rank_of[i] for i in proper}
+    faces = {frozenset(P.labels[i] for i in chain) for chain in iter_chains(P)}
+    return [P.labels[i] for i in proper], faces, {P.labels[i]: P.rank_of[i] for i in proper}
 
 
 @settings(deadline=None, max_examples=25)
-@given(seed=st.integers(min_value=0, max_value=10**9), n=st.integers(min_value=2, max_value=6))
+@given(seed=st.integers(min_value=0, max_value=10**9), n=st.integers(min_value=1, max_value=6))
 def test_chain_runs_match_iter_chains(seed, n):
-    P = _poset(seed)
-    for Q in (P, dual(P), boolean_lattice(n)):
+    P, B = seeded_poset(seed), boolean_lattice(n)
+    rng = random.Random(seed)
+    for Q in (P, dual(P), B):
         got = order_complex(Q)
-        labels, masks, kappa = _chain_masks(Q)
+        cx = got.complex
+        assert cx._faces is None  # nothing has read the label sets yet
+        labels, faces, kappa = _chains(Q)
+        masks = face_masks(faces, labels)
         ref = SimplicialComplex.from_masks(labels, masks)
-        assert got.complex._masks == tuple(masks)
-        assert _state(got.complex) == _state(ref)
+        assert cx._masks == masks
+        assert _state(cx) == _state(ref)
+        assert cx.faces == faces
         assert got.kappa == kappa
         assert got.face_colors == BalancedComplex(ref, kappa).face_colors
+        # the twin built from labels has its vertices in label order, not in
+        # P's index order; rank selections and links keep each one's order
+        twin = SimplicialComplex(faces)
+        assert cx == twin == ref and hash(cx) == hash(twin) == hash(ref)
+        if Q is B:
+            continue  # B_6 has 4,683 faces: the selections and links below take the seeded posets
+        twin_bal = BalancedComplex(twin, kappa)
+        for k in range(1 << got.d):
+            S = [c + 1 for c in range(got.d) if k >> c & 1]
+            sub = rank_selected(got, S)
+            assert sub == rank_selected(twin_bal, S)
+            assert sub.vertices == tuple(v for v in cx.vertices if v in set(sub.vertices))
+        for face in rng.sample(sorted(faces, key=face_sort_key), min(5, len(faces))):
+            lk = link(cx, face)
+            assert lk == link(twin, face)
+            assert lk.vertices == tuple(v for v in cx.vertices if v in set(lk.vertices))
 
 
 # --- the verify path -------------------------------------------------------------------
@@ -405,6 +461,7 @@ def test_verify_all_sweeps_a_balanced_complex_once(monkeypatch, tmp_path):
     assert [r.identity for r in reports] == ["ds", "flag-ds"]
     assert all(r.passed for r in reports)
     assert len(calls) == 1
+    assert bal.complex._faces is None  # no label set was built
 
     path = tmp_path / "sd_torus.txt"
     path.write_text(balanced_text(bal))
@@ -438,8 +495,8 @@ def test_verify_path_reads_no_face_mask(torus_poset, tripwire):
     """O(P) is built, colored and verified without a face bitmask: the
     reports of a poset and of its order complex are the same while every
     read of ``_masks`` raises."""
-    def posets():
-        return [Q for seed in range(len(RANKS)) for Q in (_poset(seed), dual(_poset(seed)))]
+    def posets():  # the first five shapes of the seeded corpus
+        return [Q for seed in range(5) for Q in (seeded_poset(seed), dual(seeded_poset(seed)))]
 
     def reports(Q):
         return [r.to_dict() for X in (Q, order_complex(Q)) for r in suite.verify_all(X, "P")]

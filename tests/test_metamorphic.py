@@ -21,12 +21,13 @@ from hypothesis import given, settings, strategies as st
 from dehnsom import cli
 from dehnsom.balanced import BalancedComplex
 from dehnsom.complexes import parse_facets, serialize_facets
-from dehnsom.generators import face_poset, generate_from_string, random_graded_poset, torus_7
+from dehnsom.generators import face_poset, generate_from_string, torus_7
 from dehnsom.posets import classify_poset, dual, order_complex, parse_poset_json, serialize_poset_json
 from dehnsom.suite import verify_all
 
+from conftest import seeded_poset
+
 COMPLEX_SPECS = ("torus_7", "rp2_6", "suspension(torus_7)")
-RANKS = ((2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3, 2), (1, 3, 1, 3, 1))
 
 
 def _rows(obj):
@@ -47,10 +48,6 @@ def _renaming(labels, kind, rng):
     if kind == "mixed":
         return {v: t if rng.random() < 0.5 else f"s{t}" for v, t in zip(labels, targets)}
     return dict(zip(labels, targets))
-
-
-def _poset(seed):
-    return random_graded_poset(RANKS[seed % len(RANKS)], 0.5, seed)
 
 
 def _renamed_facets(cx, kind, rng):
@@ -91,7 +88,7 @@ def test_renamed_vertices_give_the_same_rows(seed, spec, kind):
 @given(seed=st.integers(min_value=0, max_value=10**9),
        kind=st.sampled_from(("none", "shuffle", "reverse", "str", "mixed")))
 def test_shuffled_poset_json_gives_the_same_rows(seed, kind):
-    P = face_poset(torus_7(), True) if seed % 4 == 0 else _poset(seed)
+    P = face_poset(torus_7(), True) if seed % 4 == 0 else seeded_poset(seed)
     Q = parse_poset_json(_shuffled_json(P, kind, random.Random(seed)))
     assert _rows(Q) == _rows(P)
     assert classify_poset(Q) == classify_poset(P)
@@ -100,7 +97,7 @@ def test_shuffled_poset_json_gives_the_same_rows(seed, kind):
 @settings(deadline=None, max_examples=25)
 @given(seed=st.integers(min_value=0, max_value=10**9))
 def test_dual_of_dual_gives_the_same_rows(seed):
-    P = _poset(seed)
+    P = seeded_poset(seed)
     assert _rows(dual(dual(P))) == _rows(P)
     assert classify_poset(dual(dual(P))) == classify_poset(P)
 
@@ -120,7 +117,7 @@ def _moved(rows, perm):
 @settings(deadline=None, max_examples=25)
 @given(seed=st.integers(min_value=0, max_value=10**9))
 def test_permuted_colors_move_the_flag_rows(seed):
-    bal = order_complex(_poset(seed))
+    bal = order_complex(seeded_poset(seed))
     d = bal.d
     perm = dict(zip(range(1, d + 1), random.Random(seed).sample(range(1, d + 1), d)))
     recolored = BalancedComplex(bal.complex, {v: perm[c] for v, c in bal.kappa.items()})
@@ -144,7 +141,7 @@ def _cli_verify_all(path):
        kind=st.sampled_from(("shuffle", "reverse", "str", "mixed")))
 def test_cli_gives_the_same_output_for_renamed_inputs(tmp_path_factory, seed, kind):
     rng = random.Random(seed)
-    torus, P = torus_7(), _poset(seed)
+    torus, P = torus_7(), seeded_poset(seed)
     pairs = [(serialize_facets(torus), _renamed_facets(torus, kind, rng)),
              (serialize_poset_json(P), _shuffled_json(P, kind, rng))]
     folder = tmp_path_factory.mktemp("renamed")

@@ -8,23 +8,31 @@ enumerator. The tests are skipped where networkx is not installed.
 import pytest
 
 from dehnsom.complexes import f_vector
-from dehnsom.generators import (
-    cross_polytope,
-    face_poset,
-    random_graded_poset,
-    rp2_6,
-    simplex_boundary,
-    torus_7,
-)
+from dehnsom.generators import generate_from_string
 from dehnsom.posets import flag_alpha_beta, order_complex
 
 nx = pytest.importorskip("networkx")
 
-POSETS = [random_graded_poset(ranks, density, seed) for seed, (ranks, density) in enumerate([
-    ((2, 3, 2), 0.5), ((3, 3), 0.8), ((2, 2, 2, 2), 0.5), ((3, 2, 3, 2), 0.3), ((4, 1, 4), 0.5),
-    ((1, 3, 1, 3, 1), 0.8)])]
-POSETS += [face_poset(cx, True) for cx in (torus_7(), rp2_6(), cross_polytope(3))]
-POSETS += [face_poset(simplex_boundary(3), True)]
+# each poset's spec, and its repr as the test id
+POSETS = {
+    "random_graded_poset([2,3,2],0.5,0)": "GradedPoset(n=9, rho=4)",
+    "random_graded_poset([3,3],0.8,1)": "GradedPoset(n=8, rho=3)",
+    "random_graded_poset([2,2,2,2],0.5,2)": "GradedPoset(n=10, rho=5)",
+    "random_graded_poset([3,2,3,2],0.3,3)": "GradedPoset(n=12, rho=5)",
+    "random_graded_poset([4,1,4],0.5,4)": "GradedPoset(n=11, rho=4)",
+    "random_graded_poset([1,3,1,3,1],0.8,5)": "GradedPoset(n=11, rho=6)",
+    "face_poset(torus_7,true)": "GradedPoset(n=44, rho=4)",
+    "face_poset(rp2_6,true)": "GradedPoset(n=33, rho=4)",
+    "face_poset(cross_polytope(3),true)": "GradedPoset(n=28, rho=4)",
+    "face_poset(simplex_boundary(3),true)": "GradedPoset(n=16, rho=4)",
+}
+
+
+@pytest.fixture(scope="module", params=list(POSETS), ids=list(POSETS.values()))
+def P(request):
+    P = generate_from_string(request.param)
+    assert repr(P) == POSETS[request.param]
+    return P
 
 
 def _chains(P):
@@ -37,7 +45,6 @@ def _chains(P):
     return list(nx.enumerate_all_cliques(graph))
 
 
-@pytest.mark.parametrize("P", POSETS, ids=repr)
 def test_order_complex_f_vector_counts_cliques(P):
     counts = [1] + [0] * (P.rho - 1)
     for chain in _chains(P):
@@ -45,7 +52,6 @@ def test_order_complex_f_vector_counts_cliques(P):
     assert f_vector(order_complex(P).complex).entries == tuple(counts)
 
 
-@pytest.mark.parametrize("P", POSETS, ids=repr)
 def test_alpha_counts_cliques_by_rank_set(P):
     alpha = [1] + [0] * ((1 << (P.rho - 1)) - 1)
     for chain in _chains(P):
@@ -55,7 +61,6 @@ def test_alpha_counts_cliques_by_rank_set(P):
         assert flag_alpha_beta(P, S)[0] == count
 
 
-@pytest.mark.parametrize("P", POSETS, ids=repr)
 def test_hall_mobius_from_cliques(P):
     # Hall: μ(0̂,1̂) = Σ over the chains C of (0̂,1̂), the empty one included, of (−1)^{|C|+1}
     assert P.mobius(P.bottom, P.top) == -1 + sum((-1) ** (len(c) + 1) for c in _chains(P))

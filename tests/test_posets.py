@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from dehnsom.balanced import flag_f_vector, flag_h_vector
 from dehnsom.complexes import (
-    SimplicialComplex,
     f_vector,
     face_error_table,
     h_vector,
@@ -60,15 +59,12 @@ from dehnsom.posets import (
     verify_simplicial_ds,
 )
 from dehnsom.polynomial import sign
-from dehnsom.suite import verify_all
 
+from conftest import RANKS, seeded_poset
 from oracles import (
     atom_scan_is_boolean_interval,
-    face_masks,
-    frozenset_complex,
     interval_walk_mobius,
     iter_chains,
-    member_scan_chains,
     member_scan_error_buckets,
     naive_mobius,
     rank_selected_subposet,
@@ -160,13 +156,6 @@ def test_order_complex_small_cases():
     assert f_vector(octagon.complex).entries == (1, 8, 8)
 
 
-def test_order_complex_is_balanced_by_rank(torus_poset):
-    oc = order_complex(torus_poset)
-    assert set(oc.kappa.values()) == {1, 2, 3}
-    for v in oc.complex.vertices:
-        assert oc.kappa[v] == torus_poset.rank(v)
-
-
 @pytest.mark.parametrize("maker", [
     lambda: boolean_lattice(4), lambda: chain(4), lambda: polygon_lattice(5),
     lambda: face_poset(simplex_boundary(3), True),
@@ -194,6 +183,7 @@ def test_chain_error_examples(torus_poset, susp_poset):
     apex = "(a:N)"
     assert apex in susp_poset.labels
     eps = chain_error(susp_poset, [apex])
+    assert chain_error(susp_poset, iter([apex])) == eps  # an iterator is read once
     oc = order_complex(susp_poset)
     lk_chi = reduced_euler_characteristic(link(oc.complex, [apex]))
     d = susp_poset.rho - 1
@@ -372,9 +362,8 @@ def test_poset_json_round_trip(torus_poset):
 @settings(deadline=None, max_examples=20)
 @given(seed=st.integers(min_value=0, max_value=10**9))
 def test_random_poset_graded_and_classified(seed):
-    ranks = ((2, 3, 2), (3, 3), (2, 2, 2, 2))[seed % 3]
-    p = random_graded_poset(ranks, 0.5, seed)
-    assert p.rho == len(ranks) + 1
+    p = seeded_poset(seed)
+    assert p.rho == len(RANKS[seed % len(RANKS)]) + 1
     flat = min_j_sing_flat(p)
     assert flat == min_j_sing_recursive(p)
     if flat >= 0:
@@ -431,8 +420,7 @@ def test_classification_flag_implications(torus_poset, susp_poset, doubled_edge)
 @settings(deadline=None, max_examples=20)
 @given(seed=st.integers(min_value=0, max_value=10**9))
 def test_chain_walks_match_member_scan(seed):
-    ranks = ((2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3, 2))[seed % 4]
-    P = random_graded_poset(ranks, 0.5, seed)
+    P = seeded_poset(seed)
     assert _chain_error_buckets(P) == member_scan_error_buckets(P)
     B = boolean_lattice(4 + seed % 3)
     assert _chain_error_buckets(B) == member_scan_error_buckets(B)
@@ -441,16 +429,14 @@ def test_chain_walks_match_member_scan(seed):
 @settings(deadline=None, max_examples=25)
 @given(seed=st.integers(min_value=0, max_value=10**9))
 def test_alpha_table_matches_rank_set_passes(seed):
-    ranks = ((2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3, 2), (2, 3, 3, 2, 2))[seed % 5]
-    P = random_graded_poset(ranks, 0.5, seed)
+    P = seeded_poset(seed)
     assert _alpha_table(P) == rank_set_pass_alpha(P)
 
 
 @settings(deadline=None, max_examples=20)
 @given(seed=st.integers(min_value=0, max_value=10**9))
 def test_mobius_rows_match_interval_walk(seed):
-    ranks = ((2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3, 2))[seed % 4]
-    P = random_graded_poset(ranks, 0.5, seed)
+    P = seeded_poset(seed)
     for Q in (P, dual(P), boolean_lattice(2 + seed % 5)):
         walk = interval_walk_mobius(Q)
         mu_top = Q.mobius_to_top()
@@ -475,12 +461,11 @@ def test_mobius_rows_match_interval_walk(seed):
 @pytest.mark.parametrize("alpha_first", [False, True])
 def test_alpha_reads_no_mobius_and_errors_keep_own_counts(alpha_first):
     for seed in range(8):
-        ranks = ((2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3, 2))[seed % 4]
-        P = random_graded_poset(ranks, 0.5, seed)
+        P = seeded_poset(seed)
         if alpha_first:
             _alpha_table(P)
             assert P._mu == {}  # α comes from chain counts alone
-        expected = member_scan_error_buckets(random_graded_poset(ranks, 0.5, seed))
+        expected = member_scan_error_buckets(seeded_poset(seed))
         assert _chain_error_buckets(P) == expected
     B = boolean_lattice(5)
     if alpha_first:
@@ -499,38 +484,6 @@ def test_graded_poset_is_immutable():
     assert classify_poset(P) is classify_poset(P)  # the cache still fills
 
 
-RANDOM_SHAPES = ((2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3, 2))
-
-
-@settings(deadline=None, max_examples=25)
-@given(seed=st.integers(min_value=0, max_value=10**9))
-def test_order_complex_matches_frozenset_path(seed):
-    P = random_graded_poset(RANDOM_SHAPES[seed % 4], 0.5, seed)
-    for Q in (P, dual(P), boolean_lattice(1 + seed % 5)):
-        chains = list(member_scan_chains(Q))
-        colors = {frozenset(Q.labels[i] for i in c): sum(1 << (Q.rank_of[i] - 1) for i in c)
-                  for c in chains}
-        faces = set(colors)
-        dim, pure, facets = frozenset_complex(faces)
-        verts = tuple(Q.labels[i] for i in sorted({i for c in chains for i in c}))  # index order
-        bit = {v: 1 << i for i, v in enumerate(verts)}
-        bal = order_complex(Q)
-        cx = bal.complex
-        assert cx._faces is None  # nothing read the frozensets yet
-        assert cx.vertices == verts
-        assert cx._masks == face_masks(faces, verts)
-        assert cx._facet_masks == face_masks(facets, verts)
-        assert (cx.dim, cx.pure) == (dim, pure)
-        assert bal.face_colors == tuple(c for _, c in sorted(
-            (sum(bit[v] for v in f), c) for f, c in colors.items()))
-        assert cx.faces == faces
-        from_faces = SimplicialComplex(faces)
-        from_masks = SimplicialComplex.from_masks(verts, reversed(cx._masks))
-        assert cx == from_faces == from_masks
-        assert hash(cx) == hash(from_faces) == hash(from_masks)
-        assert (from_masks._masks, from_masks._facet_masks) == (cx._masks, cx._facet_masks)
-
-
 def _assert_boolean_verdicts_match(P):
     verdicts = _boolean_lower_intervals(P)
     assert verdicts == [atom_scan_is_boolean_interval(P, P.bottom_i, t) for t in range(P.n)]
@@ -540,7 +493,7 @@ def _assert_boolean_verdicts_match(P):
 @settings(deadline=None, max_examples=20)
 @given(seed=st.integers(min_value=0, max_value=10**9))
 def test_boolean_interval_matches_atom_scan(seed):
-    P = random_graded_poset(RANDOM_SHAPES[seed % 4], 0.5, seed)
+    P = seeded_poset(seed)
     for Q in (P, dual(P)):
         _assert_boolean_verdicts_match(Q)
 
@@ -586,15 +539,16 @@ def _assert_dual_matches_rebuild(P):
             assert getattr(back, field) == getattr(P, field), field
 
 
-FACE_POSET_COMPLEXES = [simplex_boundary(1), simplex_boundary(3), cycle(5),
-                        cross_polytope(3), torus_7()]
+@pytest.fixture(scope="module")
+def face_poset_complexes():
+    return [simplex_boundary(1), simplex_boundary(3), cycle(5), cross_polytope(3), torus_7()]
 
 
 @settings(deadline=None, max_examples=25)
 @given(seed=st.integers(min_value=0, max_value=10**9))
-def test_dual_matches_rebuilt_dual(seed):
-    P = random_graded_poset(RANDOM_SHAPES[seed % 4], 0.5, seed)
-    cx = FACE_POSET_COMPLEXES[seed % len(FACE_POSET_COMPLEXES)]
+def test_dual_matches_rebuilt_dual(face_poset_complexes, seed):
+    P = seeded_poset(seed)
+    cx = face_poset_complexes[seed % len(face_poset_complexes)]
     for Q in (P, face_poset(cx, True), boolean_lattice(seed % 7)):
         _assert_dual_matches_rebuild(Q)
 
@@ -617,10 +571,3 @@ def test_end_errors_are_cached_tuples(torus_poset, susp_poset):
             tuple(mu_top[q] - sign(P.rho - P.rank_of[q]) for q in range(P.n)),
             tuple(row[q] - sign(P.rank_of[q]) for q in range(P.n)))
 
-
-def test_verify_all_leaves_order_complex_faces_unbuilt(torus_poset):
-    bal = order_complex(torus_poset)
-    reports = verify_all(bal, "O(torus)")
-    assert [r.identity for r in reports] == ["ds", "flag-ds"]
-    assert all(r.passed for r in reports)
-    assert bal.complex._faces is None

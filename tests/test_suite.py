@@ -3,7 +3,6 @@ state. Each verifier refuses a rank below its minimum or an unmet hypothesis
 with an `Inapplicable` error before it builds any table, and `verify all`
 runs exactly the identities that do not refuse."""
 
-import functools
 import itertools
 import json
 
@@ -36,17 +35,20 @@ def test_as_kind_converts_to_the_first_kind(torus_poset):
         as_kind(torus, POSET, "main")
 
 
-CATALOG_POSETS = [generate_from_string(s) for s in dict.fromkeys(ORDER_COMPLEX_SPECS
-                                                                  + POSET_SPECS)]
 SHAPES = [(1,), (2,), (3,), (1, 1), (2, 2), (2, 3), (3, 2), (1, 2, 1), (2, 1, 2),
           (2, 2, 2), (3, 3), (2, 3, 2, 2)]
-RANDOM_POSETS = [random_graded_poset(shape, density, seed) for shape, density, seed
-                 in itertools.product(SHAPES, (0.3, 0.6, 1.0), range(1, 6))]
+
+
+def _catalog_posets():
+    return [generate_from_string(s) for s in dict.fromkeys(ORDER_COMPLEX_SPECS + POSET_SPECS)]
+
+
 CORPORA = {
-    "catalog": CATALOG_POSETS,
-    "duals": [dual(P) for P in CATALOG_POSETS],
-    "random": RANDOM_POSETS,
-    "low-rank": [chain(0), chain(1), boolean_lattice(0), boolean_lattice(1)],
+    "catalog": _catalog_posets,
+    "duals": lambda: [dual(P) for P in _catalog_posets()],
+    "random": lambda: [random_graded_poset(shape, density, seed) for shape, density, seed
+                       in itertools.product(SHAPES, (0.3, 0.6, 1.0), range(1, 6))],
+    "low-rank": lambda: [chain(0), chain(1), boolean_lattice(0), boolean_lattice(1)],
 }
 ON_POSETS = [name for name, entry in IDENTITIES.items() if "poset" in entry.kinds]
 
@@ -67,31 +69,33 @@ def _outcome(name, P):
         return type(exc), str(exc)
 
 
-@functools.cache
-def _outcomes(corpus):
-    return [[_outcome(name, P) for name in ON_POSETS] for P in CORPORA[corpus]]
+@pytest.fixture(scope="module", params=list(CORPORA))
+def corpus(request):
+    """The posets of one corpus, and for each the outcome of every identity
+    on posets."""
+    posets = CORPORA[request.param]()
+    return posets, [[_outcome(name, P) for name in ON_POSETS] for P in posets]
 
 
-@pytest.mark.parametrize("corpus", CORPORA)
 def test_verify_all_skips_exactly_the_refusals(corpus):
     refused = 0
-    for P, outcomes in zip(CORPORA[corpus], _outcomes(corpus)):
+    for P, outcomes in zip(*corpus):
         ran = [o for o in outcomes if isinstance(o, VerificationReport)]
         refused += len(outcomes) - len(ran)
         assert verify_all(P, "P") == ran
     assert refused  # every corpus has posets that some identity refuses
 
 
-@pytest.mark.parametrize("corpus", CORPORA)
 def test_refusals_come_before_any_table(corpus, tripwire):
-    expected = [[(name, o) for name, o in zip(ON_POSETS, outcomes)
-                 if not isinstance(o, VerificationReport)] for outcomes in _outcomes(corpus)]
-    for P in CORPORA[corpus]:
+    posets, outcomes = corpus
+    expected = [[(name, o) for name, o in zip(ON_POSETS, row)
+                 if not isinstance(o, VerificationReport)] for row in outcomes]
+    for P in posets:
         classify_poset(P)  # cached before the Möbius rows it reads stop working
 
     assert tripwire(Built, BUILDERS) >= len(BUILDERS)
     assert tripwire(Built, ["from_masks"], SimplicialComplex) == 1
-    for P, refusals in zip(CORPORA[corpus], expected):
+    for P, refusals in zip(posets, expected):
         assert [(name, _outcome(name, P)) for name, _ in refusals] == refusals
 
 

@@ -24,17 +24,16 @@ from hypothesis import given, settings, strategies as st
 from dehnsom.complexes import f_vector, h_from_f
 from dehnsom.generators import (
     generate_from_string,
-    random_graded_poset,
     random_pure_complex,
 )
 from dehnsom.posets import dual
 from dehnsom.suite import POSET_SPECS
 from dehnsom.toric import toric_table, verify_generalized
 
+from conftest import seeded_poset
 from oracles import naive_mobius
 
 x = sympy.Symbol("x")
-RANKS = ((2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3, 2), (1, 3, 1, 3, 1))
 
 
 def _coeffs(poly) -> tuple:
@@ -84,7 +83,7 @@ def _assert_table_matches_sympy(P):
 @given(seed=st.integers(min_value=0, max_value=10**9),
        density=st.sampled_from((0.3, 0.5, 0.8)))
 def test_toric_table_matches_sympy_on_random_posets(seed, density):
-    P = random_graded_poset(RANKS[seed % len(RANKS)], density, seed)
+    P = seeded_poset(seed, density)
     _assert_table_matches_sympy(P)
     _assert_table_matches_sympy(dual(P))
 
@@ -193,7 +192,7 @@ def _assert_generalized_matches_sympy(P):
 @given(seed=st.integers(min_value=0, max_value=10**9),
        density=st.sampled_from((0.3, 0.5, 0.8)))
 def test_generalized_matches_sympy_on_random_posets(seed, density):
-    P = random_graded_poset(RANKS[seed % len(RANKS)], density, seed)
+    P = seeded_poset(seed, density)
     _assert_generalized_matches_sympy(P)
     _assert_generalized_matches_sympy(dual(P))
 

@@ -20,7 +20,6 @@ from dehnsom.complexes import (
 )
 from dehnsom.generators import (
     face_poset,
-    random_graded_poset,
     random_pure_complex,
     suspension,
     torus_7,
@@ -28,7 +27,8 @@ from dehnsom.generators import (
 from dehnsom.posets import dual, flag_alpha_beta, order_complex, verify_flag_poset
 from dehnsom.toric import toric_pair
 
-RANKS = ((2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3, 2), (4, 1, 4), (1, 3, 1, 3, 1))
+from conftest import seeded_poset
+
 
 
 def _random_complex(seed):
@@ -48,7 +48,7 @@ def _chi_by_face(cx):
 @given(seed=st.integers(min_value=0, max_value=10**9), density=st.sampled_from((0.3, 0.5, 0.8)))
 def test_hall_reduced_euler_characteristic_of_order_complex_is_mobius(seed, density):
     # Hall: χ̃(O(P)) = μ(0̂, 1̂), read as the empty face's entry of the sweep
-    P = random_graded_poset(RANKS[seed % len(RANKS)], density, seed)
+    P = seeded_poset(seed, density)
     assert link_euler_values(order_complex(P).complex)[0] == P.mobius(P.bottom, P.top)
 
 
@@ -120,7 +120,7 @@ def test_join_multiplies_h_polynomials(seed):
 @given(seed=st.integers(min_value=0, max_value=10**9), density=st.sampled_from((0.3, 0.5, 0.8)))
 def test_flag_beta_of_the_dual_reverses_ranks(seed, density):
     # duality: rank r of P is rank ρ − r of P*, so β_{P*}(S) = β_P(ρ − S)
-    P = random_graded_poset(RANKS[seed % len(RANKS)], density, seed)
+    P = seeded_poset(seed, density)
     Q, rho = dual(P), P.rho
     for m in range(1 << (rho - 1)):
         S = [r for r in range(1, rho) if m >> (r - 1) & 1]
@@ -145,7 +145,7 @@ def _assert_dual_flag_rows_reverse_ranks(P):
 @settings(deadline=None, max_examples=25)
 @given(seed=st.integers(min_value=0, max_value=10**9), density=st.sampled_from((0.3, 0.5, 0.8)))
 def test_flag_poset_rows_of_the_dual_reverse_ranks(seed, density):
-    _assert_dual_flag_rows_reverse_ranks(random_graded_poset(RANKS[seed % len(RANKS)], density, seed))
+    _assert_dual_flag_rows_reverse_ranks(seeded_poset(seed, density))
 
 
 def test_flag_poset_rows_of_the_dual_reverse_ranks_on_the_torus_face_poset():

@@ -42,6 +42,7 @@ from dehnsom.toric import (
     verify_swartz,
 )
 
+from conftest import seeded_poset
 from oracles import (
     interval,
     iter_chains,
@@ -107,8 +108,7 @@ def test_horner_table_low_ranks(maker):
 @given(seed=st.integers(min_value=0, max_value=10**9))
 def test_horner_table_matches_naive(seed):
     """The table against ``naive_toric`` of each lower interval."""
-    ranks = ((2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3), (2, 3, 2, 3, 2))[seed % 5]
-    P = random_graded_poset(ranks, 0.5, seed)
+    P = seeded_poset(seed)
     _assert_table_matches_naive(P)
     _assert_table_matches_naive(dual(P))
 
@@ -129,8 +129,7 @@ def test_push_table_matches_rank_grouped_pull_on_small_posets(spec):
 @given(seed=st.integers(min_value=0, max_value=10**9),
        density=st.sampled_from((0.3, 0.5, 0.8)))
 def test_push_table_matches_rank_grouped_pull(seed, density):
-    ranks = ((2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3), (1, 3, 1, 3, 1))[seed % 5]
-    P = random_graded_poset(ranks, density, seed)
+    P = seeded_poset(seed, density)
     _assert_push_matches_pull(P)
     _assert_push_matches_pull(dual(P))
 
@@ -246,13 +245,15 @@ def test_coeff_C_trivial_is_binomial():
 
 
 def test_coeff_C_b3_against_symbolic_expansion():
-    b3 = boolean_lattice(3)
-    _, g = naive_toric(list(b3.labels), b3.covers())
-    assert p_trim(g) == [1]  # ghat = 1 + 0x
-    for u in range(3, 9):
-        for v in range(0, 9):
-            expected = sum(sign(l) * int(c) * binom(u - 3, v - l) for l, c in enumerate(g))
-            assert coeff_C(b3, u, v) == expected == binom(u - 3, v)
+    # B_3 has ĝ = 1, so C is the plain binomial; the pentagon's ĝ = 1 + 2x
+    # shows the sign (−1)^l and the shift v − l
+    for T, ghat in ((boolean_lattice(3), [1]), (polygon_lattice(5), [1, 2])):
+        _, g = naive_toric(list(T.labels), T.covers())
+        assert p_trim(g) == ghat
+        for u in range(3, 9):
+            for v in range(0, 9):
+                expected = sum(sign(l) * int(c) * binom(u - 3, v - l) for l, c in enumerate(g))
+                assert coeff_C(T, u, v) == expected
 
 
 def test_coeff_C_bad_arguments():

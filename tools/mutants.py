@@ -6,13 +6,17 @@ Each mutant is a textual edit ``(path, old, new, note)`` of one file under
 ``src/``; ``old`` occurs exactly once in that file (tests/test_mutants.py
 checks this list against the tree). The script copies ``--root`` (default:
 the checkout this file is in) to a temporary directory once, without
-``.git`` and caches. For each mutant it writes the edit, runs the whole
-tier-1 suite there with ``pytest -x`` and a fixed hypothesis seed, and puts
-the file back. A mutant is killed when the suite fails or runs past the
-timeout. A mutant with an ``equivalent`` reason computes the same values as
-the kernel, so it is expected to survive. The exit status is 1 when a
-mutant survives that is not marked equivalent, or a mutant marked equivalent
-is killed. Standard library only; the test run needs pytest and hypothesis.
+``.git`` and caches, and turns hypothesis shrinking off in that copy:
+shrinking changes which example a failure reports, not whether the suite
+fails. For each mutant it writes the edit, runs the whole tier-1 suite there
+with a fixed hypothesis seed, collection errors reported per module, and a
+JUnit XML report, and puts the file back. It prints the ids of the tests that
+failed under each mutant (its kill set), then the tests that killed none. A
+mutant is killed when the suite fails or runs past the timeout. A mutant
+with an ``equivalent`` reason computes the same values as the kernel, so it
+is expected to survive. The exit status is 1 when a mutant survives that is
+not marked equivalent, or a mutant marked equivalent is killed. Standard
+library only; the test run needs pytest and hypothesis.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import xml.etree.ElementTree as ET
 from pathlib import Path
 from typing import NamedTuple
 
@@ -31,6 +36,13 @@ ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT_S = 300
 # this check reads the unmutated list, so a mutant of the tree fails it by design
 LIST_CHECK = "tests/test_mutants.py::test_every_mutant_applies_once"
+# appended to the copy's tests/conftest.py; the test modules read the profile
+# when their @settings decorators run
+NO_SHRINK = """
+from hypothesis import Phase, settings as _settings
+_settings.register_profile("mutants", phases=(Phase.explicit, Phase.reuse, Phase.generate))
+_settings.load_profile("mutants")
+"""
 
 
 class Mutant(NamedTuple):
@@ -149,6 +161,16 @@ MUTANTS = (
     Mutant(POS, "e = mu + 1 if (rank[t] ^ rs) & 1 else mu - 1",
            "e = mu + 1 if not (rank[t] ^ rs) & 1 else mu - 1",
            "interval errors: the parity test inverted"),
+    # --- poset construction, Boolean lower intervals and P* ---
+    Mutant(POS, "if ranks[j] != ranks[i] + 1:", "if ranks[j] > ranks[i] + 2:",
+           "gradedness: a cover that skips one rank accepted"),
+    Mutant(POS, "and len({down[c] & atoms for c in lower}) == r)", ")",
+           "boolean intervals: the distinct atom sets not tested"),
+    Mutant(POS, "below.bit_count() == 1 << r", "below.bit_count() >= 1 << r",
+           "boolean intervals: more than 2^r elements accepted"),
+    Mutant(POS, "key=lambda i: (-rank[i], i))",
+           "key=lambda i: (-rank[i], label_sort_key(P.labels[i]), -i))",
+           "dual: labels that tie kept in reverse input order"),
     # --- flag and chain tables ---
     Mutant(POS, "counts[rm | bit] = counts.get(rm | bit, 0) + c",
            "counts[rm] = counts.get(rm, 0) + c",
@@ -160,6 +182,8 @@ MUTANTS = (
            "chain errors: the chain-length sign flipped"),
     Mutant(CX, "out[m] - out[m ^ bit] if signed", "out[m] + out[m ^ bit] if signed",
            "subset transform: the signed branch adds"),
+    Mutant(CX, "if signed else out[m] + out[m ^ bit]", "if signed else out[m] + out[m]",
+           "subset transform: the unsigned branch adds the set to itself"),
     Mutant(CX, "full = (1 << d) - 1", "full = (1 << (d - 1)) - 1",
            "flag rows: S^c taken in [d−1]"),
     # --- f to h ---
@@ -183,6 +207,12 @@ MUTANTS = (
            "toric: negative ĝ coefficients not pushed"),
     Mutant(TOR, "[[0] * P.n for _ in range((r + 1) // 2)]", "[[0] * P.n for _ in range(r // 2)]",
            "toric: one column too few for odd ranks"),
+    Mutant(TOR, "        coeffs[k] = half\n", "        coeffs[k] = 2 * half\n",
+           "star sum: the half term taken whole"),
+    Mutant(TOR, "sign(l) * c * binom(u - rho, v - l)", "c * binom(u - rho, v - l)",
+           "C(T,u,v): the sign (−1)^l dropped"),
+    Mutant(TOR, "binom(u - rho, v - l) for l, c", "binom(u - rho, v + l) for l, c",
+           "C(T,u,v): the binomial read at v + l"),
     # --- refusals come before any table ---
     Mutant(TOR, "    rhs = [lower_eulerian_defect(P, k) for k in range(d + 1)]  # refuses before any table\n"
                 "    seq = defect_sequence(P)",
@@ -206,17 +236,33 @@ MUTANTS = (
 )
 
 
-def _run(tree: Path) -> str:
+def _failed(report: Path) -> tuple[list[str], list[str]]:
+    """(every test id, the failed ones) of a JUnit XML report, as ``module::test``;
+    a module that failed to collect is listed as ``::module``."""
+    ids, failed = [], []
+    for case in ET.parse(report).getroot().iter("testcase"):
+        ids.append(f"{case.get('classname')}::{case.get('name')}")
+        if case.find("failure") is not None or case.find("error") is not None:
+            failed.append(ids[-1])
+    return ids, failed
+
+
+def _run(tree: Path) -> tuple[str, list[str], list[str]]:
+    """(verdict, every test id, the failed ones) of one tier-1 run in ``tree``."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env.update(PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     shutil.rmtree(tree / ".hypothesis", ignore_errors=True)
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-           "--hypothesis-seed=0", "--deselect", LIST_CHECK, "tests"]
+    report = tree.parent / "junit.xml"
+    report.unlink(missing_ok=True)
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+           "--continue-on-collection-errors", "--hypothesis-seed=0",
+           "--deselect", LIST_CHECK, f"--junitxml={report}", "tests"]
     try:
         proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        return "killed (timeout)"
-    return "survived" if proc.returncode == 0 else "killed"
+        return "killed (timeout)", [], []
+    ids, failed = _failed(report) if report.exists() else ([], [])
+    return ("survived" if proc.returncode == 0 else "killed"), ids, failed
 
 
 def main(argv=None) -> int:
@@ -229,12 +275,17 @@ def main(argv=None) -> int:
         tree = Path(tmp) / "tree"
         shutil.copytree(args.root, tree, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".hypothesis", ".pytest_cache", "out"))
+        with open(tree / "tests" / "conftest.py", "a", encoding="utf-8") as conftest:
+            conftest.write(NO_SHRINK)
         start = time.perf_counter()
-        base = _run(tree)
-        print(f"unmutated: {base} ({time.perf_counter() - start:.0f} s)", flush=True)
+        base, tests, failed = _run(tree)
+        print(f"unmutated: {base} ({time.perf_counter() - start:.0f} s, {len(tests)} tests)",
+              flush=True)
         if base != "survived":
             print("the unmutated suite fails; no mutant can be judged")
+            print("".join(f"    {t}\n" for t in failed), end="")
             return 1
+        idle = dict.fromkeys(tests)
         for m in MUTANTS:
             target = tree / m.path
             text = target.read_text(encoding="utf-8")
@@ -245,13 +296,18 @@ def main(argv=None) -> int:
                 continue
             target.write_text(text.replace(m.old, m.new), encoding="utf-8")
             try:
-                verdict = _run(tree)
+                verdict, _, failed = _run(tree)
             finally:
                 target.write_text(text, encoding="utf-8")
             counts[verdict.split()[0]] += 1
             bad += verdict.startswith("survived") != bool(m.equivalent)
             mark = f" [equivalent: {m.equivalent}]" if m.equivalent else ""
-            print(f"{verdict:16} {m.path}: {m.note}{mark}", flush=True)
+            print(f"{verdict:16} {m.path}: {m.note}{mark} ({len(failed)} tests)", flush=True)
+            print("".join(f"    {t}\n" for t in failed), end="", flush=True)
+            for t in failed:
+                idle.pop(t, None)
+    print(f"{len(idle)} of {len(tests)} tests kill no mutant:")
+    print("".join(f"    {t}\n" for t in idle), end="")
     print(f"{len(MUTANTS)} mutants: " + ", ".join(f"{n} {k}" for k, n in counts.items())
           + f"; {bad} unexpected", flush=True)
     return 1 if bad else 0
