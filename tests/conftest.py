@@ -5,10 +5,10 @@ import sys
 
 import pytest
 
-from dehnsom.generators import (cross_polytope, face_poset, random_graded_poset, rp2_6,
-                                suspension, torus_7)
+from dehnsom.generators import (boolean_lattice, cross_polytope, face_poset, random_graded_poset,
+                                rp2_6, suspension, torus_7)
 from dehnsom.complexes import build_complex
-from dehnsom.posets import build_poset
+from dehnsom.posets import build_poset, order_complex
 
 # the shapes (elements per proper rank) of the seeded graded posets
 RANKS = ((2, 3, 2), (3, 3), (2, 2, 2, 2), (3, 2, 3, 2), (4, 1, 4), (1, 3, 1, 3, 1),
@@ -84,6 +84,12 @@ def susp_poset(susp_torus):
 @pytest.fixture(scope="session")
 def susp2_poset(susp_torus):
     return face_poset(suspension(susp_torus), True)
+
+
+@pytest.fixture(scope="session")
+def hexagon():
+    """The order complex of B_3: a hexagon, balanced by rank."""
+    return order_complex(boolean_lattice(3))
 
 
 @pytest.fixture(scope="session")

@@ -20,13 +20,7 @@ from dehnsom.complexes import (
     subset_label,
 )
 from dehnsom.errors import ColorInS, DehnsomError, NotBalanced, NotPure
-from dehnsom.generators import (
-    boolean_lattice,
-    cross_polytope,
-    cycle,
-    face_poset,
-    random_graded_poset,
-)
+from dehnsom.generators import cross_polytope, cycle, face_poset, random_graded_poset
 from dehnsom.polynomial import binom, sign
 from dehnsom.posets import order_complex, verify_flag_poset
 
@@ -42,11 +36,6 @@ from oracles import (
 @pytest.fixture(scope="module")
 def c4():
     return validate_coloring(cycle(4), {0: 1, 1: 2, 2: 1, 3: 2})
-
-
-@pytest.fixture(scope="module")
-def hexagon():
-    return order_complex(boolean_lattice(3))
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +186,8 @@ def test_short_flag_sum_examples(c4, hexagon):
 
     with pytest.raises(ColorInS):
         short_flag_sum(c4, [1], 1)
+    with pytest.raises(NotBalanced, match=r"^S must be a subset of the colors 1\.\.2$"):
+        short_flag_sum(c4, [3], 1)
 
 
 @pytest.mark.parametrize("S,i", [
@@ -275,6 +266,11 @@ def test_colors_outside_one_to_d_are_refused():
         for colors in ([bal.d + 1], [1, bal.d + 1]):
             with pytest.raises(NotBalanced):
                 fv[colors]
+    # a coloring by more colors than the facets have vertices
+    v = bal.complex.vertices[0]
+    with pytest.raises(NotBalanced) as exc:
+        BalancedComplex(bal.complex, {**bal.kappa, v: bal.d + 1})
+    assert str(exc.value) == f"colors outside 1..{bal.d} at {[v]}"
 
 
 def test_one_subset_label_for_color_and_rank_sets():

@@ -192,6 +192,10 @@ def test_short_h_examples():
     assert short_h_vector(simplex_boundary(3)) == (4, 4, 4)
     assert short_h_vector(cycle(4)) == (4, 4)
     assert short_h_vector(build_complex([(1, 2)])) == (2, 0)
+    with pytest.raises(NotPure, match="^short h-numbers need a pure complex$"):
+        short_h_vector(build_complex([(1, 2, 3), (3, 4)]))
+    with pytest.raises(EmptyInput, match="^short h-vector needs d >= 1$"):
+        short_h_vector(SimplicialComplex([()]))  # only the empty face
 
 
 @pytest.mark.parametrize("maker", [

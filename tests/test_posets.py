@@ -12,16 +12,7 @@ from dehnsom.complexes import (
     link,
     reduced_euler_characteristic,
 )
-from dehnsom.errors import (
-    CycleDetected,
-    InternalError,
-    NotAChain,
-    NotComparable,
-    NotGraded,
-    NotSimplicial,
-    NoUniqueBottom,
-    NoUniqueTop,
-)
+from dehnsom.errors import InternalError, NotAChain, NotComparable, NotGraded, NotSimplicial
 from dehnsom.generators import (
     boolean_lattice,
     chain,
@@ -90,15 +81,6 @@ def test_build_rejects_non_graded():
     assert len(c1) != len(c2)
 
 
-def test_build_rejects_bad_extremes_and_cycles():
-    with pytest.raises(NoUniqueBottom):
-        build_poset(["a", "b", "t"], [("a", "t"), ("b", "t")])
-    with pytest.raises(NoUniqueTop):
-        build_poset(["b", "x", "y"], [("b", "x"), ("b", "y")])
-    with pytest.raises(CycleDetected):
-        build_poset(["a", "b"], [("a", "b"), ("b", "a")])
-
-
 def test_mobius_covers_and_chains():
     c3 = chain(3)
     assert c3.mobius("c0", "c1") == -1
@@ -106,6 +88,8 @@ def test_mobius_covers_and_chains():
     assert c3.mobius("c0", "c3") == 0
     with pytest.raises(NotComparable):
         boolean_lattice(2).mobius("1", "2")
+    with pytest.raises(NotComparable, match="^unknown element 'c9'$"):
+        c3.index("c9")
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -196,6 +180,8 @@ def test_chain_validation(torus_poset):
         chain_error(torus_poset, ["(0)", "(1)"])  # incomparable vertices
     with pytest.raises(NotAChain):
         chain_error(torus_poset, ["()"])  # bottom not allowed
+    with pytest.raises(NotAChain, match="^repeated elements$"):
+        chain_error(torus_poset, ["(0)", "(0)"])
 
 
 def test_link_euler_product_formula(torus_poset):
@@ -212,6 +198,8 @@ def test_flag_alpha_beta_examples():
     b3 = boolean_lattice(3)
     assert flag_alpha_beta(b3, []) == (1, 1)
     assert flag_alpha_beta(b3, [1, 2]) == (6, 1)
+    with pytest.raises(NotComparable, match=r"^S must be a subset of \[2\]$"):
+        flag_alpha_beta(b3, [3])
 
 
 @pytest.mark.parametrize("maker", [

@@ -95,11 +95,6 @@ def test_record_reprs_and_indexing():
         h.impure = True
 
 
-@pytest.fixture(scope="module")
-def hexagon():
-    return order_complex(boolean_lattice(3))
-
-
 def test_balanced_complex_is_immutable(hexagon):
     for name in ("complex", "kappa", "color_relabeling", "face_colors", "other"):
         with pytest.raises(AttributeError):

@@ -53,9 +53,10 @@ class Mutant(NamedTuple):
     equivalent: str = ""  # why the mutant computes the same values, if it does
 
 
-CX, BAL, POS, TOR, SUITE, GEN, POLY = (
+CX, BAL, POS, TOR, SUITE, GEN, POLY, REP = (
     f"src/dehnsom/{m}.py"
-    for m in ("complexes", "balanced", "posets", "toric", "suite", "generators", "polynomial"))
+    for m in ("complexes", "balanced", "posets", "toric", "suite", "generators", "polynomial",
+              "reports"))
 
 MUTANTS = (
     # --- the closure pass (_set_runs) ---
@@ -223,6 +224,22 @@ MUTANTS = (
            '    """A_k = (−1)^{d−k+1} C(d,k) e(0̂,1̂) on a semi-Eulerian poset, for all k."""\n'
            "    defect_sequence(P)\n",
            "refusal: swartz builds the defect before it refuses"),
+    # --- refusals of bad input (tests/test_cli.py's REFUSALS) ---
+    Mutant(POS, "if lo == hi:", "if False:",
+           "refusal: a self-cover refused as a cycle, with another message"),
+    Mutant(BAL, "if kappa is not None:", "if False:",
+           "refusal: a second colors: header accepted"),
+    Mutant(GEN, "if not isinstance(value, bool):", "if False:",
+           "refusal: a number accepted where a boolean is wanted"),
+    Mutant(REP, 'and "lhs" in r and "rhs" in r):', "):",
+           "refusal: a report row without 'lhs' or 'rhs' escapes as a KeyError"),
+    Mutant(POS, "if len(set(elements)) != len(elements):", "if False:",
+           "refusal: repeated element labels read as one poset"),
+    Mutant(POS, "if not (isinstance(elements, list) and isinstance(covers, list)):", "if False:",
+           "refusal: poset JSON whose elements are not a list escapes as a TypeError"),
+    Mutant(GEN, 'if d < 1:\n        raise BadParams("simplex_boundary',
+           'if d < 0:\n        raise BadParams("simplex_boundary',
+           "refusal: simplex_boundary(0) accepted"),
     # --- the catalog run ---
     Mutant(GEN, "if key not in memo:", "if True:",
            "catalog: every spec generates its object again"),
