@@ -158,8 +158,10 @@ def verify_flag_ds(bal: BalancedComplex, name: str = "") -> VerificationReport:
         err_by_size[c.bit_count()] += e
     rows = flag_rows(h.values, err_by_mask, d)
     # refinement: row sums over |S| = i must reproduce the pure identity at index i
-    for i in range(d + 1):
-        lhs = sum(r.lhs for m, r in enumerate(rows[:1 << d]) if m.bit_count() == i)
+    lhs_by_size = [0] * (d + 1)
+    for m, r in enumerate(rows):
+        lhs_by_size[m.bit_count()] += r.lhs
+    for i, lhs in enumerate(lhs_by_size):
         rhs = sign(i - 1) * sum(binom(d - k, i) * e for k, e in enumerate(err_by_size))
         rows.append(Row(index=f"refine |S|={i}", lhs=lhs, rhs=rhs))
     return VerificationReport("flag-ds", {"object": name or repr(bal.complex), "d": d},

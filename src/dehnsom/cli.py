@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from . import balanced as bl
 from . import complexes as cx
@@ -152,14 +153,13 @@ def cmd_verify(args) -> int:
             reports = verify_all(obj, name)
         else:
             reports = [verify(args.identity, obj, name)]
-    dicts = _print_reports(args, reports)
-    if not args.json:
-        print(f"{sum(r.passed for r in reports)}/{len(reports)} reports passed")
-    if args.out:
-        if dicts is None:
-            dicts = [r.to_dict() for r in reports]
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(json.dumps(dicts, indent=1))
+    # -o PATH is opened first: a PATH that cannot be written prints no report
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext() as out:
+        dicts = _print_reports(args, reports)
+        if not args.json:
+            print(f"{sum(r.passed for r in reports)}/{len(reports)} reports passed")
+        if out:
+            out.write(json.dumps(dicts or [r.to_dict() for r in reports], indent=1))
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -7,7 +7,8 @@ index order for O(P), the parent's order for ``link`` and
 ``rank_selected``. Every construction ends in one pass, run by run of faces
 with the same top vertex, that checks closure, finds purity and the facet
 positions, and keeps the run starts (``_starts``), the face sizes
-(``_sizes``) and the drop columns (``_cols``). ``from_masks`` sorts the masks
+(``_sizes``) and the drop columns (``_cols``), each run's slice of a column
+made by C-level gathers. ``from_masks`` sorts the masks
 and finds each face's parent (the face minus its top vertex) in a transient
 position table, the only place a mask is hashed, and keeps its masks;
 ``from_runs`` (for O(P)) is given the parents and makes no mask. Per-face
@@ -23,8 +24,9 @@ always a face.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import lru_cache
 from itertools import accumulate, chain, compress, repeat
-from operator import eq, lt, sub, xor
+from operator import eq, itemgetter, lt, sub, xor
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyInput, FaceNotInComplex, InternalError, NotPure, ParseError
@@ -55,6 +57,13 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _gather(keys: Sequence, seq) -> tuple:
+    """(seq[k] for k in keys) as a tuple, by one C-level call; raises as seq[k] would."""
+    if len(keys) > 1:
+        return itemgetter(*keys)(seq)
+    return (seq[keys[0]],) if keys else ()
+
+
 def _vertex_sums(starts: Sequence[int], cols: Sequence[list], values: Sequence[int]) -> list[int]:
     """Σ values[i] over the vertices i of every face, in position order, of
     the faces with run starts ``starts`` and drop columns ``cols``. The faces
@@ -63,7 +72,7 @@ def _vertex_sums(starts: Sequence[int], cols: Sequence[list], values: Sequence[i
     sums = [0] * starts[-1]
     for value, lo, hi in zip(values, starts, starts[1:]):
         if lo < hi:  # an empty run reads no column: only-∅ has none
-            sums[lo:hi] = map(value.__add__, map(sums.__getitem__, cols[0][lo:hi]))
+            sums[lo:hi] = map(value.__add__, _gather(cols[0][lo:hi], sums))
     return sums
 
 
@@ -160,27 +169,33 @@ class SimplicialComplex:
     def _set_runs(self, verts: tuple, ids: list, parents: list, masks: list | None = None) -> None:
         """The pass both constructors end in: ``parents[t]`` the positions
         (ints of ``ids``) of run t minus t, and ``masks``, when the caller
-        has them, the faces' sorted distinct masks."""
+        has them, the faces' sorted distinct masks. A run's sizes and column
+        slices are C-level gathers (``_gather``), its levels stop at its
+        largest size, and each level marks the faces it holds as non-facets."""
         bit = {v: 1 << i for i, v in enumerate(verts)}
         if len(bit) != len(verts):
             raise InternalError("a vertex is repeated")
         # column 0 of F = p + t is p; column j is column j−1 of p with t added
         # (the run's face above it), or n where that is n. A missing parent (n)
-        # is an IndexError of sizes, a missing face below a KeyError of face_at
+        # is an IndexError of sizes, a missing face below a KeyError of face_at;
+        # a face some column holds lies in a larger face, so it is no facet
         n = len(ids)
-        cols, sizes = [], bytearray(n)
+        cols, sizes, facet = [], bytearray(n), bytearray(b"\1") * (n + 1)
         starts = list(accumulate(map(len, parents), initial=1))
         try:
             for run, lo, hi in zip(parents, starts, starts[1:]):
-                sizes[lo:hi] = grown = bytes(map(sizes.__getitem__, run)).translate(_PLUS_ONE)
+                sizes[lo:hi] = grown = bytes(_gather(run, sizes)).translate(_PLUS_ONE)
+                depth = max(grown, default=0)
+                cols += ([n] * n for _ in range(len(cols), depth))
                 face_at = dict(zip(run, ids[lo:hi]))
                 face_at[n] = n
                 level = run
-                for j in range(max(grown, default=0)):
-                    if j == len(cols):
-                        cols.append([n] * n)
-                    cols[j][lo:hi] = level
-                    level = map(face_at.__getitem__, map(cols[j].__getitem__, run))
+                for j, col in enumerate(cols[:depth]):
+                    if j:
+                        level = _gather(_gather(run, cols[j - 1]), face_at)
+                    col[lo:hi] = level
+                    for p in level:
+                        facet[p] = 0
         except (IndexError, KeyError):  # name the smallest face lacking a face below
             if masks is None:  # the runs' masks, sorted: a run's parents increase
                 masks = _vertex_sums(starts, [[0, *chain.from_iterable(parents)]],
@@ -189,10 +204,6 @@ class SimplicialComplex:
             m = next(m for m in masks if any(m ^ (1 << i) not in family for i in _bits(m)))
             face = {verts[i] for i in _bits(m)}
             raise InternalError(f"family not closed under inclusion at {face}") from None
-        covered = bytearray(n + 1)  # slot n takes the "none" entries
-        for col in cols:
-            for p in col:
-                covered[p] = 1
         used = list(map(bool, parents))
         if not all(used):
             # drop the unused vertices with their empty runs; positions and
@@ -201,8 +212,7 @@ class SimplicialComplex:
             verts = tuple(compress(verts, used))
             bit = {v: 1 << i for i, v in enumerate(verts)}
             masks = None
-        # the faces some column reaches are exactly the non-maximal faces
-        facets = tuple(k for k, c in zip(ids, covered) if not c)
+        facets = tuple(compress(ids, facet))
         dim = max(sizes) - 1
         pure = all(map((dim + 1).__eq__, map(sizes.__getitem__, facets)))
         object.__setattr__(self, "dim", dim)
@@ -377,8 +387,14 @@ def flag_rows(h: Sequence[int], errors: Sequence[int], d: int) -> list[Row]:
     both tables indexed by bitmask."""
     full = (1 << d) - 1
     below = subset_transform(errors, d, signed=False)
-    return [Row(index=f"S={subset_label(m)}", lhs=h[m] - h[full ^ m],
-                rhs=sign(d - m.bit_count()) * below[m]) for m in range(1 << d)]
+    return [Row(index=index, lhs=h[m] - h[full ^ m], rhs=sign(d - m.bit_count()) * below[m])
+            for m, index in enumerate(_flag_indexes(d))]
+
+
+@lru_cache(maxsize=4)
+def _flag_indexes(d: int) -> tuple[str, ...]:
+    """The row index "S={…}" of every S ⊆ [d], by bitmask; made once per d."""
+    return tuple(f"S={subset_label(m)}" for m in range(1 << d))
 
 
 def ds_rows(h: Sequence[int], by_size: Sequence[int], d: int) -> list[Row]:

@@ -636,7 +636,7 @@ def parse_poset_json(text: str) -> GradedPoset:
         data = json.loads(text)
         elements = data["elements"]
         covers = data["covers"]
-    except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:  # ValueError: bad JSON
         raise ParseError(f"bad poset JSON: {exc}") from exc
     if not (isinstance(elements, list) and isinstance(covers, list)):
         raise ParseError("bad poset JSON: elements and covers must be lists")

@@ -43,22 +43,19 @@ class VerificationReport(NamedTuple):
         return all(r.ok for r in self.rows)
 
     def to_dict(self) -> dict:
+        rows, passed = [], True
+        for r in self.rows:  # each residual once, and `pass` read off the same loop
+            residual = r.lhs - r.rhs
+            passed = passed and (residual == 0 or not r.asserted)
+            rows.append({"index": r.index, "lhs": _jsonable(r.lhs), "rhs": _jsonable(r.rhs),
+                         "residual": _jsonable(residual), "asserted": r.asserted,
+                         **({"note": r.note} if r.note else {})})
         return {
             "schema": SCHEMA_VERSION,
             "identity": self.identity,
             "parameters": {k: _jsonable(v) for k, v in self.parameters.items()},
-            "rows": [
-                {
-                    "index": r.index,
-                    "lhs": _jsonable(r.lhs),
-                    "rhs": _jsonable(r.rhs),
-                    "residual": _jsonable(r.residual),
-                    "asserted": r.asserted,
-                    **({"note": r.note} if r.note else {}),
-                }
-                for r in self.rows
-            ],
-            "pass": self.passed,
+            "rows": rows,
+            "pass": passed,
         }
 
     def format_table(self) -> str:

@@ -172,6 +172,9 @@ REFUSALS = [
         ("seed-verify", "verify all", "--seed 5"),
         ("seed-generate", "generate random_pure_complex(3,8,0.4)", "--seed 5")]],
     refusal("missing-file", "compute h missing", "OSError: [Errno 2] ..."),
+    # -o PATH is opened before any report is printed
+    *[refusal(f"unwritable-out{id}", f"verify ds --gen torus_7{flag} -o nodir/x.json",
+              "OSError: [Errno 2] ...") for id, flag in [("", ""), ("-json", " --json")]],
     # which input: a file or --gen SPEC, and its kind
     refusal("file-with-gen", "compute h --gen torus_7 /nonexistent",
             "ParseError: give a file path or --gen SPEC, not both"),
@@ -231,6 +234,9 @@ REFUSALS = [
             p='{"elements": ' + "[" * 200_000 + "]" * 200_000 + ', "covers": []}'),
     refusal("poset-missing-key", "classify p", "ParseError: bad poset JSON: 'covers'",
             p='{"elements": []}'),
+    refusal("poset-5000-digits", "classify p", "ParseError: bad poset JSON: Exceeds the "
+            "limit (4300 digits) for integer string conversion...",
+            p='{"elements": [' + "9" * 5000 + '], "covers": []}'),
     *[refusal(id, "classify p", diagnostic, p=_poset(elements, covers))
       for id, diagnostic, elements, covers in [
         ("poset-not-lists", "ParseError: bad poset JSON: elements and covers must be lists",

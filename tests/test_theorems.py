@@ -7,8 +7,10 @@ against mathematics rather than against an earlier version of themselves.
 
 from math import comb
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from dehnsom.balanced import flag_f_vector
 from dehnsom.complexes import (
     SimplicialComplex,
     f_vector,
@@ -20,6 +22,8 @@ from dehnsom.complexes import (
 )
 from dehnsom.generators import (
     face_poset,
+    generate,
+    parse_spec,
     random_pure_complex,
     suspension,
     torus_7,
@@ -28,7 +32,6 @@ from dehnsom.posets import dual, flag_alpha_beta, order_complex, verify_flag_pos
 from dehnsom.toric import toric_pair
 
 from conftest import seeded_poset
-
 
 
 def _random_complex(seed):
@@ -150,3 +153,50 @@ def test_flag_poset_rows_of_the_dual_reverse_ranks(seed, density):
 
 def test_flag_poset_rows_of_the_dual_reverse_ranks_on_the_torus_face_poset():
     _assert_dual_flag_rows_reverse_ranks(face_poset(torus_7(), True))
+
+
+# --- the link sweep's sums against face counts (double counting) -------------
+# χ̃(lk F) = Σ_{H ⊇ F} (−1)^{|H∖F|−1} over the faces H, so summing it over a
+# class of faces F counts pairs F ⊆ H. These sums read f and must stay out of
+# src/: there they would give ds and flag-ds an f on both sides.
+
+def _assert_link_sums_by_size(sizes, chi, f):
+    # Σ_{|F|=k} χ̃(lk F) = Σ_s (−1)^{s−k−1} C(s, k) f_s: a face with s vertices
+    # has C(s, k) faces of k vertices below it, each at distance s − k
+    by_size = [0] * len(f)
+    for k, x in zip(sizes, chi):
+        by_size[k] += x
+    assert by_size == [sum((-1) ** (s - k - 1) * comb(s, k) * f[s] for s in range(k, len(f)))
+                       for k in range(len(f))]
+
+
+def _assert_link_sums_of_balanced(bal):
+    # and, by color set, Σ_{col F=T} χ̃(lk F) = Σ_{U⊇T} (−1)^{|U∖T|−1} f_U: a
+    # face with colors U ⊇ T has exactly one face with colors T below it
+    chi, colors, d = link_euler_values(bal.complex), bal.face_colors, bal.d
+    _assert_link_sums_by_size(map(int.bit_count, colors), chi, f_vector(bal.complex).entries)
+    by_colors = [0] * (1 << d)
+    for c, x in zip(colors, chi):
+        by_colors[c] += x
+    f = flag_f_vector(bal)
+    assert by_colors == [sum((-1) ** ((U ^ T).bit_count() - 1) * f.by_mask(U)
+                             for U in range(1 << d) if U & T == T) for T in range(1 << d)]
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(min_value=0, max_value=10**9), density=st.sampled_from((0.3, 0.5, 0.8)))
+def test_link_sums_count_faces_on_seeded_inputs(seed, density):
+    cx = _random_complex(seed)
+    table = link_euler_table(cx)
+    _assert_link_sums_by_size(map(int.bit_count, table), table.values(), f_vector(cx).entries)
+    P = seeded_poset(seed, density)
+    _assert_link_sums_of_balanced(order_complex(P))
+    _assert_link_sums_of_balanced(order_complex(dual(P)))
+
+
+@pytest.mark.parametrize("spec", ["chain(1)", "chain(2)", "boolean_lattice(2)", "chain(3)",
+                                  "boolean_lattice(7)", "boolean_lattice(8)"])
+def test_link_sums_count_faces_on_order_complexes(spec):
+    # ranks 1 and 2 (O(P) only ∅, one vertex, two points), then O(B_7) and
+    # O(B_8), with 47,293 and 545,835 faces, where no per-face reference runs
+    _assert_link_sums_of_balanced(order_complex(generate(parse_spec(spec))))

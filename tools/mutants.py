@@ -60,8 +60,8 @@ CX, BAL, POS, TOR, SUITE, GEN, POLY, REP = (
 
 MUTANTS = (
     # --- the closure pass (_set_runs) ---
-    Mutant(CX, "map(face_at.__getitem__, map(cols[j].__getitem__, run))",
-           "map(face_at.__getitem__, map(cols[0].__getitem__, run))",
+    Mutant(CX, "level = _gather(_gather(run, cols[j - 1]), face_at)",
+           "level = _gather(_gather(run, cols[0]), face_at)",
            "closure: every level built from the parents' parent column"),
     Mutant(CX, "face_at[n] = n", "pass",
            "closure: no \"none\" entry in the run's parent-to-face dict"),
@@ -69,16 +69,15 @@ MUTANTS = (
            "closure: a missing parent read as the empty face"),
     Mutant(CX, "except (IndexError, KeyError):", "except KeyError:",
            "closure: a missing parent escapes as an IndexError"),
-    Mutant(CX, "bytes(map(sizes.__getitem__, run)).translate(_PLUS_ONE)",
-           "bytes(map(sizes.__getitem__, run))",
+    Mutant(CX, "bytes(_gather(run, sizes)).translate(_PLUS_ONE)", "bytes(_gather(run, sizes))",
            "closure: a face's size is its parent's, not one more"),
-    Mutant(CX, "for j in range(max(grown, default=0)):",
-           "for j in range(max(grown, default=0) - 1):",
+    Mutant(CX, "depth = max(grown, default=0)", "depth = max(grown, default=0) - 1",
            "closure: the level loop stops one short"),
-    Mutant(CX, "for col in cols:\n            for p in col:",
-           "for col in cols[:1]:\n            for p in col:",
+    Mutant(CX, "for p in level:", "for p in () if j else level:",
            "closure: facets marked from the parent column only"),
-    Mutant(CX, "covered[p] = 1", "covered[p] = 0",
+    Mutant(CX, "for p in level:", "for p in level if j < 2 else ():",
+           "closure: faces marked covered from the parents and one looked-up level only"),
+    Mutant(CX, "facet[p] = 0", "facet[p] = 1",
            "closure: no face marked covered"),
     Mutant(CX, "used = list(map(bool, parents))", "used = [True] * len(parents)",
            "closure: unused vertices kept"),
@@ -89,7 +88,7 @@ MUTANTS = (
            "closure: the kept vertices' runs shifted by one"),
     Mutant(CX, "all(map((dim + 1).__eq__,", "all(map(dim.__eq__,",
            "closure: purity read from dim, not dim + 1"),
-    Mutant(CX, "for k, c in zip(ids, covered) if not c)", "for k, c in zip(ids, covered) if c)",
+    Mutant(CX, "tuple(compress(ids, facet))", "tuple(compress(ids, map((0).__eq__, facet)))",
            "closure: the facet positions taken from the covered faces"),
     Mutant(CX, "if any(map(eq, masks, masks[1:])):", "if any(map(eq, masks, masks[2:])):",
            "closure: the repeat test loosened to three in a row"),
@@ -97,6 +96,9 @@ MUTANTS = (
            "closure: the repeat drop loses the largest mask"),
     Mutant(CX, "m = next(m for m in masks if any(", "m = next(m for m in reversed(masks) if any(",
            "closure: the rescan on KeyError names the largest unclosed face"),
+    Mutant(CX, "    if len(keys) > 1:\n        return itemgetter",
+           "    if keys:\n        return itemgetter",
+           "gather: one key gives a bare value, as an itemgetter of one key does"),
     # --- the link sweep ---
     Mutant(CX, "    for col in cols:\n        for k, t in zip(",
            "    for col in cols[:-1]:\n        for k, t in zip(",
@@ -104,12 +106,15 @@ MUTANTS = (
     Mutant(CX, "    for col in cols:\n        for k, t in zip(",
            "    for col in reversed(cols):\n        for k, t in zip(",
            "sweep: the levels in reverse order (the deepest vertex removed first)"),
+    Mutant(CX, "    for col in cols:\n        for k, t in zip(",
+           "    for col in cols[:6]:\n        for k, t in zip(",
+           "sweep: stops one level short on faces of 7 or more vertices"),
     Mutant(CX, "acc = [-1] * (n + 1)", "acc = [1] * (n + 1)",
            "sweep: the constant's sign flipped"),
     Mutant(CX, "zip(down, reversed(col))", "zip(down, col)",
            "sweep: each face pushes along another face's column entry"),
     # --- per-face sums ---
-    Mutant(CX, "map(sums.__getitem__, cols[0][lo:hi])", "map(sums.__getitem__, cols[-1][lo:hi])",
+    Mutant(CX, "_gather(cols[0][lo:hi], sums)", "_gather(cols[-1][lo:hi], sums)",
            "face sums: read from the deepest column, not the parents"),
     Mutant(CX, "zip(values, starts, starts[1:])", "zip(values[1:], starts, starts[1:])",
            "face sums: each run adds the next vertex's value"),
