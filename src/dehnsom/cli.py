@@ -1,14 +1,16 @@
 """Command-line surface: compute, classify, verify, generate, report.
 
 Exit codes: 0 on success, 1 when a requested verification fails, 2 on parse or
-validation errors. Errors go to stderr as one JSON object per failure so
-scripts can consume them.
+validation errors and on output that cannot be written. Errors go to stderr as
+one JSON object per failure so scripts can consume them.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from contextlib import nullcontext
 
@@ -239,12 +241,16 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, verbs = build_parser()
     try:
+        if sys.stdout is None:  # started with stdout closed: print() would drop every line
+            raise OSError(errno.EBADF, "stdout is closed")
         if argv and argv[0] in verbs:
             # a verb's options may come before, between or after its positionals
             args = verbs[argv[0]].parse_intermixed_args(argv[1:])
         else:
             args = parser.parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a block-buffered write can fail only here
+        return code
     except DehnsomError as exc:
         return _diagnose(type(exc).__name__, exc)
     except OSError as exc:
@@ -253,14 +259,37 @@ def main(argv=None) -> int:
 
 def _diagnose(error: str, exc: Exception) -> int:
     """Write the error to stderr as JSON and return exit code 2. The write is
-    best-effort: stderr may be the closed pipe that raised ``exc``, and exit
-    code 1 means only that a verification failed."""
-    try:
-        print(json.dumps({"error": error, "message": str(exc)}), file=sys.stderr)
-    except OSError:
-        pass
+    best-effort: stderr may be closed (None) or the broken pipe that raised
+    ``exc``, and exit code 1 means only that a verification failed."""
+    if sys.stderr is not None:  # print(file=None) would write to stdout
+        try:
+            sys.stderr.write(json.dumps({"error": error, "message": str(exc)}) + "\n")
+        except OSError:
+            pass
     return 2
 
 
+def run() -> None:
+    """The process entry point of ``python -m dehnsom.cli`` and the ``dehnsom``
+    script: ``main()``, whose ``--help`` exits by SystemExit, then both streams
+    flushed and the process ended by ``os._exit``, without the interpreter's
+    teardown (module cleanup and the final GC passes).
+
+    A stream that fails at this flush turns exit 0 into exit 2; a closed one
+    (None) is skipped. Exit 1 or 2 was decided by ``main()``, which has already
+    flushed stdout and diagnosed a failure there.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:  # --help
+        code = exc.code
+    for stream in filter(None, (sys.stdout, sys.stderr)):
+        try:
+            stream.flush()
+        except OSError as exc:
+            code = code or _diagnose("OSError", exc)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

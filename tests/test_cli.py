@@ -1,5 +1,7 @@
+import errno
 import io
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from dehnsom.cli import build_parser, main
+from dehnsom.cli import run as run_process
 from dehnsom.reports import VerificationReport
 from dehnsom.suite import IDENTITIES
 
@@ -445,6 +448,83 @@ def test_closed_pipes_exit_2(monkeypatch):
     monkeypatch.setattr(sys, "stdout", _ClosedPipe())
     monkeypatch.setattr(sys, "stderr", _ClosedPipe())
     assert main(["verify", "all", "--gen", "chain(1)", "--json"]) == 2
+
+
+class _FailsAtFlush(io.StringIO):
+    """Takes every write and fails at the flush, as a block-buffered stream on
+    a full disk, or on a descriptor that cannot be written, does."""
+
+    def __init__(self, err=errno.ENOSPC):
+        super().__init__()
+        self.err = err
+
+    def flush(self):
+        raise OSError(self.err, os.strerror(self.err))
+
+
+@pytest.mark.parametrize("stdout, diagnostic", [
+    (None, "OSError: [Errno 9] stdout is closed"),
+    (_FailsAtFlush(), "OSError: [Errno 28] No space left on device")], ids=["closed", "full"])
+def test_unwritable_stdout_exits_2(stdout, diagnostic, monkeypatch, capsys):
+    # `>&-` leaves sys.stdout None, where print() writes nothing; a full disk
+    # takes the report into the buffer and fails at the flush
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(["verify", "ds", "--gen", "cycle(5)", "--json"])
+    _assert_refusal(code, *capsys.readouterr(), diagnostic)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_disk_exits_2_through_the_process():
+    # without PYTHONUNBUFFERED a child's stdout is block-buffered, so the
+    # write fails only at the flush, not inside print()
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        r = subprocess.run([sys.executable, "-m", "dehnsom.cli", "verify", "ds", "--gen",
+                            "cycle(5)", "--json"], stdout=full, stderr=subprocess.PIPE,
+                           text=True, env=env)
+    _assert_refusal(r.returncode, "", r.stderr, "OSError: [Errno 28] No space left on device")
+
+
+class _Exited(Exception):
+    pass
+
+
+def _run_exit_code(monkeypatch, *argv):
+    """The code that ``run()``, the process entry point, gives ``os._exit``."""
+    def _exit(code):
+        raise _Exited(code)
+
+    monkeypatch.setattr(os, "_exit", _exit)
+    monkeypatch.setattr(sys, "argv", ["dehnsom", *argv])
+    with pytest.raises(_Exited) as exc:
+        run_process()
+    return exc.value.args[0]
+
+
+def test_run_exits_0_after_help(monkeypatch, capsys):
+    # main() ends --help by SystemExit(0); the other codes are checked through
+    # `python -m dehnsom.cli` by test_report_rendering and test_error_exit_codes
+    assert _run_exit_code(monkeypatch, "--help") == 0
+    assert "usage: dehnsom" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("stderr", [None, _FailsAtFlush(errno.EBADF)], ids=["closed", "bad-fd"])
+def test_run_keeps_exit_2_when_stderr_is_closed(stderr, monkeypatch, capsys):
+    # `2>&-` leaves sys.stderr None, or on a descriptor that start-up opened
+    # read-only; the diagnostic must not land on stdout either
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert _run_exit_code(monkeypatch, "verify", "ds", "--gen", "unknown(3)") == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "ds", "--gen", "cycle(5)", "--json"]],
+                         ids=["help", "verify"])
+def test_run_exits_2_once_when_stdout_fails_at_the_last_flush(argv, monkeypatch, capsys):
+    # --help leaves its text in the buffer for run() to flush; a report's
+    # failed flush was diagnosed by main(), so run() adds no second diagnostic
+    monkeypatch.setattr(sys, "stdout", _FailsAtFlush())
+    code = _run_exit_code(monkeypatch, *argv)
+    _assert_refusal(code, *capsys.readouterr(), "OSError: [Errno 28] No space left on device")
 
 
 @pytest.mark.parametrize("as_json", [False, True], ids=["table", "json"])

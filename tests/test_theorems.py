@@ -200,3 +200,20 @@ def test_link_sums_count_faces_on_order_complexes(spec):
     # ranks 1 and 2 (O(P) only ∅, one vertex, two points), then O(B_7) and
     # O(B_8), with 47,293 and 545,835 faces, where no per-face reference runs
     _assert_link_sums_of_balanced(order_complex(generate(parse_spec(spec))))
+
+
+@pytest.mark.parametrize("spec", ["chain(1)", "chain(2)", "boolean_lattice(2)",
+                                  "boolean_lattice(7)"])
+def test_hall_product_per_face_of_order_complexes(spec):
+    # P. Hall (Stanley, EC I, Prop. 3.8.5): a chain F = {c_1 < ... < c_k} of
+    # P∖{0̂,1̂} has χ̃(lk F) = (−1)^k μ(0̂,c_1)μ(c_1,c_2)···μ(c_k,1̂) in O(P); on
+    # O(B_7), all 47,293 faces
+    P = generate(parse_spec(spec))
+    cx = order_complex(P).complex
+    for mask, chi in link_euler_table(cx).items():
+        # P's index order is by rank, so it orders a chain
+        walk = [P.bottom_i, *sorted(map(P.index, cx.face_of(mask))), P.top_i]
+        product = (-1) ** (len(walk) - 2)
+        for s, t in zip(walk, walk[1:]):
+            product *= P.mobius_i(s, t)
+        assert chi == product, cx.face_of(mask)

@@ -53,10 +53,10 @@ class Mutant(NamedTuple):
     equivalent: str = ""  # why the mutant computes the same values, if it does
 
 
-CX, BAL, POS, TOR, SUITE, GEN, POLY, REP = (
+CX, BAL, POS, TOR, SUITE, GEN, POLY, REP, CLI = (
     f"src/dehnsom/{m}.py"
     for m in ("complexes", "balanced", "posets", "toric", "suite", "generators", "polynomial",
-              "reports"))
+              "reports", "cli"))
 
 MUTANTS = (
     # --- the closure pass (_set_runs) ---
@@ -245,6 +245,15 @@ MUTANTS = (
     Mutant(GEN, 'if d < 1:\n        raise BadParams("simplex_boundary',
            'if d < 0:\n        raise BadParams("simplex_boundary',
            "refusal: simplex_boundary(0) accepted"),
+    # --- the CLI's exit path (main() and the process entry point run()) ---
+    Mutant(CLI, "        sys.stdout.flush()  # a block-buffered write can fail only here\n",
+           "", "exit path: main() does not flush stdout"),
+    Mutant(CLI, "if sys.stdout is None:", "if False:",
+           "exit path: a closed stdout (None) runs the request and exits 0"),
+    Mutant(CLI, "    os._exit(code)", "    os._exit(0)",
+           "exit path: run() exits 0 whatever main() returned"),
+    Mutant(CLI, "        code = exc.code", "        code = 2",
+           "exit path: --help's SystemExit becomes exit 2"),
     # --- the catalog run ---
     Mutant(GEN, "if key not in memo:", "if True:",
            "catalog: every spec generates its object again"),
