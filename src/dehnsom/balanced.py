@@ -17,10 +17,11 @@ from .complexes import (
     parse_facets,
     subset_transform,
     _parse_label,
+    _text_lines,
 )
 from .errors import ColorInS, NotBalanced, NotPure, ParseError
 from .polynomial import binom, sign
-from .reports import Row, VerificationReport
+from .reports import Row, VerificationReport, report
 
 
 def _color_mask(colors: Iterable[int]) -> int:
@@ -164,8 +165,7 @@ def verify_flag_ds(bal: BalancedComplex, name: str = "") -> VerificationReport:
     for i, lhs in enumerate(lhs_by_size):
         rhs = sign(i - 1) * sum(binom(d - k, i) * e for k, e in enumerate(err_by_size))
         rows.append(Row(index=f"refine |S|={i}", lhs=lhs, rhs=rhs))
-    return VerificationReport("flag-ds", {"object": name or repr(bal.complex), "d": d},
-                              tuple(rows))
+    return report("flag-ds", bal.complex, name, rows, d=d)
 
 
 def short_flag_sum(bal: BalancedComplex, S: Iterable[int], i: int) -> int:
@@ -196,8 +196,7 @@ def parse_colors(text: str) -> dict:
     'colors:' prefix on a line; '#' comments are ignored. A label colored
     twice is a ParseError."""
     kappa = {}
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
+    for line in _text_lines(text):
         if line.startswith("colors:"):
             line = line[len("colors:"):]
         for pair in line.split():
@@ -219,16 +218,13 @@ def parse_balanced(text: str) -> BalancedComplex:
     """Facet-list format preceded by a 'colors:' header mapping labels to colors."""
     kappa = None
     facet_lines = []
-    for line in text.splitlines():
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if stripped.startswith("colors:"):
+    for line in _text_lines(text):
+        if line.startswith("colors:"):
             if kappa is not None:
                 raise ParseError("duplicate colors: header")
-            kappa = parse_colors(stripped)
+            kappa = parse_colors(line)
         else:
-            facet_lines.append(stripped)
+            facet_lines.append(line)
     if kappa is None:
         raise ParseError("missing colors: header")
     cx = parse_facets("\n".join(facet_lines))

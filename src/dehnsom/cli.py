@@ -111,24 +111,16 @@ def cmd_compute(args) -> int:
 def cmd_classify(args) -> int:
     obj = _load_target(args)[0]
     if isinstance(obj, ps.GradedPoset):
-        c = ps.classify_poset(obj, cross_check=args.check)
-        payload = {"eulerian": c.eulerian, "semi_eulerian": c.semi_eulerian,
-                   "lower_eulerian": c.lower_eulerian, "simplicial": c.simplicial,
-                   "min_j_sing": c.min_j_sing,
-                   "max_lower_simplicial_k": c.max_lower_simplicial_k}
+        payload = ps.classify_poset(obj, cross_check=args.check)._asdict()
         human = "\n".join(f"{k} = {v}" for k, v in payload.items())
     else:
         if args.check:
             as_kind(obj, POSET, "--check")  # refuses: --check cross-checks a poset only
         p = cx.singularity_profile(as_kind(obj, COMPLEX, "classify")[0])
-        payload = {"eulerian": p.eulerian, "semi_eulerian": p.semi_eulerian,
-                   "min_singular_j": p.min_singular_j,
-                   "error_set": [{"face": sorted(map(str, fe.face)), "epsilon": fe.epsilon}
-                                 for fe in p.error_set]}
-        human = (f"eulerian = {p.eulerian}\nsemi_eulerian = {p.semi_eulerian}\n"
-                 f"min_singular_j = {p.min_singular_j}\n"
-                 + "\n".join(f"  eps({sorted(map(str, fe.face))}) = {fe.epsilon}"
-                             for fe in p.error_set))
+        errors = [{"face": sorted(map(str, fe.face)), "epsilon": fe.epsilon} for fe in p.error_set]
+        payload = {**p._asdict(), "error_set": errors}
+        human = "".join(f"{k} = {v}\n" for k, v in payload.items() if k != "error_set")
+        human += "\n".join(f"  eps({fe['face']}) = {fe['epsilon']}" for fe in errors)
     _emit(args, payload, human)
     return 0
 

@@ -31,7 +31,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyInput, FaceNotInComplex, InternalError, NotPure, ParseError
 from .polynomial import ExactPolynomial, binom, sign
-from .reports import Row, VerificationReport
+from .reports import Row, VerificationReport, report
 
 Face = frozenset
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"  # bytes.translate table: a face size plus one
@@ -545,11 +545,7 @@ def verify_pure_ds(cx: SimplicialComplex, name: str = "") -> VerificationReport:
     eps = [0] * (d + 1)  # Σ ε(F) over the faces F of each size
     for k, e in zip(cx._sizes, face_errors(cx)):
         eps[k] += e
-    return VerificationReport(
-        identity="ds",
-        parameters={"object": name or repr(cx), "d": d, "h": list(h)},
-        rows=tuple(ds_rows(h, eps, d)),
-    )
+    return report("ds", cx, name, ds_rows(h, eps, d), d=d, h=list(h))
 
 
 # --- facet-list text format -------------------------------------------------
@@ -564,14 +560,15 @@ def _parse_label(token: str):
     return value if str(value) == token else token
 
 
+def _text_lines(text: str) -> list[str]:
+    """The lines of a text input, each cut at '#' and stripped; blank ones dropped."""
+    lines = [line.split("#", 1)[0].strip() for line in text.splitlines()]
+    return [line for line in lines if line]
+
+
 def parse_facets(text: str) -> SimplicialComplex:
     """One facet per line, whitespace-separated labels; '#' comments, blanks ignored."""
-    facets = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        facets.append([_parse_label(tok) for tok in line.split()])
+    facets = [[_parse_label(tok) for tok in line.split()] for line in _text_lines(text)]
     if not facets:
         raise ParseError("no facets found")
     return build_complex(facets)

@@ -37,7 +37,7 @@ from .errors import (
     RangeViolation,
 )
 from .polynomial import sign
-from .reports import VerificationReport
+from .reports import VerificationReport, report
 
 
 class GradedPoset:
@@ -474,8 +474,7 @@ def verify_flag_poset(P: GradedPoset, name: str = "") -> VerificationReport:
     beta = subset_transform(_alpha_table(P), d, signed=True)
     buckets = _chain_error_buckets(P)
     rows = flag_rows(beta, [buckets.get(m, 0) for m in range(1 << d)], d)
-    return VerificationReport("flag-poset", {"object": name or repr(P), "d": d},
-                              tuple(rows))
+    return report("flag-poset", P, name, rows, d=d)
 
 
 # --- classification ---------------------------------------------------------
@@ -624,9 +623,7 @@ def verify_simplicial_ds(P: GradedPoset, name: str = "") -> VerificationReport:
     h = simplicial_poset_h(P).entries
     d = P.rho - 1
     top_by_rank = rank_sums(P, end_errors(P)[0])[:d + 1]
-    return VerificationReport("simplicial-ds",
-                              {"object": name or repr(P), "d": d, "h": list(h)},
-                              tuple(ds_rows(h, top_by_rank, d)))
+    return report("simplicial-ds", P, name, ds_rows(h, top_by_rank, d), d=d, h=list(h))
 
 
 # --- poset JSON format -------------------------------------------------------

@@ -79,6 +79,12 @@ class VerificationReport(NamedTuple):
         return "\n".join(lines)
 
 
+def report(identity: str, obj, name: str, rows, **parameters) -> VerificationReport:
+    """A verifier's report: the object first, by ``name`` or else its repr,
+    then ``parameters`` in the order given."""
+    return VerificationReport(identity, {"object": name or repr(obj), **parameters}, tuple(rows))
+
+
 def _value(v):
     """A saved lhs or rhs: a JSON integer, the only value ``to_dict`` writes."""
     if isinstance(v, int) and not isinstance(v, bool):

@@ -30,7 +30,7 @@ from .posets import (
     need_rank,
     rank_sums,
 )
-from .reports import Row, VerificationReport
+from .reports import Row, VerificationReport, report
 
 
 class ToricTable:
@@ -179,9 +179,7 @@ def verify_stanley(P: GradedPoset, name: str = "") -> VerificationReport:
     d = pair.d
     rows = [Row(index=f"k={k}", lhs=pair.h_indexed[k], rhs=pair.h_indexed[d - k])
             for k in range(d + 1)]
-    return VerificationReport("stanley", {"object": name or repr(P), "d": d,
-                                          "h": [pair.h_indexed[k] for k in range(d + 1)]},
-                              tuple(rows))
+    return report("stanley", P, name, rows, d=d, h=[pair.h_indexed[k] for k in range(d + 1)])
 
 
 def verify_swartz(P: GradedPoset, name: str = "") -> VerificationReport:
@@ -194,8 +192,7 @@ def verify_swartz(P: GradedPoset, name: str = "") -> VerificationReport:
     e = end_errors(P)[0][P.bottom_i]
     rows = [Row(index=f"k={k}", lhs=seq[k], rhs=sign(d - k + 1) * binom(d, k) * e)
             for k in range(d + 1)]
-    return VerificationReport("swartz", {"object": name or repr(P), "d": d, "e": e},
-                              tuple(rows))
+    return report("swartz", P, name, rows, d=d, e=e)
 
 
 def verify_1sing(P: GradedPoset, name: str = "") -> VerificationReport:
@@ -215,8 +212,7 @@ def verify_1sing(P: GradedPoset, name: str = "") -> VerificationReport:
                                  + binom(d - 1, i - 1) * top_by_rank[1])
         rows.append(Row(index=f"i={i}", lhs=seq[i], rhs=rhs, asserted=i > d // 2,
                         note="" if i > d // 2 else "outside theorem range"))
-    return VerificationReport("1sing", {"object": name or repr(P), "d": d,
-                                        "j": cls.min_j_sing}, tuple(rows))
+    return report("1sing", P, name, rows, d=d, j=cls.min_j_sing)
 
 
 def verify_euler_relation(P: GradedPoset, name: str = "") -> VerificationReport:
@@ -267,8 +263,7 @@ def verify_euler_relation(P: GradedPoset, name: str = "") -> VerificationReport:
             bot_side = sum(e for rm, e in buckets.items() if rm and not rm & ~high)
             rows.append(Row(index="face-sums odd d", lhs=top_side, rhs=bot_side))
 
-    return VerificationReport("euler-rel", {"object": name or repr(P), "d": d, "j": j},
-                              tuple(rows))
+    return report("euler-rel", P, name, rows, d=d, j=j)
 
 
 def verify_generalized(P: GradedPoset, name: str = "") -> VerificationReport:
@@ -325,8 +320,7 @@ def verify_generalized(P: GradedPoset, name: str = "") -> VerificationReport:
     rows += [Row(index=f"lemma x^{k}", lhs=lhs.coeff(k), rhs=lemma.coeff(k))
              for k in range(max(lhs.degree, lemma.degree, d) + 1)]
 
-    return VerificationReport("generalized", {"object": name or repr(P), "d": d, "j": j},
-                              tuple(rows))
+    return report("generalized", P, name, rows, d=d, j=j)
 
 
 def verify_main(P: GradedPoset, name: str = "") -> VerificationReport:
@@ -352,8 +346,7 @@ def verify_main(P: GradedPoset, name: str = "") -> VerificationReport:
         ok_range = 2 * k > d + j
         rows.append(Row(index=f"k={k}", lhs=seq[k], rhs=rhs, asserted=ok_range,
                         note="" if ok_range else "outside theorem range"))
-    return VerificationReport("main", {"object": name or repr(P), "d": d, "j": j},
-                              tuple(rows))
+    return report("main", P, name, rows, d=d, j=j)
 
 
 def lower_eulerian_defect(P: GradedPoset, k: int):
@@ -391,8 +384,7 @@ def verify_lower_eulerian(P: GradedPoset, name: str = "") -> VerificationReport:
         ok_range = 2 * k > d + j
         rows.append(Row(index=f"k={k}", lhs=seq[k], rhs=rhs[k],
                         asserted=ok_range, note="" if ok_range else "outside theorem range"))
-    return VerificationReport("lower-eulerian", {"object": name or repr(P), "d": d, "j": j},
-                              tuple(rows))
+    return report("lower-eulerian", P, name, rows, d=d, j=j)
 
 
 def dual_defect_report(P: GradedPoset, name: str = "") -> VerificationReport:
@@ -416,5 +408,4 @@ def dual_defect_report(P: GradedPoset, name: str = "") -> VerificationReport:
         else:
             rows.append(Row(index=f"k={k}", lhs=seq_p[k], rhs=seq_q[k], asserted=False,
                             note="side-by-side only"))
-    return VerificationReport("dual", {"object": name or repr(P), "d": d, "j": j},
-                              tuple(rows))
+    return report("dual", P, name, rows, d=d, j=j)

@@ -12,7 +12,7 @@ from dehnsom.complexes import (
     link,
     reduced_euler_characteristic,
 )
-from dehnsom.errors import InternalError, NotAChain, NotComparable, NotGraded, NotSimplicial
+from dehnsom.errors import InternalError, NotAChain, NotComparable, NotGraded
 from dehnsom.generators import (
     boolean_lattice,
     chain,
@@ -316,13 +316,6 @@ def test_simplicial_poset_h(torus, torus_poset, doubled_edge):
 
     assert simplicial_poset_h(doubled_edge).entries == (1, 0, 1)
     assert verify_simplicial_ds(doubled_edge).passed
-
-
-def test_not_simplicial_rejected():
-    from dehnsom.generators import cross_polytope
-    cube = dual(face_poset(cross_polytope(3), True))
-    with pytest.raises(NotSimplicial):
-        simplicial_poset_h(cube)
 
 
 def test_rank_selected_subposet_matches_order_complex():

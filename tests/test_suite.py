@@ -136,14 +136,18 @@ def _nested_specs(text):
 
 
 def test_run_catalog_builds_each_spec_once(monkeypatch):
-    built, served = [], []
+    built, served, memos = [], [], []
     generate = generators.generate
+    last = {s: i for i, (text, _) in enumerate(CATALOG) for s in _nested_specs(text)}
 
     def counting_generate(spec, memo=None):
         built.append(repr(spec))
+        memos.append(memo)
         return generate(spec, memo)
 
     def recording_verify_all(obj, name, identities=IDENTITIES):
+        # no spec is held past the last catalog entry that needs it
+        assert all(last[key] >= len(served) for key in memos[-1])
         served.append((obj, name))  # holds every object, so no id is reused
         return verify_all(obj, name, identities)
 
@@ -161,3 +165,5 @@ def test_run_catalog_builds_each_spec_once(monkeypatch):
     for obj, name in served:
         assert spec_of.setdefault(id(obj), name) == name
     assert len(spec_of) == 32
+    # one memo serves the whole run, and it is empty after the last entry
+    assert all(memo is memos[0] for memo in memos) and memos[0] == {}

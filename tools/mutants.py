@@ -262,8 +262,14 @@ MUTANTS = (
     Mutant(SUITE, "if last[key] == i]:", "if last[key] >= i]:",
            "catalog: an object dropped after its first entry"),
     Mutant(SUITE, "            del memo[key]", "            pass",
-           "catalog: objects kept after their last entry",
-           "the object is only freed earlier; every report is the same"),
+           "catalog: objects kept after their last entry"),
+    # --- the report header and the line rule of the text inputs ---
+    Mutant(REP, '{"object": name or repr(obj),', '{"object": repr(obj),',
+           "report: the object named by its repr even when it is given a name"),
+    Mutant(CX, 'line.split("#", 1)[0].strip() for line', "line.strip() for line",
+           "line reader: '#' comments kept"),
+    Mutant(CX, "return [line for line in lines if line]", "return lines",
+           "line reader: blank lines kept"),
 )
 
 
