@@ -265,9 +265,6 @@ class SimplicialComplex:
         k = bisect_left(masks, m)
         return m if k < len(masks) and masks[k] == m else None
 
-    def __contains__(self, face: Iterable) -> bool:
-        return self._face_mask(face) is not None
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
             return False

@@ -568,11 +568,34 @@ def test_lookalike_labels_stay_distinct(tmp_path, a, b, capsys):
     assert json.loads(capsys.readouterr().out) == {"f": [1, 4, 4]}
 
 
-def _readme_cli_flags() -> set:
+def _readme_cli_section() -> str:
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
-    section = section.replace("python -m", "")  # the interpreter's flag, not dehnsom's
+    return readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _readme_cli_flags() -> set:
+    section = _readme_cli_section().replace("python -m", "")  # the interpreter's flag, not dehnsom's
     return set(re.findall(r"(?<![\w-])(--[a-z][a-z-]*|-[a-z])\b", section))
+
+
+def test_readme_cli_block_runs_in_order(tmp_path, monkeypatch, capsys):
+    # later lines read the files that earlier ones write; a comment `name = value`
+    # states what the line prints
+    block = _readme_cli_section().split("```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    ran, stated = 0, []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        if not command.strip():
+            continue
+        argv = shlex.split(command)
+        assert argv[0] == "dehnsom" and main(argv[1:]) == 0, line
+        out = capsys.readouterr().out
+        ran += 1
+        if " = " in comment:
+            assert comment.strip() in out, line
+            stated.append(comment.strip())
+    assert (ran, stated) == (16, ["hhat = [1, 3, 1]"])
 
 
 def test_readme_names_every_option_and_only_real_ones():

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from dehnsom.balanced import flag_f_vector, flag_h_vector
 from dehnsom.complexes import (
     f_vector,
-    face_error_table,
     h_vector,
     label_sort_key,
     link,
@@ -47,7 +46,6 @@ from dehnsom.posets import (
     serialize_poset_json,
     simplicial_poset_h,
     verify_flag_poset,
-    verify_simplicial_ds,
 )
 from dehnsom.polynomial import sign
 
@@ -138,24 +136,6 @@ def test_order_complex_small_cases():
 
     octagon = order_complex(face_poset(cycle(4), True))
     assert f_vector(octagon.complex).entries == (1, 8, 8)
-
-
-@pytest.mark.parametrize("maker", [
-    lambda: boolean_lattice(4), lambda: chain(4), lambda: polygon_lattice(5),
-    lambda: face_poset(simplex_boundary(3), True),
-])
-def test_euler_equals_mobius(maker):
-    p = maker()
-    oc = order_complex(p)
-    assert reduced_euler_characteristic(oc.complex) == p.mobius(p.bottom, p.top)
-
-
-def test_chain_error_matches_face_error(torus_poset, susp_poset):
-    for P in (torus_poset, susp_poset):
-        errors = face_error_table(order_complex(P).complex)
-        for c in iter_chains(P):
-            labels = [P.labels[i] for i in c]
-            assert chain_error(P, labels) == errors[frozenset(labels)]
 
 
 def test_chain_error_examples(torus_poset, susp_poset):
@@ -274,11 +254,10 @@ def test_classification_cases(torus_poset, susp_poset, susp2_poset):
     assert c.min_j_sing == 2 and c.lower_eulerian
 
 
-def test_three_criteria_agree(torus_poset, susp_poset, doubled_edge):
-    for p in (boolean_lattice(4), chain(4), polygon_lattice(6), torus_poset,
-              susp_poset, doubled_edge, dual(susp_poset)):
-        flat = min_j_sing_flat(p)
-        assert flat == min_j_sing_recursive(p) == min_j_sing_order_complex(p)
+def test_three_criteria_agree(susp_poset):
+    # criterion 14 runs the three on the catalog; a dual is the case it lacks
+    q = dual(susp_poset)
+    assert min_j_sing_flat(q) == min_j_sing_recursive(q) == min_j_sing_order_complex(q)
 
 
 def test_parity_of_min_j_sing(torus_poset, susp_poset, susp2_poset, cube_torus_poset):
@@ -289,15 +268,13 @@ def test_parity_of_min_j_sing(torus_poset, susp_poset, susp2_poset, cube_torus_p
             assert (j + p.rho - 1) % 2 == 1
 
 
-def test_dual_properties(torus_poset, susp_poset):
+def test_dual_properties():
     for n in (2, 3, 4):
         q = dual(boolean_lattice(n))
         c = classify_poset(q)
         assert c.eulerian and c.max_lower_simplicial_k == n  # Boolean again
     c3 = chain(3)
     assert dual(c3).rho == 3
-    for p in (torus_poset, susp_poset, boolean_lattice(4), polygon_lattice(5)):
-        assert min_j_sing_flat(dual(p)) == min_j_sing_flat(p)
 
 
 def test_gradedness_rejects_rank_jumping_cover():
@@ -309,13 +286,8 @@ def test_gradedness_rejects_rank_jumping_cover():
 def test_simplicial_poset_h(torus, torus_poset, doubled_edge):
     p = face_poset(simplex_boundary(3), True)
     assert simplicial_poset_h(p).entries == (1, 1, 1, 1)
-    assert verify_simplicial_ds(p).passed
-
     assert simplicial_poset_h(torus_poset).entries == h_vector(torus).entries
-    assert verify_simplicial_ds(torus_poset).passed
-
     assert simplicial_poset_h(doubled_edge).entries == (1, 0, 1)
-    assert verify_simplicial_ds(doubled_edge).passed
 
 
 def test_rank_selected_subposet_matches_order_complex():

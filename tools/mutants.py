@@ -245,6 +245,14 @@ MUTANTS = (
     Mutant(GEN, 'if d < 1:\n        raise BadParams("simplex_boundary',
            'if d < 0:\n        raise BadParams("simplex_boundary',
            "refusal: simplex_boundary(0) accepted"),
+    # --- guards of the library calls ---
+    Mutant(TOR, "if u < rho:", "if u < rho - 1:",
+           "guard: C(T,u,v) accepts u one below the interval rank"),
+    Mutant(TOR, "        if odd:", "        if False:",
+           "guard: star sum halves an odd middle difference"),
+    Mutant(POS, 'raise AttributeError("GradedPoset is immutable")',
+           "object.__setattr__(self, name, value)",
+           "guard: a built poset's attributes can be set"),
     # --- the CLI's exit path (main() and the process entry point run()) ---
     Mutant(CLI, "        sys.stdout.flush()  # a block-buffered write can fail only here\n",
            "", "exit path: main() does not flush stdout"),
