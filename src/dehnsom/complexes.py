@@ -4,18 +4,19 @@ A face is addressed by its position in the order of the sorted face
 bitmasks (bit i is ``vertices[i]``), over vertices in the order their
 constructor chooses: label order for labels, facet lists and joins, P's
 index order for O(P), the parent's order for ``link`` and
-``rank_selected``. Every construction ends in one pass, run by run of faces
-with the same top vertex, that checks closure, finds purity and the facet
-positions, and keeps the run starts (``_starts``), the face sizes
-(``_sizes``) and the drop columns (``_cols``), each run's slice of a column
-made by C-level gathers. ``from_masks`` sorts the masks
-and finds each face's parent (the face minus its top vertex) in a transient
-position table, the only place a mask is hashed, and keeps its masks;
-``from_runs`` (for O(P)) is given the parents and makes no mask. Per-face
-passes read positions only, so χ̃(lk F), ε(F) and
-``BalancedComplex.face_colors`` are lists aligned with them, and the masks
-(``_masks``) are built from the runs on first read, a face's mask the sum
-of its vertex bits. Frozensets of labels are the boundary form: ``faces`` is
+``rank_selected``. Every construction builds the faces run by run of the
+same top vertex, checks closure, and keeps the run starts (``_starts``), the
+face sizes (``_sizes``), the drop columns (``_cols``) and the facet
+positions. ``from_masks`` sorts the masks and finds each face's parent (the
+face minus its top vertex) in a transient position table, the only place a
+mask is hashed, then makes each run's column slices by C-level gathers and
+keeps its masks. ``from_order`` (for O(P)) is given a strict order: the run
+of t is ∅ plus a shifted copy of the whole run of each vertex under t, so
+it is copied block by block, closure is the order's transitivity, checked
+first, and no mask is made. Per-face passes read positions only, so χ̃(lk
+F), ε(F) and ``BalancedComplex.face_colors`` are lists aligned with them,
+and the masks (``_masks``) are built from the runs on first read, a face's
+mask the sum of its vertex bits. Frozensets of labels are the boundary form: ``faces`` is
 built on first read, and ``facets()``, error records and the facet text
 list labels in label order, whatever the vertex order. f_{-1} = 1: ∅ is
 always a face.
@@ -35,6 +36,7 @@ from .reports import Row, VerificationReport, report
 
 Face = frozenset
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"  # bytes.translate table: a face size plus one
+_NOT = b"\1" + bytes(255)  # bytes.translate table: a 0/1 flag negated
 
 
 def label_sort_key(v):
@@ -64,6 +66,33 @@ def _gather(keys: Sequence, seq) -> tuple:
     return (seq[keys[0]],) if keys else ()
 
 
+def _vertex_bits(verts: tuple) -> dict:
+    """Each vertex's bit, 1 << its index; a repeated vertex is refused."""
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    if len(bit) != len(verts):
+        raise InternalError("a vertex is repeated")
+    return bit
+
+
+def _not_closed(verts: tuple, masks: Sequence[int]) -> InternalError:
+    """The error that names the smallest face of the sorted distinct
+    ``masks`` lacking a one-vertex-removed face."""
+    family = set(masks)
+    m = next(m for m in masks if any(m ^ (1 << i) not in family for i in _bits(m)))
+    face = {verts[i] for i in _bits(m)}
+    return InternalError(f"family not closed under inclusion at {face}")
+
+
+def _chain_masks(below: Sequence[Sequence[int]]) -> list[int]:
+    """The masks, sorted, of the family that ``SimplicialComplex.from_order``
+    builds from ``below``: ∅, and t added to ∅ and to each face with top
+    vertex s, for s in below[t]. Made only to name an unclosed face."""
+    runs = []
+    for t, low in enumerate(below):
+        runs.append([1 << t, *(m | 1 << t for s in low for m in runs[s])])
+    return [0, *chain.from_iterable(runs)]
+
+
 def _vertex_sums(starts: Sequence[int], cols: Sequence[list], values: Sequence[int]) -> list[int]:
     """Σ values[i] over the vertices i of every face, in position order, of
     the faces with run starts ``starts`` and drop columns ``cols``. The faces
@@ -85,7 +114,8 @@ class SimplicialComplex:
     """An inclusion-closed family of vertex subsets.
 
     Downward closure is checked on every construction: removing any single
-    vertex from a face must give a face. A face is addressed by its position
+    vertex from a face must give a face (for ``from_order``, the order must
+    be transitive). A face is addressed by its position
     k < n, in the order of the sorted face bitmasks (bit i is vertices[i]).
     The faces with top vertex t are positions ``_starts[t]`` up to
     ``_starts[t + 1]``, after ∅ at position 0. Aligned with the positions are
@@ -123,25 +153,66 @@ class SimplicialComplex:
         return cx
 
     @classmethod
-    def from_runs(cls, vertices: Sequence, runs: Iterable[Iterable[int]]) -> "SimplicialComplex":
-        """The complex whose faces with top vertex t are the faces at the
-        positions ``runs[t]`` plus t. Position 0 is ∅ and the faces are
-        numbered run by run, so each run must increase and name only faces
-        already made; the positions come out in sorted mask order, and no
-        mask is made. ``runs`` (one per vertex, distinct vertices in any
-        order) is read one run at a time."""
+    def from_order(cls, vertices: Sequence, below: Sequence[Sequence[int]]) -> "SimplicialComplex":
+        """The order complex of a strict order on ``vertices``: its faces are
+        the chains. ``below[t]`` lists the vertices under vertices[t], as
+        increasing indexes less than t, so the vertex order extends the
+        order. The chains with top vertex t are t added to ∅ and to the
+        chains with top vertex s, for each s in ``below[t]``: run t is ∅ plus
+        one block per s, each a shifted copy of the whole run of s. So the
+        sizes, the parent column, the facet flags and each level of a block
+        are slice copies and one gather, and no mask is made. The order must
+        be transitive (then the chains are closed under inclusion); else the
+        smallest face that lacks a face below it is named."""
         verts = tuple(vertices)
-        ids, parents = [0], []
-        for t, run in enumerate(runs):
-            run, made = list(run), len(ids)
-            if not all(map(lt, run, run[1:])) or run and (run[0] < 0 or run[-1] >= made):
-                raise InternalError(f"run {t} is not an increasing list of positions below {made}")
-            parents.append(list(map(ids.__getitem__, run)))  # one int object per position
-            ids += range(made, made + len(run))
-        if len(parents) != len(verts):
-            raise InternalError(f"{len(parents)} runs for {len(verts)} vertices")
+        if len(below) != len(verts):
+            raise InternalError(f"{len(below)} lists for {len(verts)} vertices")
+        bit = _vertex_bits(verts)
+        # per vertex: the mask of below[t], which of those t covers, and the
+        # size and largest face size of its run; `under` holds every vertex
+        # that lies under another
+        downs, covers, runs, depth, under = [], [], [], [], 0
+        for t, low in enumerate(below):
+            if not all(map(lt, low, low[1:])) or low and (low[0] < 0 or low[-1] >= t):
+                raise InternalError(f"below[{t}] is not an increasing list of vertices before {t}")
+            mask = reach = 0
+            for s in low:
+                mask |= 1 << s
+                reach |= downs[s]
+            if reach & ~mask:  # some s under t has a vertex under it that is not under t
+                raise _not_closed(verts, _chain_masks(below[:t + 1]))
+            downs.append(mask)
+            covers.append(mask & ~reach)
+            under |= mask
+            runs.append(1 + sum(map(runs.__getitem__, low)))
+            depth.append(1 + max(map(depth.__getitem__, low), default=0))
+        starts = list(accumulate(runs, initial=1))
+        n = starts[-1]
+        ids = list(range(n))  # one int object per position, shared by the columns
+        fa = [n] * (n + 1)  # a face of run s to its copy in the run being built; n to n
+        sizes, within = bytearray(n), bytearray(n)  # within: in a larger face of the same top
+        cols = [[n] * n for _ in range(max(depth, default=0))]
+        for t, low in enumerate(below):
+            lo = starts[t]
+            sizes[lo], within[lo], cols[0][lo], fa[0] = 1, bool(low), 0, lo
+            p = lo + 1
+            for s in low:  # the block of run s: F + s + t for each F + s of run s
+                a, b = starts[s], starts[s + 1]
+                q = p + b - a
+                fa[a:b] = ids[p:q]
+                sizes[p:q] = sizes[a:b].translate(_PLUS_ONE)
+                # F + s + t lies in a larger face of top t iff some vertex
+                # lies between s and t, or F + s lies in a larger face of top s
+                within[p:q] = within[a:b] if covers[t] >> s & 1 else b"\1" * (q - p)
+                cols[0][p:q] = ids[a:b]
+                for j in range(1, depth[s] + 1):  # deeper levels of the block are n
+                    cols[j][p:q] = _gather(cols[j - 1][a:b], fa)
+                p = q
+        for t in _bits(under):  # a face under a later vertex lies in a larger face
+            within[starts[t]:starts[t + 1]] = b"\1" * runs[t]
+        within[0] = n > 1
         cx = cls.__new__(cls)
-        cx._set_runs(verts, ids, parents)
+        cx._keep(verts, bit, starts, sizes, cols, tuple(compress(ids, within.translate(_NOT))))
         return cx
 
     def _set_masks(self, verts: tuple, masks: Iterable[int]) -> None:
@@ -166,15 +237,13 @@ class SimplicialComplex:
         del position
         self._set_runs(verts, ids, parents, masks)
 
-    def _set_runs(self, verts: tuple, ids: list, parents: list, masks: list | None = None) -> None:
-        """The pass both constructors end in: ``parents[t]`` the positions
-        (ints of ``ids``) of run t minus t, and ``masks``, when the caller
-        has them, the faces' sorted distinct masks. A run's sizes and column
-        slices are C-level gathers (``_gather``), its levels stop at its
-        largest size, and each level marks the faces it holds as non-facets."""
-        bit = {v: 1 << i for i, v in enumerate(verts)}
-        if len(bit) != len(verts):
-            raise InternalError("a vertex is repeated")
+    def _set_runs(self, verts: tuple, ids: list, parents: list, masks: list) -> None:
+        """The closure pass of ``from_masks``: ``parents[t]`` the positions
+        (ints of ``ids``) of run t minus t, and ``masks`` the faces' sorted
+        distinct masks. A run's sizes and column slices are C-level gathers
+        (``_gather``), its levels stop at its largest size, and each level
+        marks the faces it holds as non-facets."""
+        bit = _vertex_bits(verts)
         # column 0 of F = p + t is p; column j is column j−1 of p with t added
         # (the run's face above it), or n where that is n. A missing parent (n)
         # is an IndexError of sizes, a missing face below a KeyError of face_at;
@@ -196,23 +265,22 @@ class SimplicialComplex:
                     col[lo:hi] = level
                     for p in level:
                         facet[p] = 0
-        except (IndexError, KeyError):  # name the smallest face lacking a face below
-            if masks is None:  # the runs' masks, sorted: a run's parents increase
-                masks = _vertex_sums(starts, [[0, *chain.from_iterable(parents)]],
-                                     [1 << i for i in range(len(verts))])
-            family = set(masks)
-            m = next(m for m in masks if any(m ^ (1 << i) not in family for i in _bits(m)))
-            face = {verts[i] for i in _bits(m)}
-            raise InternalError(f"family not closed under inclusion at {face}") from None
+        except (IndexError, KeyError):
+            raise _not_closed(verts, masks) from None
         used = list(map(bool, parents))
         if not all(used):
             # drop the unused vertices with their empty runs; positions and
             # columns hold, and masks over the old bits are rebuilt on demand
             starts = [*compress(starts, used), n]
             verts = tuple(compress(verts, used))
-            bit = {v: 1 << i for i, v in enumerate(verts)}
+            bit = _vertex_bits(verts)
             masks = None
-        facets = tuple(compress(ids, facet))
+        self._keep(verts, bit, starts, sizes, cols, tuple(compress(ids, facet)), masks)
+
+    def _keep(self, verts: tuple, bit: dict, starts: list, sizes: bytearray, cols: list,
+              facets: tuple, masks: list | None = None) -> None:
+        """Set the fields that both constructors end with; dim and purity
+        are read off the sizes of the facets."""
         dim = max(sizes) - 1
         pure = all(map((dim + 1).__eq__, map(sizes.__getitem__, facets)))
         object.__setattr__(self, "dim", dim)
@@ -457,10 +525,11 @@ def _link_euler_sweep(n: int, cols: Sequence[list]) -> list[int]:
     faces alone, since a set that is not a face has no face above it.
     """
     acc = [-1] * (n + 1)
-    down = range(n - 1, -1, -1)
     for col in cols:
-        for k, t in zip(down, reversed(col)):
-            acc[t] -= acc[k]
+        values = reversed(acc)  # live: each value is read when its face is reached
+        next(values)  # slot n
+        for v, t in zip(values, reversed(col)):
+            acc[t] -= v
     del acc[n]
     return acc
 

@@ -375,24 +375,15 @@ def order_complex(P: GradedPoset):
     """O(P): vertices P∖{0̂,1̂}, faces the chains, colored by rank (a balanced complex).
 
     The vertices follow P's index order (rank, then label), so a chain's top
-    vertex is its last element. The chains ending at t are t added to ∅ and
-    to the chains ending below t, whole earlier runs, so the run of t handed
-    to ``SimplicialComplex.from_runs`` is ∅ and the spans of those runs.
+    vertex is its last element, and ``SimplicialComplex.from_order`` builds
+    the chains from each proper element's proper down-set alone.
     """
     need_rank(P, 1, "order complex")
     top, down = P.top_i, P._down
-
-    def runs():
-        starts = [1]  # run s holds positions starts[s] .. starts[s + 1] − 1
-        for t in range(top - 1):  # vertex t is element t + 1
-            run = [0]
-            for s in _bits(down[t + 1] >> 1 & ((1 << t) - 1)):
-                run += range(starts[s], starts[s + 1])
-            starts.append(starts[t] + len(run))
-            yield run
-
+    # vertex t is element t + 1; below[t] the vertices under it
+    below = [list(_bits(down[t + 1] >> 1 & ((1 << t) - 1))) for t in range(top - 1)]
     labels = P.labels[1:top]
-    cx = SimplicialComplex.from_runs(labels, runs())
+    cx = SimplicialComplex.from_order(labels, below)
     return BalancedComplex(cx, dict(zip(labels, P.rank_of[1:top])))
 
 

@@ -56,6 +56,14 @@ def test_compute_toric_boolean_lattice_ten(capsys):
     assert json.loads(out)["h_poly"] == [1] * 10
 
 
+def test_compute_euler(capsys):
+    # χ̃ = χ − 1: the torus has χ = 0 and the projective plane χ = 1
+    assert cli(capsys, "compute", "euler", "--gen", "torus_7") == "chi_tilde = -1\n"
+    out = cli(capsys, "compute", "euler", "--gen", "torus_7", "--json")
+    assert json.loads(out) == {"euler": -1}
+    assert cli(capsys, "compute", "euler", "--gen", "rp2_6") == "chi_tilde = 0\n"
+
+
 def test_verify_main_default_top_spec(capsys):
     out = cli(capsys, "verify", "main", "--gen", "face_poset(suspension(torus_7))")
     assert "outside theorem range" in out

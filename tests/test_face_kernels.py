@@ -28,17 +28,20 @@ pass can change inside complexes.py alone:
 - the face colors and the repeated-color witness against
   ``bit_walk_face_colors``: ``test_colors_by_parent_match_bit_walk``, on the
   seeded poset, its dual and two fixed posets
-- ``from_runs`` against ``from_masks`` on the runs read from the sorted
-  masks, and (with empty runs for EXTRA, and on broken runs) against
-  ``_assert_same``, and its closure error text against
-  ``set_closure_facets``: ``test_from_runs_matches_from_masks`` and the
-  fixed case after it
+- ``from_order`` against ``from_masks`` fed the chain masks (every kept
+  field) and against ``_assert_same``, on seeded strict orders (most of
+  them impure), the seeded posets and their duals, and the smallest
+  orders; its refusal of a non-transitive order against
+  ``set_closure_facets`` on the same family of paths:
+  ``_assert_from_order`` and ``_assert_order_refusal``, in
+  ``test_from_order_matches_from_masks``, ``test_smallest_orders`` and
+  ``test_from_order_names_the_smallest_unclosed_face``
 - the chain runs of ``order_complex`` against ``iter_chains``: its faces
   (label sets built only when read), masks, κ by rank and colors, equality
   and hash with its twin built from labels, and the vertex order of its rank
   selections and links: ``test_chain_runs_match_iter_chains``
 
-The rest pin the ``from_masks`` input contract, the ``from_runs`` and
+The rest pin the ``from_masks`` input contract, the ``from_order`` and
 ``from_masks`` refusals, that the verify path sweeps once per complex,
 builds no label set and never reads the mask-keyed dict wrappers or a face
 mask at all, and the ``mask_of`` oracle.
@@ -320,80 +323,133 @@ def test_colors_by_parent_match_bit_walk(torus_poset, seed):
             assert str(exc.value) == f"face {set(cx.face_of(witness))} repeats a color"
 
 
-# --- the runs of from_runs and order_complex ------------------------------------------
+# --- the blocks of from_order and the chain runs of order_complex -----------------------
 
-def _runs(masks):
-    """The runs of a family of face masks that holds every face's parent (the
-    face minus its top vertex): for each top vertex t, the positions in the
-    sorted family of the parents of the faces with top vertex t."""
-    family = sorted(set(masks))
-    position = {m: k for k, m in enumerate(family)}
-    runs = [[] for _ in range(family[-1].bit_length())]
-    for m in family[1:]:
-        t = m.bit_length() - 1
-        runs[t].append(position[m ^ 1 << t])
-    return runs
+def _chain_family(below):
+    """The masks of every vertex set whose members, in increasing order, are
+    each under the next by ``below`` (the chains, when ``below`` is
+    transitive), by a walk over all vertex subsets."""
+    def linked(m):
+        face = list(_bits(m))
+        return all(s in below[t] for s, t in zip(face, face[1:]))
+
+    return [m for m in range(1 << len(below)) if linked(m)]
 
 
-@settings(deadline=None, max_examples=30)
+def _strict_order(seed):
+    """A seeded strict order on 1..9 vertices as ``below`` lists: the
+    transitive closure of random pairs s < t, so its chains are often of
+    several lengths (an impure complex)."""
+    rng = random.Random(seed)
+    m = 1 + seed % 9
+    density = rng.choice((0.15, 0.3, 0.6))
+    below = []
+    for t in range(m):
+        under = set()
+        for s in range(t):
+            if rng.random() < density:
+                under |= {s, *below[s]}
+        below.append(sorted(under))
+    return below
+
+
+def _orders(seed):
+    """(vertices, below) of a seeded strict order with mixed labels, and of
+    the proper parts of the seeded graded poset and of its dual, read by
+    ``leq_i``."""
+    below = _strict_order(seed)
+    out = [(("v", 7, -3, "~", 10**6, "a", 0, "zz", 2)[:len(below)], below)]
+    for P in (seeded_poset(seed), dual(seeded_poset(seed))):
+        top = P.top_i
+        out.append((P.labels[1:top], [[s for s in range(t) if P.leq_i(s + 1, t + 1)]
+                                      for t in range(top - 1)]))
+    return out
+
+
+def _assert_from_order(verts, below):
+    """``from_order`` keeps every field that ``from_masks`` keeps when fed
+    the chain masks, and both hold to ``_assert_same``."""
+    masks = _chain_family(below)
+    got = SimplicialComplex.from_order(verts, below)
+    ref = SimplicialComplex.from_masks(verts, masks)
+    _assert_same(got, verts, masks)
+    assert _state(got) == _state(ref)
+    assert (got._starts, got._sizes, got._cols, got._facets) == (
+        ref._starts, ref._sizes, ref._cols, ref._facets)
+
+
+@settings(deadline=None, max_examples=40)
 @given(seed=st.integers(min_value=0, max_value=10**9))
-def test_from_runs_matches_from_masks(seed):
-    for cx in _complexes(seed):
-        got = SimplicialComplex.from_runs(cx.vertices, iter(_runs(cx._masks)))
-        _assert_same(got, cx.vertices, cx._masks)
-        assert _state(got) == _state(cx)
-        # EXTRA mixed in with empty runs: dropped, and no position moves
-        verts, (fed, *_) = _fed(cx, seed)
-        runs = iter(_runs(cx._masks))
-        padded = [[] if v in EXTRA else next(runs) for v in verts]
-        _assert_same(SimplicialComplex.from_runs(verts, padded), verts, fed)
-        # a face F taken out with every face it is the lower part of: its
-        # parent chain (the face minus top vertices) still holds, deeper
-        # drops may not
-        rng = random.Random(seed)
-        gone = rng.choice(cx._masks[1:])
-        low = (2 << gone.bit_length() - 1) - 1
-        fed = [m for m in cx._masks if m & low != gone]
-        runs = _runs(fed)
-        runs += [[]] * (len(cx.vertices) - len(runs))
-        try:
-            facet_masks, dim, pure = set_closure_facets(cx.vertices, fed)
-        except InternalError as exc:
-            with pytest.raises(InternalError) as got:
-                SimplicialComplex.from_runs(cx.vertices, runs)
-            assert str(got.value) == str(exc)
-            continue
-        _assert_same(SimplicialComplex.from_runs(cx.vertices, runs), cx.vertices, fed)
+def test_from_order_matches_from_masks(seed):
+    orders = _orders(seed)
+    for verts, below in orders:
+        _assert_from_order(verts, below)
+    # one pair s < u < t left out of a transitive order: the path family is
+    # not closed, and the smallest face lacking a face below is named
+    verts, below = orders[0]
+    gaps = [(t, s) for t, low in enumerate(below) for u in low for s in below[u]]
+    if gaps:
+        t, s = gaps[seed % len(gaps)]
+        broken = [[x for x in low if (u, x) != (t, s)] for u, low in enumerate(below)]
+        _assert_order_refusal(verts, broken)
 
 
-def test_from_runs_names_the_smallest_unclosed_face():
-    # positions: 0 ∅, 1 {0}, 2 {1}, 3 {0, 1}, then run 2 makes {0, 2} and
-    # {0, 1, 2}; {2} is missing, so both lack a face below their parent
-    runs = [[0], [0, 1], [1, 3]]
-    with pytest.raises(InternalError) as oracle:
-        set_closure_facets((0, 1, 2), [0, 1, 2, 3, 5, 7])
-    with pytest.raises(InternalError) as got:
-        SimplicialComplex.from_runs((0, 1, 2), runs)
-    assert str(got.value) == str(oracle.value) == "family not closed under inclusion at {0, 2}"
-
-
-@pytest.mark.parametrize("verts, runs, text", [
-    (("a", "b", "a"), [[0], [0], [0]], "a vertex is repeated"),
-    (("a", "b"), [[0], [1, 0]], "run 1 is not an increasing list of positions below 2"),
-    (("a", "b"), [[0], [0, 0]], "run 1 is not an increasing list of positions below 2"),
-    (("a", "b"), [[0], [0, 2]], "run 1 is not an increasing list of positions below 2"),
-    (("a", "b"), [[0], [-1]], "run 1 is not an increasing list of positions below 2"),
-    (("a", "b"), [[0], [0], [0]], "3 runs for 2 vertices"),
-    (("a", "b", "c"), [[0], [0]], "2 runs for 3 vertices"),
-    # a set is a family of masks for from_masks
-    (("a", "b", "a"), {0, 1, 2}, "a vertex is repeated"),
-    (("a", "b", "c"), {1}, "the empty face is missing"),
-    (("a", "b", "c"), {0, 0b1000}, "a face uses bit 3, past the 3 vertices"),
+@pytest.mark.parametrize("below", [
+    pytest.param([], id="only-empty"),
+    pytest.param([[]], id="one-point"),
+    pytest.param([[], []], id="two-points"),
+    pytest.param([[], [0]], id="edge"),
+    pytest.param([[], [], [0, 1]], id="vertex-over-two-points"),
+    pytest.param([[], [0], [], [2]], id="two-edges"),
 ])
-def test_from_runs_refusals(verts, runs, text):
-    build = SimplicialComplex.from_masks if isinstance(runs, set) else SimplicialComplex.from_runs
+def test_smallest_orders(below):
+    _assert_from_order(("a", 1, "c", -4)[:len(below)], below)
+
+
+def _assert_order_refusal(verts, below):
+    """``from_order`` refuses ``below`` with the text of the set-membership
+    closure on the same family, and returns that text."""
+    with pytest.raises(InternalError) as oracle:
+        set_closure_facets(verts, _chain_family(below))
+    with pytest.raises(InternalError) as got:
+        SimplicialComplex.from_order(verts, below)
+    assert str(got.value) == str(oracle.value)
+    return str(got.value)
+
+
+def test_from_order_names_the_smallest_unclosed_face():
+    # 0 < 1 < 2 without 0 < 2: {0, 1, 2} lacks {0, 2}; 3 over 1 only adds {1, 3}
+    assert (_assert_order_refusal((0, 1, 2, 3), [[], [0], [1], [1]])
+            == "family not closed under inclusion at {0, 1, 2}")
+    # 3 over 1 and 2 but not over 0: {0, 1, 3} lacks {0, 3}
+    assert (_assert_order_refusal((0, 1, 2, 3), [[], [0], [], [1, 2]])
+            == "family not closed under inclusion at {0, 1, 3}")
+
+
+@pytest.mark.parametrize("verts, below, text", [
+    pytest.param(("a", "b", "a"), [[], [], []], "a vertex is repeated", id="repeated-vertex"),
+    pytest.param(("a", "b", "c"), [[], [0], [1, 0]],
+                 "below[2] is not an increasing list of vertices before 2", id="not-increasing"),
+    pytest.param(("a", "b", "c"), [[], [0], [0, 0]],
+                 "below[2] is not an increasing list of vertices before 2", id="repeated-entry"),
+    pytest.param(("a", "b"), [[1], []],
+                 "below[0] is not an increasing list of vertices before 0", id="later-vertex"),
+    pytest.param(("a", "b"), [[], [1]],
+                 "below[1] is not an increasing list of vertices before 1", id="vertex-under-itself"),
+    pytest.param(("a", "b"), [[], [-1]],
+                 "below[1] is not an increasing list of vertices before 1", id="negative"),
+    pytest.param(("a", "b"), [[], [], []], "3 lists for 2 vertices", id="too-many-lists"),
+    pytest.param(("a", "b", "c"), [[], []], "2 lists for 3 vertices", id="too-few-lists"),
+    # a set is a family of masks for from_masks
+    pytest.param(("a", "b", "a"), {0, 1, 2}, "a vertex is repeated", id="masks-repeated-vertex"),
+    pytest.param(("a", "b", "c"), {1}, "the empty face is missing", id="masks-no-empty-face"),
+    pytest.param(("a", "b", "c"), {0, 0b1000}, "a face uses bit 3, past the 3 vertices",
+                 id="masks-bit-past-vertices"),
+])
+def test_constructor_refusals(verts, below, text):
+    build = SimplicialComplex.from_masks if isinstance(below, set) else SimplicialComplex.from_order
     with pytest.raises(InternalError) as exc:
-        build(verts, runs)
+        build(verts, below)
     assert str(exc.value) == text
 
 

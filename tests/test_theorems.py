@@ -5,12 +5,13 @@ agreement checks the link sweep, the closure pass and the f→h transform
 against mathematics rather than against an earlier version of themselves.
 """
 
+from functools import cache
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dehnsom.balanced import flag_f_vector
+from dehnsom.balanced import flag_f_vector, verify_flag_ds
 from dehnsom.complexes import (
     SimplicialComplex,
     f_vector,
@@ -24,14 +25,24 @@ from dehnsom.generators import (
     face_poset,
     generate,
     parse_spec,
+    random_graded_poset,
     random_pure_complex,
     suspension,
     torus_7,
 )
 from dehnsom.posets import dual, flag_alpha_beta, order_complex, verify_flag_poset
+from dehnsom.suite import DUALIZED_SPECS, ORDER_COMPLEX_SPECS, POSET_SPECS
 from dehnsom.toric import toric_pair
 
 from conftest import seeded_poset
+
+
+@cache
+def _generated(spec):
+    """(P, O(P)) of a poset spec, built once per pytest session: O(B_8), with
+    545,835 faces, serves the link sums and the flag rows below."""
+    P = generate(parse_spec(spec))
+    return P, order_complex(P)
 
 
 def _random_complex(seed):
@@ -199,7 +210,7 @@ def test_link_sums_count_faces_on_seeded_inputs(seed, density):
 def test_link_sums_count_faces_on_order_complexes(spec):
     # ranks 1 and 2 (O(P) only ∅, one vertex, two points), then O(B_7) and
     # O(B_8), with 47,293 and 545,835 faces, where no per-face reference runs
-    _assert_link_sums_of_balanced(order_complex(generate(parse_spec(spec))))
+    _assert_link_sums_of_balanced(_generated(spec)[1])
 
 
 @pytest.mark.parametrize("spec", ["chain(1)", "chain(2)", "boolean_lattice(2)",
@@ -217,3 +228,44 @@ def test_hall_product_per_face_of_order_complexes(spec):
         for s, t in zip(walk, walk[1:]):
             product *= P.mobius_i(s, t)
         assert chi == product, cx.face_of(mask)
+
+
+# --- flag-ds on O(P) against flag-poset on P ----------------------------------
+# The faces of O(P) with color set S are the chains of P with rank set S, so
+# the flag h of O(P) is β_P; and ε of a face of O(P) is its chain's ε (P.
+# Hall). So the S rows of the two reports agree, lhs to lhs and rhs to rhs,
+# although flag-ds builds and sweeps O(P) and flag-poset reads P's Möbius
+# values and never builds O(P). Each report keeps its own two paths: a wrong
+# O(P) that is still a balanced complex passes flag-ds, and only here do its
+# rows meet the poset's.
+
+def _assert_flag_rows_of_order_complex(P, bal):
+    complex_rows = [(r.index, r.lhs, r.rhs) for r in verify_flag_ds(bal).rows
+                    if r.index.startswith("S=")]
+    poset_rows = [(r.index, r.lhs, r.rhs) for r in verify_flag_poset(P).rows]
+    assert len(poset_rows) == 1 << (P.rho - 1)
+    assert complex_rows == poset_rows
+
+
+@pytest.mark.parametrize("spec", sorted({*ORDER_COMPLEX_SPECS, *POSET_SPECS,
+                                         *(f"dual({s})" for s in DUALIZED_SPECS),
+                                         "boolean_lattice(8)"}))
+def test_flag_ds_rows_of_order_complex_are_flag_poset_rows(spec):
+    # every poset of the catalog, and O(B_8) (Eulerian: all its rows are zero)
+    _assert_flag_rows_of_order_complex(*_generated(spec))
+
+
+@pytest.mark.parametrize("layers, seed", [((3,) * 9, 7), ((3,) * 9, 12), ((4,) * 8, 7),
+                                          ((4,) * 8, 11)])
+def test_flag_ds_rows_of_order_complex_at_deep_poset_shapes(layers, seed):
+    # the two shapes of the deep-poset files, where most rhs are nonzero
+    P = random_graded_poset(layers, 0.5, seed)
+    _assert_flag_rows_of_order_complex(P, order_complex(P))
+
+
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(min_value=0, max_value=10**9), density=st.sampled_from((0.3, 0.5, 0.8)))
+def test_flag_ds_rows_of_order_complex_on_seeded_posets(seed, density):
+    P = seeded_poset(seed, density)
+    for Q in (P, dual(P)):
+        _assert_flag_rows_of_order_complex(Q, order_complex(Q))

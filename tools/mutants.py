@@ -100,19 +100,21 @@ MUTANTS = (
            "    if keys:\n        return itemgetter",
            "gather: one key gives a bare value, as an itemgetter of one key does"),
     # --- the link sweep ---
-    Mutant(CX, "    for col in cols:\n        for k, t in zip(",
-           "    for col in cols[:-1]:\n        for k, t in zip(",
+    Mutant(CX, "    for col in cols:\n        values = reversed(acc)",
+           "    for col in cols[:-1]:\n        values = reversed(acc)",
            "sweep: the top level skipped"),
-    Mutant(CX, "    for col in cols:\n        for k, t in zip(",
-           "    for col in reversed(cols):\n        for k, t in zip(",
+    Mutant(CX, "    for col in cols:\n        values = reversed(acc)",
+           "    for col in reversed(cols):\n        values = reversed(acc)",
            "sweep: the levels in reverse order (the deepest vertex removed first)"),
-    Mutant(CX, "    for col in cols:\n        for k, t in zip(",
-           "    for col in cols[:6]:\n        for k, t in zip(",
+    Mutant(CX, "    for col in cols:\n        values = reversed(acc)",
+           "    for col in cols[:6]:\n        values = reversed(acc)",
            "sweep: stops one level short on faces of 7 or more vertices"),
     Mutant(CX, "acc = [-1] * (n + 1)", "acc = [1] * (n + 1)",
            "sweep: the constant's sign flipped"),
-    Mutant(CX, "zip(down, reversed(col))", "zip(down, col)",
+    Mutant(CX, "zip(values, reversed(col))", "zip(values, col)",
            "sweep: each face pushes along another face's column entry"),
+    Mutant(CX, "        next(values)  # slot n\n", "",
+           "sweep: slot n not skipped, so each value moves along the next face's entry"),
     # --- per-face sums ---
     Mutant(CX, "_gather(cols[0][lo:hi], sums)", "_gather(cols[-1][lo:hi], sums)",
            "face sums: read from the deepest column, not the parents"),
@@ -124,8 +126,6 @@ MUTANTS = (
     Mutant(CX, "bits = [1 << i for i in range(len(self.vertices))]",
            "bits = [2 << i for i in range(len(self.vertices))]",
            "masks: vertex i on bit i + 1"),
-    Mutant(CX, "[[0, *chain.from_iterable(parents)]]", "[[*chain.from_iterable(parents), 0]]",
-           "masks: the rescan's parent column shifted by one position"),
     # --- the balanced coloring ---
     Mutant(BAL, "colors = _face_sums(cx, [1 << (kappa[v] - 1) for v in cx.vertices])",
            "colors = _face_sums(cx, [1 << kappa[v] for v in cx.vertices])",
@@ -140,23 +140,38 @@ MUTANTS = (
            "coloring: `+=` for `|=` in _color_mask"),
     Mutant(BAL, "if c < 1:", "if c < 0:",
            "coloring: color 0 accepted by _color_mask"),
-    # --- the runs (from_runs and order_complex) ---
-    # (the walk's mutants went with it: the vertices of O(P) are now in P's
-    # index order by design, not in label order)
-    Mutant(CX, "all(map(lt, run, run[1:]))", "all(map(int.__le__, run, run[1:]))",
-           "runs: a repeated position accepted as increasing"),
-    Mutant(CX, "run[-1] >= made", "run[-1] > made",
-           "runs: the position past the last one made accepted"),
-    Mutant(CX, "if len(parents) != len(verts):", "if len(parents) > len(verts):",
-           "runs: fewer runs than vertices accepted"),
-    Mutant(POS, "            run = [0]\n", "            run = []\n",
-           "order complex: a run without ∅"),
+    # --- the blocks of from_order, and order_complex ---
+    Mutant(CX, "all(map(lt, low, low[1:]))", "all(map(int.__le__, low, low[1:]))",
+           "order: a repeated vertex in a below list accepted as increasing"),
+    Mutant(CX, "low[-1] >= t", "low[-1] > t",
+           "order: a vertex accepted under itself"),
+    Mutant(CX, "if len(below) != len(verts):", "if len(below) > len(verts):",
+           "order: fewer below lists than vertices accepted"),
+    Mutant(CX, "if reach & ~mask:", "if False:",
+           "order: the transitivity check dropped"),
+    Mutant(CX, "runs.append([1 << t, *(", "runs.append([*(",
+           "order refusal: the path family lacks each vertex alone"),
+    Mutant(CX, "runs.append(1 + sum(", "runs.append(sum(",
+           "order: a run's size counts no face {t}"),
+    Mutant(CX, "            p = lo + 1\n", "            p = lo\n",
+           "order: the first block written over the face {t}"),
+    Mutant(CX, "fa[a:b] = ids[p:q]", "fa[a:b] = ids[a:b]",
+           "order: the position map sends a face of run s to itself"),
+    Mutant(CX, "if covers[t] >> s & 1 else", "if not covers[t] >> s & 1 else",
+           "order: the cover test inverted"),
+    Mutant(CX, "for t in _bits(under):", "for t in ():",
+           "order: the faces under a later vertex not marked"),
+    Mutant(CX, "for j in range(1, depth[s] + 1):", "for j in range(1, depth[s]):",
+           "order: the block skip read as d > j"),
+    Mutant(CX, "within[0] = n > 1", "within[0] = 0",
+           "order: ∅ a facet beside the vertices"),
     Mutant(POS, "_bits(down[t + 1] >> 1 & ((1 << t) - 1))", "_bits(down[t + 1] >> 1 & ((2 << t) - 1))",
            "order complex: t counted in its own down-set"),
     Mutant(POS, "_bits(down[t + 1] >> 1 & ((1 << t) - 1))", "_bits(down[t + 1] & ((1 << t) - 1))",
            "order complex: the down-set read one element off"),
-    Mutant(POS, "starts.append(starts[t] + len(run))", "starts.append(starts[t] + len(run) - 1)",
-           "order complex: each run's span ends one short"),
+    Mutant(POS, "dict(zip(labels, P.rank_of[1:top]))",
+           "dict(zip(labels, [P.rho - r for r in P.rank_of[1:top]]))",
+           "order complex: colored by ρ − rank, a proper coloring on which flag-ds passes"),
     # --- Möbius rows, the μ(·, 1̂) column and interval errors ---
     Mutant(POS, "acc[u] -= val", "acc[u] += val",
            "mobius rows: the push adds μ(s, w) instead of subtracting it"),
