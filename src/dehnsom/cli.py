@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import json
 import os
 import sys
@@ -267,10 +268,18 @@ def run() -> None:
     flushed and the process ended by ``os._exit``, without the interpreter's
     teardown (module cleanup and the final GC passes).
 
+    ``main()`` runs with the cyclic collector off. The process serves one
+    request, and no poset, complex or table it builds is in a reference
+    cycle, so reference counting frees them and a collection would only walk
+    their long lists; the little cyclic garbage there is (argparse's parsers,
+    the mutually recursive closures of ``parse_spec``) goes with the process.
+    ``main()`` called as a library leaves the collector as it is.
+
     A stream that fails at this flush turns exit 0 into exit 2; a closed one
     (None) is skipped. Exit 1 or 2 was decided by ``main()``, which has already
     flushed stdout and diagnosed a failure there.
     """
+    gc.disable()
     try:
         code = main()
     except SystemExit as exc:  # --help

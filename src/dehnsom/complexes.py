@@ -458,8 +458,12 @@ def flag_rows(h: Sequence[int], errors: Sequence[int], d: int) -> list[Row]:
 
 @lru_cache(maxsize=4)
 def _flag_indexes(d: int) -> tuple[str, ...]:
-    """The row index "S={…}" of every S ⊆ [d], by bitmask; made once per d."""
-    return tuple(f"S={subset_label(m)}" for m in range(1 << d))
+    """The row index "S={…}" of every S ⊆ [d], by bitmask; made once per d,
+    by doubling: the masks with bit i are those below 2^i, each with i+1 added."""
+    inner = [""]
+    for i in range(1, d + 1):
+        inner += [f"{s},{i}" if s else str(i) for s in inner]
+    return tuple(f"S={{{s}}}" for s in inner)
 
 
 def ds_rows(h: Sequence[int], by_size: Sequence[int], d: int) -> list[Row]:
@@ -512,23 +516,34 @@ def face_error(cx: SimplicialComplex, face: Iterable) -> int:
     return reduced_euler_characteristic(link(cx, f)) - sign(d - 1 - len(f))
 
 
-def _link_euler_sweep(n: int, cols: Sequence[list]) -> list[int]:
-    """χ̃(lk F) for every face of a complex with n faces, as a list aligned
-    with its sorted masks, from the drop columns ``cols`` of the complex.
+def _link_euler_sweep(sizes: bytes, cols: Sequence[list]) -> list[int]:
+    """χ̃(lk F) for every face of a complex, as a list aligned with its sorted
+    masks, from the face sizes and the drop columns ``cols`` of the complex.
 
     χ̃(lk F) = Σ_{H ⊇ F, H a face} (−1)^{|H∖F|−1}: the signed superset
-    (Yates) transform of the constant −1. Level j visits every face,
-    supersets first, and moves its value to the face minus its j-th highest
-    vertex, so each pair H ⊇ G is joined by exactly one path: H∖G removed
-    from the top down, level by level. A face with fewer than j vertices
-    moves its value to slot n, which is dropped at the end. It runs on the
-    faces alone, since a set that is not a face has no face above it.
+    (Yates) transform of the constant −1. Level j = 0, 1, ... visits every
+    face, supersets first, and moves its value to the face minus its
+    (j+1)-th highest vertex, so each pair H ⊇ G is joined by exactly one
+    path: H∖G removed from the top down, level by level. A face of j or
+    fewer vertices is dead at level j: it moves its value to slot n =
+    len(sizes), which is never read and is dropped at the end. Where fewer
+    than half the faces are live, the level walks only the live ones, picked
+    by ``compress``; on a denser level the mask costs more than the dead
+    moves it saves. It runs on the faces alone, since a set that is not a
+    face has no face above it.
     """
+    n = len(sizes)
     acc = [-1] * (n + 1)
-    for col in cols:
+    for j, col in enumerate(cols):
         values = reversed(acc)  # live: each value is read when its face is reached
         next(values)  # slot n
-        for v, t in zip(values, reversed(col)):
+        live = sizes.translate(bytes(j + 1) + b"\1" * (255 - j))  # 1 where |F| > j
+        if 2 * live.count(1) < n:
+            keep = live[::-1]
+            pairs = zip(compress(values, keep), compress(reversed(col), keep))
+        else:
+            pairs = zip(values, reversed(col))
+        for v, t in pairs:
             acc[t] -= v
     del acc[n]
     return acc
@@ -537,7 +552,7 @@ def _link_euler_sweep(n: int, cols: Sequence[list]) -> list[int]:
 def link_euler_values(cx: SimplicialComplex) -> tuple[int, ...]:
     """χ̃(lk F) for every face, aligned with ``cx._masks``; swept once per complex."""
     if cx._link_chi is None:
-        object.__setattr__(cx, "_link_chi", tuple(_link_euler_sweep(len(cx._sizes), cx._cols)))
+        object.__setattr__(cx, "_link_chi", tuple(_link_euler_sweep(cx._sizes, cx._cols)))
     return cx._link_chi
 
 

@@ -47,11 +47,14 @@ class ToricTable:
     its leading coefficient is 1, so it has exactly ρ(q) coefficients
     (ĥ(0̂) = 1). ĝ(q) is the degree-⌊(ρ(q)−1)/2⌋ truncation of (1−x)·ĥ(q),
     trailing zeros trimmed. No Möbius value is read.
+
+    The table keeps P's ranks, not P: P caches its table, so a reference back
+    would make a cycle, and a one-shot CLI request runs with the cyclic
+    collector off.
     """
 
     def __init__(self, P: GradedPoset):
-        self.P = P
-        rank = P.rank_of
+        self.rank_of = rank = P.rank_of
         above = P._strict_up_lists()
         # cols[r][k][w] = Σ [x^k]ĝ(u) over the u < w of rank r ≥ 1, as ĝ of
         # rank r has ⌊(r+1)/2⌋ coefficients; G_0 = ĝ(0̂) = 1 is not pushed
@@ -76,7 +79,7 @@ class ToricTable:
 
     def defect(self, q: int) -> list:
         """A_k(Q) = ĥ_{r−k}(Q) − ĥ_k(Q) for the lower interval at element q."""
-        r = self.P.rank_of[q] - 1
+        r = self.rank_of[q] - 1
         hq = self.h[q]
         return [hq[k] - hq[r - k] for k in range(r + 1)]
 

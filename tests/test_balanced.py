@@ -13,6 +13,7 @@ from dehnsom.balanced import (
     verify_flag_ds,
 )
 from dehnsom.complexes import (
+    _flag_indexes,
     build_complex,
     f_vector,
     face_error_table,
@@ -281,3 +282,5 @@ def test_one_subset_label_for_color_and_rank_sets():
     poset_rows = [r.index for r in verify_flag_poset(P).rows]
     complex_rows = [r.index for r in verify_flag_ds(order_complex(P)).rows][: 1 << d]
     assert poset_rows == complex_rows == [f"S={subset_label(m)}" for m in range(1 << d)]
+    for d in range(13):  # the row indexes are built by doubling, not by subset_label
+        assert _flag_indexes(d) == tuple(f"S={subset_label(m)}" for m in range(1 << d))

@@ -1,4 +1,6 @@
+import argparse
 import errno
+import gc
 import io
 import json
 import os
@@ -26,10 +28,12 @@ def run(*args):
 
 
 def cli(capsys, *argv):
-    """``main(argv)`` in this process: its stdout, once exit code 0 is checked."""
+    """``main(argv)`` in this process: its stdout, once exit code 0 is checked
+    and the cyclic collector is found still on (only ``run()`` turns it off)."""
     code = main(list(argv))
     out, err = capsys.readouterr()
     assert code == 0, err
+    assert gc.isenabled()
     return out
 
 
@@ -504,8 +508,12 @@ def _run_exit_code(monkeypatch, *argv):
 
     monkeypatch.setattr(os, "_exit", _exit)
     monkeypatch.setattr(sys, "argv", ["dehnsom", *argv])
-    with pytest.raises(_Exited) as exc:
-        run_process()
+    try:
+        with pytest.raises(_Exited) as exc:
+            run_process()
+        assert not gc.isenabled()  # the request ran without the cyclic collector
+    finally:
+        gc.enable()
     return exc.value.args[0]
 
 
@@ -533,6 +541,32 @@ def test_run_exits_2_once_when_stdout_fails_at_the_last_flush(argv, monkeypatch,
     monkeypatch.setattr(sys, "stdout", _FailsAtFlush())
     code = _run_exit_code(monkeypatch, *argv)
     _assert_refusal(code, *capsys.readouterr(), "OSError: [Errno 28] No space left on device")
+
+
+@pytest.mark.parametrize("argv", [["verify", "all", "--json"],
+                                  ["verify", "all", "--json", "--gen",
+                                   "random_graded_poset([3,3,3,3],0.5,7)"]],
+                         ids=["catalog", "poset"])
+def test_a_request_leaves_no_cyclic_garbage_of_dehnsom(argv, capsys):
+    # run() serves its request with the collector off, which frees nothing
+    # only if nothing dehnsom builds is cyclic; main() leaves the collector as
+    # it found it. The parsers are argparse's graph, cyclic by argparse's design
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        assert not gc.isenabled()
+        gc.collect()
+        ours = sorted({type(o).__qualname__ for o in gc.garbage
+                       if type(o).__module__.startswith("dehnsom")
+                       and not isinstance(o, argparse.ArgumentParser)})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    capsys.readouterr()
+    assert ours == []
 
 
 @pytest.mark.parametrize("as_json", [False, True], ids=["table", "json"])

@@ -14,7 +14,10 @@ pass can change inside complexes.py alone:
   ``f_vector``, ``h_vector`` and ``reduced_euler_characteristic`` against
   the set bits of the fed masks and ``h_closed_form``: ``_assert_same``,
   in ``test_runs_match_set_closure`` and ``test_smallest_complexes``, on
-  clean, shuffled, rotated, repeated, one-pass and padded input
+  clean, shuffled, rotated, repeated, one-pass and padded input, and in
+  ``test_sweep_of_a_deep_order_complex`` and
+  ``test_sweep_of_one_big_facet_among_edges``, on complexes whose sweep
+  walks some levels whole and some by their live faces only
 - the complex of a label family (``SimplicialComplex(faces)``: vertices in
   label order, ``_masks``, ``facets()``, dim, purity, ``mask_of`` round
   trips) against ``frozenset_complex`` and ``face_masks``, and its refusal of
@@ -219,6 +222,34 @@ def test_smallest_complexes():
     assert points.vertices == ("a", "c", "d") and points._masks == (0, 1, 2, 4)
     assert link_euler_values(points) == (2, -1, -1, -1)
     assert _face_sums(points, [1, 10, 100]) == [0, 1, 10, 100]
+
+
+def _assert_sweeps_both_ways(cx, verts, fed):
+    """``_assert_same(cx, verts, fed)`` on a complex whose link sweep has
+    levels on both sides of its half-live test: some walk every position,
+    some only the faces with more vertices than the level."""
+    live = [sum(k > j for k in cx._sizes) for j in range(len(cx._cols))]
+    assert min(live) * 2 < len(cx._sizes) <= max(live) * 2
+    _assert_same(cx, verts, fed)
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_sweep_of_a_deep_order_complex(seed):
+    # rank 8: chains of up to 7 elements, so the top levels are mostly padding
+    cx = order_complex(random_graded_poset((2,) * 7, 0.5, seed)).complex
+    _assert_sweeps_both_ways(cx, cx.vertices, cx._masks)
+
+
+def test_sweep_of_one_big_facet_among_edges():
+    # an 8-vertex facet among 300 edges on 30 vertices: from level 2 up fewer
+    # than half the faces are live, and the complex is not an order complex;
+    # the faces of the facet on vertices 0..7 are the masks below 2^8
+    rng = random.Random(5)
+    edges = rng.sample([(1 << a) | (1 << b) for a in range(30) for b in range(a)], 300)
+    fed = [*range(1 << 8), *(1 << v for v in range(30)), *edges]
+    cx = SimplicialComplex.from_masks(range(30), fed)
+    assert cx.dim == 7 and not cx.pure
+    _assert_sweeps_both_ways(cx, tuple(range(30)), fed)
 
 
 # --- the closure error text ------------------------------------------------------

@@ -100,15 +100,18 @@ MUTANTS = (
            "    if keys:\n        return itemgetter",
            "gather: one key gives a bare value, as an itemgetter of one key does"),
     # --- the link sweep ---
-    Mutant(CX, "    for col in cols:\n        values = reversed(acc)",
-           "    for col in cols[:-1]:\n        values = reversed(acc)",
+    Mutant(CX, "for j, col in enumerate(cols):", "for j, col in enumerate(cols[:-1]):",
            "sweep: the top level skipped"),
-    Mutant(CX, "    for col in cols:\n        values = reversed(acc)",
-           "    for col in reversed(cols):\n        values = reversed(acc)",
+    Mutant(CX, "for j, col in enumerate(cols):", "for j, col in reversed([*enumerate(cols)]):",
            "sweep: the levels in reverse order (the deepest vertex removed first)"),
-    Mutant(CX, "    for col in cols:\n        values = reversed(acc)",
-           "    for col in cols[:6]:\n        values = reversed(acc)",
+    Mutant(CX, "for j, col in enumerate(cols):", "for j, col in enumerate(cols[:6]):",
            "sweep: stops one level short on faces of 7 or more vertices"),
+    Mutant(CX, "keep = live[::-1]", "keep = live",
+           "sweep: a sparse level's mask read in position order, not reversed"),
+    Mutant(CX, 'bytes(j + 1) + b"\\1" * (255 - j)', 'bytes(j + 2) + b"\\1" * (254 - j)',
+           "sweep: faces of j + 1 vertices treated as padding at level j"),
+    Mutant(CX, "compress(reversed(col), keep))", "reversed(col))",
+           "sweep: on a sparse level only the values filtered, the column left whole"),
     Mutant(CX, "acc = [-1] * (n + 1)", "acc = [1] * (n + 1)",
            "sweep: the constant's sign flipped"),
     Mutant(CX, "zip(values, reversed(col))", "zip(values, col)",
@@ -213,6 +216,9 @@ MUTANTS = (
     Mutant(CX, "poly.coeff(d - i) for i in range(d + 1)", "poly.coeff(i) for i in range(d + 1)",
            "h from f: the coefficients read in reverse"),
     # --- ToricTable ---
+    Mutant(TOR, "        self.rank_of = rank = P.rank_of\n",
+           "        self.P = P\n        self.rank_of = rank = P.rank_of\n",
+           "toric: the table points back at its poset, a reference cycle"),
     Mutant(TOR, "hq = [b - a for a, b in zip(hq + [0], [0] + hq)]",
            "hq = [a - b for a, b in zip(hq + [0], [0] + hq)]",
            "toric: Horner step by (1 - x)"),
@@ -273,6 +279,8 @@ MUTANTS = (
            "", "exit path: main() does not flush stdout"),
     Mutant(CLI, "if sys.stdout is None:", "if False:",
            "exit path: a closed stdout (None) runs the request and exits 0"),
+    Mutant(CLI, "    gc.disable()\n", "",
+           "exit path: run() serves its request with the cyclic collector on"),
     Mutant(CLI, "    os._exit(code)", "    os._exit(0)",
            "exit path: run() exits 0 whatever main() returned"),
     Mutant(CLI, "        code = exc.code", "        code = 2",
