@@ -89,9 +89,9 @@ def cmd_compute(args) -> int:
         _emit(args, {"euler": chi}, f"chi_tilde = {chi}")
     elif what == "flag":
         ff, fh = bl.flag_f_vector(X), bl.flag_h_vector(X)
-        payload = {"d": X.d,
-                   "flag_f": {cx.subset_label(m): v for m, v in ff.items()},
-                   "flag_h": {cx.subset_label(m): v for m, v in fh.items()}}
+        labels = [s[len("S="):] for s in cx._flag_indexes(X.d)]  # the flag-ds row indexes
+        payload = {"d": X.d, "flag_f": dict(zip(labels, map(ff.by_mask, range(1 << X.d)))),
+                   "flag_h": dict(zip(labels, map(fh.by_mask, range(1 << X.d))))}
         lines = [f"S={s}  f_S={payload['flag_f'][s]}  h_S={payload['flag_h'][s]}"
                  for s in payload["flag_f"]]
         _emit(args, payload, "\n".join(lines))
@@ -269,10 +269,10 @@ def run() -> None:
     teardown (module cleanup and the final GC passes).
 
     ``main()`` runs with the cyclic collector off. The process serves one
-    request, and no poset, complex or table it builds is in a reference
-    cycle, so reference counting frees them and a collection would only walk
-    their long lists; the little cyclic garbage there is (argparse's parsers,
-    the mutually recursive closures of ``parse_spec``) goes with the process.
+    request, and no poset, complex, table or function it builds is in a
+    reference cycle, so reference counting frees them and a collection would
+    only walk their long lists; the little cyclic garbage there is (argparse's
+    parsers) goes with the process.
     ``main()`` called as a library leaves the collector as it is.
 
     A stream that fails at this flush turns exit 0 into exit 2; a closed one

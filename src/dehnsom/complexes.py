@@ -10,13 +10,14 @@ face sizes (``_sizes``), the drop columns (``_cols``) and the facet
 positions. ``from_masks`` sorts the masks and finds each face's parent (the
 face minus its top vertex) in a transient position table, the only place a
 mask is hashed, then makes each run's column slices by C-level gathers and
-keeps its masks. ``from_order`` (for O(P)) is given a strict order: the run
+keeps no mask. ``from_order`` (for O(P)) is given a strict order: the run
 of t is ∅ plus a shifted copy of the whole run of each vertex under t, so
 it is copied block by block, closure is the order's transitivity, checked
 first, and no mask is made. Per-face passes read positions only, so χ̃(lk
 F), ε(F) and ``BalancedComplex.face_colors`` are lists aligned with them,
-and the masks (``_masks``) are built from the runs on first read, a face's
-mask the sum of its vertex bits. Frozensets of labels are the boundary form: ``faces`` is
+and the masks (``_masks``) are built from the runs on first read, for every
+complex, a face's mask the sum of its vertex bits. A label's vertex index is
+its place in ``vertices``. Frozensets of labels are the boundary form: ``faces`` is
 built on first read, and ``facets()``, error records and the facet text
 list labels in label order, whatever the vertex order. f_{-1} = 1: ∅ is
 always a face.
@@ -66,12 +67,10 @@ def _gather(keys: Sequence, seq) -> tuple:
     return (seq[keys[0]],) if keys else ()
 
 
-def _vertex_bits(verts: tuple) -> dict:
-    """Each vertex's bit, 1 << its index; a repeated vertex is refused."""
-    bit = {v: 1 << i for i, v in enumerate(verts)}
-    if len(bit) != len(verts):
+def _check_distinct(verts: tuple) -> None:
+    """Refuse a repeated vertex."""
+    if len(set(verts)) != len(verts):
         raise InternalError("a vertex is repeated")
-    return bit
 
 
 def _not_closed(verts: tuple, masks: Sequence[int]) -> InternalError:
@@ -129,7 +128,7 @@ class SimplicialComplex:
     Instances are immutable and safe to share.
     """
 
-    __slots__ = ("vertices", "dim", "pure", "_bit", "_starts", "_sizes", "_cols", "_facets",
+    __slots__ = ("vertices", "dim", "pure", "_starts", "_sizes", "_cols", "_facets",
                  "_mask_tuple", "_faces", "_link_chi")
 
     def __init__(self, faces: Iterable[Iterable]):
@@ -167,7 +166,7 @@ class SimplicialComplex:
         verts = tuple(vertices)
         if len(below) != len(verts):
             raise InternalError(f"{len(below)} lists for {len(verts)} vertices")
-        bit = _vertex_bits(verts)
+        _check_distinct(verts)
         # per vertex: the mask of below[t], which of those t covers, and the
         # size and largest face size of its run; `under` holds every vertex
         # that lies under another
@@ -212,10 +211,16 @@ class SimplicialComplex:
             within[starts[t]:starts[t + 1]] = b"\1" * runs[t]
         within[0] = n > 1
         cx = cls.__new__(cls)
-        cx._keep(verts, bit, starts, sizes, cols, tuple(compress(ids, within.translate(_NOT))))
+        cx._keep(verts, starts, sizes, cols, tuple(compress(ids, within.translate(_NOT))))
         return cx
 
     def _set_masks(self, verts: tuple, masks: Iterable[int]) -> None:
+        """The closure pass of ``from_masks``. The faces with top vertex t are
+        run t of the sorted distinct masks, from ``starts[t]``, each its parent
+        (the face minus t) plus t, found in a transient position table. A
+        run's sizes and column slices are C-level gathers (``_gather``), its
+        levels stop at its largest size, and each level marks the faces it
+        holds as non-facets. The masks are not kept."""
         masks = sorted(masks)
         if any(map(eq, masks, masks[1:])):  # drop repeats only when there are any
             masks = [m for m, n in zip(masks, masks[1:]) if m != n] + masks[-1:]
@@ -226,31 +231,19 @@ class SimplicialComplex:
         if masks[-1].bit_length() > len(verts):
             raise InternalError(f"a face uses bit {masks[-1].bit_length() - 1}, "
                                 f"past the {len(verts)} vertices")
-        # the faces with top vertex t are one run of the sorted masks, each its
-        # parent (the face minus t) plus t; a missing parent is position n
         n = len(masks)
         ids = list(range(n))  # one int object per position, shared by the columns
-        bounds = [bisect_left(masks, 1 << t) for t in range(len(verts) + 1)]
-        position = dict(zip(masks, ids))
+        starts = [bisect_left(masks, 1 << t) for t in range(len(verts) + 1)]
+        position = dict(zip(masks, ids))  # a missing parent is position n
         parents = [list(map(position.get, map(xor, masks[lo:hi], repeat(1 << t)), repeat(n)))
-                   for t, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+                   for t, (lo, hi) in enumerate(zip(starts, starts[1:]))]
         del position
-        self._set_runs(verts, ids, parents, masks)
-
-    def _set_runs(self, verts: tuple, ids: list, parents: list, masks: list) -> None:
-        """The closure pass of ``from_masks``: ``parents[t]`` the positions
-        (ints of ``ids``) of run t minus t, and ``masks`` the faces' sorted
-        distinct masks. A run's sizes and column slices are C-level gathers
-        (``_gather``), its levels stop at its largest size, and each level
-        marks the faces it holds as non-facets."""
-        bit = _vertex_bits(verts)
+        _check_distinct(verts)
         # column 0 of F = p + t is p; column j is column j−1 of p with t added
         # (the run's face above it), or n where that is n. A missing parent (n)
         # is an IndexError of sizes, a missing face below a KeyError of face_at;
         # a face some column holds lies in a larger face, so it is no facet
-        n = len(ids)
         cols, sizes, facet = [], bytearray(n), bytearray(b"\1") * (n + 1)
-        starts = list(accumulate(map(len, parents), initial=1))
         try:
             for run, lo, hi in zip(parents, starts, starts[1:]):
                 sizes[lo:hi] = grown = bytes(_gather(run, sizes)).translate(_PLUS_ONE)
@@ -267,18 +260,13 @@ class SimplicialComplex:
                         facet[p] = 0
         except (IndexError, KeyError):
             raise _not_closed(verts, masks) from None
+        # drop the unused vertices with their empty runs; positions and columns hold
         used = list(map(bool, parents))
-        if not all(used):
-            # drop the unused vertices with their empty runs; positions and
-            # columns hold, and masks over the old bits are rebuilt on demand
-            starts = [*compress(starts, used), n]
-            verts = tuple(compress(verts, used))
-            bit = _vertex_bits(verts)
-            masks = None
-        self._keep(verts, bit, starts, sizes, cols, tuple(compress(ids, facet)), masks)
+        self._keep(tuple(compress(verts, used)), [*compress(starts, used), n], sizes, cols,
+                   tuple(compress(ids, facet)))
 
-    def _keep(self, verts: tuple, bit: dict, starts: list, sizes: bytearray, cols: list,
-              facets: tuple, masks: list | None = None) -> None:
+    def _keep(self, verts: tuple, starts: list, sizes: bytearray, cols: list,
+              facets: tuple) -> None:
         """Set the fields that both constructors end with; dim and purity
         are read off the sizes of the facets."""
         dim = max(sizes) - 1
@@ -286,20 +274,18 @@ class SimplicialComplex:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "pure", pure)
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "_bit", bit)
         object.__setattr__(self, "_starts", starts)
         object.__setattr__(self, "_sizes", bytes(sizes))
         object.__setattr__(self, "_cols", cols)
         object.__setattr__(self, "_facets", facets)
-        object.__setattr__(self, "_mask_tuple", None if masks is None else tuple(masks))
+        object.__setattr__(self, "_mask_tuple", None)
         object.__setattr__(self, "_faces", None)
         object.__setattr__(self, "_link_chi", None)
 
     @property
     def _masks(self) -> tuple[int, ...]:
         """Every face as a bitmask, in position order: a face's mask is the
-        sum of its vertex bits. Kept from ``from_masks``, else built on first
-        read."""
+        sum of its vertex bits, built from the runs on first read."""
         if self._mask_tuple is None:
             bits = [1 << i for i in range(len(self.vertices))]
             object.__setattr__(self, "_mask_tuple",
@@ -323,12 +309,10 @@ class SimplicialComplex:
 
     def _face_mask(self, face: Iterable) -> int | None:
         """The bitmask of ``face`` if it is a face of the complex, else None."""
-        m = 0
-        for v in face:
-            b = self._bit.get(v)
-            if b is None:
-                return None
-            m |= b
+        try:
+            m = sum({1 << self.vertices.index(v) for v in face})
+        except ValueError:  # a vertex of no face
+            return None
         masks = self._masks
         k = bisect_left(masks, m)
         return m if k < len(masks) and masks[k] == m else None
@@ -471,11 +455,6 @@ def ds_rows(h: Sequence[int], by_size: Sequence[int], d: int) -> list[Row]:
     return [Row(index=f"j={j}", lhs=h[d - j] - h[j],
                 rhs=sign(j) * sum(binom(d - k, j) * x for k, x in enumerate(by_size)))
             for j in range(d + 1)]
-
-
-def subset_label(mask: int) -> str:
-    """The subset of [d] held in ``mask`` (bit i for i+1), written like "{1,3}"."""
-    return "{" + ",".join(str(i + 1) for i in _bits(mask)) + "}"
 
 
 def reduced_euler_characteristic(cx: SimplicialComplex) -> int:

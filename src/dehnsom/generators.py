@@ -8,6 +8,7 @@ linear congruential generator so other implementations can reproduce them.
 from __future__ import annotations
 
 import itertools
+import re
 from typing import NamedTuple
 
 from .complexes import SimplicialComplex, _bits, _face_sums, build_complex, join, label_sort_key
@@ -123,18 +124,19 @@ def face_poset(x: SimplicialComplex, with_top: bool = True) -> GradedPoset:
     """Faces of x ordered by inclusion, 0̂ = ∅; adjoins 1̂ when with_top.
 
     A face is labeled by its vertices in label order, e.g. "(0,1,3)",
-    whatever the vertex order of x.
+    whatever the vertex order of x. Faces are read by position: face k
+    covers the faces in its drop columns, and the facets lie under 1̂.
     """
     verts = sorted(x.vertices, key=label_sort_key)
     bit = {v: 1 << i for i, v in enumerate(verts)}
-    label = {m: "(" + ",".join(str(verts[i]) for i in _bits(r)) + ")"
-             for m, r in zip(x._masks, _face_sums(x, [bit[v] for v in x.vertices]))}
-    covers = [(label[m ^ (1 << i)], name) for m, name in label.items() for i in _bits(m)]
-    elements = list(label.values())
+    elements = ["(" + ",".join(str(verts[i]) for i in _bits(r)) + ")"
+                for r in _face_sums(x, [bit[v] for v in x.vertices])]
+    covers = [(elements[col[k]], name) for k, name in enumerate(elements)
+              for col in x._cols[:x._sizes[k]]]
     if with_top:
+        covers.extend((elements[k], "TOP") for k in x._facets)
         elements.append("TOP")
-        covers.extend((label[m], "TOP") for m in x._facet_masks)
-    elif len(x._facet_masks) != 1:
+    elif len(x._facets) != 1:
         raise BadParams("face poset without a top needs a unique maximal face")
     return build_poset(elements, covers)
 
@@ -270,89 +272,78 @@ def built(spec: GeneratorSpec, memo: dict):
 MAX_SPEC_DEPTH = 100
 
 
+_SPACE = re.compile(r"\s*")  # str.isspace() characters
+_NAME = re.compile(r"\w*")  # str.isalnum() characters and "_"
+
+
 def parse_spec(text: str) -> GeneratorSpec:
     """Tiny prefix grammar: name, name(arg, ...); args are ints, floats, true/false,
-    [int,...] lists, or nested generator specs, at most MAX_SPEC_DEPTH levels deep."""
-    pos = 0
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def parse_name() -> str:
-        nonlocal pos
-        start = pos
-        while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
-            pos += 1
-        if start == pos:
-            raise ParseError(f"expected a name at position {start} in {text!r}")
-        return text[start:pos]
-
-    def parse_items(close: str, depth: int) -> tuple:
-        """The comma-separated values of a list or an argument list, up to and
-        including the closing bracket."""
-        nonlocal pos
-        items = []
-        while True:
-            skip_ws()
-            if pos < len(text) and text[pos] == close:
-                pos += 1
-                return tuple(items)
-            items.append(parse_value(depth + 1))
-            skip_ws()
-            if pos < len(text) and text[pos] == ",":
-                pos += 1
-            elif not (pos < len(text) and text[pos] == close):
-                raise ParseError("unterminated list" if close == "]" else
-                                 f"expected ',' or ')' at {pos} in {text!r}")
-
-    def parse_value(depth: int):
-        nonlocal pos
-        if depth > MAX_SPEC_DEPTH:
-            raise ParseError(f"spec nested deeper than {MAX_SPEC_DEPTH} levels "
-                             f"at position {pos}")
-        skip_ws()
-        if pos < len(text) and text[pos] == "[":
-            pos += 1
-            return parse_items("]", depth)
-        if pos < len(text) and (text[pos].isalpha() or text[pos] == "_"):
-            start = pos
-            node = parse_node(depth)
-            if node.name in ("true", "false"):
-                if node.params:
-                    raise ParseError(f"bad boolean at {start} in {text!r}")
-                return node.name == "true"
-            return node
-        start = pos
-        while pos < len(text) and (text[pos].isdigit() or text[pos] in "+-.e"):
-            pos += 1
-        token = text[start:pos]
-        try:
-            return int(token)
-        except ValueError:
-            pass
-        try:
-            return float(token)
-        except ValueError:
-            raise ParseError(f"bad argument {token!r} in {text!r}") from None
-
-    def parse_node(depth: int) -> GeneratorSpec:
-        nonlocal pos
-        skip_ws()
-        name = parse_name()
-        skip_ws()
-        params = ()
-        if pos < len(text) and text[pos] == "(":
-            pos += 1
-            params = parse_items(")", depth)
-        return GeneratorSpec(name, params)
-
-    node = parse_node(0)
-    skip_ws()
+    [int,...] lists, or nested generator specs, at most MAX_SPEC_DEPTH levels deep.
+    The parser's parts below read ``text`` from ``pos`` and return what they
+    read with the position after it."""
+    node, pos = _parse_node(text, 0, 0)
+    pos = _SPACE.match(text, pos).end()
     if pos != len(text):
         raise ParseError(f"trailing input {text[pos:]!r}")
     return node
+
+
+def _parse_node(text: str, pos: int, depth: int) -> tuple[GeneratorSpec, int]:
+    start = _SPACE.match(text, pos).end()
+    pos = _NAME.match(text, start).end()
+    if start == pos:
+        raise ParseError(f"expected a name at position {start} in {text!r}")
+    name, params = text[start:pos], ()
+    pos = _SPACE.match(text, pos).end()
+    if text.startswith("(", pos):
+        params, pos = _parse_items(text, pos + 1, depth, ")")
+    return GeneratorSpec(name, params), pos
+
+
+def _parse_items(text: str, pos: int, depth: int, close: str) -> tuple[tuple, int]:
+    """The comma-separated values of a list or an argument list, up to and
+    including the closing bracket."""
+    items = []
+    while True:
+        pos = _SPACE.match(text, pos).end()
+        if text.startswith(close, pos):
+            return tuple(items), pos + 1
+        item, pos = _parse_value(text, pos, depth + 1)
+        items.append(item)
+        pos = _SPACE.match(text, pos).end()
+        if text.startswith(",", pos):
+            pos += 1
+        elif not text.startswith(close, pos):
+            raise ParseError("unterminated list" if close == "]" else
+                             f"expected ',' or ')' at {pos} in {text!r}")
+
+
+def _parse_value(text: str, pos: int, depth: int) -> tuple:
+    if depth > MAX_SPEC_DEPTH:
+        raise ParseError(f"spec nested deeper than {MAX_SPEC_DEPTH} levels "
+                         f"at position {pos}")
+    pos = _SPACE.match(text, pos).end()
+    if text.startswith("[", pos):
+        return _parse_items(text, pos + 1, depth, "]")
+    if text[pos:pos + 1].isalpha() or text.startswith("_", pos):
+        node, end = _parse_node(text, pos, depth)
+        if node.name in ("true", "false"):
+            if node.params:
+                raise ParseError(f"bad boolean at {pos} in {text!r}")
+            return node.name == "true", end
+        return node, end
+    start = pos
+    while pos < len(text) and (text[pos].isdigit() or text[pos] in "+-.e"):
+        pos += 1
+    token = text[start:pos]
+    try:
+        return int(token), pos
+    except ValueError:
+        pass
+    try:
+        return float(token), pos
+    except ValueError:
+        raise ParseError(f"bad argument {token!r} in {text!r}") from None
 
 
 def generate_from_string(text: str):

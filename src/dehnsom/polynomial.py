@@ -116,27 +116,10 @@ class ExactPolynomial:
     def truncate(self, max_degree: int) -> "ExactPolynomial":
         return ExactPolynomial(self.coeffs[: max_degree + 1])
 
-    # --- equality / display -------------------------------------------------
+    # --- equality / serialization -------------------------------------------
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ExactPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                mono = "x" if k == 1 else f"x^{k}"
-                parts.append(mono if c == 1 else f"{c}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
 
     def serialize(self) -> list[int]:
         """Coefficient array, lowest degree first."""

@@ -488,30 +488,25 @@ def min_j_sing_recursive(P: GradedPoset) -> int:
     under inclusion).
     """
     bad = [(s, t) for s, t, _ in P.bad_intervals()]
-    memo = {}
+    return _min_j_of_interval(P, bad, {}, P.bottom_i, P.top_i)
 
-    def rec(s, t):
-        key = (s, t)
-        if key in memo:
-            return memo[key]
-        contained = [(a, b) for a, b in bad
-                     if P.leq_i(s, a) and P.leq_i(b, t)]
+
+def _min_j_of_interval(P: GradedPoset, bad: list, memo: dict, s: int, t: int) -> int:
+    """min_j([s, t]) by the recursion, kept in ``memo``; ``bad`` lists the
+    non-Eulerian intervals as index pairs."""
+    if (s, t) not in memo:
+        contained = [(a, b) for a, b in bad if P.leq_i(s, a) and P.leq_i(b, t)]
         if not contained:
-            memo[key] = -1
+            memo[s, t] = -1
         elif contained == [(s, t)]:
-            memo[key] = 0
+            memo[s, t] = 0
         else:
-            best = 0
-            for u in P._covers_dn[t]:
-                if P.leq_i(s, u):
-                    best = max(best, rec(s, u))
-            for u in P._covers_up[s]:
-                if P.leq_i(u, t):
-                    best = max(best, rec(u, t))
-            memo[key] = 1 + best
-        return memo[key]
-
-    return rec(P.bottom_i, P.top_i)
+            below = [_min_j_of_interval(P, bad, memo, s, u)
+                     for u in P._covers_dn[t] if P.leq_i(s, u)]
+            above = [_min_j_of_interval(P, bad, memo, u, t)
+                     for u in P._covers_up[s] if P.leq_i(u, t)]
+            memo[s, t] = 1 + max(0, *below, *above)
+    return memo[s, t]
 
 
 def min_j_sing_order_complex(P: GradedPoset) -> int:

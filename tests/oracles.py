@@ -6,7 +6,7 @@ no code with the kernel it checks; sympy and networkx serve as outside
 references in their own test files. A reference calls the package's public
 functions and ``_bits``, and reads public values only: labels, ranks, covers,
 ``leq_i``, the poset's up/down masks and cover lists, and a complex's
-vertices, vertex bits ``_bit`` and sorted face masks ``_masks``. It never
+vertices (vertex i is bit i) and sorted face masks ``_masks``. It never
 reads the face layout of the closure pass, so that layout can change inside
 complexes.py alone. ``frozenset_singularity_profile`` is partial: it takes ε
 from ``face_errors`` and the order from ``face_sort_key``, so it checks only
@@ -33,6 +33,8 @@ one, and (in brackets) the tests that make each comparison:
   ``short_h_by_links`` (``test_short_h_matches_link_oracle``); the profile:
   ``frozenset_singularity_profile`` (test_complexes.py
   ``test_singularity_profile_*``)
+- subset labels ``S={…}`` (``complexes._flag_indexes``): ``subset_label``
+  (test_balanced.py ``test_one_subset_label_for_color_and_rank_sets``)
 - subset sums (``complexes.subset_transform``): ``submask_sum``
   (``test_subset_transform_matches_submask_loop``); short flag sums:
   ``short_flag_sum_by_vertices`` (``test_short_flag_sum_matches_vertex_scan``)
@@ -177,8 +179,8 @@ def mask_of(cx, face):
     m = 0
     try:
         for v in face:
-            m |= cx._bit[v]
-    except KeyError as exc:
+            m |= 1 << cx.vertices.index(v)
+    except ValueError as exc:
         raise FaceNotInComplex(f"unknown vertex in {set(face)}") from exc
     return m
 
@@ -207,6 +209,13 @@ def short_h_by_links(cx):
         for i in range(d):
             out[i] += hv[i] if i < len(hv) else 0
     return tuple(out)
+
+
+def subset_label(mask):
+    """The subset of [d] held in ``mask`` (bit i for i+1), written like "{1,3}":
+    the reference for the ``S={…}`` row indexes (``complexes._flag_indexes``)
+    and the labels of ``compute flag``."""
+    return "{" + ",".join(str(i + 1) for i in _bits(mask)) + "}"
 
 
 def submask_sum(table, mask, signed):

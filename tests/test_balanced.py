@@ -18,7 +18,6 @@ from dehnsom.complexes import (
     f_vector,
     face_error_table,
     h_vector,
-    subset_label,
 )
 from dehnsom.errors import ColorInS, DehnsomError, NotBalanced, NotPure
 from dehnsom.generators import cross_polytope, cycle, face_poset, random_graded_poset
@@ -31,6 +30,7 @@ from oracles import (
     bit_walk_face_colors,
     rank_selected_subposet,
     short_flag_sum_by_vertices,
+    subset_label,
 )
 
 

@@ -139,10 +139,10 @@ def _fed(cx, seed):
 def _assert_same(got, verts, fed):
     """``got`` is the complex of the face masks ``fed`` over ``verts``: its
     facets, dim and purity by set membership, its unused vertices dropped by
-    a bit walk, its masks (built on demand when ``got`` came from runs or
-    dropped a vertex) and per-face sums by relabeling the fed masks, its
-    f-vector, h-vector and χ̃ from their set bits, and its χ̃(lk F) and ε(F),
-    in ``_masks`` order, by subset enumeration."""
+    a bit walk, its masks (built from the runs on first read) and per-face
+    sums by relabeling the fed masks, its f-vector, h-vector and χ̃ from
+    their set bits, and its χ̃(lk F) and ε(F), in ``_masks`` order, by
+    subset enumeration."""
     facet_masks, dim, pure = set_closure_facets(verts, fed)
     used = [i for i in range(len(verts)) if any(m >> i & 1 for m in facet_masks)]
     new_bits, values = [0] * len(verts), [0] * len(verts)
@@ -202,7 +202,8 @@ def test_runs_match_set_closure(seed):
             assert (again.vertices, again._masks) == (cx.vertices, cx._masks)
         _assert_same(SimplicialComplex.from_masks(verts, iter(inputs[0])), verts, inputs[0])
         # per-face sums of a random bit map: zeros, single bits and wide values
-        # (the padded call in _set_masks is held to _relabel by _assert_same)
+        # (the call that builds _masks, one bit per vertex, is held to _relabel
+        # by _assert_same)
         bits = [rng.choice((0, 1 << rng.randrange(80), rng.randrange(1 << 80)))
                 for _ in cx.vertices]
         assert _face_sums(cx, bits) == _relabel(cx._masks, bits)

@@ -3,10 +3,12 @@ import itertools
 import pytest
 
 from dehnsom.complexes import (
+    build_complex,
     f_vector,
     reduced_euler_characteristic,
     serialize_facets,
     singularity_profile,
+    verify_pure_ds,
 )
 from dehnsom.errors import BadParams
 from dehnsom.generators import (
@@ -113,7 +115,6 @@ def test_boolean_lattice_past_nine():
 
 
 def test_face_poset_without_top():
-    from dehnsom.complexes import build_complex
     simplex = build_complex([(1, 2, 3)])
     p = face_poset(simplex, False)
     assert p.rho == 3
@@ -136,6 +137,15 @@ def test_parse_spec_grammar():
     # the deepest spec accepted; one level more is refused (tests/test_cli.py)
     deep = MAX_SPEC_DEPTH
     assert parse_spec("cone(" * deep + "torus_7" + ")" * deep).name == "cone"
+
+
+def test_face_poset_and_ds_build_no_mask_of_a_built_complex():
+    # a complex keeps positions only: the face poset reads faces by position
+    # and the ds report reads sizes and the sweep, so neither builds masks
+    x = build_complex(itertools.combinations(range(5), 3))
+    face_poset(x, True)
+    verify_pure_ds(x)
+    assert x._mask_tuple is None
 
 
 def test_face_poset_default_top():

@@ -20,6 +20,7 @@ from dehnsom.complexes import (
     join_with_mapping,
     link_euler_table,
     link_euler_values,
+    verify_pure_ds,
 )
 from dehnsom.generators import (
     face_poset,
@@ -30,8 +31,14 @@ from dehnsom.generators import (
     suspension,
     torus_7,
 )
-from dehnsom.posets import dual, flag_alpha_beta, order_complex, verify_flag_poset
-from dehnsom.suite import DUALIZED_SPECS, ORDER_COMPLEX_SPECS, POSET_SPECS
+from dehnsom.posets import (
+    dual,
+    flag_alpha_beta,
+    order_complex,
+    verify_flag_poset,
+    verify_simplicial_ds,
+)
+from dehnsom.suite import COMPLEX_DS_SPECS, DUALIZED_SPECS, ORDER_COMPLEX_SPECS, POSET_SPECS
 from dehnsom.toric import toric_pair
 
 from conftest import seeded_poset
@@ -269,3 +276,42 @@ def test_flag_ds_rows_of_order_complex_on_seeded_posets(seed, density):
     P = seeded_poset(seed, density)
     for Q in (P, dual(P)):
         _assert_flag_rows_of_order_complex(Q, order_complex(Q))
+
+
+# --- ds on X against simplicial-ds on its face poset --------------------------
+# The face poset of X with 1̂ adjoined has one element of rank k per face of
+# k − 1 vertices, and μ(F, 1̂) = χ̃(lk F) for a face F, so its h and its
+# upper-interval errors are X's h and ε. The rows agree although ds reads X's
+# face sizes and the link sweep, and simplicial-ds P's rank counts and its
+# μ(·, 1̂) column; they share only the f→h transform.
+
+def _assert_ds_rows_of_face_poset(x):
+    complex_rows = [(r.index, r.lhs, r.rhs) for r in verify_pure_ds(x).rows]
+    poset_rows = [(r.index, r.lhs, r.rhs) for r in verify_simplicial_ds(face_poset(x, True)).rows]
+    assert len(complex_rows) == x.dim + 2
+    assert complex_rows == poset_rows
+
+
+@pytest.mark.parametrize("spec", COMPLEX_DS_SPECS)
+def test_ds_rows_of_a_complex_are_simplicial_ds_rows_of_its_face_poset(spec):
+    _assert_ds_rows_of_face_poset(generate(parse_spec(spec)))
+
+
+# --- the refinement rows of flag-ds against ds ----------------------------------
+# Σ_{|S|=i} (h_S − h_{S^c}) = h_i − h_{d−i}, and the refinement's rhs is the ds
+# rhs at j = i with the sign (−1)^{i−1}, so the `refine |S|=i` rows of flag-ds
+# are minus the ds rows j = i. Both rhs read the sweep: this pair checks the
+# flag-h path against the f→h path.
+
+def _assert_refine_rows_are_minus_ds_rows(bal):
+    refine = {int(r.index[len("refine |S|="):]): (r.lhs, r.rhs)
+              for r in verify_flag_ds(bal).rows if r.index.startswith("refine ")}
+    ds = {int(r.index[len("j="):]): (-r.lhs, -r.rhs) for r in verify_pure_ds(bal.complex).rows}
+    assert len(refine) == bal.d + 1
+    assert refine == ds
+
+
+@pytest.mark.parametrize("spec", [*(s for s in ORDER_COMPLEX_SPECS if s.startswith("face_poset")),
+                                  "random_graded_poset([3,3,3,3,3],0.5,7)"])
+def test_refine_rows_of_order_complex_are_minus_its_ds_rows(spec):
+    _assert_refine_rows_are_minus_ds_rows(_generated(spec)[1])

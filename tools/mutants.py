@@ -59,7 +59,7 @@ CX, BAL, POS, TOR, SUITE, GEN, POLY, REP, CLI = (
               "reports", "cli"))
 
 MUTANTS = (
-    # --- the closure pass (_set_runs) ---
+    # --- the closure pass (_set_masks) ---
     Mutant(CX, "level = _gather(_gather(run, cols[j - 1]), face_at)",
            "level = _gather(_gather(run, cols[0]), face_at)",
            "closure: every level built from the parents' parent column"),
@@ -81,10 +81,9 @@ MUTANTS = (
            "closure: no face marked covered"),
     Mutant(CX, "used = list(map(bool, parents))", "used = [True] * len(parents)",
            "closure: unused vertices kept"),
-    Mutant(CX, "if len(bit) != len(verts):", "if len(bit) > len(verts):",
+    Mutant(CX, "if len(set(verts)) != len(verts):", "if len(set(verts)) > len(verts):",
            "closure: a repeated vertex accepted"),
-    Mutant(CX, "starts = [*compress(starts, used), n]",
-           "starts = [*compress(starts[1:], used), n]",
+    Mutant(CX, "[*compress(starts, used), n]", "[*compress(starts[1:], used), n]",
            "closure: the kept vertices' runs shifted by one"),
     Mutant(CX, "all(map((dim + 1).__eq__,", "all(map(dim.__eq__,",
            "closure: purity read from dim, not dim + 1"),
@@ -125,10 +124,19 @@ MUTANTS = (
            "face sums: each run adds the next vertex's value"),
     Mutant(CX, "zip(values, starts, starts[1:])", "zip(values, starts[1:], starts[2:])",
            "face sums: each run read one start late"),
-    # --- the masks, built on demand ---
+    # --- the masks, built on demand, and a face's mask from its labels ---
     Mutant(CX, "bits = [1 << i for i in range(len(self.vertices))]",
            "bits = [2 << i for i in range(len(self.vertices))]",
            "masks: vertex i on bit i + 1"),
+    Mutant(CX, "m = sum({1 << self.vertices.index(v) for v in face})",
+           "m = sum({2 << self.vertices.index(v) for v in face})",
+           "face mask: a label's vertex index read one bit high"),
+    # --- the face poset, read by position ---
+    Mutant(GEN, "for col in x._cols[:x._sizes[k]]]", "for col in x._cols[:x._sizes[k] - 1]]",
+           "face poset: each face covers all but its last-removed face below"),
+    Mutant(GEN, '(elements[k], "TOP") for k in x._facets)',
+           '(elements[k], "TOP") for k in x._facets[1:])',
+           "face poset: the first facet not under 1̂"),
     # --- the balanced coloring ---
     Mutant(BAL, "colors = _face_sums(cx, [1 << (kappa[v] - 1) for v in cx.vertices])",
            "colors = _face_sums(cx, [1 << kappa[v] for v in cx.vertices])",
@@ -257,6 +265,8 @@ MUTANTS = (
            "refusal: a second colors: header accepted"),
     Mutant(GEN, "if not isinstance(value, bool):", "if False:",
            "refusal: a number accepted where a boolean is wanted"),
+    Mutant(GEN, "if depth > MAX_SPEC_DEPTH:", "if depth >= MAX_SPEC_DEPTH:",
+           "refusal: a spec MAX_SPEC_DEPTH levels deep refused"),
     Mutant(REP, 'and "lhs" in r and "rhs" in r):', "):",
            "refusal: a report row without 'lhs' or 'rhs' escapes as a KeyError"),
     Mutant(POS, "if len(set(elements)) != len(elements):", "if False:",
