@@ -31,13 +31,14 @@ from itertools import accumulate, chain, compress, repeat
 from operator import eq, itemgetter, lt, sub, xor
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import EmptyInput, FaceNotInComplex, InternalError, NotPure, ParseError
+from .errors import EmptyInput, FaceNotInComplex, InternalError, NotPure, ParseError, TooLarge
 from .polynomial import ExactPolynomial, binom, sign
 from .reports import Row, VerificationReport, report
 
 Face = frozenset
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"  # bytes.translate table: a face size plus one
 _NOT = b"\1" + bytes(255)  # bytes.translate table: a 0/1 flag negated
+MAX_JOIN_FACES = 10**7  # a join of more faces, f(a)·f(b) with ∅ counted, is refused
 
 
 def label_sort_key(v):
@@ -92,21 +93,17 @@ def _chain_masks(below: Sequence[Sequence[int]]) -> list[int]:
     return [0, *chain.from_iterable(runs)]
 
 
-def _vertex_sums(starts: Sequence[int], cols: Sequence[list], values: Sequence[int]) -> list[int]:
-    """Σ values[i] over the vertices i of every face, in position order, of
-    the faces with run starts ``starts`` and drop columns ``cols``. The faces
-    with top vertex t are positions starts[t] .. starts[t + 1] − 1, each its
-    parent ``cols[0][k]`` plus t, so a face takes one addition."""
+def _face_sums(cx: "SimplicialComplex", values: Sequence[int]) -> list[int]:
+    """Σ values[i] over the vertices i of every face of ``cx``, in position
+    order. The faces with top vertex t are positions _starts[t] ..
+    _starts[t + 1] − 1, each its parent ``_cols[0][k]`` plus t, so a face
+    takes one addition."""
+    starts, cols = cx._starts, cx._cols
     sums = [0] * starts[-1]
     for value, lo, hi in zip(values, starts, starts[1:]):
         if lo < hi:  # an empty run reads no column: only-∅ has none
             sums[lo:hi] = map(value.__add__, _gather(cols[0][lo:hi], sums))
     return sums
-
-
-def _face_sums(cx: "SimplicialComplex", values: Sequence[int]) -> list[int]:
-    """Σ values[i] over the vertices i of every face of ``cx``, in position order."""
-    return _vertex_sums(cx._starts, cx._cols, values)
 
 
 class SimplicialComplex:
@@ -288,8 +285,7 @@ class SimplicialComplex:
         sum of its vertex bits, built from the runs on first read."""
         if self._mask_tuple is None:
             bits = [1 << i for i in range(len(self.vertices))]
-            object.__setattr__(self, "_mask_tuple",
-                               tuple(_vertex_sums(self._starts, self._cols, bits)))
+            object.__setattr__(self, "_mask_tuple", tuple(_face_sums(self, bits)))
         return self._mask_tuple
 
     @property
@@ -471,7 +467,11 @@ def link(cx: SimplicialComplex, face: Iterable) -> SimplicialComplex:
 
 
 def join_with_mapping(a: SimplicialComplex, b: SimplicialComplex):
-    """Join after relabeling both sides; returns (complex, left map, right map)."""
+    """Join after relabeling both sides; returns (complex, left map, right map).
+    A join of more than MAX_JOIN_FACES faces is refused before any is built."""
+    size = len(a._sizes) * len(b._sizes)
+    if size > MAX_JOIN_FACES:
+        raise TooLarge(f"the join would have {size} faces, more than {MAX_JOIN_FACES}")
     left = {v: f"a:{v}" for v in a.vertices}
     right = {v: f"b:{v}" for v in b.vertices}
     verts = sorted([*left.values(), *right.values()], key=label_sort_key)

@@ -107,3 +107,8 @@ class ParseError(DehnsomError):
 
 class UsageError(DehnsomError):
     """A command line the argument parser refuses."""
+
+
+class TooLarge(DehnsomError):
+    """A request above a size bound, refused before it is built. It is not an
+    Inapplicable, so `verify all` never skips it."""

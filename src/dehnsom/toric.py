@@ -6,7 +6,9 @@ Indexing follows Swartz: for rank d+1 the toric h-polynomial is written
 x^{d−k} and ĥ_0 = 1 is the leading coefficient. The g-polynomial is the
 degree-⌊d/2⌋ truncation of (1−x)·ĥ(P,x). The table of every lower interval
 holds them as int tuples; a polynomial is wrapped as ExactPolynomial only
-where it leaves this module (`toric_pair`, `verify_generalized`).
+where it leaves this module (`toric_pair`, `star_sum`, `verify_generalized`).
+These are Stanley's toric ĥ and ĝ (1987, "Generalized h-vectors, intersection
+cohomology of toric varieties").
 """
 
 from __future__ import annotations
@@ -138,6 +140,25 @@ def _c_weight_from_g(g: Sequence[int], rho: int, u: int, v: int) -> int:
     return sum(sign(l) * c * binom(u - rho, v - l) for l, c in enumerate(g))
 
 
+def _upper_error_sums(P: GradedPoset, j: int) -> list[int]:
+    """W[k] = (−1)^k Σ_{ρ(t)≤j} e(t,1̂)·C([0̂,t], d, k) for k = 0..d, in one
+    pass over the elements: the main theorem's right side."""
+    d = P.rho - 1
+    sums = [0] * (d + 1)
+    for e, g, rt in zip(end_errors(P)[0], toric_table(P).g, P.rank_of):
+        if e and rt <= j:
+            for k in range(d + 1):
+                sums[k] += e * _c_weight_from_g(g, rt, d, k)
+    return [sign(k) * w for k, w in enumerate(sums)]
+
+
+def _ranged_rows(name: str, lhs: Sequence, rhs: Sequence, d: int, last_free: int = -1,
+                 note: str = "outside theorem range") -> list[Row]:
+    """Rows ``name=k``, lhs[k] against rhs[k] for k = 0..d, asserted for k > last_free."""
+    return [Row(index=f"{name}={k}", lhs=lhs[k], rhs=rhs[k], asserted=k > last_free,
+                note="" if k > last_free else note) for k in range(d + 1)]
+
+
 def coeff_C(T: GradedPoset, u: int, v: int) -> int:
     """C(T,u,v): the ĝ-weighted alternating binomial sum attached to a lower
     interval; C(𝟙,u,v) is the plain binomial."""
@@ -175,27 +196,21 @@ def star_sum(defects: Sequence, r: int) -> ExactPolynomial:
 def verify_stanley(P: GradedPoset, name: str = "") -> VerificationReport:
     """ĥ_i = ĥ_{d−i} on an Eulerian poset."""
     need_rank(P, 1, "stanley")
-    cls = classify_poset(P)
-    if not cls.eulerian:
+    if not classify_poset(P).eulerian:
         raise BadArguments("the symmetry theorem needs an Eulerian poset")
     pair = toric_pair(P)
-    d = pair.d
-    rows = [Row(index=f"k={k}", lhs=pair.h_indexed[k], rhs=pair.h_indexed[d - k])
-            for k in range(d + 1)]
-    return report("stanley", P, name, rows, d=d, h=[pair.h_indexed[k] for k in range(d + 1)])
+    h = [pair.h_indexed[k] for k in range(pair.d + 1)]
+    return report("stanley", P, name, _ranged_rows("k", h, h[::-1], pair.d), d=pair.d, h=h)
 
 
 def verify_swartz(P: GradedPoset, name: str = "") -> VerificationReport:
     """A_k = (−1)^{d−k+1} C(d,k) e(0̂,1̂) on a semi-Eulerian poset, for all k."""
-    cls = classify_poset(P)
-    if cls.min_j_sing > 0:
+    if classify_poset(P).min_j_sing > 0:
         raise BadArguments("the semi-Eulerian defect formula needs min_j_sing <= 0")
     d = P.rho - 1
-    seq = defect_sequence(P)
     e = end_errors(P)[0][P.bottom_i]
-    rows = [Row(index=f"k={k}", lhs=seq[k], rhs=sign(d - k + 1) * binom(d, k) * e)
-            for k in range(d + 1)]
-    return report("swartz", P, name, rows, d=d, e=e)
+    rhs = [sign(d - k + 1) * binom(d, k) * e for k in range(d + 1)]
+    return report("swartz", P, name, _ranged_rows("k", defect_sequence(P), rhs, d), d=d, e=e)
 
 
 def verify_1sing(P: GradedPoset, name: str = "") -> VerificationReport:
@@ -205,16 +220,11 @@ def verify_1sing(P: GradedPoset, name: str = "") -> VerificationReport:
     if cls.min_j_sing > 1:
         raise NotOneSing(f"min_j_sing = {cls.min_j_sing}")
     d = P.rho - 1
-    seq = defect_sequence(P)
     e_top, e_bot = end_errors(P)
     top_by_rank, bot_by_rank = rank_sums(P, e_top), rank_sums(P, e_bot)
-    rows = []
-    for i in range(d + 1):
-        rhs = sign(d - i + 1) * (binom(d, i) * e_top[P.bottom_i]
-                                 + binom(d, i) * bot_by_rank[d]
-                                 + binom(d - 1, i - 1) * top_by_rank[1])
-        rows.append(Row(index=f"i={i}", lhs=seq[i], rhs=rhs, asserted=i > d // 2,
-                        note="" if i > d // 2 else "outside theorem range"))
+    rhs = [sign(d - i + 1) * (binom(d, i) * e_top[P.bottom_i] + binom(d, i) * bot_by_rank[d]
+                              + binom(d - 1, i - 1) * top_by_rank[1]) for i in range(d + 1)]
+    rows = _ranged_rows("i", defect_sequence(P), rhs, d, d // 2)
     return report("1sing", P, name, rows, d=d, j=cls.min_j_sing)
 
 
@@ -327,66 +337,41 @@ def verify_generalized(P: GradedPoset, name: str = "") -> VerificationReport:
 
 
 def verify_main(P: GradedPoset, name: str = "") -> VerificationReport:
-    """A_k against the C(T,d,k)-weighted sum of upper-interval errors.
-
-    Asserted only for k > (d+j)/2; other indices are reported informationally.
-    Requires d > 2j.
-    """
-    cls = classify_poset(P)
-    j = cls.min_j_sing
+    """A_k against the C(T,d,k)-weighted sum of upper-interval errors, for
+    d > 2j: asserted only for k > (d+j)/2, informational below."""
+    j = classify_poset(P).min_j_sing
     d = P.rho - 1
     if d <= 2 * j:
         raise RangeViolation(f"needs d > 2j, got d={d}, j={j}")
-    seq = defect_sequence(P)
-    e_top = end_errors(P)[0]
-    table = toric_table(P)
-    rows = []
-    for k in range(d + 1):
-        rhs = sign(k) * sum(
-            e_top[t] * _c_weight_from_g(table.g[t], P.rank_of[t], d, k)
-            for t in range(P.n) if P.rank_of[t] <= j
-        )
-        ok_range = 2 * k > d + j
-        rows.append(Row(index=f"k={k}", lhs=seq[k], rhs=rhs, asserted=ok_range,
-                        note="" if ok_range else "outside theorem range"))
+    rows = _ranged_rows("k", defect_sequence(P), _upper_error_sums(P, j), d, (d + j) // 2)
     return report("main", P, name, rows, d=d, j=j)
 
 
-def lower_eulerian_defect(P: GradedPoset, k: int):
-    """The lower-Eulerian ĝ-weighted specialization of the defect A_k.
-
-    Derived by extracting [x^k] from the j-Sing polynomial identity once all
-    proper lower intervals are Eulerian:
-    Σ_{ρ(q) ≤ j} e(q,1̂) Σ_l (−1)^{d−k−l+1} ĝ_l(Q) C(d−ρ(q), k−ρ(q)+l).
-    """
+def _lower_eulerian_defects(P: GradedPoset) -> list[int]:
+    """−W[d − k] for k = 0..d; a poset that is not lower-Eulerian is refused
+    before any table is built."""
     cls = classify_poset(P)
     if not cls.lower_eulerian:
         raise NotLowerEulerian("some proper lower interval is not Eulerian")
-    j = cls.min_j_sing
     d = P.rho - 1
-    e_top = end_errors(P)[0]
-    table = toric_table(P)
-    total = 0
-    for q in range(P.n):
-        rq = P.rank_of[q]
-        if rq > j or e_top[q] == 0:
-            continue
-        inner = sum(sign(d - k - l + 1) * c * binom(d - rq, k - rq + l)
-                    for l, c in enumerate(table.g[q]))
-        total += e_top[q] * inner
-    return total
+    sums = _upper_error_sums(P, cls.min_j_sing)
+    return [-sums[d - k] for k in range(d + 1)]
+
+
+def lower_eulerian_defect(P: GradedPoset, k: int) -> int:
+    """The lower-Eulerian ĝ-weighted specialization of the defect A_k: once
+    all proper lower intervals are Eulerian, [x^k] of the j-Sing polynomial
+    identity is Σ_{ρ(q) ≤ j} e(q,1̂) Σ_l (−1)^{d−k−l+1} ĝ_l(Q) C(d−ρ(q), k−ρ(q)+l),
+    by C(n, m) = C(n, n − m) the main theorem's sum read at d − k:
+    A_k = −W[d − k]. It is 0 outside 0 ≤ k ≤ d."""
+    defects = _lower_eulerian_defects(P)
+    return defects[k] if 0 <= k < len(defects) else 0
 
 
 def verify_lower_eulerian(P: GradedPoset, name: str = "") -> VerificationReport:
-    j = classify_poset(P).min_j_sing
-    d = P.rho - 1
-    rhs = [lower_eulerian_defect(P, k) for k in range(d + 1)]  # refuses before any table
-    seq = defect_sequence(P)
-    rows = []
-    for k in range(d + 1):
-        ok_range = 2 * k > d + j
-        rows.append(Row(index=f"k={k}", lhs=seq[k], rhs=rhs[k],
-                        asserted=ok_range, note="" if ok_range else "outside theorem range"))
+    rhs = _lower_eulerian_defects(P)
+    j, d = classify_poset(P).min_j_sing, P.rho - 1
+    rows = _ranged_rows("k", defect_sequence(P), rhs, d, (d + j) // 2)
     return report("lower-eulerian", P, name, rows, d=d, j=j)
 
 
@@ -395,20 +380,15 @@ def dual_defect_report(P: GradedPoset, name: str = "") -> VerificationReport:
     explicit dual-difference formula, asserted in the range it is derived for."""
     seq_p = defect_sequence(P)
     seq_q = defect_sequence(dual(P))
-    j = seq_p.j
-    d = P.rho - 1
+    j, d = seq_p.j, P.rho - 1
     rows = [Row(index="min_j_sing", lhs=j, rhs=seq_q.j)]
-    e_top, e_bot = end_errors(P)
-    top_by_rank, bot_by_rank = rank_sums(P, e_top), rank_sums(P, e_bot)
-    for k in range(d + 1):
-        if j <= 0:
-            rows.append(Row(index=f"k={k}", lhs=seq_p[k], rhs=seq_q[k]))
-        elif j == 1 and d % 2 == 0:
-            rhs = seq_q[k] + sign(d - k) * binom(d - 1, k) * (top_by_rank[1] - bot_by_rank[d])
-            rows.append(Row(index=f"k={k}", lhs=seq_p[k], rhs=rhs,
-                            asserted=2 * k > d + 1,
-                            note="" if 2 * k > d + 1 else "outside formula range"))
-        else:
-            rows.append(Row(index=f"k={k}", lhs=seq_p[k], rhs=seq_q[k], asserted=False,
-                            note="side-by-side only"))
+    if j <= 0:
+        rows += _ranged_rows("k", seq_p, seq_q, d)
+    elif j == 1 and d % 2 == 0:
+        e_top, e_bot = end_errors(P)
+        diff = rank_sums(P, e_top)[1] - rank_sums(P, e_bot)[d]
+        rhs = [seq_q[k] + sign(d - k) * binom(d - 1, k) * diff for k in range(d + 1)]
+        rows += _ranged_rows("k", seq_p, rhs, d, (d + 1) // 2, "outside formula range")
+    else:
+        rows += _ranged_rows("k", seq_p, seq_q, d, d, "side-by-side only")
     return report("dual", P, name, rows, d=d, j=j)

@@ -51,6 +51,9 @@ one, and (in brackets) the tests that make each comparison:
   (``test_dual_matches_rebuilt_dual``, ``test_dual_keeps_label_ties_in_input_order``)
 - toric ĥ/ĝ: ``naive_toric`` (``test_horner_table_matches_naive``);
   ``rank_grouped_pull_toric`` (``test_push_table_matches_rank_grouped_pull``)
+- the lower-Eulerian defect A_k (``toric.lower_eulerian_defect``, read off
+  the main theorem's sum at d − k): ``direct_lower_eulerian_defect``, the
+  [x^k] sum itself (test_toric.py ``test_lower_eulerian_defect_matches_direct_sum``)
 
 ``face_masks``, ``interval`` and ``balanced_text`` build inputs, and the
 ``p_*`` helpers are the hand-rolled polynomials of ``naive_toric``.
@@ -63,8 +66,9 @@ import math
 from fractions import Fraction
 
 from dehnsom.complexes import _bits, serialize_facets
-from dehnsom.errors import FaceNotInComplex, InternalError
-from dehnsom.posets import build_poset
+from dehnsom.errors import FaceNotInComplex, InternalError, NotLowerEulerian
+from dehnsom.posets import build_poset, classify_poset, end_errors
+from dehnsom.toric import toric_table
 
 
 # --- faces, closure, facets, dim and purity -------------------------------------
@@ -586,3 +590,24 @@ def rank_grouped_pull_toric(P):
         h[q] = hq
         g[q] = [b - a for a, b in zip([0] + hq, hq[:(rq - 1) // 2 + 1])]
     return [tuple(p_trim(p)) for p in h], [tuple(p_trim(p)) for p in g]
+
+
+def direct_lower_eulerian_defect(P, k):
+    """A_k of a lower-Eulerian poset as the direct sum
+    Σ_{ρ(q) ≤ j} e(q,1̂) Σ_l (−1)^{d−k−l+1} ĝ_l(Q) C(d−ρ(q), k−ρ(q)+l), with
+    j = min_j_sing: [x^k] of the j-Sing identity once every proper lower
+    interval is Eulerian."""
+    cls = classify_poset(P)
+    if not cls.lower_eulerian:
+        raise NotLowerEulerian("some proper lower interval is not Eulerian")
+    j, d = cls.min_j_sing, P.rho - 1
+    e_top = end_errors(P)[0]
+    total = 0
+    for q in range(P.n):
+        rq = P.rank_of[q]
+        if rq > j or e_top[q] == 0:
+            continue
+        inner = sum((-1) ** abs(d - k - l + 1) * c * math.comb(d - rq, k - rq + l)
+                    for l, c in enumerate(toric_table(P).g[q]) if 0 <= k - rq + l <= d - rq)
+        total += e_top[q] * inner
+    return total

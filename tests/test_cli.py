@@ -326,6 +326,9 @@ REFUSALS = [
          "face poset without a top needs a unique maximal face")]],
     refusal("polygon-lattice-2", "classify --gen polygon_lattice(2)",
             "BadParams: polygon_lattice needs n >= 3"),
+    # a join above the face bound, refused before any face is built
+    refusal("join-too-large", 'generate "join(simplex_boundary(12),simplex_boundary(12))"',
+            "TooLarge: the join would have 67092481 faces, more than 10000000"),
     # verifiers: a rank below the least, or an unmet hypothesis
     refusal("flag-chain-0", "compute flag --gen chain(0)",
             "RangeViolation: order complex needs rank >= 1, got rank 0"),

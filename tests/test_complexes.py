@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dehnsom import complexes
 from dehnsom.complexes import (
     SimplicialComplex,
     build_complex,
@@ -23,8 +24,10 @@ from dehnsom.complexes import (
     subset_transform,
     verify_pure_ds,
 )
-from dehnsom.errors import EmptyInput, FaceNotInComplex, InternalError, NotPure, ParseError
+from dehnsom.errors import (EmptyInput, FaceNotInComplex, InternalError, NotPure, ParseError,
+                            TooLarge)
 from dehnsom.generators import (
+    cone,
     cross_polytope,
     cycle,
     face_poset,
@@ -166,6 +169,14 @@ def test_join_records_mapping(torus):
     j, left, right = join_with_mapping(cycle(3), torus)
     assert set(left.values()) | set(right.values()) == set(j.vertices)
     assert len(left) == 3 and len(right) == 7
+
+
+def test_join_above_the_face_bound_is_refused_before_any_mask(torus, monkeypatch, tripwire):
+    monkeypatch.setattr(complexes, "MAX_JOIN_FACES", 100)
+    assert sum(f_vector(cone(torus)).entries) == 86
+    assert tripwire(AssertionError("a join mask was built"), ["_face_sums"])
+    with pytest.raises(TooLarge, match="^the join would have 129 faces, more than 100$"):
+        suspension(torus)
 
 
 def test_face_error_examples(torus, bowtie):

@@ -5,6 +5,7 @@ from dehnsom.complexes import h_vector
 from dehnsom.errors import (
     BadArguments,
     InternalError,
+    NotLowerEulerian,
     NotOneSing,
     RangeViolation,
 )
@@ -37,8 +38,9 @@ from dehnsom.toric import (
     verify_swartz,
 )
 
-from conftest import seeded_poset
+from conftest import RANKS, seeded_poset
 from oracles import (
+    direct_lower_eulerian_defect,
     interval,
     iter_chains,
     naive_toric,
@@ -343,6 +345,29 @@ def test_lower_eulerian_all_k(torus_poset, susp_poset, susp2_poset, oct_torus_po
         for k in range(d + 1):
             assert lower_eulerian_defect(P, k) == seq[k], (P, k)
         assert verify_lower_eulerian(P).passed
+
+
+def test_lower_eulerian_defect_matches_direct_sum():
+    """The defect read off the main theorem's sum at d − k against the direct
+    [x^k] sum, for k = −1..d+1 (0 outside 0..d), and the same refusal text on
+    a poset that is not lower-Eulerian."""
+    posets = [generate_from_string(s) for s in POSET_SPECS]
+    posets += [seeded_poset(seed) for seed in range(3 * len(RANKS))]
+    ran = refused = 0
+    for P in posets + [dual(P) for P in posets]:
+        ks = range(-1, P.rho + 1)
+        try:
+            expected = [direct_lower_eulerian_defect(P, k) for k in ks]
+        except NotLowerEulerian as exc:
+            with pytest.raises(NotLowerEulerian) as got:
+                lower_eulerian_defect(P, 0)
+            assert str(got.value) == str(exc)
+            refused += 1
+            continue
+        assert [lower_eulerian_defect(P, k) for k in ks] == expected, P.labels
+        assert expected[0] == expected[-1] == 0
+        ran += 1
+    assert ran and refused
 
 
 def test_lower_simplicial_binomial_form(susp_poset, susp2_poset, oct_torus_poset):

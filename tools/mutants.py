@@ -248,12 +248,19 @@ MUTANTS = (
            "C(T,u,v): the sign (−1)^l dropped"),
     Mutant(TOR, "binom(u - rho, v - l) for l, c", "binom(u - rho, v + l) for l, c",
            "C(T,u,v): the binomial read at v + l"),
+    # --- the main theorem's sum, its lower-Eulerian reading and the row form ---
+    Mutant(TOR, "return [-sums[d - k] for k in range(d + 1)]",
+           "return [-sums[k] for k in range(d + 1)]",
+           "lower-eulerian: the main theorem's sum read at k, not d − k"),
+    Mutant(TOR, "asserted=k > last_free,", "asserted=k >= last_free,",
+           "rows: the last informational index asserted"),
+    Mutant(TOR, "if e and rt <= j:", "if e and rt < j:",
+           "main sum: the elements of rank j left out"),
     # --- refusals come before any table ---
-    Mutant(TOR, "    rhs = [lower_eulerian_defect(P, k) for k in range(d + 1)]  # refuses before any table\n"
-                "    seq = defect_sequence(P)",
-           "    seq = defect_sequence(P)\n"
-           "    rhs = [lower_eulerian_defect(P, k) for k in range(d + 1)]",
-           "refusal: lower-eulerian builds the defect before it refuses"),
+    Mutant(TOR, "    cls = classify_poset(P)\n    if not cls.lower_eulerian:",
+           "    cls = classify_poset(P)\n    _upper_error_sums(P, cls.min_j_sing)\n"
+           "    if not cls.lower_eulerian:",
+           "refusal: lower-eulerian builds the main theorem's sum before it refuses"),
     Mutant(TOR, '    """A_k = (−1)^{d−k+1} C(d,k) e(0̂,1̂) on a semi-Eulerian poset, for all k."""\n',
            '    """A_k = (−1)^{d−k+1} C(d,k) e(0̂,1̂) on a semi-Eulerian poset, for all k."""\n'
            "    defect_sequence(P)\n",
